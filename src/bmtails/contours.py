@@ -48,8 +48,7 @@ class ContourPath:
     nodes: np.ndarray          # complex positions
     weights: np.ndarray        # complex dz quadrature factors
     params: np.ndarray         # real parameter, critical point at 0
-    role: str                  # w_line | z_circle | lambert_gamma | residue_circle
-    param_range: tuple
+    role: str                  # w_line | z_circle | lambert_gamma
     closed: bool
     phi_nodes: np.ndarray | None = field(default=None, repr=False)
     pre_image: np.ndarray | None = field(default=None, repr=False)
@@ -59,15 +58,22 @@ class ContourPath:
             raise ValueError(f"contour '{self.role}' contains non-finite nodes")
 
 
-def _line_halfwidth(w_minus, t, tol):
-    """Smallest y with Re H(w- + iy) - H(w-) <= log(tol).
+def _check_time(t):
+    t = float(t)
+    if not np.isfinite(t) or t <= 0:
+        raise ValueError(f"time parameter must be finite and > 0, got {t}")
+    return t
 
-    The phase drop along the line is -y^2/2 + log(1 + y^2/w-^2)/2, bounded
-    below by -y^2/2, so start from the Gaussian estimate and pad for the
-    (positive) log term.
+
+def _line_halfwidth(c, ratio, t, tol):
+    """Smallest y with Re phase(c + iy) - phase(c) <= log(tol) / t.
+
+    For the phase w^2/2 + ratio log(-w) + (linear), with ratio 1 for H and
+    n/t for the raw particle-n phase, the drop is -y^2/2 + ratio log(1 +
+    y^2/c^2)/2 >= -y^2/2: start from the Gaussian estimate and pad for the log.
     """
     target = np.log(tol) / t
-    drop = lambda y: -y * y / 2.0 + 0.5 * np.log1p(y * y / w_minus ** 2)
+    drop = lambda y: -y * y / 2.0 + ratio * 0.5 * np.log1p(y * y / (c * c))
     y = np.sqrt(-2.0 * target)
     while drop(y) > target:
         y *= 1.25
@@ -83,16 +89,14 @@ def build_packed_contours(a, t, cfg=None):
     accurate as t grows.
     """
     a = check_a(a)
-    t = float(t)
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError(f"time parameter must be finite and > 0, got {t}")
+    t = _check_time(t)
     cfg = cfg or ContourConfig()
 
     w_minus, w_plus = saddle_points(a)
     h2_lo = phase_packed_d2(w_minus, a)           # > 0
     h2_hi = -phase_packed_d2(w_plus, a)           # > 0
 
-    y_max = _line_halfwidth(w_minus, t, cfg.truncation_tol)
+    y_max = _line_halfwidth(w_minus, 1.0, t, cfg.truncation_tol)
     per_unit = max(cfg.points_per_unit, int(np.ceil(12.0 * np.sqrt(t * h2_lo))))
     n_line = 2 * int(np.ceil(y_max * per_unit)) + 1
     y = np.linspace(-y_max, y_max, n_line)
@@ -105,7 +109,6 @@ def build_packed_contours(a, t, cfg=None):
         weights=lw,
         params=y,
         role="w_line",
-        param_range=(-y_max, y_max),
         closed=False,
     )
 
@@ -121,7 +124,6 @@ def build_packed_contours(a, t, cfg=None):
         weights=1j * z * (2.0 * np.pi / m),
         params=theta,
         role="z_circle",
-        param_range=(-np.pi, np.pi),
         closed=True,
     )
     return line, circle
@@ -175,7 +177,6 @@ def build_flat_contour(a, cfg=None, z_a=None):
         weights=weights,
         params=tau,
         role="lambert_gamma",
-        param_range=(-cfg.tau_max, cfg.tau_max),
         closed=False,
         phi_nodes=lambert_w(0, pre),
         pre_image=pre,

@@ -12,11 +12,13 @@ from the eigenvalues of the weighted kernel matrix as
 which keeps full relative precision for survivals as small as 1e-15;
 forming 1 - det directly would lose them to cancellation.
 
-Probabilities are refined by doubling the grid and the contour density
-together until successive determinants agree, and the residual change is
-reported.  The stationary law needs an s-derivative; it is taken by
-central differences with one Richardson extrapolation, and the two step
-sizes must agree or the evaluation is rejected.
+Every entry point hands a closure evaluate(size, scale) to one driver,
+:func:`_solve`, which doubles the grid size and the contour density
+together until successive values agree, reports the last change as the
+refinement delta, and checks the imaginary residue and the [0, 1] range.
+The stationary law needs an s-derivative; it is taken by central
+differences with one Richardson extrapolation, and the two step sizes
+must agree or the evaluation is rejected.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
@@ -28,14 +30,15 @@ exact, and only decaying functions ever meet the quadrature grid.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .contours import ContourConfig, ContourPath, build_packed_contours
+from .contours import ContourConfig, build_packed_contours
 from .errors import NumericFailure
 from .kernels import (
+    _IM_TOL,
     flat_contour_for,
     khat_flat_grid,
     khat_packed_grid,
@@ -47,7 +50,6 @@ from .rates import check_a, rate_flat, rate_packed, solve_za
 
 log = logging.getLogger("bmtails.fredholm")
 
-_IM_TOL = 1e-8
 _CLAMP = 1e-9
 
 
@@ -55,7 +57,6 @@ _CLAMP = 1e-9
 class QuadGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    map: str
     decay_rate: float
     size: int
 
@@ -85,7 +86,7 @@ def build_grid(s, decay_rate, size):
     u = 0.5 * (x + 1.0)
     nodes = s - np.log1p(-u) / decay_rate
     weights = 0.5 * w / (decay_rate * (1.0 - u))
-    return QuadGrid(nodes=nodes, weights=weights, map="exp_decay",
+    return QuadGrid(nodes=nodes, weights=weights,
                     decay_rate=float(decay_rate), size=int(size))
 
 
@@ -103,7 +104,7 @@ def _log1m(lam):
 
 
 def _det_core(kmat, weights):
-    """(det, survival, log_survival, im_residue) of I - sqrt(w) K sqrt(w)."""
+    """(det, log_survival, im_residue) of I - sqrt(w) K sqrt(w)."""
     sq = np.sqrt(weights)
     sym = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
     lam = np.linalg.eigvals(sym)
@@ -113,10 +114,25 @@ def _det_core(kmat, weights):
     det = float(np.exp(level))
     survival = float(-np.expm1(level))
     log_survival = float(np.log(survival)) if survival > 0.0 else -np.inf
-    return det, survival, log_survival, im
+    return det, log_survival, im
 
 
-def _finish(p, log_survival, im, delta, grid, what):
+def _solve(what, evaluate, size0, target, max_size):
+    """Double (size, scale) from (size0, 1) until p moves by less than target.
+
+    evaluate returns ((p, log_survival, im_residue), grid).
+    """
+    prev, grid = evaluate(size0, 1)
+    result, size, scale, delta = prev, size0, 1, np.inf
+    while 2 * size <= max_size:
+        size *= 2
+        scale *= 2
+        result, grid = evaluate(size, scale)
+        delta = abs(result[0] - prev[0])
+        if delta < target:
+            break
+        prev = result
+    p, log_survival, im = result
     if im > _IM_TOL * (1.0 + abs(p)):
         raise NumericFailure(
             f"{what}: imaginary residue {im:.3e} in log-determinant",
@@ -135,29 +151,6 @@ def _finish(p, log_survival, im, delta, grid, what):
                       refinement_delta=delta, grid=grid)
 
 
-def _refine(evaluate, size0, target, max_size):
-    """Run evaluate(size, scale) with doubling until two results agree."""
-    prev, _ = evaluate(size0, 1)
-    size, scale = size0, 1
-    result, grid = prev, None
-    delta = np.inf
-    while 2 * size <= max_size:
-        size *= 2
-        scale *= 2
-        result, grid = evaluate(size, scale)
-        delta = abs(result[0] - prev[0])
-        if delta < target:
-            break
-        prev = result
-    return result, grid, delta
-
-
-def _scaled_cfg(cfg, scale):
-    return ContourConfig(points_per_unit=scale * cfg.points_per_unit,
-                         truncation_tol=cfg.truncation_tol,
-                         tau_max=cfg.tau_max)
-
-
 # ---------------------------------------------------------------------------
 # public determinant op
 
@@ -167,10 +160,12 @@ def nystrom_det(kernel, s, grid):
 
     ``kernel`` must broadcast over index arrays: kernel(x1[:, None],
     x2[None, :]) -> matrix.  Values may carry a tiny imaginary residue,
-    which is checked and discarded.
+    which is checked and discarded.  The determinant must lie in [0, 1];
+    roundoff outside it is clamped, as for the probabilities.
     """
 
-    def matrix(g):
+    def evaluate(size, scale):
+        g = grid if size == grid.size else build_grid(s, grid.decay_rate, size)
         vals = np.asarray(kernel(g.nodes[:, None], g.nodes[None, :]))
         if vals.shape != (g.size, g.size):
             raise ValueError("kernel callable must broadcast to a full matrix")
@@ -179,19 +174,17 @@ def nystrom_det(kernel, s, grid):
             if im > _IM_TOL * (1.0 + float(np.abs(vals).max())):
                 raise NumericFailure("kernel is not real on the grid", residual=im)
             vals = vals.real
-        return vals
+        return _det_core(vals, g.weights), g
 
-    det1 = _det_core(matrix(grid), grid.weights)[0]
-    fine = build_grid(s, grid.decay_rate, 2 * grid.size)
-    det2 = _det_core(matrix(fine), fine.weights)[0]
-    if abs(det2 - det1) > max(1e-9, 1e-9 * abs(det2)):
+    res = _solve("nystrom_det", evaluate, grid.size, 0.0, 2 * grid.size)
+    if res.refinement_delta > max(1e-9, 1e-9 * abs(res.p)):
         raise NumericFailure(
             "Nystrom determinant did not settle under grid doubling",
-            last=det2,
-            residual=abs(det2 - det1),
+            last=res.p,
+            residual=res.refinement_delta,
             hint="raise the grid size or check the kernel decay rate",
         )
-    return det2
+    return res.p
 
 
 # ---------------------------------------------------------------------------
@@ -206,13 +199,13 @@ def prob_packed(t, a, *, s_offset=0.0, grid_size=48, cfg=None,
     cfg = cfg or ContourConfig()
 
     def evaluate(size, scale):
-        contours = build_packed_contours(a, t, _scaled_cfg(cfg, scale))
+        contours = build_packed_contours(
+            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit))
         grid = build_grid(s_offset, a, size)
         kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
         return _det_core(kmat, grid.weights), grid
 
-    (det, _, logs, im), grid, delta = _refine(evaluate, grid_size, refine_target, max_size)
-    return _finish(det, logs, im, delta, grid, "prob_packed")
+    return _solve("prob_packed", evaluate, grid_size, refine_target, max_size)
 
 
 def prob_flat(t, a, *, s_offset=0.0, grid_size=48, cfg=None,
@@ -225,41 +218,40 @@ def prob_flat(t, a, *, s_offset=0.0, grid_size=48, cfg=None,
     decay = abs(z_a + 1.0)
 
     def evaluate(size, scale):
-        path = flat_contour_for(a, t, _scaled_cfg(cfg, scale), z_a=z_a)
+        path = flat_contour_for(
+            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit), z_a=z_a)
         grid = build_grid(s_offset, decay, size)
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights), grid
 
-    (det, _, logs, im), grid, delta = _refine(evaluate, grid_size, refine_target, max_size)
-    return _finish(det, logs, im, delta, grid, "prob_flat")
+    return _solve("prob_flat", evaluate, grid_size, refine_target, max_size)
 
 
 # ---------------------------------------------------------------------------
 # stationary start
 
 
-def _stat_pieces(a, t, s, size, scale, cfg):
-    contours = build_packed_contours(a, t, _scaled_cfg(cfg, scale))
-    comps = stat_components(a, t, s, contours=contours)
-    grid = build_grid(s, a, size)
-    kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
-    det1, _, _, im1 = _det_core(kmat, grid.weights)
-    rank1 = np.outer(comps.f_star(grid.nodes), comps.g_one(grid.nodes))
-    det2, _, _, im2 = _det_core(kmat + rank1, grid.weights)
-    first = comps.f_hat_t * det1
-    return first, det2, max(im1, im2), contours, comps, grid, kmat
+def _fd_derivative(D, h, a, t, what):
+    """D'(0) by central differences at h and h/2 plus one Richardson step.
 
-
-def _stat_D(a, t, s, size, scale, cfg):
-    first, second, im, *_ = _stat_pieces(a, t, s, size, scale, cfg)
-    return first + second, im
-
-
-def _fd_derivative(fn, h):
-    """Central difference with one Richardson step; returns (value, spread)."""
-    d1 = (fn(h) - fn(-h)) / (2.0 * h)
-    d2 = (fn(h / 2.0) - fn(-h / 2.0)) / h
-    return (4.0 * d2 - d1) / 3.0, abs(d2 - d1)
+    h defaults to 1e-3 (1 + a t); the two estimates must agree to 1e-5 (1 + |D'|).
+    """
+    if h is None:
+        h = 1e-3 * (1.0 + a * t)
+    if h <= 0:
+        raise ValueError("finite-difference step h must be positive")
+    d1 = (D(h) - D(-h)) / (2.0 * h)
+    d2 = (D(h / 2.0) - D(-h / 2.0)) / h
+    deriv = (4.0 * d2 - d1) / 3.0
+    spread = abs(d2 - d1)
+    if spread > 1e-5 * (1.0 + abs(deriv)):
+        raise NumericFailure(
+            f"{what} derivative unstable in the step size",
+            last=deriv,
+            residual=spread,
+            hint="adjust h or raise the grid size",
+        )
+    return deriv
 
 
 def prob_stat(t, a, h=None, *, grid_size=48, cfg=None,
@@ -273,62 +265,27 @@ def prob_stat(t, a, h=None, *, grid_size=48, cfg=None,
     a = check_a(a)
     t = float(t)
     cfg = cfg or ContourConfig()
-    if h is None:
-        h = 1e-3 * (1.0 + a * t)
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
 
     def evaluate(size, scale):
+        contours = build_packed_contours(
+            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit))
         ims = []
 
         def D(s):
-            val, im = _stat_D(a, t, s, size, scale, cfg)
-            ims.append(im)
-            return val
+            comps = stat_components(a, t, s, contours=contours)
+            grid = build_grid(s, a, size)
+            kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
+            det1, _, im1 = _det_core(kmat, grid.weights)
+            rank1 = np.outer(comps.f_star(grid.nodes), comps.g_one(grid.nodes))
+            det2, _, im2 = _det_core(kmat + rank1, grid.weights)
+            ims.extend((im1, im2))
+            return comps.f_hat_t * det1 + det2
 
-        deriv, spread = _fd_derivative(D, h)
-        if spread > 1e-5 * (1.0 + abs(deriv)):
-            raise NumericFailure(
-                "stationary derivative unstable in the step size",
-                last=deriv,
-                residual=spread,
-                hint="adjust h or raise the grid size",
-            )
+        deriv = _fd_derivative(D, h, a, t, "stationary")
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
-        return (deriv, None, logs, max(ims)), build_grid(0.0, a, size)
+        return (deriv, logs, max(ims)), build_grid(0.0, a, size)
 
-    (p, _, logs, im), grid, delta = _refine(evaluate, grid_size, refine_target, max_size)
-    return _finish(p, logs, im, delta, grid, "prob_stat")
-
-
-def stat_summand_derivatives(t, a, h=None, *, grid_size=96, cfg=None):
-    """s-derivatives at 0 of the two summands of the stationary D(s)."""
-    a = check_a(a)
-    t = float(t)
-    cfg = cfg or ContourConfig()
-    if h is None:
-        h = 1e-3 * (1.0 + a * t)
-
-    def first(s):
-        return _stat_pieces(a, t, s, grid_size, 2, cfg)[0]
-
-    def second(s):
-        return _stat_pieces(a, t, s, grid_size, 2, cfg)[1]
-
-    d_first, _ = _fd_derivative(first, h)
-    d_second, _ = _fd_derivative(second, h)
-    return d_first, d_second
-
-
-def _shrunk_circle(circle, factor):
-    return ContourPath(
-        nodes=circle.nodes * factor,
-        weights=circle.weights * factor,
-        params=circle.params,
-        role=circle.role,
-        param_range=circle.param_range,
-        closed=circle.closed,
-    )
+    return _solve("prob_stat", evaluate, grid_size, refine_target, max_size)
 
 
 def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
@@ -345,15 +302,16 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
     cfg = cfg or ContourConfig()
-    if h is None:
-        h = 1e-3 * (1.0 + a * t)
     delta_rho = 1.0 - rho
 
     def evaluate(size, scale):
-        line, circle = build_packed_contours(a, t, _scaled_cfg(cfg, scale))
+        line, circle = build_packed_contours(
+            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit))
         radius = float(np.abs(circle.nodes).max())
         if radius >= 0.9 * rho:
-            circle = _shrunk_circle(circle, 0.9 * rho / radius)
+            factor = 0.9 * rho / radius
+            circle = replace(circle, nodes=circle.nodes * factor,
+                             weights=circle.weights * factor)
         contours = (line, circle)
         ims = []
 
@@ -362,7 +320,7 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
             g_rho, pair_res, pair_circ = stat_rho_pieces(a, t, s, rho, contours)
             grid = build_grid(s, a, size)
             kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
-            det1, _, _, im = _det_core(kmat, grid.weights)
+            det1, _, im = _det_core(kmat, grid.weights)
             ims.append(im)
             resolvent = np.eye(size) - kmat * grid.weights[None, :]
             y = np.linalg.solve(resolvent, comps.f_star(grid.nodes))
@@ -371,28 +329,19 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
             s_pair = pair_res + pair_circ + inner_c.real
             return det1 * (1.0 - delta_rho * s_pair)
 
-        deriv, spread = _fd_derivative(D, h)
-        if spread > 1e-5 * (1.0 + abs(deriv)):
-            raise NumericFailure(
-                "density-rho derivative unstable in the step size",
-                last=deriv,
-                residual=spread,
-                hint="adjust h or raise the grid size",
-            )
+        deriv = _fd_derivative(D, h, a, t, "density-rho")
         p = D(0.0) + deriv / delta_rho
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
-        return (p, None, logs, max(ims)), build_grid(0.0, a, size)
+        return (p, logs, max(ims)), build_grid(0.0, a, size)
 
-    (p, _, logs, im), grid, delta = _refine(evaluate, grid_size, refine_target, max_size)
-    return _finish(p, logs, im, delta, grid, "prob_stat_rho")
+    return _solve("prob_stat_rho", evaluate, grid_size, refine_target, max_size)
 
 
 # ---------------------------------------------------------------------------
 # raw finite-index route (generic level s, small integer n)
 
 
-def prob_finite_n(n, t, s, *, grid_size=64, cfg=None,
-                  refine_target=1e-9, max_size=512):
+def prob_finite_n(n, t, s, *, grid_size=64, refine_target=1e-9, max_size=512):
     """P(x_n(t) <= s) for integer n >= 1 via the raw double-contour kernel.
 
     Valid at any real level s, including the bulk and lower tail, because
@@ -429,8 +378,7 @@ def prob_finite_n(n, t, s, *, grid_size=64, cfg=None,
                                circle_rad=r, sigma=-c, oversample=scale)
         return _det_core(kmat, grid.weights), grid
 
-    (det, _, logs, im), grid, delta = _refine(evaluate, grid_size, refine_target, max_size)
-    return _finish(det, logs, im, delta, grid, "prob_finite_n")
+    return _solve("prob_finite_n", evaluate, grid_size, refine_target, max_size)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,22 @@ and matrix-diagonalization laws at small n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .contours import ContourConfig, build_flat_contour, build_packed_contours
+from .contours import (
+    ContourConfig,
+    _check_time,
+    _line_halfwidth,
+    build_flat_contour,
+    build_packed_contours,
+)
 from .errors import NumericFailure
 from .lambertw import phi
 from .rates import (
+    _h_vals,
     check_a,
     flat_curvature,
     phase_packed,
@@ -68,29 +75,8 @@ class StatComponents:
     f_hat_t: float
 
 
-def _check_time(t):
-    t = float(t)
-    if not np.isfinite(t) or t <= 0:
-        raise ValueError(f"time parameter must be finite and > 0, got {t}")
-    return t
-
-
-def _h_vals(w, a):
-    """Packed phase on a complex array (principal log branch)."""
-    w = np.asarray(w, dtype=complex)
-    return (w * w - 1.0) / 2.0 + (2.0 + a) * (w + 1.0) + np.log(-w)
-
-
 def _g_vals(z, phi, a):
     return (z * z - phi * phi) / 2.0 + (1.0 + a) * (z - phi)
-
-
-def _doubled(cfg):
-    return ContourConfig(
-        points_per_unit=2 * cfg.points_per_unit,
-        truncation_tol=cfg.truncation_tol,
-        tau_max=cfg.tau_max,
-    )
 
 
 def _demand_real(value, what):
@@ -130,7 +116,9 @@ def khat_packed(a, t, xi1, xi2, contours=None, cfg=None):
     if contours is None:
         contours = build_packed_contours(a, t, cfg)
     coarse = khat_packed_grid(a, t, [xi1], [xi2], contours)[0, 0]
-    fine = khat_packed_grid(a, t, [xi1], [xi2], build_packed_contours(a, t, _doubled(cfg)))[0, 0]
+    fine_contours = build_packed_contours(
+        a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit))
+    fine = khat_packed_grid(a, t, [xi1], [xi2], fine_contours)[0, 0]
     im = _demand_real(fine, "packed kernel value")
     return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
 
@@ -155,8 +143,7 @@ def flat_contour_for(a, t, cfg=None, z_a=None):
     ppu = max(cfg.points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / cfg.truncation_tol) / (t * abs(eta)))
     tau_max = min(cfg.tau_max, max(0.5, span))
-    dense = ContourConfig(points_per_unit=ppu, truncation_tol=cfg.truncation_tol, tau_max=tau_max)
-    return build_flat_contour(a, dense, z_a=z_a)
+    return build_flat_contour(a, replace(cfg, points_per_unit=ppu, tau_max=tau_max), z_a=z_a)
 
 
 def khat_flat_grid(a, t, xi1, xi2, path):
@@ -179,7 +166,8 @@ def khat_flat(a, t, xi1, xi2, path=None, cfg=None):
     if path is None:
         path = flat_contour_for(a, t, cfg, z_a=z_a)
     coarse = khat_flat_grid(a, t, [xi1], [xi2], path)[0, 0]
-    fine_path = flat_contour_for(a, t, _doubled(cfg), z_a=z_a)
+    fine_path = flat_contour_for(
+        a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit), z_a=z_a)
     fine = khat_flat_grid(a, t, [xi1], [xi2], fine_path)[0, 0]
     im = _demand_real(fine, "flat kernel value")
     return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
@@ -287,7 +275,7 @@ def stat_rho_pieces(a, t, s_offset, rho, contours):
 # saddle-point limit kernels
 
 
-def klimit(ic, a, normalized=True):
+def klimit(ic, a):
     """Pointwise t -> infinity limit of the rescaled kernels.
 
     For the packed case the saddle-point limit of t e^{t r} Khat_t is
@@ -296,18 +284,15 @@ def klimit(ic, a, normalized=True):
 
     its integrated diagonal, the integral of K(x, x) over x >= 0, is the
     packed tail constant w- w+ (2 pi (w- - w+)^2 sqrt((w-^2 - 1)(1 - w+^2)))^{-1},
-    the limit of t e^{t r} P(upper tail).  ``normalized=False`` multiplies
-    by (2 pi)^2, which overstates that constant by the same factor.  The
-    flat limit of sqrt(t) e^{t r} Khat_t is single-saddle and has no such
-    convention split.  Returns a broadcasting callable of (x1, x2).
+    the limit of t e^{t r} P(upper tail).  The flat limit is that of
+    sqrt(t) e^{t r} Khat_t, from its single saddle z_a.  Returns a
+    broadcasting callable of (x1, x2).
     """
     a = check_a(a)
     if ic == "packed":
         w_minus, w_plus = saddle_points(a)
         curv = np.sqrt(phase_packed_d2(w_minus, a) * -phase_packed_d2(w_plus, a))
         pref = 1.0 / (2.0 * np.pi * curv * (w_plus - w_minus))
-        if not normalized:
-            pref *= 4.0 * np.pi ** 2
         c1, c2 = w_minus + 1.0, w_plus + 1.0
     elif ic == "flat":
         z_a = solve_za(a)
@@ -326,15 +311,6 @@ def klimit(ic, a, normalized=True):
 
 # ---------------------------------------------------------------------------
 # raw kernel at finite particle index
-
-
-def _raw_line_halfwidth(c, n, t, tol):
-    target = np.log(tol) / t
-    drop = lambda y: -y * y / 2.0 + (n / t) * 0.5 * np.log1p(y * y / (c * c))
-    y = np.sqrt(-2.0 * target)
-    while drop(y) > target:
-        y *= 1.25
-    return y
 
 
 def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
@@ -361,7 +337,7 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
 
-    half = _raw_line_halfwidth(c, n, t, tol)
+    half = _line_halfwidth(c, n / t, t, tol)
     freq = float(np.max(np.abs(xi1 + t * c))) + 1.0
     n_line = 2 * int(np.ceil(oversample * half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
     y = np.linspace(-half, half, n_line)

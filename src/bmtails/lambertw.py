@@ -204,9 +204,11 @@ def phi(z):
     # w*exp(w) is increasing on (-1, 0), so the root is bracketed
     w = brentq(lambda w: w * np.exp(w) - target, -1.0, 0.0,
                xtol=1e-15, rtol=8.9e-16)
-    # one Newton polish for a machine-level residual
-    ew = np.exp(w)
-    w -= (w * ew - target) / (ew * (w + 1.0))
+    # one Newton polish for a machine-level residual; brentq can land on the
+    # branch point w = -1 for z just below -1, where the step divides by 0
+    if w != -1.0:
+        ew = np.exp(w)
+        w -= (w * ew - target) / (ew * (w + 1.0))
     return float(w)
 
 

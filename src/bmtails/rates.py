@@ -63,6 +63,12 @@ class SaddleDiagnostics:
     rate: float
 
 
+def _h_vals(w, a):
+    """Packed phase H on a complex array (principal log branch), unchecked."""
+    w = np.asarray(w, dtype=complex)
+    return (w * w - 1.0) / 2.0 + (2.0 + a) * (w + 1.0) + np.log(-w)
+
+
 def phase_packed(w, a):
     """H(w) = (w^2-1)/2 + (2+a)(w+1) + log(-w), principal branch.
 
@@ -72,7 +78,7 @@ def phase_packed(w, a):
     w = complex(w)
     if w.imag == 0.0 and w.real >= 0.0:
         raise ValueError(f"phase_packed is undefined on the cut [0, inf): w={w}")
-    val = (w * w - 1.0) / 2.0 + (2.0 + a) * (w + 1.0) + np.log(-w)
+    val = _h_vals(w, a)
     return val.real if abs(val.imag) == 0.0 else val
 
 
@@ -200,8 +206,13 @@ def rate_flat(a):
     """Upper-tail rate for the flat start, with saddle diagnostics.
 
     rate = (phi(z_a) - z_a) * ((z_a + phi(z_a))/2 + 1 + a) = -G(z_a).
+    Its relative error grows like 1e-16 / a^1.5 by cancellation, so a < 1e-6
+    raises NumericFailure.
     """
     a = check_a(a)
+    if a < 1e-6:
+        raise NumericFailure(f"rate_flat cancels to noise below a = 1e-6, got {a!r}",
+                             last=a, hint=f'use rate_asymptote("flat", {a!r}, "small")')
     z_a = solve_za(a)
     p = phi(z_a)
     rate = (p - z_a) * ((z_a + p) / 2.0 + 1.0 + a)

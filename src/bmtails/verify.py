@@ -124,7 +124,7 @@ def _check_steep_descent():
         line, circle = contours.build_packed_contours(a, 1)
         for path, sign in ((line, 1.0), (circle, -1.0)):
             rep = contours.steep_descent_report(
-                path, sign * np.real(kernels._h_vals(path.nodes, a)), 0.1
+                path, sign * np.real(rates._h_vals(path.nodes, a)), 0.1
             )
             eps.append(rep.epsilon)
             all_ok = all_ok and rep.ok

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bmtails import contours, rates
-from bmtails.kernels import _g_vals, _h_vals
+from bmtails.kernels import _g_vals
+from bmtails.rates import _h_vals
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])

@@ -125,9 +125,42 @@ def test_prob_stat_rho_validates_rho():
             fredholm.prob_stat_rho(4, 1.0, bad)
 
 
-def test_stat_second_summand_derivative_is_smaller():
-    first, second = fredholm.stat_summand_derivatives(8, 1.0)
-    assert abs(second) < abs(first)
+@pytest.mark.parametrize("fn, args", [
+    (fredholm.prob_stat, (4, 1.0)),
+    (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
+])
+def test_stationary_step_validation(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args, h=0.0)
+    # steps this small drown the difference quotient in roundoff, so the
+    # h and h/2 estimates disagree
+    with pytest.raises(NumericFailure):
+        fn(*args, h=1e-12)
+
+
+# (p, log_survival, final grid size) of each entry point, far tighter than
+# the oracle tests, so a change in the shared refinement driver shows
+FROZEN = {
+    "packed": (fredholm.prob_packed, (4, 1),
+               0.999991593107674, -11.68645867356229, 96),
+    "flat": (fredholm.prob_flat, (4, 1),
+             0.9996857475080847, -8.065313780802915, 96),
+    "stat": (fredholm.prob_stat, (4, 1),
+             0.9818641748033782, -4.009866004298115, 96),
+    "stat_rho": (fredholm.prob_stat_rho, (4, 1, 0.9),
+                 0.9827584903282919, -4.060435449615932, 96),
+    "finite_n": (fredholm.prob_finite_n, (5, 1, 2.5),
+                 0.21626343233878037, -0.2436823257321513, 128),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN))
+def test_entry_points_reproduce_frozen_values(name):
+    fn, args, p, log_survival, size = FROZEN[name]
+    res = fn(*args)
+    np.testing.assert_allclose(res.p, p, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(res.log_survival, log_survival, rtol=1e-12)
+    assert res.grid.size == size
 
 
 def test_tail_rate_table_columns_and_trend():

@@ -90,14 +90,6 @@ def test_rescaled_kernel_approaches_limit(ic, power):
     assert errs[2] < 0.15
 
 
-def test_klimit_normalization_switch():
-    lim = kernels.klimit("packed", 1.0)
-    raw = kernels.klimit("packed", 1.0, normalized=False)
-    np.testing.assert_allclose(
-        raw(0.3, 0.8) / lim(0.3, 0.8), 4.0 * np.pi ** 2, rtol=1e-13
-    )
-
-
 @pytest.mark.parametrize("a", [0.1, 1.0, 5.0])
 def test_packed_tail_constant_is_integrated_klimit_diagonal(a):
     lim = kernels.klimit("packed", a)

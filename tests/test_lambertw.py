@@ -87,6 +87,16 @@ def test_phi_vectorized_matches_scalar():
     np.testing.assert_array_equal(phi(mixed)[1:], mixed[1:])
 
 
+@pytest.mark.parametrize("k", range(3, 13))
+def test_phi_scalar_near_branch_point(k):
+    # brentq can land on w = -1 exactly here, where a Newton step divides
+    # by zero; phi(z) + 1 is of order z + 1, so the two paths agree to it
+    z = -1.0 - 10.0 ** -k
+    scl = phi(z)
+    assert np.isfinite(scl)
+    np.testing.assert_allclose(scl, phi(np.array([z]))[0], rtol=0, atol=2 * 10.0 ** -k)
+
+
 def test_solve_wexpw_tracks_seed_branch():
     # continuation solve used by the flat contour: target just off the real
     # locus, seeded with the real solution, must stay on the same sheet

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bmtails import rates
+from bmtails.errors import NumericFailure
 from bmtails.lambertw import phi
 
 
@@ -94,6 +95,13 @@ def test_asymptote_values():
     # at a = 30 sits near 0.064 rather than inside 0.05
     gap = rates.rate_stat(30.0) - rates.rate_asymptote("stationary", 30.0, "large")
     np.testing.assert_allclose(gap, -2.0 / 30.0, atol=4e-3)
+
+
+def test_rate_flat_refuses_tiny_a():
+    # the closed form cancels to a relative error of about 1e-16 / a^1.5
+    with pytest.raises(NumericFailure) as info:
+        rates.rate_flat(1e-8)
+    assert 'rate_asymptote("flat"' in info.value.hint
 
 
 def test_phase_packed_rejects_cut():
