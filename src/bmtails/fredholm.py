@@ -12,6 +12,12 @@ from the eigenvalues of the weighted kernel matrix as
 which keeps full relative precision for survivals as small as 1e-15;
 forming 1 - det directly would lose them to cancellation.
 
+The finite-index route works with a kernel of rank n, given as factors
+K = L R^T with n columns each (see :func:`kernels.raw_kernel_grid`).  By
+Sylvester's identity det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), so its
+determinant is that of an n x n matrix whatever the grid size; the grid
+only sets the quadrature of the n^2 pairings R^T W L.
+
 Every entry point hands a closure evaluate(size, scale) to one driver,
 :func:`_solve`, which doubles the grid size and the contour density
 together until successive values agree, reports the last change as the
@@ -29,6 +35,7 @@ exact, and only decaying functions ever meet the quadrature grid.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, replace
 
@@ -78,11 +85,20 @@ class ProbResult:
     grid: QuadGrid
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(size):
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), one rule per size."""
+    x, w = leggauss(size)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def build_grid(s, decay_rate, size):
     """Exponentially mapped Gauss-Legendre grid on (s, infinity)."""
     if decay_rate <= 0:
         raise ValueError("decay_rate must be positive")
-    x, w = leggauss(int(size))
+    x, w = _gauss_legendre(int(size))
     u = 0.5 * (x + 1.0)
     nodes = s - np.log1p(-u) / decay_rate
     weights = 0.5 * w / (decay_rate * (1.0 - u))
@@ -104,15 +120,25 @@ def _log1m(lam):
 
 
 def _det_core(kmat, weights):
-    """(det, log_survival, im_residue) of I - sqrt(w) K sqrt(w)."""
+    """(det, log_survival, im_residue) of I - sqrt(w) K sqrt(w).
+
+    A real determinant's log has imaginary part a multiple of pi, odd when
+    the determinant is negative; the residue is measured from the nearest
+    multiple, whose parity gives the sign.
+    """
     sq = np.sqrt(weights)
     sym = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
     lam = np.linalg.eigvals(sym)
     logdet = np.sum(_log1m(lam))
-    im = abs(logdet.imag)
+    turns = np.round(logdet.imag / np.pi)
+    im = abs(logdet.imag - turns * np.pi)
     level = logdet.real
-    det = float(np.exp(level))
-    survival = float(-np.expm1(level))
+    if turns % 2:
+        det = -float(np.exp(level))
+        survival = 1.0 - det
+    else:
+        det = float(np.exp(level))
+        survival = float(-np.expm1(level))
     log_survival = float(np.log(survival)) if survival > 0.0 else -np.inf
     return det, log_survival, im
 
@@ -147,6 +173,7 @@ def _solve(what, evaluate, size0, target, max_size):
     if not 0.0 <= p <= 1.0:
         log.warning("%s: clamping p = %.17g into [0, 1]", what, p)
         p = min(max(p, 0.0), 1.0)
+        log_survival = min(log_survival, 0.0)
     return ProbResult(p=p, log_survival=log_survival, im_residue=im,
                       refinement_delta=delta, grid=grid)
 
@@ -347,6 +374,7 @@ def prob_finite_n(n, t, s, *, grid_size=64, refine_target=1e-9, max_size=512):
     Valid at any real level s, including the bulk and lower tail, because
     the vertical line is re-anchored at the dominant w-saddle of the raw
     phase t w^2/2 + n log(-w) + xi w instead of the upper-tail scaling.
+    The kernel has rank n, so each grid size costs one n x n determinant.
     """
     n = int(n)
     t = float(t)
@@ -374,9 +402,10 @@ def prob_finite_n(n, t, s, *, grid_size=64, refine_target=1e-9, max_size=512):
 
     def evaluate(size, scale):
         grid = build_grid(s, decay, size)
-        kmat = raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c,
-                               circle_rad=r, sigma=-c, oversample=scale)
-        return _det_core(kmat, grid.weights), grid
+        left, right = raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c,
+                                      circle_rad=r, sigma=-c, oversample=scale)
+        # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
+        return _det_core((right.T * grid.weights) @ left, np.ones(n)), grid
 
     return _solve("prob_finite_n", evaluate, grid_size, refine_target, max_size)
 

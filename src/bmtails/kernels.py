@@ -25,7 +25,12 @@ The stationary one-point formula needs three further contour objects
 contours; they are collected by :func:`stat_components`.  A raw kernel for
 finite particle index n on generic contours (vertical line, small circle
 around the pole of order n) supports cross-checks against exact Gaussian
-and matrix-diagonalization laws at small n.
+and matrix-diagonalization laws at small n.  It is returned as two n-column
+factors instead of a matrix: on the circle |z| < |w|, so the Cauchy factor
+is the series sum_k z^k / w^(k+1), and since the only singularity of the
+z-integrand inside the circle is the pole of order n at 0, every term with
+k >= n integrates to zero.  The kernel is the sum of the first n products
+of w-moments and z-moments, of rank exactly n like the Hermite kernel.
 """
 
 from __future__ import annotations
@@ -313,30 +318,14 @@ def klimit(ic, a):
 # raw kernel at finite particle index
 
 
-def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
-                    oversample=1):
-    """Particle-n kernel on generic contours, conjugated by e^{sigma xi}.
+def _raw_contours(n, t, xi1, xi2, c, r, tol, oversample):
+    """Weighted nodes (w, aw) of the line Re w = c and (z, bz) of |z| = r.
 
-    The w-contour is the vertical line Re w = line_re < 0 and the
-    z-contour the circle |z| = circle_rad around the pole of order n at
-    the origin; the circle must stay strictly inside the line's modulus
-    so the Cauchy coupling keeps its nesting.  xi are absolute positions
-    (no macroscopic recentring).
+    The weights carry the phase factors e^{t w^2/2} (-w)^n and
+    e^{-t z^2/2} (-z)^{-n}.  The line is trimmed where the Gaussian factor
+    falls below tol, and both node counts grow with the largest level so
+    that e^{xi w} and e^{-xi z} stay resolved.
     """
-    if n < 1 or n != int(n):
-        raise ValueError(f"particle index must be a positive integer, got {n}")
-    t = _check_time(t)
-    c = float(line_re)
-    r = float(circle_rad)
-    if c >= 0:
-        raise ValueError("line_re must be negative")
-    if not 0 < r < -c:
-        raise ValueError("need 0 < circle_rad < |line_re| for contour nesting")
-    if sigma is None:
-        sigma = -c
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-
     half = _line_halfwidth(c, n / t, t, tol)
     freq = float(np.max(np.abs(xi1 + t * c))) + 1.0
     n_line = 2 * int(np.ceil(oversample * half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
@@ -355,7 +344,49 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
 
     aw = lw * np.exp(t * w * w / 2.0 + n * np.log(-w))
     bz = cw * np.exp(-t * z * z / 2.0 - n * np.log(-z))
+    return w, aw, z, bz
+
+
+def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
+                    oversample=1):
+    """Particle-n kernel on generic contours, conjugated by e^{sigma xi}.
+
+    The w-contour is the vertical line Re w = line_re < 0 and the
+    z-contour the circle |z| = circle_rad around the pole of order n at
+    the origin; the circle must stay strictly inside the line's modulus
+    so the Cauchy coupling keeps its nesting.  xi are absolute positions
+    (no macroscopic recentring).
+
+    Returns the factors (left, right), of shapes (len(xi1), n) and
+    (len(xi2), n), with K = left @ right.T:
+
+        left[:, k]  = (2 pi i)^-2 int dw e^{xi1 (w + sigma)} e^{t w^2/2} (-w)^n w^-(k+1),
+        right[:, k] = oint dz e^{-xi2 (z + sigma)} e^{-t z^2/2} (-z)^-n z^k.
+
+    Since |z| < |w|, 1/(w - z) = sum_k z^k / w^(k+1), and inside the circle
+    the z-integrand's only singularity is the pole of order n at 0, so every
+    term with k >= n integrates to zero: the kernel has rank exactly n.
+    """
+    if n < 1 or n != int(n):
+        raise ValueError(f"particle index must be a positive integer, got {n}")
+    t = _check_time(t)
+    c = float(line_re)
+    r = float(circle_rad)
+    if c >= 0:
+        raise ValueError("line_re must be negative")
+    if not 0 < r < -c:
+        raise ValueError("need 0 < circle_rad < |line_re| for contour nesting")
+    if sigma is None:
+        sigma = -c
+    xi1 = np.asarray(xi1, dtype=float)
+    xi2 = np.asarray(xi2, dtype=float)
+    n = int(n)
+
+    w, aw, z, bz = _raw_contours(n, t, xi1, xi2, c, r, tol, oversample)
     e1 = np.exp(np.multiply.outer(xi1, w + sigma))
     e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
-    cauchy = 1.0 / np.subtract.outer(w, z)
-    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
+    w_pows = np.vander(1.0 / w, n + 1, increasing=True)[:, 1:]   # w^-(k+1)
+    z_pows = np.vander(z, n, increasing=True)                     # z^k
+    left = e1 @ ((_DOUBLE_PREF * aw)[:, None] * w_pows)
+    right = e2 @ (bz[:, None] * z_pows)
+    return left, right

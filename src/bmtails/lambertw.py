@@ -7,7 +7,9 @@ and for large |z| the two-term asymptotic log(z) - log(log(z)) is used.
 Iterations are Halley steps on f(w) = w*exp(w) - z.
 
 phi maps a real z < -1 to the conjugate solution of w*exp(w) = z*exp(z)
-inside (-1, 0); on z >= -1 it is the identity.  It shows up as the image of
+inside (-1, 0); on z >= -1 it is the identity.  Within 1e-3 below z = -1,
+where that equation has a double root and loses half the digits, phi is
+taken from its reflection series instead.  It shows up as the image of
 the steep-descent variable in the flat-start kernel, so its derivative
 identity phi'(z) * z * (1 + phi) = (1 + z) * phi is exposed as well.
 """
@@ -22,6 +24,10 @@ from .errors import NumericFailure, SingularityError
 _EM1 = np.exp(-1.0)          # 1/e
 _BP_SNAP = 1e-12             # snap-to-branch-point radius
 _BP_SERIES = 0.25            # use the square-root series inside this radius
+_PHI_SERIES = 1e-3           # phi(-1 - eps) from its reflection series for eps <= this
+# phi(-1 - eps) = -1 + eps (1 - 2 eps/3 + 4 eps^2/9 - ...), highest power first;
+# the first omitted term is 7648 eps^7 / 42525 < 2e-22 inside the window
+_PHI_COEFFS = (-40.0 / 189.0, 104.0 / 405.0, -44.0 / 135.0, 4.0 / 9.0, -2.0 / 3.0, 1.0)
 
 
 def _halley(z, w, rtol=1e-13, max_iter=100):
@@ -167,6 +173,15 @@ def solve_wexpw(target, seed, rtol=1e-13, max_iter=100):
     return _halley(target, seed, rtol, max_iter)
 
 
+def _phi_reflection(eps):
+    """phi(-1 - eps) for 0 < eps <= _PHI_SERIES from its series in eps.
+
+    w e^w = z e^z has a double root at w = z = -1, so solving it for z just
+    below -1 loses half the digits; the series in eps keeps them all.
+    """
+    return -1.0 + eps * np.polyval(_PHI_COEFFS, eps)
+
+
 def phi(z):
     """Collision map: the solution of w*exp(w) = z*exp(z) with w in (-1, 0].
 
@@ -179,18 +194,17 @@ def phi(z):
         if not np.isfinite(x).all():
             raise ValueError("phi requires finite arguments")
         out = np.where(x >= -1.0, x, 0.0)
-        below = x < -1.0
-        if below.any():
-            xb = x[below]
+        near = (x < -1.0) & (x >= -1.0 - _PHI_SERIES)
+        out[near] = _phi_reflection(-1.0 - x[near])
+        far = x < -1.0 - _PHI_SERIES
+        if far.any():
+            xb = x[far]
             target = xb * np.exp(xb)
             w = lambert_w(0, target).real
             ew = np.exp(w)
-            # Newton polish, except against the branch point where w + 1
-            # vanishes and the snapped value is already the best answer
-            denom = ew * (w + 1.0)
-            safe = np.abs(w + 1.0) > 1e-6
-            w[safe] -= (w[safe] * ew[safe] - target[safe]) / denom[safe]
-            out[below] = w
+            # one Newton polish; w + 1 is of order 1e-3 or more out here
+            w -= (w * ew - target) / (ew * (w + 1.0))
+            out[far] = w
         return out
     if np.iscomplexobj(z) and np.asarray(z).imag != 0.0:
         zc = complex(z)
@@ -200,15 +214,15 @@ def phi(z):
         raise ValueError("phi requires a finite argument")
     if x >= -1.0:
         return x
+    if x >= -1.0 - _PHI_SERIES:
+        return float(_phi_reflection(-1.0 - x))
     target = x * np.exp(x)
     # w*exp(w) is increasing on (-1, 0), so the root is bracketed
     w = brentq(lambda w: w * np.exp(w) - target, -1.0, 0.0,
                xtol=1e-15, rtol=8.9e-16)
-    # one Newton polish for a machine-level residual; brentq can land on the
-    # branch point w = -1 for z just below -1, where the step divides by 0
-    if w != -1.0:
-        ew = np.exp(w)
-        w -= (w * ew - target) / (ew * (w + 1.0))
+    # one Newton polish for a machine-level residual
+    ew = np.exp(w)
+    w -= (w * ew - target) / (ew * (w + 1.0))
     return float(w)
 
 

@@ -176,17 +176,35 @@ def test_tail_rate_table_columns_and_trend():
         fredholm.tail_rate_table("packed", 1.0, (8, 4))
 
 
+def _unit_pairing_kernel(scale):
+    # projection onto one decaying mode: det(1 - K) = 1 - scale exactly
+    return lambda x, y: scale * np.exp(-y) * np.ones_like(x)
+
+
 def test_clamp_negative_roundoff(caplog):
-    # a kernel engineered to give det = 1 - 1 = 0 up to roundoff: the
-    # projection onto one decaying mode with unit pairing
     grid = fredholm.build_grid(0.0, 1.0, 48)
-
-    def kernel(x, y):
-        return np.exp(-y) * np.ones_like(x)
-
     with caplog.at_level(logging.WARNING, logger="bmtails.fredholm"):
-        det = fredholm.nystrom_det(kernel, 0.0, grid)
-    assert abs(det) < 1e-9
+        det = fredholm.nystrom_det(_unit_pairing_kernel(1.0 + 1e-12), 0.0, grid)
+    assert det == 0.0
+    assert any("clamping" in rec.getMessage() for rec in caplog.records)
+
+
+def test_negative_determinant_far_outside_raises():
+    grid = fredholm.build_grid(0.0, 1.0, 48)
+    with pytest.raises(NumericFailure, match="far outside"):
+        fredholm.nystrom_det(_unit_pairing_kernel(1.0 + 1e-6), 0.0, grid)
+
+
+def test_build_grid_shares_a_read_only_rule():
+    g1 = fredholm.build_grid(0.0, 1.0, 32)
+    g2 = fredholm.build_grid(2.0, 0.5, 32)
+    x1, w1 = fredholm._gauss_legendre(32)
+    assert fredholm._gauss_legendre(32)[0] is x1
+    assert not x1.flags.writeable and not w1.flags.writeable
+    with pytest.raises(ValueError):
+        x1[0] = 0.0
+    np.testing.assert_array_equal(g1.nodes, -np.log1p(-0.5 * (x1 + 1.0)))
+    assert g2.nodes.flags.writeable
 
 
 def test_prob_finite_n_validates_index():

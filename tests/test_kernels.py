@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bmtails import contours, kernels, rates, verify
+from bmtails import contours, fredholm, kernels, rates, verify
 
 
 def test_khat_packed_reference_value():
@@ -40,10 +40,11 @@ def test_khat_matches_raw_kernel_at_shifted_level():
     shift = (2.0 + a) * t
     for x1, x2 in ((0.0, 0.0), (0.3, 0.7), (1.5, 0.2)):
         hat = kernels.khat_packed(a, t, x1, x2).value
-        raw = kernels.raw_kernel_grid(
+        left, right = kernels.raw_kernel_grid(
             t, t, np.array([shift + x1]), np.array([shift + x2]),
             line_re=-1.0, circle_rad=0.5, sigma=1.0,
-        )[0, 0]
+        )
+        raw = (left @ right.T)[0, 0]
         np.testing.assert_allclose(raw.real, hat, rtol=1e-10)
         assert abs(raw.imag) <= 1e-12
 
@@ -53,13 +54,72 @@ def test_raw_kernel_deformation_invariance():
     # the represented (equivalent) kernel
     val = None
     for c, r in ((-1.0, 0.5), (-1.3, 0.4), (-0.8, 0.6)):
-        cur = kernels.raw_kernel_grid(
+        left, right = kernels.raw_kernel_grid(
             3, 2.0, np.array([5.0]), np.array([5.5]),
             line_re=c, circle_rad=r, sigma=1.0,
-        )[0, 0]
+        )
+        cur = (left @ right.T)[0, 0]
         if val is not None:
             np.testing.assert_allclose(cur.real, val, rtol=1e-9)
         val = cur.real
+
+
+def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
+                     oversample=1):
+    """The raw kernel through the full line x circle Cauchy matrix.
+
+    Same nodes and weights as raw_kernel_grid, but 1/(w - z) is kept whole
+    instead of being cut to its first n Laurent terms.
+    """
+    sigma = -line_re if sigma is None else sigma
+    xi1 = np.asarray(xi1, dtype=float)
+    xi2 = np.asarray(xi2, dtype=float)
+    w, aw, z, bz = kernels._raw_contours(
+        n, t, xi1, xi2, line_re, circle_rad, tol, oversample)
+    e1 = np.exp(np.multiply.outer(xi1, w + sigma))
+    e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
+    cauchy = 1.0 / np.subtract.outer(w, z)
+    return kernels._DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8])
+@pytest.mark.parametrize("t", [1.0, 4.0])
+@pytest.mark.parametrize("line", ["bulk", "tail"])
+def test_raw_kernel_rank_n_matches_dense(n, t, line):
+    # the line and circle prob_finite_n picks in the bulk and the upper tail
+    if line == "bulk":
+        s, c = -0.5, -0.3 / np.sqrt(t)
+    else:
+        s = 2.0 * np.sqrt(n * t) + 1.5
+        xi_ref = s + np.sqrt(t)
+        c = -(xi_ref + np.sqrt(xi_ref * xi_ref - 4.0 * t * n)) / (2.0 * t)
+    r = min(0.85 * abs(c), max(n / (t * abs(c)), 0.15 * abs(c)))
+    xi = s + np.linspace(0.0, 12.0, 40)
+    left, right = kernels.raw_kernel_grid(n, t, xi, xi, line_re=c, circle_rad=r)
+    assert left.shape == right.shape == (xi.size, n)
+    dense = dense_raw_kernel(n, t, xi, xi, line_re=c, circle_rad=r)
+    err = np.abs(left @ right.T - dense).max()
+    assert err <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("n,t,s", [
+    (1, 1.0, -2.0), (1, 4.0, 3.0), (5, 1.0, -0.5), (5, 1.0, 3.0), (5, 1.0, 6.0),
+])
+def test_prob_finite_n_matches_dense_determinant(monkeypatch, n, t, s):
+    # the n x n Sylvester determinant against the full Nystrom matrix built
+    # from the dense kernel on the same grid and contours
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return kernels.raw_kernel_grid(*args, **kwargs)
+
+    monkeypatch.setattr(fredholm, "raw_kernel_grid", spy)
+    res = fredholm.prob_finite_n(n, t, s)
+    assert res.grid.size == 128
+    args, kwargs = calls[-1]
+    p_dense = fredholm._det_core(dense_raw_kernel(*args, **kwargs), res.grid.weights)[0]
+    assert abs(res.p - p_dense) <= 1e-13
 
 
 def test_raw_kernel_validates_nesting():

@@ -89,12 +89,23 @@ def test_phi_vectorized_matches_scalar():
 
 @pytest.mark.parametrize("k", range(3, 13))
 def test_phi_scalar_near_branch_point(k):
-    # brentq can land on w = -1 exactly here, where a Newton step divides
-    # by zero; phi(z) + 1 is of order z + 1, so the two paths agree to it
+    # both paths take phi from its reflection series here, where the
+    # defining equation has a double root; phi(z) + 1 is of order z + 1
     z = -1.0 - 10.0 ** -k
     scl = phi(z)
     assert np.isfinite(scl)
     np.testing.assert_allclose(scl, phi(np.array([z]))[0], rtol=0, atol=2 * 10.0 ** -k)
+
+
+@pytest.mark.parametrize("k", range(3, 13))
+def test_phi_reflection_series_against_mpmath(k):
+    mpmath = pytest.importorskip("mpmath")
+    z = -1.0 - 10.0 ** -k
+    with mpmath.workdps(40):
+        zm = mpmath.mpf(z)
+        ref = float(mpmath.re(mpmath.lambertw(zm * mpmath.exp(zm))))
+    assert abs(phi(z) - ref) <= 2e-16
+    assert abs(phi(np.array([z]))[0] - ref) <= 2e-16
 
 
 def test_solve_wexpw_tracks_seed_branch():
