@@ -70,6 +70,8 @@ class QuadGrid:
     def __post_init__(self):
         if self.size < 8:
             raise ValueError("grid size must be at least 8")
+        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
+            raise ValueError("grid nodes and weights must be finite")
         if np.any(self.weights <= 0):
             raise ValueError("grid weights must be positive")
         if np.any(np.diff(self.nodes) <= 0):
@@ -218,40 +220,39 @@ def nystrom_det(kernel, s, grid):
 # scaled one-point probabilities
 
 
-def prob_packed(t, a, *, s_offset=0.0, grid_size=48, cfg=None,
-                refine_target=1e-9, max_size=384):
+def _contour_cfg(scale):
+    """The default contour configuration with its node density times scale."""
+    return ContourConfig(points_per_unit=scale * ContourConfig.points_per_unit)
+
+
+def prob_packed(t, a, *, s_offset=0.0, grid_size=48):
     """P(x_t(t) <= 2t + at + s_offset) under the packed start."""
     a = check_a(a)
     t = float(t)
-    cfg = cfg or ContourConfig()
 
     def evaluate(size, scale):
-        contours = build_packed_contours(
-            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit))
+        contours = build_packed_contours(a, t, _contour_cfg(scale))
         grid = build_grid(s_offset, a, size)
         kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
         return _det_core(kmat, grid.weights), grid
 
-    return _solve("prob_packed", evaluate, grid_size, refine_target, max_size)
+    return _solve("prob_packed", evaluate, grid_size, 1e-9, 384)
 
 
-def prob_flat(t, a, *, s_offset=0.0, grid_size=48, cfg=None,
-              refine_target=1e-9, max_size=384):
+def prob_flat(t, a, *, s_offset=0.0, grid_size=48):
     """P(x_t(t) <= 2t + at + s_offset) under the flat start."""
     a = check_a(a)
     t = float(t)
-    cfg = cfg or ContourConfig()
     z_a = solve_za(a)
     decay = abs(z_a + 1.0)
 
     def evaluate(size, scale):
-        path = flat_contour_for(
-            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit), z_a=z_a)
+        path = flat_contour_for(a, t, _contour_cfg(scale), z_a=z_a)
         grid = build_grid(s_offset, decay, size)
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights), grid
 
-    return _solve("prob_flat", evaluate, grid_size, refine_target, max_size)
+    return _solve("prob_flat", evaluate, grid_size, 1e-9, 384)
 
 
 # ---------------------------------------------------------------------------
@@ -281,30 +282,28 @@ def _fd_derivative(D, h, a, t, what):
     return deriv
 
 
-def prob_stat(t, a, h=None, *, grid_size=48, cfg=None,
-              refine_target=1e-9, max_size=192):
+def prob_stat(t, a, h=None, *, grid_size=48):
     """P(x_t(t) <= 2t + at) under the unit-density stationary start.
 
     Evaluates D(s) = Fhat_t(s) det(1 - P K P) + det(1 - P(K + f* x g1)P)
     around s = 0 and returns its derivative; the rank-one extension sits
-    directly inside the discretized determinant.
+    directly inside the discretized determinant.  The contours are built
+    once per grid size, and each level s takes K, f* and g1 from one
+    :func:`kernels.stat_components` assembly on its grid.
     """
     a = check_a(a)
     t = float(t)
-    cfg = cfg or ContourConfig()
 
     def evaluate(size, scale):
-        contours = build_packed_contours(
-            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit))
+        contours = build_packed_contours(a, t, _contour_cfg(scale))
         ims = []
 
         def D(s):
-            comps = stat_components(a, t, s, contours=contours)
             grid = build_grid(s, a, size)
-            kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
-            det1, _, im1 = _det_core(kmat, grid.weights)
-            rank1 = np.outer(comps.f_star(grid.nodes), comps.g_one(grid.nodes))
-            det2, _, im2 = _det_core(kmat + rank1, grid.weights)
+            comps = stat_components(a, t, s, contours, grid.nodes)
+            det1, _, im1 = _det_core(comps.kmat, grid.weights)
+            rank1 = np.outer(comps.f_star, comps.g_one)
+            det2, _, im2 = _det_core(comps.kmat + rank1, grid.weights)
             ims.extend((im1, im2))
             return comps.f_hat_t * det1 + det2
 
@@ -312,11 +311,10 @@ def prob_stat(t, a, h=None, *, grid_size=48, cfg=None,
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return (deriv, logs, max(ims)), build_grid(0.0, a, size)
 
-    return _solve("prob_stat", evaluate, grid_size, refine_target, max_size)
+    return _solve("prob_stat", evaluate, grid_size, 1e-9, 192)
 
 
-def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
-                  refine_target=1e-9, max_size=192):
+def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
     """P(x_t(t) <= 2t + at) for the stationary start with density rho < 1.
 
     Uses det(1 - P(K + (1-rho) f x g_rho)P) = det(1 - PKP) (1 - (1-rho) S)
@@ -328,12 +326,10 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
     t = float(t)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
-    cfg = cfg or ContourConfig()
     delta_rho = 1.0 - rho
 
     def evaluate(size, scale):
-        line, circle = build_packed_contours(
-            a, t, replace(cfg, points_per_unit=scale * cfg.points_per_unit))
+        line, circle = build_packed_contours(a, t, _contour_cfg(scale))
         radius = float(np.abs(circle.nodes).max())
         if radius >= 0.9 * rho:
             factor = 0.9 * rho / radius
@@ -343,15 +339,14 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
         ims = []
 
         def D(s):
-            comps = stat_components(a, t, s, contours=contours)
-            g_rho, pair_res, pair_circ = stat_rho_pieces(a, t, s, rho, contours)
             grid = build_grid(s, a, size)
-            kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
-            det1, _, im = _det_core(kmat, grid.weights)
+            comps = stat_components(a, t, s, contours, grid.nodes)
+            g_rho, pair_res, pair_circ = stat_rho_pieces(a, t, s, rho, contours, grid.nodes)
+            det1, _, im = _det_core(comps.kmat, grid.weights)
             ims.append(im)
-            resolvent = np.eye(size) - kmat * grid.weights[None, :]
-            y = np.linalg.solve(resolvent, comps.f_star(grid.nodes))
-            inner_c = complex(np.sum(grid.weights * g_rho(grid.nodes) * y))
+            resolvent = np.eye(size) - comps.kmat * grid.weights[None, :]
+            y = np.linalg.solve(resolvent, comps.f_star)
+            inner_c = complex(np.sum(grid.weights * g_rho * y))
             ims.append(abs(inner_c.imag))
             s_pair = pair_res + pair_circ + inner_c.real
             return det1 * (1.0 - delta_rho * s_pair)
@@ -361,14 +356,14 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48, cfg=None,
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return (p, logs, max(ims)), build_grid(0.0, a, size)
 
-    return _solve("prob_stat_rho", evaluate, grid_size, refine_target, max_size)
+    return _solve("prob_stat_rho", evaluate, grid_size, 1e-9, 192)
 
 
 # ---------------------------------------------------------------------------
 # raw finite-index route (generic level s, small integer n)
 
 
-def prob_finite_n(n, t, s, *, grid_size=64, refine_target=1e-9, max_size=512):
+def prob_finite_n(n, t, s):
     """P(x_n(t) <= s) for integer n >= 1 via the raw double-contour kernel.
 
     Valid at any real level s, including the bulk and lower tail, because
@@ -403,11 +398,11 @@ def prob_finite_n(n, t, s, *, grid_size=64, refine_target=1e-9, max_size=512):
     def evaluate(size, scale):
         grid = build_grid(s, decay, size)
         left, right = raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c,
-                                      circle_rad=r, sigma=-c, oversample=scale)
+                                      circle_rad=r, oversample=scale)
         # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
         return _det_core((right.T * grid.weights) @ left, np.ones(n)), grid
 
-    return _solve("prob_finite_n", evaluate, grid_size, refine_target, max_size)
+    return _solve("prob_finite_n", evaluate, 64, 1e-9, 512)
 
 
 # ---------------------------------------------------------------------------

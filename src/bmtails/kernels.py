@@ -22,7 +22,10 @@ the evaluation never overflows regardless of t.
 
 The stationary one-point formula needs three further contour objects
 (a boundary-value remainder, a rank-one pair) which share the packed
-contours; they are collected by :func:`stat_components`.  A raw kernel for
+contours.  :func:`stat_components` returns them together with the packed
+kernel matrix on the same quadrature nodes, so each finite-difference level
+forms the contour weights, the grid exponentials and the Cauchy matrix
+once.  A raw kernel for
 finite particle index n on generic contours (vertical line, small circle
 around the pole of order n) supports cross-checks against exact Gaussian
 and matrix-diagonalization laws at small n.  It is returned as two n-column
@@ -36,7 +39,6 @@ of w-moments and z-moments, of rank exactly n like the Hermite kernel.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -73,10 +75,10 @@ class KernelEval:
 
 @dataclass(frozen=True)
 class StatComponents:
+    kmat: np.ndarray      # packed kernel on nodes x nodes (complex)
+    f_star: np.ndarray    # decaying rank-one factor on the nodes
+    g_one: np.ndarray     # bounded rank-one factor on the nodes
     r_hat: float
-    r_hat_prime: float
-    f_star: Callable
-    g_one: Callable
     f_hat_t: float
 
 
@@ -100,27 +102,43 @@ def _demand_real(value, what):
 # packed kernel
 
 
-def khat_packed_grid(a, t, xi1, xi2, contours):
-    """Conjugated packed kernel on the product grid xi1 x xi2 (complex)."""
+def _packed_weights(a, t, contours):
+    """Nodes and weights of the saddle contours with the phases folded in.
+
+    Returns (w, aw, z, bz): line nodes w with weights carrying e^{t H(w)},
+    circle nodes z with weights carrying e^{-t H(z)}.
+    """
     line, circle = contours
     w = line.nodes
     z = circle.nodes
     aw = line.weights * np.exp(t * _h_vals(w, a))
     bz = circle.weights * np.exp(-t * _h_vals(z, a))
+    return w, aw, z, bz
+
+
+def _packed_assembly(w, aw, z, bz, xi1, xi2):
+    """Packed kernel on xi1 x xi2 with the factors it is assembled from.
+
+    Returns (kmat, e1, e2, cauchy), where e1 = e^{xi1 (w+1)},
+    e2 = e^{-xi2 (z+1)} and cauchy = 1/(w - z).
+    """
     e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), w + 1.0))
     e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), z + 1.0))
     cauchy = 1.0 / np.subtract.outer(w, z)
-    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
+    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T), e1, e2, cauchy
 
 
-def khat_packed(a, t, xi1, xi2, contours=None, cfg=None):
+def khat_packed_grid(a, t, xi1, xi2, contours):
+    """Conjugated packed kernel on the product grid xi1 x xi2 (complex)."""
+    return _packed_assembly(*_packed_weights(a, t, contours), xi1, xi2)[0]
+
+
+def khat_packed(a, t, xi1, xi2):
     """Pointwise conjugated packed kernel with a refinement certificate."""
     a = check_a(a)
     t = _check_time(t)
-    cfg = cfg or ContourConfig()
-    if contours is None:
-        contours = build_packed_contours(a, t, cfg)
-    coarse = khat_packed_grid(a, t, [xi1], [xi2], contours)[0, 0]
+    cfg = ContourConfig()
+    coarse = khat_packed_grid(a, t, [xi1], [xi2], build_packed_contours(a, t, cfg))[0, 0]
     fine_contours = build_packed_contours(
         a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit))
     fine = khat_packed_grid(a, t, [xi1], [xi2], fine_contours)[0, 0]
@@ -162,14 +180,13 @@ def khat_flat_grid(a, t, xi1, xi2, path):
     return (e1 * core) @ e2.T
 
 
-def khat_flat(a, t, xi1, xi2, path=None, cfg=None):
+def khat_flat(a, t, xi1, xi2, cfg=None):
     """Pointwise conjugated flat kernel with a refinement certificate."""
     a = check_a(a)
     t = _check_time(t)
     cfg = cfg or ContourConfig()
     z_a = solve_za(a)
-    if path is None:
-        path = flat_contour_for(a, t, cfg, z_a=z_a)
+    path = flat_contour_for(a, t, cfg, z_a=z_a)
     coarse = khat_flat_grid(a, t, [xi1], [xi2], path)[0, 0]
     fine_path = flat_contour_for(
         a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit), z_a=z_a)
@@ -182,62 +199,41 @@ def khat_flat(a, t, xi1, xi2, path=None, cfg=None):
 # stationary pieces (shared packed contours)
 
 
-def stat_components(a, t, s_offset, cfg=None, contours=None):
-    """Contour data for the stationary one-point formula at offset s.
+def stat_components(a, t, s_offset, contours, nodes):
+    """Packed kernel and stationary rank-one data at offset s on the nodes.
 
-    Returns the boundary remainder r_hat = Rhat_t(s), its s-derivative,
-    the rank-one pair (f_star decaying, g_one bounded) and the scalar
-    prefactor f_hat_t = s + a t + Rhat_t(s) - 1.  The callables accept
-    scalar or array offsets >= s and return real values.
+    One formation of the contour weights, the grid exponentials and the
+    Cauchy matrix gives the packed kernel matrix on nodes x nodes, the
+    rank-one pair f_star (decaying) and g_one (bounded) on the nodes, the
+    boundary remainder r_hat = Rhat_t(s) and the scalar prefactor
+    f_hat_t = s + a t + Rhat_t(s) - 1.  The nodes are offsets >= s.
     """
     a = check_a(a)
     t = _check_time(t)
     s = float(s_offset)
-    cfg = cfg or ContourConfig()
-    if contours is None:
-        contours = build_packed_contours(a, t, cfg)
-    line, circle = contours
-    w = line.nodes
-    z = circle.nodes
+    w, aw, z, bz = _packed_weights(a, t, contours)
+    kmat, e1, e2, cauchy = _packed_assembly(w, aw, z, bz, nodes, nodes)
     zp1 = z + 1.0
     wp1 = w + 1.0
-    aw = line.weights * np.exp(t * _h_vals(w, a))
-    bz = circle.weights * np.exp(-t * _h_vals(z, a))
+    bz_s = bz * np.exp(-s * zp1)
 
-    r_hat_c = -np.sum(bz * np.exp(-s * zp1) / zp1 ** 2) / _TWO_PI_I
-    r_hat_prime_c = np.sum(bz * np.exp(-s * zp1) / zp1) / _TWO_PI_I
+    r_hat_c = -np.sum(bz_s / zp1 ** 2) / _TWO_PI_I
     _demand_real(r_hat_c, "stationary boundary remainder")
-    _demand_real(r_hat_prime_c, "stationary boundary remainder derivative")
-
-    # the Cauchy-coupled part of f_star reuses a fixed z-side vector
-    cauchy_vec = (1.0 / np.subtract.outer(w, z)) @ (bz * np.exp(-s * zp1) / zp1)
-
-    def f_star(xi):
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        e1 = np.exp(np.multiply.outer(xi_arr, wp1))
-        vals = (e1 @ (aw / wp1)) / _TWO_PI_I + _DOUBLE_PREF * (e1 @ (aw * cauchy_vec))
-        out = vals.real
-        return float(out[0]) if np.isscalar(xi) else out
-
-    def g_one(xi):
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        e2 = np.exp(-np.multiply.outer(xi_arr, zp1))
-        vals = 1.0 + (e2 @ (bz / zp1)) / _TWO_PI_I
-        out = vals.real
-        return float(out[0]) if np.isscalar(xi) else out
-
+    # the Cauchy-coupled part of f_star pairs the line with a fixed z-side vector
+    f_star = (e1 @ (aw / wp1)) / _TWO_PI_I + _DOUBLE_PREF * (e1 @ (aw * (cauchy @ (bz_s / zp1))))
+    g_one = 1.0 + (e2 @ (bz / zp1)) / _TWO_PI_I
     r_hat = float(r_hat_c.real)
     return StatComponents(
+        kmat=kmat,
+        f_star=f_star.real,
+        g_one=g_one.real,
         r_hat=r_hat,
-        r_hat_prime=float(r_hat_prime_c.real),
-        f_star=f_star,
-        g_one=g_one,
         f_hat_t=s + a * t + r_hat - 1.0,
     )
 
 
-def stat_rho_pieces(a, t, s_offset, rho, contours):
-    """Density-rho ingredients: the function g_rho and its exact tail pairing.
+def stat_rho_pieces(a, t, s_offset, rho, contours, nodes):
+    """Density-rho ingredients: g_rho on the nodes and its exact tail pairing.
 
     g_rho splits into a residue term decaying at rate 1 - rho and a contour
     term on the z-circle (the circle radius stays below rho, so the pole at
@@ -250,30 +246,24 @@ def stat_rho_pieces(a, t, s_offset, rho, contours):
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
     s = float(s_offset)
-    line, circle = contours
+    circle = contours[1]
     if np.abs(circle.nodes).max() >= rho:
         raise NumericFailure(
             "z-circle radius must stay below rho",
             residual=float(np.abs(circle.nodes).max()),
             hint="rebuild gamma_plus with a smaller radius",
         )
-    z = circle.nodes
+    _, _, z, bz = _packed_weights(a, t, contours)
     zp1 = z + 1.0
-    bz = circle.weights * np.exp(-t * _h_vals(z, a))
-    h_rho = phase_packed(-rho, a)
-    res_amp = np.exp(-t * h_rho)
+    res_amp = np.exp(-t * phase_packed(-rho, a))
 
-    def g_rho(xi):
-        xi_arr = np.atleast_1d(np.asarray(xi, dtype=float))
-        e2 = np.exp(-np.multiply.outer(xi_arr, zp1))
-        vals = res_amp * np.exp(-(1.0 - rho) * xi_arr) + (e2 @ (bz / (z + rho))) / _TWO_PI_I
-        out = vals.real
-        return float(out[0]) if np.isscalar(xi) else out
-
+    xi = np.asarray(nodes, dtype=float)
+    e2 = np.exp(-np.multiply.outer(xi, zp1))
+    g_rho = res_amp * np.exp(-(1.0 - rho) * xi) + (e2 @ (bz / (z + rho))) / _TWO_PI_I
     pair_res = res_amp * np.exp(-(1.0 - rho) * s) / (1.0 - rho)
     pair_circ_c = np.sum(bz * np.exp(-s * zp1) / (zp1 * (z + rho))) / _TWO_PI_I
     _demand_real(pair_circ_c, "rho pairing contour term")
-    return g_rho, float(pair_res), float(pair_circ_c.real)
+    return g_rho.real, float(pair_res), float(pair_circ_c.real)
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +308,15 @@ def klimit(ic, a):
 # raw kernel at finite particle index
 
 
-def _raw_contours(n, t, xi1, xi2, c, r, tol, oversample):
+def _raw_contours(n, t, xi1, xi2, c, r, oversample):
     """Weighted nodes (w, aw) of the line Re w = c and (z, bz) of |z| = r.
 
     The weights carry the phase factors e^{t w^2/2} (-w)^n and
     e^{-t z^2/2} (-z)^{-n}.  The line is trimmed where the Gaussian factor
-    falls below tol, and both node counts grow with the largest level so
+    falls below 1e-13, and both node counts grow with the largest level so
     that e^{xi w} and e^{-xi z} stay resolved.
     """
-    half = _line_halfwidth(c, n / t, t, tol)
+    half = _line_halfwidth(c, n / t, t, 1e-13)
     freq = float(np.max(np.abs(xi1 + t * c))) + 1.0
     n_line = 2 * int(np.ceil(oversample * half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
     y = np.linspace(-half, half, n_line)
@@ -347,8 +337,7 @@ def _raw_contours(n, t, xi1, xi2, c, r, tol, oversample):
     return w, aw, z, bz
 
 
-def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
-                    oversample=1):
+def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=1):
     """Particle-n kernel on generic contours, conjugated by e^{sigma xi}.
 
     The w-contour is the vertical line Re w = line_re < 0 and the
@@ -382,7 +371,7 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
     xi2 = np.asarray(xi2, dtype=float)
     n = int(n)
 
-    w, aw, z, bz = _raw_contours(n, t, xi1, xi2, c, r, tol, oversample)
+    w, aw, z, bz = _raw_contours(n, t, xi1, xi2, c, r, oversample)
     e1 = np.exp(np.multiply.outer(xi1, w + sigma))
     e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
     w_pows = np.vander(1.0 / w, n + 1, increasing=True)[:, 1:]   # w^-(k+1)

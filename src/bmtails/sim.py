@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericFailure
+from .rates import check_a
 
 _BLOCK = 4096          # replicas per RNG stream
 _CHECK_EVERY = 4096    # steps between finiteness sweeps
@@ -168,8 +169,8 @@ def gue_top_sample(n, t, count, seed=0):
     if n < 1:
         raise ValueError("matrix size must be >= 1")
     t = float(t)
-    if t <= 0:
-        raise ValueError("time parameter must be positive")
+    if not np.isfinite(t) or t <= 0:
+        raise ValueError(f"time parameter must be finite and > 0, got {t}")
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -185,8 +186,7 @@ def tail_estimate(cfg, a):
     With zero hits the estimate is 0 and the reported error is the
     one-sided 95% bound 3/reps (rule of three).
     """
-    if a <= 0:
-        raise ValueError("deviation parameter a must be positive")
+    a = check_a(a)
     batch = simulate_samples(cfg)
     level = 2.0 * cfg.t + a * cfg.t
     hits = int(np.count_nonzero(batch.values >= level))

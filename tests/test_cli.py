@@ -175,6 +175,12 @@ def test_out_of_range_rejected_before_compute(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rates", "--a-min", "2", "--a-max", "1")
     assert code == 2
+    for a in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "simulate", "--ic", "packed", "--t", "1",
+                                 "--dt", "0.01", "--reps", "50", "--seed", "2",
+                                 "--a", a)
+        assert code == 2 and out == ""
+        assert "deviation parameter" in err
 
 
 def test_numeric_failure_exit_code(capsys, monkeypatch):

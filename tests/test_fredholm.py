@@ -1,10 +1,11 @@
 import logging
+import types
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
-from bmtails import fredholm
+from bmtails import fredholm, kernels
 from bmtails.errors import NumericFailure
 
 
@@ -37,6 +38,25 @@ def test_build_grid_shape_and_rule():
 def test_build_grid_rejects_tiny_sizes():
     with pytest.raises(ValueError):
         fredholm.build_grid(0.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("s, decay", [(np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan)])
+def test_build_grid_rejects_non_finite_nodes(s, decay):
+    with pytest.raises(ValueError, match="finite"):
+        fredholm.build_grid(s, decay, 16)
+
+
+def test_quad_grid_rejects_non_finite_weights():
+    g = fredholm.build_grid(0.0, 1.0, 8)
+    weights = g.weights.copy()
+    weights[-1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        fredholm.QuadGrid(nodes=g.nodes, weights=weights, decay_rate=1.0, size=8)
+
+
+def test_prob_packed_rejects_non_finite_offset():
+    with pytest.raises(ValueError, match="finite"):
+        fredholm.prob_packed(4, 1.0, s_offset=np.nan)
 
 
 def test_nystrom_det_rank_one_exact():
@@ -161,6 +181,37 @@ def test_entry_points_reproduce_frozen_values(name):
     np.testing.assert_allclose(res.p, p, rtol=0, atol=1e-14)
     np.testing.assert_allclose(res.log_survival, log_survival, rtol=1e-12)
     assert res.grid.size == size
+
+
+@pytest.mark.parametrize("fn, args", [
+    (fredholm.prob_stat, (4, 1.0)),
+    (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
+])
+def test_stationary_level_forms_one_cauchy_matrix(monkeypatch, fn, args):
+    # each finite-difference level takes the packed kernel and the rank-one
+    # data from one assembly, so 1/(w - z) is formed once per level
+    outers, levels = [], []
+
+    def outer(w, z):
+        outers.append(1)
+        return np.subtract.outer(w, z)
+
+    class CountingNumpy:
+        subtract = types.SimpleNamespace(outer=outer)
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    monkeypatch.setattr(kernels, "np", CountingNumpy())
+    stat_components = fredholm.stat_components
+
+    def spy(*a):
+        levels.append(1)
+        return stat_components(*a)
+
+    monkeypatch.setattr(fredholm, "stat_components", spy)
+    fn(*args)
+    assert len(levels) > 0 and len(outers) == len(levels)
 
 
 def test_tail_rate_table_columns_and_trend():

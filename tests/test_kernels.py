@@ -64,8 +64,7 @@ def test_raw_kernel_deformation_invariance():
         val = cur.real
 
 
-def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
-                     oversample=1):
+def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=1):
     """The raw kernel through the full line x circle Cauchy matrix.
 
     Same nodes and weights as raw_kernel_grid, but 1/(w - z) is kept whole
@@ -75,7 +74,7 @@ def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, sigma=None, tol=1e-13,
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     w, aw, z, bz = kernels._raw_contours(
-        n, t, xi1, xi2, line_re, circle_rad, tol, oversample)
+        n, t, xi1, xi2, line_re, circle_rad, oversample)
     e1 = np.exp(np.multiply.outer(xi1, w + sigma))
     e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
     cauchy = 1.0 / np.subtract.outer(w, z)
@@ -183,24 +182,30 @@ def test_khat_flat_reference_and_invariance():
 
 def test_stat_components_identities():
     a, t = 1.0, 4
-    for s in (0.0, 0.5, 2.0):
-        comp = kernels.stat_components(a, t, s)
-        # derivative identity: d/ds r_hat = g_one(s) - 1
-        np.testing.assert_allclose(
-            comp.r_hat_prime, comp.g_one(s) - 1.0, atol=1e-12
-        )
-        assert comp.f_hat_t == pytest.approx(s + a * t + comp.r_hat - 1.0)
-        xs = s + np.array([0.0, 5.0, 15.0])
-        fs = comp.f_star(xs)
-        assert abs(fs[2]) < 1e-12 and abs(fs[0]) < 1.0
-        gs = comp.g_one(xs)
-        assert np.all(np.abs(gs - 1.0) < 0.1)
-    # finite differences corroborate the analytic s-derivative
+    cts = contours.build_packed_contours(a, t)
     h = 1e-5
-    up = kernels.stat_components(a, t, 0.5 + h).r_hat
-    dn = kernels.stat_components(a, t, 0.5 - h).r_hat
-    mid = kernels.stat_components(a, t, 0.5)
-    np.testing.assert_allclose((up - dn) / (2 * h), mid.r_hat_prime, atol=1e-9)
+    for s in (0.0, 0.5, 2.0):
+        xs = s + np.array([0.0, 5.0, 15.0])
+        comp = kernels.stat_components(a, t, s, cts, xs)
+        assert comp.kmat.shape == (3, 3)
+        assert comp.f_hat_t == pytest.approx(s + a * t + comp.r_hat - 1.0)
+        fs = comp.f_star
+        assert abs(fs[2]) < 1e-12 and abs(fs[0]) < 1.0
+        gs = comp.g_one
+        assert np.all(np.abs(gs - 1.0) < 0.1)
+        # derivative identity d/ds r_hat = g_one(s) - 1, by central differences
+        up = kernels.stat_components(a, t, s + h, cts, xs).r_hat
+        dn = kernels.stat_components(a, t, s - h, cts, xs).r_hat
+        np.testing.assert_allclose((up - dn) / (2 * h), gs[0] - 1.0, atol=1e-9)
+
+
+def test_stat_components_kernel_is_khat_packed_grid():
+    # one assembly: the stationary kernel matrix must be the packed one
+    a, t, s = 1.0, 4, 0.5
+    cts = contours.build_packed_contours(a, t)
+    nodes = fredholm.build_grid(s, a, 48).nodes
+    comp = kernels.stat_components(a, t, s, cts, nodes)
+    assert np.array_equal(comp.kmat, kernels.khat_packed_grid(a, t, nodes, nodes, cts))
 
 
 def test_stat_rho_pieces_consistency():
@@ -213,11 +218,12 @@ def test_stat_rho_pieces_consistency():
         circle = dataclasses.replace(
             circle, nodes=circle.nodes * scale, weights=circle.weights * scale
         )
-    g_rho, pair_res, pair_circ = kernels.stat_rho_pieces(a, t, s, rho, (line, circle))
+    big = np.array([60.0, 80.0])
+    g_rho, pair_res, pair_circ = kernels.stat_rho_pieces(
+        a, t, s, rho, (line, circle), big)
     # residue part dominates the tail of g_rho with decay rate 1 - rho
-    big = 60.0
     expected = np.exp(-t * rates.phase_packed(-rho, a)) * np.exp(-(1 - rho) * big)
-    np.testing.assert_allclose(g_rho(big), expected, rtol=1e-6)
+    np.testing.assert_allclose(g_rho, expected, rtol=1e-6)
     # the two pairing scalars are finite and real
     assert np.isfinite(pair_res) and np.isfinite(pair_circ)
     # contour-first tail integral of the residue part matches pair_res
@@ -233,4 +239,4 @@ def test_stat_rho_pieces_rejects_wide_circle():
     cts = contours.build_packed_contours(a, t)
     from bmtails.errors import NumericFailure
     with pytest.raises(NumericFailure):
-        kernels.stat_rho_pieces(a, t, 0.0, 0.05, cts)
+        kernels.stat_rho_pieces(a, t, 0.0, 0.05, cts, np.zeros(1))

@@ -95,8 +95,9 @@ def test_free_particle_is_standard_normal():
 def test_gue_sampler_validates():
     with pytest.raises(ValueError):
         sim.gue_top_sample(0, 1, 10)
-    with pytest.raises(ValueError):
-        sim.gue_top_sample(2, 0.0, 10)
+    for t in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sim.gue_top_sample(2, t, 10)
     with pytest.raises(ValueError):
         sim.gue_top_sample(2, 1, 0)
 
@@ -185,8 +186,9 @@ def test_tail_estimate_zero_hits_rule_of_three():
 
 def test_tail_estimate_validates_a():
     cfg = sim.SimConfig(ic="packed", t=1, reps=10)
-    with pytest.raises(ValueError):
-        sim.tail_estimate(cfg, 0.0)
+    for a in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            sim.tail_estimate(cfg, a)
 
 
 def test_tail_estimate_matches_determinant():
