@@ -33,7 +33,6 @@ from .fredholm import (
     ProbResult,
     QuadGrid,
     build_grid,
-    nystrom_det,
     prob_finite_n,
     prob_flat,
     prob_packed,
@@ -72,7 +71,6 @@ __all__ = [
     "khat_packed",
     "klimit",
     "lambert_w",
-    "nystrom_det",
     "phase_flat",
     "phase_packed",
     "phi",

@@ -1,14 +1,19 @@
 """Steepest-descent integration contours and their discretizations.
 
-Three contour families feed the kernel quadratures:
+Every contour the kernels integrate over is laid out here:
 
-* a vertical line through the left saddle w- (role ``w_line``),
-* a circle of radius |w+| about the origin, traversed counterclockwise,
-  passing through the right saddle w+ on the negative real axis (role
-  ``z_circle``),
+* a vertical line Re w = c, uniform in y = Im w with trapezoid weights,
+* a circle of signed radius r, equispaced in the angle from -pi and
+  traversed counterclockwise, so theta = 0 sits at r on the real axis,
 * the Lambert spiral gamma(tau) solving gamma e^gamma = z_a e^{z_a + 2 pi i
   tau}, which starts at the flat saddle z_a and hops Lambert branches each
-  time tau crosses an integer (role ``lambert_gamma``).
+  time tau crosses an integer.
+
+The saddle contours of the packed phase H are the line through the left
+saddle w- and the circle of radius |w+| through the right saddle w+ on the
+negative real axis; the raw finite-n kernel uses a line and a circle placed
+by the caller.  The node-count rules of each route sit beside the function
+that lays it out, and one helper rescales a circle.
 
 Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the
@@ -19,26 +24,29 @@ approximates the contour integral of f.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import NumericFailure
 from .lambertw import lambert_w, solve_wexpw
-from .rates import check_a, saddle_points, phase_packed_d2, solve_za
+from .rates import check_a, flat_curvature, phase_packed_d2, saddle_points, solve_za
+
+# e^{t * phase} below this, relative to the saddle, is cut off the packed
+# line and the flat spiral
+_TRUNCATION_TOL = 1e-12
+# the raw finite-n line is cut where its Gaussian factor falls below this
+_RAW_TRUNCATION_TOL = 1e-13
 
 
 @dataclass(frozen=True)
 class ContourConfig:
     points_per_unit: int = 64
-    truncation_tol: float = 1e-12
     tau_max: float = 4.0
 
     def __post_init__(self):
         if self.points_per_unit < 8:
             raise ValueError("points_per_unit must be at least 8")
-        if not 0.0 < self.truncation_tol <= 1e-8:
-            raise ValueError("truncation_tol must lie in (0, 1e-8]")
         if self.tau_max <= 0:
             raise ValueError("tau_max must be positive")
 
@@ -48,14 +56,11 @@ class ContourPath:
     nodes: np.ndarray          # complex positions
     weights: np.ndarray        # complex dz quadrature factors
     params: np.ndarray         # real parameter, critical point at 0
-    role: str                  # w_line | z_circle | lambert_gamma
-    closed: bool
     phi_nodes: np.ndarray | None = field(default=None, repr=False)
-    pre_image: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not np.isfinite(self.nodes).all():
-            raise ValueError(f"contour '{self.role}' contains non-finite nodes")
+            raise ValueError("contour contains non-finite nodes")
 
 
 def _check_time(t):
@@ -63,6 +68,13 @@ def _check_time(t):
     if not np.isfinite(t) or t <= 0:
         raise ValueError(f"time parameter must be finite and > 0, got {t}")
     return t
+
+
+def _check_finite(x, name):
+    x = float(x)
+    if not np.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
 
 
 def _line_halfwidth(c, ratio, t, tol):
@@ -78,6 +90,30 @@ def _line_halfwidth(c, ratio, t, tol):
     while drop(y) > target:
         y *= 1.25
     return y
+
+
+def _line(c, half, count):
+    """The line c + iy at count uniform y in [-half, half], with trapezoid dz weights."""
+    y = np.linspace(-half, half, count)
+    weights = np.full(count, 1j * (y[1] - y[0]), dtype=complex)
+    weights[0] *= 0.5
+    weights[-1] *= 0.5
+    return ContourPath(nodes=c + 1j * y, weights=weights, params=y)
+
+
+def _circle(radius, count):
+    """The circle radius e^{i theta} at count equispaced theta from -pi, with dz weights.
+
+    A negative radius puts theta = 0 on the negative real axis.
+    """
+    theta = -np.pi + 2.0 * np.pi * np.arange(count) / count
+    z = radius * np.exp(1j * theta)
+    return ContourPath(nodes=z, weights=1j * z * (2.0 * np.pi / count), params=theta)
+
+
+def scale_circle(circle, factor):
+    """The circle path with its radius multiplied by factor."""
+    return replace(circle, nodes=circle.nodes * factor, weights=circle.weights * factor)
 
 
 def build_packed_contours(a, t, cfg=None):
@@ -96,37 +132,33 @@ def build_packed_contours(a, t, cfg=None):
     h2_lo = phase_packed_d2(w_minus, a)           # > 0
     h2_hi = -phase_packed_d2(w_plus, a)           # > 0
 
-    y_max = _line_halfwidth(w_minus, 1.0, t, cfg.truncation_tol)
+    y_max = _line_halfwidth(w_minus, 1.0, t, _TRUNCATION_TOL)
     per_unit = max(cfg.points_per_unit, int(np.ceil(12.0 * np.sqrt(t * h2_lo))))
-    n_line = 2 * int(np.ceil(y_max * per_unit)) + 1
-    y = np.linspace(-y_max, y_max, n_line)
-    dy = y[1] - y[0]
-    lw = np.full(n_line, 1j * dy)
-    lw[0] *= 0.5
-    lw[-1] *= 0.5
-    line = ContourPath(
-        nodes=w_minus + 1j * y,
-        weights=lw,
-        params=y,
-        role="w_line",
-        closed=False,
-    )
+    line = _line(w_minus, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
 
     m = max(
         int(np.ceil(2.0 * np.pi * cfg.points_per_unit)),
         int(np.ceil(24.0 * np.pi * np.sqrt(t * h2_hi) * abs(w_plus))),
     )
     m += m % 2  # keep theta = 0 on the grid
-    theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    z = w_plus * np.exp(1j * theta)
-    circle = ContourPath(
-        nodes=z,
-        weights=1j * z * (2.0 * np.pi / m),
-        params=theta,
-        role="z_circle",
-        closed=True,
+    return line, _circle(w_plus, m)
+
+
+def build_raw_contours(n, t, xi1, xi2, c, r, oversample):
+    """(line, circle) for the particle-n kernel: Re w = c and |z| = r.
+
+    The line is trimmed where the Gaussian factor e^{t w^2/2} (-w)^n falls
+    below 1e-13 of its value at c, and both node counts grow with the
+    largest level so that e^{xi w} and e^{-xi z} stay resolved; oversample
+    multiplies both densities.
+    """
+    half = _line_halfwidth(c, n / t, t, _RAW_TRUNCATION_TOL)
+    freq = float(np.max(np.abs(xi1 + t * c))) + 1.0
+    n_line = 2 * int(np.ceil(oversample * half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
+    m = oversample * max(
+        256, 8 * int(n), int(np.ceil(8.0 * r * (float(np.max(np.abs(xi2))) + t * r + 1.0)))
     )
-    return line, circle
+    return _line(c, half, n_line), _circle(r, m)
 
 
 def build_flat_contour(a, cfg=None, z_a=None):
@@ -169,18 +201,33 @@ def build_flat_contour(a, cfg=None, z_a=None):
     weights = (2j * np.pi * nodes / (1.0 + nodes)) * h
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    pre = base * np.exp(2j * np.pi * tau)
     # |z_a e^{z_a}| < 1/e, so the pre-image circle avoids the branch point
     # and the principal branch is smooth along it.
     return ContourPath(
         nodes=nodes,
         weights=weights,
         params=tau,
-        role="lambert_gamma",
-        closed=False,
-        phi_nodes=lambert_w(0, pre),
-        pre_image=pre,
+        phi_nodes=lambert_w(0, base * np.exp(2j * np.pi * tau)),
     )
+
+
+def flat_contour_for(a, t, cfg=None, z_a=None):
+    """Lambert spiral dense enough for the time-t phase e^{tG}.
+
+    The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
+    the configured density is raised accordingly, and the spiral is trimmed
+    where e^{tG} falls below 1e-12 of its saddle value.
+    """
+    a = check_a(a)
+    t = _check_time(t)
+    cfg = cfg or ContourConfig()
+    if z_a is None:
+        z_a = solve_za(a)
+    eta = flat_curvature(z_a, a)
+    ppu = max(cfg.points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
+    span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
+    tau_max = min(cfg.tau_max, max(0.5, span))
+    return build_flat_contour(a, replace(cfg, points_per_unit=ppu, tau_max=tau_max), z_a=z_a)
 
 
 @dataclass(frozen=True)

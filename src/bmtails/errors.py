@@ -21,7 +21,7 @@ class NumericFailure(RuntimeError):
     residual : float
         Residual magnitude at ``last``.
     hint : str
-        Suggested remedy (e.g. "increase max_iter", "refine contour").
+        Suggested remedy (e.g. "raise the grid size", "refine contour").
     """
 
     def __init__(self, message, last=None, residual=None, hint=""):

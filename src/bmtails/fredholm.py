@@ -1,11 +1,12 @@
 """Fredholm determinants on a half-line and one-point probabilities.
 
 The projected determinants det(1 - P_s K P_s) are evaluated by the
-Nystrom method: Gauss-Legendre nodes u in (0,1) are mapped to
-xi = s - log(1-u)/d, which absorbs the proven exponential kernel decay
-(rate a for the packed and stationary kernels, |z_a + 1| for the flat
-one) so grids of a few dozen nodes converge.  Determinants are computed
-from the eigenvalues of the weighted kernel matrix as
+Nystrom method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes
+u in (0,1) are mapped to xi = s - log(1-u)/d, which absorbs the proven
+exponential kernel decay (rate a for the packed and stationary kernels,
+|z_a + 1| for the flat one) so grids of a few dozen nodes converge.
+Determinants are computed from the eigenvalues of the weighted kernel
+matrix as
 
     log det = sum_i log(1 - lambda_i),    survival = -expm1(log det),
 
@@ -37,16 +38,22 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .contours import ContourConfig, build_packed_contours
+from .contours import (
+    ContourConfig,
+    _check_finite,
+    _check_time,
+    build_packed_contours,
+    flat_contour_for,
+    scale_circle,
+)
 from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
-    flat_contour_for,
     khat_flat_grid,
     khat_packed_grid,
     raw_kernel_grid,
@@ -64,7 +71,6 @@ _CLAMP = 1e-9
 class QuadGrid:
     nodes: np.ndarray
     weights: np.ndarray
-    decay_rate: float
     size: int
 
     def __post_init__(self):
@@ -104,8 +110,7 @@ def build_grid(s, decay_rate, size):
     u = 0.5 * (x + 1.0)
     nodes = s - np.log1p(-u) / decay_rate
     weights = 0.5 * w / (decay_rate * (1.0 - u))
-    return QuadGrid(nodes=nodes, weights=weights,
-                    decay_rate=float(decay_rate), size=int(size))
+    return QuadGrid(nodes=nodes, weights=weights, size=int(size))
 
 
 def _log1m(lam):
@@ -181,42 +186,6 @@ def _solve(what, evaluate, size0, target, max_size):
 
 
 # ---------------------------------------------------------------------------
-# public determinant op
-
-
-def nystrom_det(kernel, s, grid):
-    """det(I - W^{1/2} K W^{1/2}) with a grid-doubling convergence check.
-
-    ``kernel`` must broadcast over index arrays: kernel(x1[:, None],
-    x2[None, :]) -> matrix.  Values may carry a tiny imaginary residue,
-    which is checked and discarded.  The determinant must lie in [0, 1];
-    roundoff outside it is clamped, as for the probabilities.
-    """
-
-    def evaluate(size, scale):
-        g = grid if size == grid.size else build_grid(s, grid.decay_rate, size)
-        vals = np.asarray(kernel(g.nodes[:, None], g.nodes[None, :]))
-        if vals.shape != (g.size, g.size):
-            raise ValueError("kernel callable must broadcast to a full matrix")
-        if np.iscomplexobj(vals):
-            im = float(np.abs(vals.imag).max())
-            if im > _IM_TOL * (1.0 + float(np.abs(vals).max())):
-                raise NumericFailure("kernel is not real on the grid", residual=im)
-            vals = vals.real
-        return _det_core(vals, g.weights), g
-
-    res = _solve("nystrom_det", evaluate, grid.size, 0.0, 2 * grid.size)
-    if res.refinement_delta > max(1e-9, 1e-9 * abs(res.p)):
-        raise NumericFailure(
-            "Nystrom determinant did not settle under grid doubling",
-            last=res.p,
-            residual=res.refinement_delta,
-            hint="raise the grid size or check the kernel decay rate",
-        )
-    return res.p
-
-
-# ---------------------------------------------------------------------------
 # scaled one-point probabilities
 
 
@@ -266,8 +235,8 @@ def _fd_derivative(D, h, a, t, what):
     """
     if h is None:
         h = 1e-3 * (1.0 + a * t)
-    if h <= 0:
-        raise ValueError("finite-difference step h must be positive")
+    if not h > 0:
+        raise ValueError(f"finite-difference step h must be positive, got {h}")
     d1 = (D(h) - D(-h)) / (2.0 * h)
     d2 = (D(h / 2.0) - D(-h / 2.0)) / h
     deriv = (4.0 * d2 - d1) / 3.0
@@ -332,9 +301,7 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
         line, circle = build_packed_contours(a, t, _contour_cfg(scale))
         radius = float(np.abs(circle.nodes).max())
         if radius >= 0.9 * rho:
-            factor = 0.9 * rho / radius
-            circle = replace(circle, nodes=circle.nodes * factor,
-                             weights=circle.weights * factor)
+            circle = scale_circle(circle, 0.9 * rho / radius)
         contours = (line, circle)
         ims = []
 
@@ -372,10 +339,10 @@ def prob_finite_n(n, t, s):
     The kernel has rank n, so each grid size costs one n x n determinant.
     """
     n = int(n)
-    t = float(t)
-    s = float(s)
     if n < 1:
         raise ValueError("particle index must be >= 1")
+    t = _check_time(t)
+    s = _check_finite(s, "level s")
     edge = 2.0 * np.sqrt(n * t)
     decay = max(0.4 / np.sqrt(t), 0.8 * (s - edge) / t)
     if s > edge:

@@ -13,27 +13,29 @@ Lambert spiral with the image branch phi carried along,
     Khat(x1, x2) = int dtau e^{t G(gamma)} (gamma / (1 + gamma))
                    e^{x1(gamma+1) - x2(phi(gamma)+1)}.
 
-Both are evaluated on whole quadrature grids at once by splitting the
-integrand into per-contour-node factors; the double integral couples the
-two contours only through the Cauchy factor 1/(w - z), which becomes a
-fixed matrix.  All exponents are assembled before exponentiation, and on
-the saddle contours every exponential factor has modulus at most one, so
-the evaluation never overflows regardless of t.
+The contours come from :mod:`contours`; this module folds the phases
+into their weights and assembles the kernels.  Both kernels are evaluated
+on whole quadrature grids at once by splitting the integrand into
+per-contour-node factors; the double integral couples the two contours
+only through the Cauchy factor 1/(w - z), which becomes a fixed matrix.
+All exponents are assembled before exponentiation, and on the saddle
+contours every exponential factor has modulus at most one, so the
+evaluation never overflows regardless of t.
 
 The stationary one-point formula needs three further contour objects
 (a boundary-value remainder, a rank-one pair) which share the packed
 contours.  :func:`stat_components` returns them together with the packed
 kernel matrix on the same quadrature nodes, so each finite-difference level
 forms the contour weights, the grid exponentials and the Cauchy matrix
-once.  A raw kernel for
-finite particle index n on generic contours (vertical line, small circle
-around the pole of order n) supports cross-checks against exact Gaussian
-and matrix-diagonalization laws at small n.  It is returned as two n-column
-factors instead of a matrix: on the circle |z| < |w|, so the Cauchy factor
-is the series sum_k z^k / w^(k+1), and since the only singularity of the
-z-integrand inside the circle is the pole of order n at 0, every term with
-k >= n integrates to zero.  The kernel is the sum of the first n products
-of w-moments and z-moments, of rank exactly n like the Hermite kernel.
+once.  A raw kernel for finite particle index n on generic contours
+(vertical line, small circle around the pole of order n) supports
+cross-checks against exact Gaussian and matrix-diagonalization laws at
+small n.  It is returned as two n-column factors instead of a matrix: on
+the circle |z| < |w|, so the Cauchy factor is the series
+sum_k z^k / w^(k+1), and since the only singularity of the z-integrand
+inside the circle is the pole of order n at 0, every term with k >= n
+integrates to zero.  The kernel is the sum of the first n products of
+w-moments and z-moments, of rank exactly n like the Hermite kernel.
 """
 
 from __future__ import annotations
@@ -44,14 +46,16 @@ import numpy as np
 
 from .contours import (
     ContourConfig,
+    _check_finite,
     _check_time,
-    _line_halfwidth,
-    build_flat_contour,
     build_packed_contours,
+    build_raw_contours,
+    flat_contour_for,
 )
 from .errors import NumericFailure
 from .lambertw import phi
 from .rates import (
+    _g_vals,
     _h_vals,
     check_a,
     flat_curvature,
@@ -80,10 +84,6 @@ class StatComponents:
     g_one: np.ndarray     # bounded rank-one factor on the nodes
     r_hat: float
     f_hat_t: float
-
-
-def _g_vals(z, phi, a):
-    return (z * z - phi * phi) / 2.0 + (1.0 + a) * (z - phi)
 
 
 def _demand_real(value, what):
@@ -137,6 +137,8 @@ def khat_packed(a, t, xi1, xi2):
     """Pointwise conjugated packed kernel with a refinement certificate."""
     a = check_a(a)
     t = _check_time(t)
+    xi1 = _check_finite(xi1, "xi1")
+    xi2 = _check_finite(xi2, "xi2")
     cfg = ContourConfig()
     coarse = khat_packed_grid(a, t, [xi1], [xi2], build_packed_contours(a, t, cfg))[0, 0]
     fine_contours = build_packed_contours(
@@ -148,25 +150,6 @@ def khat_packed(a, t, xi1, xi2):
 
 # ---------------------------------------------------------------------------
 # flat kernel
-
-
-def flat_contour_for(a, t, cfg=None, z_a=None):
-    """Lambert spiral dense enough for the time-t phase e^{tG}.
-
-    The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
-    the configured density is raised accordingly, and the spiral is trimmed
-    where e^{tG} is far below the truncation tolerance.
-    """
-    a = check_a(a)
-    t = _check_time(t)
-    cfg = cfg or ContourConfig()
-    if z_a is None:
-        z_a = solve_za(a)
-    eta = flat_curvature(z_a, a)
-    ppu = max(cfg.points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
-    span = 2.0 * np.sqrt(2.0 * np.log(1.0 / cfg.truncation_tol) / (t * abs(eta)))
-    tau_max = min(cfg.tau_max, max(0.5, span))
-    return build_flat_contour(a, replace(cfg, points_per_unit=ppu, tau_max=tau_max), z_a=z_a)
 
 
 def khat_flat_grid(a, t, xi1, xi2, path):
@@ -184,6 +167,8 @@ def khat_flat(a, t, xi1, xi2, cfg=None):
     """Pointwise conjugated flat kernel with a refinement certificate."""
     a = check_a(a)
     t = _check_time(t)
+    xi1 = _check_finite(xi1, "xi1")
+    xi2 = _check_finite(xi2, "xi2")
     cfg = cfg or ContourConfig()
     z_a = solve_za(a)
     path = flat_contour_for(a, t, cfg, z_a=z_a)
@@ -308,32 +293,18 @@ def klimit(ic, a):
 # raw kernel at finite particle index
 
 
-def _raw_contours(n, t, xi1, xi2, c, r, oversample):
-    """Weighted nodes (w, aw) of the line Re w = c and (z, bz) of |z| = r.
+def _raw_weights(n, t, contours):
+    """Nodes and weights of the raw contours with the phases folded in.
 
-    The weights carry the phase factors e^{t w^2/2} (-w)^n and
-    e^{-t z^2/2} (-z)^{-n}.  The line is trimmed where the Gaussian factor
-    falls below 1e-13, and both node counts grow with the largest level so
-    that e^{xi w} and e^{-xi z} stay resolved.
+    Returns (w, aw, z, bz): line nodes w with weights carrying
+    e^{t w^2/2} (-w)^n, circle nodes z with weights carrying
+    e^{-t z^2/2} (-z)^{-n}.
     """
-    half = _line_halfwidth(c, n / t, t, 1e-13)
-    freq = float(np.max(np.abs(xi1 + t * c))) + 1.0
-    n_line = 2 * int(np.ceil(oversample * half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
-    y = np.linspace(-half, half, n_line)
-    w = c + 1j * y
-    lw = np.full(n_line, 1j * (y[1] - y[0]), dtype=complex)
-    lw[0] *= 0.5
-    lw[-1] *= 0.5
-
-    m = oversample * max(
-        256, 8 * int(n), int(np.ceil(8.0 * r * (float(np.max(np.abs(xi2))) + t * r + 1.0)))
-    )
-    theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    z = r * np.exp(1j * theta)
-    cw = 1j * z * (2.0 * np.pi / m)
-
-    aw = lw * np.exp(t * w * w / 2.0 + n * np.log(-w))
-    bz = cw * np.exp(-t * z * z / 2.0 - n * np.log(-z))
+    line, circle = contours
+    w = line.nodes
+    z = circle.nodes
+    aw = line.weights * np.exp(t * w * w / 2.0 + n * np.log(-w))
+    bz = circle.weights * np.exp(-t * z * z / 2.0 - n * np.log(-z))
     return w, aw, z, bz
 
 
@@ -371,7 +342,8 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=
     xi2 = np.asarray(xi2, dtype=float)
     n = int(n)
 
-    w, aw, z, bz = _raw_contours(n, t, xi1, xi2, c, r, oversample)
+    contours = build_raw_contours(n, t, xi1, xi2, c, r, oversample)
+    w, aw, z, bz = _raw_weights(n, t, contours)
     e1 = np.exp(np.multiply.outer(xi1, w + sigma))
     e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
     w_pows = np.vander(1.0 / w, n + 1, increasing=True)[:, 1:]   # w^-(k+1)

@@ -4,7 +4,9 @@ The Lambert W function solves w*exp(w) = z.  Branch k is selected through
 the usual logarithmic shift log(z) + 2*pi*i*k in the starting guess; near
 the branch point z = -1/e a square-root series seeds the iteration instead,
 and for large |z| the two-term asymptotic log(z) - log(log(z)) is used.
-Iterations are Halley steps on f(w) = w*exp(w) - z.
+Iterations are Halley steps on f(w) = w*exp(w) - z, run until
+|w e^w - z| <= 1e-13 (1 + |z|) for every entry; the tolerance and the
+iteration cap are fixed, since no caller needs other values.
 
 phi maps a real z < -1 to the conjugate solution of w*exp(w) = z*exp(z)
 inside (-1, 0); on z >= -1 it is the identity.  Within 1e-3 below z = -1,
@@ -28,19 +30,21 @@ _PHI_SERIES = 1e-3           # phi(-1 - eps) from its reflection series for eps 
 # phi(-1 - eps) = -1 + eps (1 - 2 eps/3 + 4 eps^2/9 - ...), highest power first;
 # the first omitted term is 7648 eps^7 / 42525 < 2e-22 inside the window
 _PHI_COEFFS = (-40.0 / 189.0, 104.0 / 405.0, -44.0 / 135.0, 4.0 / 9.0, -2.0 / 3.0, 1.0)
+_RTOL = 1e-13                # every solve meets |w e^w - z| <= _RTOL (1 + |z|)
+_MAX_ITER = 100              # Halley steps before a solve is declared failed
 
 
-def _halley(z, w, rtol=1e-13, max_iter=100):
+def _halley(z, w):
     """Vectorized Halley iteration for w*exp(w) = z from seed w.
 
     Both arguments may be complex arrays of the same shape.  Raises
-    NumericFailure if any entry fails to meet |w e^w - z| <= rtol*(1+|z|)
-    within max_iter steps.
+    NumericFailure if any entry fails to meet |w e^w - z| <= _RTOL (1 + |z|)
+    within _MAX_ITER steps.
     """
     z = np.asarray(z, dtype=complex)
     w = np.array(w, dtype=complex)
-    tol = rtol * (1.0 + np.abs(z))
-    for _ in range(max_iter):
+    tol = _RTOL * (1.0 + np.abs(z))
+    for _ in range(_MAX_ITER):
         ew = np.exp(w)
         f = w * ew - z
         done = np.abs(f) <= tol
@@ -56,7 +60,7 @@ def _halley(z, w, rtol=1e-13, max_iter=100):
         "Halley iteration for Lambert W did not converge",
         last=w,
         residual=float(np.max(np.abs(w * np.exp(w) - z))),
-        hint="seed closer to the target branch or raise max_iter "
+        hint="seed closer to the target branch "
              f"({int(np.count_nonzero(bad))} point(s) unconverged)",
     )
 
@@ -107,7 +111,7 @@ def _seed(k, z):
     return w
 
 
-def lambert_w(k, z, rtol=1e-13, max_iter=100):
+def lambert_w(k, z):
     """Branch k of the Lambert W function at complex z.
 
     Parameters
@@ -116,15 +120,13 @@ def lambert_w(k, z, rtol=1e-13, max_iter=100):
         Branch index.
     z : complex or array_like
         Argument(s); must be finite.  z = 0 is only valid on branch 0.
-    rtol : float
-        Relative residual target; the result satisfies
-        |w e^w - z| <= rtol * (1 + |z|).
 
     Returns
     -------
     complex or ndarray
-        Real inputs on branch 0 (z >= -1/e) and branch -1 (-1/e <= z < 0)
-        give results with zero imaginary part.
+        The result satisfies |w e^w - z| <= 1e-13 (1 + |z|).  Real inputs
+        on branch 0 (z >= -1/e) and branch -1 (-1/e <= z < 0) give results
+        with zero imaginary part.
     """
     if not isinstance(k, (int, np.integer)):
         raise ValueError(f"branch index must be an integer, got {k!r}")
@@ -154,23 +156,23 @@ def lambert_w(k, z, rtol=1e-13, max_iter=100):
         if real_line.any():
             x = zr[real_line]
             w0 = _seed(k, x)
-            vals[real_line] = _halley(x.real, w0.real, rtol, max_iter)
+            vals[real_line] = _halley(x.real, w0.real)
         if (~real_line).any():
             x = zr[~real_line]
-            vals[~real_line] = _halley(x, _seed(k, x), rtol, max_iter)
+            vals[~real_line] = _halley(x, _seed(k, x))
         out[rest] = vals
 
     return complex(out[0]) if scalar else out.reshape(np.shape(z))
 
 
-def solve_wexpw(target, seed, rtol=1e-13, max_iter=100):
+def solve_wexpw(target, seed):
     """Solve w*exp(w) = target starting from an explicit seed.
 
     Continuation helper: no branch logic, the iteration lands on whichever
-    sheet the seed belongs to.  Used to trace contours through branch
-    switches node by node.
+    sheet the seed belongs to, to the residual lambert_w meets.  Used to
+    trace contours through branch switches node by node.
     """
-    return _halley(target, seed, rtol, max_iter)
+    return _halley(target, seed)
 
 
 def _phi_reflection(eps):

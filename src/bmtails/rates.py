@@ -11,14 +11,18 @@ phase functions:
 
 H has two real saddles w- < -1 - a and w+ in (-1, 0), the roots of
 w^2 + (2+a)w + 1 = 0.  G has a single relevant saddle z_a < -1 determined
-by (z_a + 1)(phi(z_a) + 1) + a = 0.  The closed forms implemented here are
+by (z_a + 1)(phi(z_a) + 1) + a = 0.  The closed forms are
 
     packed:     (2+a) sqrt(a + a^2/4) + 2 log(1 + a/2 - sqrt(a + a^2/4))
     flat:       -G(z_a)
     stationary: -a^2/4 + (1 + a/2) sqrt(a + a^2/4) + log(1 + a/2 - sqrt(..))
 
 and the identities rate_packed = H(w+) - H(w-), rate_stat = H(w+) hold to
-rounding.
+rounding.  Since (1 + a/2 - sqrt(..))(1 + a/2 + sqrt(..)) = 1, the code
+evaluates them without cancellation as
+
+    packed:     (2+a) sqrt(..) - 2 log(1 + a/2 + sqrt(..))
+    stationary: sqrt(..) + a^2 / (2 (sqrt(..) + a/2)) - log(1 + a/2 + sqrt(..))
 """
 
 from __future__ import annotations
@@ -67,6 +71,11 @@ def _h_vals(w, a):
     """Packed phase H on a complex array (principal log branch), unchecked."""
     w = np.asarray(w, dtype=complex)
     return (w * w - 1.0) / 2.0 + (2.0 + a) * (w + 1.0) + np.log(-w)
+
+
+def _g_vals(z, phi, a):
+    """Flat phase G from z and its image phi = phi(z), elementwise, unchecked."""
+    return (z * z - phi * phi) / 2.0 + (1.0 + a) * (z - phi)
 
 
 def phase_packed(w, a):
@@ -138,14 +147,14 @@ def rate_packed(a):
     """Upper-tail rate for the packed start (closed form)."""
     a = check_a(a)
     disc = np.sqrt(a + a * a / 4.0)
-    return (2.0 + a) * disc + 2.0 * np.log1p(a / 2.0 - disc)
+    return (2.0 + a) * disc - 2.0 * np.log1p(a / 2.0 + disc)
 
 
 def rate_stat(a):
     """Upper-tail rate for the stationary start (closed form, = H(w+))."""
     a = check_a(a)
     disc = np.sqrt(a + a * a / 4.0)
-    return -a * a / 4.0 + (1.0 + a / 2.0) * disc + np.log1p(a / 2.0 - disc)
+    return disc + a * a / (2.0 * (disc + a / 2.0)) - np.log1p(a / 2.0 + disc)
 
 
 def phase_flat(z, a):
@@ -154,8 +163,7 @@ def phase_flat(z, a):
     z = float(z)
     if z >= -1.0:
         raise ValueError(f"phase_flat requires z < -1, got {z}")
-    p = phi(z)
-    return (z * z - p * p) / 2.0 + (1.0 + a) * (z - p)
+    return _g_vals(z, phi(z), a)
 
 
 def phase_flat_d1(z, a):

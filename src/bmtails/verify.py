@@ -13,7 +13,6 @@ simulations and take a few minutes in total.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import io
 import sys
@@ -68,8 +67,7 @@ def _flat_grid_max(a):
     z_a = f.saddle_lo
     span = max(0.5, 0.2 * abs(z_a))
     zs = np.linspace(z_a - span, min(-1.0 - 1e-9, z_a + span), 20001)
-    p = phi(zs)
-    g = (zs * zs - p * p) / 2.0 + (1.0 + a) * (zs - p)
+    g = rates._g_vals(zs, phi(zs), a)
     return f.rate, float((-g).max())
 
 
@@ -130,7 +128,7 @@ def _check_steep_descent():
             all_ok = all_ok and rep.ok
         flat = contours.build_flat_contour(a)
         rep = contours.steep_descent_report(
-            flat, np.real(kernels._g_vals(flat.nodes, flat.phi_nodes, a)), 0.1
+            flat, np.real(rates._g_vals(flat.nodes, flat.phi_nodes, a)), 0.1
         )
         eps.append(rep.epsilon)
         all_ok = all_ok and rep.ok
@@ -146,9 +144,7 @@ def _check_deformation():
     line, circle = contours.build_packed_contours(a, t)
     worst_packed = 0.0
     for fac in (0.9, 1.1):
-        moved = dataclasses.replace(
-            circle, nodes=circle.nodes * fac, weights=circle.weights * fac
-        )
+        moved = contours.scale_circle(circle, fac)
         val = kernels.khat_packed_grid(
             a, t, np.array([0.3]), np.array([0.7]), (line, moved)
         )[0, 0]

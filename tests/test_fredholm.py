@@ -51,7 +51,7 @@ def test_quad_grid_rejects_non_finite_weights():
     weights = g.weights.copy()
     weights[-1] = np.inf
     with pytest.raises(ValueError, match="finite"):
-        fredholm.QuadGrid(nodes=g.nodes, weights=weights, decay_rate=1.0, size=8)
+        fredholm.QuadGrid(nodes=g.nodes, weights=weights, size=8)
 
 
 def test_prob_packed_rejects_non_finite_offset():
@@ -59,18 +59,18 @@ def test_prob_packed_rejects_non_finite_offset():
         fredholm.prob_packed(4, 1.0, s_offset=np.nan)
 
 
-def test_nystrom_det_rank_one_exact():
+def test_det_core_rank_one_exact():
     # kernel u(x)v(y) has det(1 - K) = 1 - <u, v>
-    s, d = 0.0, 1.0
-    grid = fredholm.build_grid(s, d, 48)
-    kernel = lambda x, y: 0.3 * np.exp(-x) * np.exp(-2.0 * y)
-    det = fredholm.nystrom_det(kernel, s, grid)
+    grid = fredholm.build_grid(0.0, 1.0, 48)
+    x = grid.nodes
+    kmat = 0.3 * np.exp(-x)[:, None] * np.exp(-2.0 * x)[None, :]
+    det = fredholm._det_core(kmat, grid.weights)[0]
     np.testing.assert_allclose(det, 1.0 - 0.3 * (1.0 / 3.0), rtol=1e-10)
 
 
-def test_nystrom_det_identity_kernel_is_one():
+def test_det_core_zero_kernel_is_one():
     grid = fredholm.build_grid(0.0, 1.0, 16)
-    det = fredholm.nystrom_det(lambda x, y: np.zeros_like(x * y), 0.0, grid)
+    det = fredholm._det_core(np.zeros((16, 16)), grid.weights)[0]
     assert det == 1.0
 
 
@@ -150,8 +150,9 @@ def test_prob_stat_rho_validates_rho():
     (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
 ])
 def test_stationary_step_validation(fn, args):
-    with pytest.raises(ValueError):
-        fn(*args, h=0.0)
+    for bad in (0.0, np.nan):
+        with pytest.raises(ValueError, match="h must be positive"):
+            fn(*args, h=bad)
     # steps this small drown the difference quotient in roundoff, so the
     # h and h/2 estimates disagree
     with pytest.raises(NumericFailure):
@@ -227,23 +228,27 @@ def test_tail_rate_table_columns_and_trend():
         fredholm.tail_rate_table("packed", 1.0, (8, 4))
 
 
-def _unit_pairing_kernel(scale):
-    # projection onto one decaying mode: det(1 - K) = 1 - scale exactly
-    return lambda x, y: scale * np.exp(-y) * np.ones_like(x)
+def _unit_pairing_det(scale):
+    # projection onto one decaying mode: det(1 - K) = 1 - scale exactly; the
+    # stub hands that determinant to _solve as its probability
+    def evaluate(size, _scale):
+        grid = fredholm.build_grid(0.0, 1.0, size)
+        kmat = scale * np.exp(-grid.nodes)[None, :] * np.ones((size, 1))
+        return fredholm._det_core(kmat, grid.weights), grid
+
+    return fredholm._solve("unit pairing", evaluate, 48, 1e-9, 96)
 
 
 def test_clamp_negative_roundoff(caplog):
-    grid = fredholm.build_grid(0.0, 1.0, 48)
     with caplog.at_level(logging.WARNING, logger="bmtails.fredholm"):
-        det = fredholm.nystrom_det(_unit_pairing_kernel(1.0 + 1e-12), 0.0, grid)
-    assert det == 0.0
+        res = _unit_pairing_det(1.0 + 1e-12)
+    assert res.p == 0.0
     assert any("clamping" in rec.getMessage() for rec in caplog.records)
 
 
 def test_negative_determinant_far_outside_raises():
-    grid = fredholm.build_grid(0.0, 1.0, 48)
     with pytest.raises(NumericFailure, match="far outside"):
-        fredholm.nystrom_det(_unit_pairing_kernel(1.0 + 1e-6), 0.0, grid)
+        _unit_pairing_det(1.0 + 1e-6)
 
 
 def test_build_grid_shares_a_read_only_rule():
@@ -261,6 +266,12 @@ def test_build_grid_shares_a_read_only_rule():
 def test_prob_finite_n_validates_index():
     with pytest.raises(ValueError):
         fredholm.prob_finite_n(0, 1, 0.0)
+    for t in (np.nan, -1.0, 0.0):
+        with pytest.raises(ValueError, match="time parameter"):
+            fredholm.prob_finite_n(1, t, 0.0)
+    for s in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="level s must be finite"):
+            fredholm.prob_finite_n(1, 1, s)
 
 
 def test_prob_finite_n_overflow_guard():

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy import integrate
@@ -14,14 +12,21 @@ def test_khat_packed_reference_value():
     assert res.refinement_delta <= 1e-12
 
 
+@pytest.mark.parametrize("fn", [kernels.khat_packed, kernels.khat_flat])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["xi1", "xi2"])
+def test_pointwise_kernels_reject_non_finite_levels(fn, bad, name):
+    xi = {"xi1": 0.0, "xi2": 0.0, name: bad}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        fn(1.0, 4, xi["xi1"], xi["xi2"])
+
+
 def test_khat_packed_deformation_invariance():
     a, t = 1.0, 4
     base = kernels.khat_packed(a, t, 0.3, 0.7).value
     line, circle = contours.build_packed_contours(a, t)
     for fac in (0.9, 1.1):
-        moved = dataclasses.replace(
-            circle, nodes=circle.nodes * fac, weights=circle.weights * fac
-        )
+        moved = contours.scale_circle(circle, fac)
         val = kernels.khat_packed_grid(
             a, t, np.array([0.3]), np.array([0.7]), (line, moved)
         )[0, 0]
@@ -73,8 +78,8 @@ def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample
     sigma = -line_re if sigma is None else sigma
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
-    w, aw, z, bz = kernels._raw_contours(
-        n, t, xi1, xi2, line_re, circle_rad, oversample)
+    cts = contours.build_raw_contours(n, t, xi1, xi2, line_re, circle_rad, oversample)
+    w, aw, z, bz = kernels._raw_weights(n, t, cts)
     e1 = np.exp(np.multiply.outer(xi1, w + sigma))
     e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
     cauchy = 1.0 / np.subtract.outer(w, z)
@@ -214,10 +219,7 @@ def test_stat_rho_pieces_consistency():
     line, circle = cts
     radius = np.abs(circle.nodes).max()
     if radius >= rho:
-        scale = 0.9 * rho / radius
-        circle = dataclasses.replace(
-            circle, nodes=circle.nodes * scale, weights=circle.weights * scale
-        )
+        circle = contours.scale_circle(circle, 0.9 * rho / radius)
     big = np.array([60.0, 80.0])
     g_rho, pair_res, pair_circ = kernels.stat_rho_pieces(
         a, t, s, rho, (line, circle), big)

@@ -40,6 +40,17 @@ def test_reference_point_a_equals_one():
     np.testing.assert_allclose(f.second_deriv[0], REF["eta"], rtol=1e-11)
 
 
+# 25-digit values of the closed forms (mpmath, 40 digits); 1 + a/2 -
+# sqrt(a + a^2/4) cancels at large a, so the rates must not be formed from it
+@pytest.mark.parametrize("a, r_stat, r_packed", [
+    (30.0, 27.03475285606512915719621, 504.0695057121302583143924),
+    (100.0, 95.87507524977475807388717, 5191.750150499549516147774),
+])
+def test_closed_form_rates_at_large_a(a, r_stat, r_packed):
+    np.testing.assert_allclose(rates.rate_stat(a), r_stat, rtol=5e-16, atol=0)
+    np.testing.assert_allclose(rates.rate_packed(a), r_packed, rtol=5e-16, atol=0)
+
+
 def test_saddle_residuals_on_grid():
     for a in A_GRID:
         w_minus, w_plus = rates.saddle_points(a)
