@@ -2,7 +2,8 @@
 
 Every contour the kernels integrate over is laid out here:
 
-* a vertical line Re w = c, uniform in y = Im w with trapezoid weights,
+* a vertical line Re w = c at the exact multiples y = step (j - m),
+  j = 0 ... 2m, of a step in y = Im w, with trapezoid weights,
 * a circle of signed radius r, equispaced in the angle from -pi and
   traversed counterclockwise, so theta = 0 sits at r on the real axis,
 * the Lambert spiral gamma(tau) solving gamma e^gamma = z_a e^{z_a + 2 pi i
@@ -93,9 +94,18 @@ def _line_halfwidth(c, ratio, t, tol):
 
 
 def _line(c, half, count):
-    """The line c + iy at count uniform y in [-half, half], with trapezoid dz weights."""
-    y = np.linspace(-half, half, count)
-    weights = np.full(count, 1j * (y[1] - y[0]), dtype=complex)
+    """The line c + iy at an odd count of y = step (j - m) in [-half, half].
+
+    With m = (count - 1) / 2 and step = half / m every node is an exact
+    multiple of the step, so the layout is exactly symmetric (y[::-1] == -y),
+    y[m] == 0 and y[m + l] == step * l.  Weights are trapezoid dz factors.
+    """
+    if count < 3 or count % 2 == 0:
+        raise ValueError(f"line node count must be odd and at least 3, got {count}")
+    m = (count - 1) // 2
+    step = half / m
+    y = step * np.arange(-m, m + 1)
+    weights = np.full(count, 1j * step, dtype=complex)
     weights[0] *= 0.5
     weights[-1] *= 0.5
     return ContourPath(nodes=c + 1j * y, weights=weights, params=y)

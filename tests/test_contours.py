@@ -120,3 +120,26 @@ def test_paths_are_frozen_and_finite():
     with pytest.raises(dataclasses.FrozenInstanceError):
         line.params = np.zeros(3)
     assert np.isfinite(line.nodes).all() and np.isfinite(circle.weights).all()
+
+
+@pytest.mark.parametrize("route", ["packed", "raw"])
+def test_line_nodes_are_exact_multiples_of_the_step(route):
+    # the raw kernel splits e^{i xi y} into anchors y[bB] and steps y[m + l];
+    # they reproduce the nodes only if every node is exactly step * (j - m)
+    if route == "packed":
+        line, _ = contours.build_packed_contours(1.0, 4)
+    else:
+        line, _ = contours.build_raw_contours(5, 1.0, np.array([0.5]), np.array([0.5]),
+                                              -0.3, 0.25, 1)
+    y = line.params
+    m = (y.size - 1) // 2
+    step = y[m + 1]
+    assert y.size % 2 == 1
+    np.testing.assert_array_equal(y[::-1], -y)
+    np.testing.assert_array_equal(y, step * np.arange(-m, m + 1))
+    np.testing.assert_array_equal(line.weights[1:-1], 1j * step)
+
+
+def test_line_rejects_even_counts():
+    with pytest.raises(ValueError, match="odd"):
+        contours._line(-1.0, 2.0, 8)

@@ -94,6 +94,61 @@ def test_finite_n_matches_gue_oracle(key):
     np.testing.assert_allclose(res.p, GUE_CDF[key], atol=5e-11)
 
 
+def _hermite_gram_cdf(n, t, s):
+    """P(x_n(t) <= s) as det(I - G) at 40 digits, independent of bmtails.
+
+    The top eigenvalue of the n x n Gaussian Hermitian ensemble with entry
+    variance t; with u0 = s / sqrt(2t) and the Hermite functions
+    phi_k = H_k e^{-u^2/2} / sqrt(2^k k! sqrt(pi)), G_jk is the integral of
+    phi_j phi_k over (u0, infinity).  It is a combination of the moments
+    I_m = int_{u0}^inf u^m e^{-u^2} du, which obey
+    I_m = u0^{m-1} e^{-u0^2} / 2 + (m - 1) I_{m-2} / 2.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    herm = [[1], [0, 2]]  # integer coefficients of H_k, lowest power first
+    for k in range(1, n - 1):
+        nxt = [0] + [2 * c for c in herm[k]]
+        for i, c in enumerate(herm[k - 1]):
+            nxt[i] -= 2 * k * c
+        herm.append(nxt)
+    with mpmath.workdps(40):
+        u0 = mpmath.mpf(s) / mpmath.sqrt(2 * mpmath.mpf(t))
+        gauss = mpmath.exp(-u0 * u0)
+        mom = [mpmath.sqrt(mpmath.pi) * mpmath.erfc(u0) / 2, gauss / 2]
+        for m in range(2, 2 * n - 1):
+            mom.append(u0 ** (m - 1) * gauss / 2 + (m - 1) * mom[m - 2] / 2)
+        norm_k = [1 / mpmath.sqrt(2 ** k * mpmath.factorial(k) * mpmath.sqrt(mpmath.pi))
+                  for k in range(n)]
+        mat = mpmath.matrix(n, n)
+        for j in range(n):
+            for k in range(n):
+                g = sum(cj * ck * mom[a + b]
+                        for a, cj in enumerate(herm[j]) for b, ck in enumerate(herm[k]))
+                mat[j, k] = (j == k) - norm_k[j] * norm_k[k] * g
+        return float(mpmath.det(mat))
+
+
+def test_hermite_gram_oracle_reproduces_known_values():
+    np.testing.assert_allclose(_hermite_gram_cdf(1, 4.0, 1.0), norm.cdf(0.5), rtol=1e-15)
+    assert _hermite_gram_cdf(5, 1.0, 2.5) == pytest.approx(GUE_CDF[(5, 1.0, 2.5)], abs=1e-16)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+@pytest.mark.parametrize("t", [1.0, 4.0])
+def test_finite_n_matches_hermite_gram_oracle(n, t):
+    # bulk levels, as fractions of the edge 2 sqrt(n t)
+    edge = 2.0 * np.sqrt(n * t)
+    for frac in (-0.2, 0.0, 0.25, 0.5, 0.75):
+        s = frac * edge
+        assert abs(fredholm.prob_finite_n(n, t, s).p - _hermite_gram_cdf(n, t, s)) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [-0.5, -0.35, -0.1])
+def test_finite_n_bulk_imaginary_residue(s):
+    # the levels where the line's phase factors carry the most cancellation
+    assert fredholm.prob_finite_n(5, 1, s).im_residue <= 2e-9
+
+
 def test_prob_packed_matches_gue_oracle_through_saddle_route():
     """Saddle-frame contours against the raw-level oracle, independent paths."""
     res = fredholm.prob_packed(4, 1.0)
@@ -171,7 +226,7 @@ FROZEN = {
     "stat_rho": (fredholm.prob_stat_rho, (4, 1, 0.9),
                  0.9827584903282919, -4.060435449615932, 96),
     "finite_n": (fredholm.prob_finite_n, (5, 1, 2.5),
-                 0.21626343233878037, -0.2436823257321513, 128),
+                 0.21626343233881246, -0.2436823257321921, 128),
 }
 
 

@@ -3,6 +3,7 @@ import pytest
 from scipy import integrate
 
 from bmtails import contours, fredholm, kernels, rates, verify
+from bmtails.errors import NumericFailure
 
 
 def test_khat_packed_reference_value():
@@ -104,6 +105,18 @@ def test_raw_kernel_rank_n_matches_dense(n, t, line):
     dense = dense_raw_kernel(n, t, xi, xi, line_re=c, circle_rad=r)
     err = np.abs(left @ right.T - dense).max()
     assert err <= 1e-12 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("count", [3, 5, 9, 101, 1153])
+def test_line_phase_transform_matches_direct_phase_table(count):
+    # blocks of ceil(sqrt(count)) nodes, the last one padded unless it divides
+    line = contours._line(-0.5, 7.0, count)
+    rng = np.random.default_rng(count)
+    xi = rng.uniform(-3.0, 9.0, 17)
+    moments = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
+    direct = np.exp(1j * np.multiply.outer(xi, line.params)) @ moments
+    blocked = kernels._line_phase_transform(xi, line.params, moments)
+    assert np.abs(blocked - direct).max() <= 1e-13 * np.abs(moments).sum()
 
 
 @pytest.mark.parametrize("n,t,s", [
@@ -239,6 +252,18 @@ def test_stat_rho_pieces_consistency():
 def test_stat_rho_pieces_rejects_wide_circle():
     a, t = 1.0, 4
     cts = contours.build_packed_contours(a, t)
-    from bmtails.errors import NumericFailure
     with pytest.raises(NumericFailure):
         kernels.stat_rho_pieces(a, t, 0.0, 0.05, cts, np.zeros(1))
+
+
+@pytest.mark.parametrize("fn, xi1, xi2", [
+    (kernels.khat_packed, -1000.0, 0.0),
+    (kernels.khat_packed, 0.0, -1000.0),
+    (kernels.khat_flat, -1000.0, 0.0),
+])
+def test_pointwise_kernels_raise_when_the_exponentials_overflow(fn, xi1, xi2):
+    # negative offsets leave the steep-descent bound and the value is NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericFailure, match="not finite") as info:
+            fn(1.0, 4, xi1, xi2)
+    assert "-1000.0" in info.value.hint
