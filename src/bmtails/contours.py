@@ -221,12 +221,14 @@ def build_flat_contour(a, cfg=None, z_a=None):
     )
 
 
-def flat_contour_for(a, t, cfg=None, z_a=None):
-    """Lambert spiral dense enough for the time-t phase e^{tG}.
+def flat_contour_cfg(a, t, cfg=None, z_a=None):
+    """The configuration :func:`flat_contour_for` builds the spiral with.
 
     The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
     the configured density is raised accordingly, and the spiral is trimmed
-    where e^{tG} falls below 1e-12 of its saddle value.
+    where e^{tG} falls below 1e-12 of its saddle value.  Once
+    16 sqrt(t |eta|) exceeds points_per_unit the density is set by t alone,
+    and doubling points_per_unit returns the same configuration.
     """
     a = check_a(a)
     t = _check_time(t)
@@ -237,7 +239,12 @@ def flat_contour_for(a, t, cfg=None, z_a=None):
     ppu = max(cfg.points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
     tau_max = min(cfg.tau_max, max(0.5, span))
-    return build_flat_contour(a, replace(cfg, points_per_unit=ppu, tau_max=tau_max), z_a=z_a)
+    return replace(cfg, points_per_unit=ppu, tau_max=tau_max)
+
+
+def flat_contour_for(a, t, cfg=None, z_a=None):
+    """Lambert spiral dense enough for the time-t phase e^{tG}."""
+    return build_flat_contour(a, flat_contour_cfg(a, t, cfg, z_a=z_a), z_a=z_a)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,15 @@ Every entry point hands a closure evaluate(size, scale) to one driver,
 :func:`_solve`, which doubles the grid size and the contour density
 together until successive values agree, reports the last change as the
 refinement delta, and checks the imaginary residue and the [0, 1] range.
+The flat spiral's density is bound to t rather than to the scale once t
+is large enough (see :func:`prob_flat`); there the flat refinement delta
+refines only the Nystrom grid, and one spiral serves every grid size of
+the call.
 The stationary law needs an s-derivative; it is taken by central
 differences with one Richardson extrapolation, and the two step sizes
-must agree or the evaluation is rejected.
+must agree or the evaluation is rejected.  The contour weights and the
+Cauchy matrix do not depend on the level, so each grid size forms them
+once for all of its levels.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
@@ -47,8 +53,9 @@ from .contours import (
     ContourConfig,
     _check_finite,
     _check_time,
+    build_flat_contour,
     build_packed_contours,
-    flat_contour_for,
+    flat_contour_cfg,
     scale_circle,
 )
 from .errors import NumericFailure
@@ -56,6 +63,7 @@ from .kernels import (
     _IM_TOL,
     khat_flat_grid,
     khat_packed_grid,
+    packed_factors,
     raw_kernel_grid,
     stat_components,
     stat_rho_pieces,
@@ -65,6 +73,9 @@ from .rates import check_a, rate_flat, rate_packed, solve_za
 log = logging.getLogger("bmtails.fredholm")
 
 _CLAMP = 1e-9
+# below this a probability that fails the imaginary-residue gate is not
+# resolved by the determinant at all
+_UNRESOLVED_P = 1e-12
 
 
 @dataclass(frozen=True)
@@ -153,24 +164,31 @@ def _det_core(kmat, weights):
 def _solve(what, evaluate, size0, target, max_size):
     """Double (size, scale) from (size0, 1) until p moves by less than target.
 
-    evaluate returns ((p, log_survival, im_residue), grid).
+    evaluate returns ((p, log_survival, im_residue), grid).  Each grid size
+    is logged at DEBUG level, which gives the refinement history.
     """
-    prev, grid = evaluate(size0, 1)
-    result, size, scale, delta = prev, size0, 1, np.inf
-    while 2 * size <= max_size:
-        size *= 2
-        scale *= 2
+    prev, size, scale = None, size0, 1
+    while True:
         result, grid = evaluate(size, scale)
-        delta = abs(result[0] - prev[0])
-        if delta < target:
+        delta = np.inf if prev is None else abs(result[0] - prev[0])
+        log.debug("%s: grid size %d, p %.17g, log_survival %.17g, delta %.3e, "
+                  "im residue %.3e", what, size, result[0], result[1], delta, result[2])
+        if delta < target or 2 * size > max_size:
             break
         prev = result
+        size *= 2
+        scale *= 2
     p, log_survival, im = result
     if im > _IM_TOL * (1.0 + abs(p)):
+        # a determinant this close to 0 is a cancellation of O(1) terms,
+        # and its phase is noise whatever the contour density
+        hint = (f"p = {p:.1e} is below what the determinant resolves"
+                if abs(p) < _UNRESOLVED_P else "increase contour density")
         raise NumericFailure(
             f"{what}: imaginary residue {im:.3e} in log-determinant",
+            last=p,
             residual=im,
-            hint="increase contour density",
+            hint=hint,
         )
     if p < -_CLAMP or p > 1.0 + _CLAMP:
         raise NumericFailure(
@@ -200,23 +218,33 @@ def prob_packed(t, a, *, s_offset=0.0, grid_size=48):
     t = float(t)
 
     def evaluate(size, scale):
-        contours = build_packed_contours(a, t, _contour_cfg(scale))
+        factors = packed_factors(a, t, build_packed_contours(a, t, _contour_cfg(scale)))
         grid = build_grid(s_offset, a, size)
-        kmat = khat_packed_grid(a, t, grid.nodes, grid.nodes, contours)
+        kmat = khat_packed_grid(grid.nodes, grid.nodes, factors)
         return _det_core(kmat, grid.weights), grid
 
     return _solve("prob_packed", evaluate, grid_size, 1e-9, 384)
 
 
 def prob_flat(t, a, *, s_offset=0.0, grid_size=48):
-    """P(x_t(t) <= 2t + at + s_offset) under the flat start."""
+    """P(x_t(t) <= 2t + at + s_offset) under the flat start.
+
+    The spiral's density is set by t once 16 sqrt(t |eta|) exceeds the
+    scaled points_per_unit (:func:`contours.flat_contour_cfg`), so then the
+    refinement delta measures only the Nystrom grid.  Each distinct spiral
+    configuration is built once per call.
+    """
     a = check_a(a)
     t = float(t)
     z_a = solve_za(a)
     decay = abs(z_a + 1.0)
+    spirals = {}  # ContourConfig -> spiral, for this call only
 
     def evaluate(size, scale):
-        path = flat_contour_for(a, t, _contour_cfg(scale), z_a=z_a)
+        cfg = flat_contour_cfg(a, t, _contour_cfg(scale), z_a=z_a)
+        if cfg not in spirals:
+            spirals[cfg] = build_flat_contour(a, cfg, z_a=z_a)
+        path = spirals[cfg]
         grid = build_grid(s_offset, decay, size)
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights), grid
@@ -256,20 +284,21 @@ def prob_stat(t, a, h=None, *, grid_size=48):
 
     Evaluates D(s) = Fhat_t(s) det(1 - P K P) + det(1 - P(K + f* x g1)P)
     around s = 0 and returns its derivative; the rank-one extension sits
-    directly inside the discretized determinant.  The contours are built
-    once per grid size, and each level s takes K, f* and g1 from one
+    directly inside the discretized determinant.  The contour weights and
+    the Cauchy matrix (:func:`kernels.packed_factors`) are formed once per
+    grid size, and each level s takes K, f* and g1 from one
     :func:`kernels.stat_components` assembly on its grid.
     """
     a = check_a(a)
     t = float(t)
 
     def evaluate(size, scale):
-        contours = build_packed_contours(a, t, _contour_cfg(scale))
+        factors = packed_factors(a, t, build_packed_contours(a, t, _contour_cfg(scale)))
         ims = []
 
         def D(s):
             grid = build_grid(s, a, size)
-            comps = stat_components(a, t, s, contours, grid.nodes)
+            comps = stat_components(a, t, s, factors, grid.nodes)
             det1, _, im1 = _det_core(comps.kmat, grid.weights)
             rank1 = np.outer(comps.f_star, comps.g_one)
             det2, _, im2 = _det_core(comps.kmat + rank1, grid.weights)
@@ -302,13 +331,13 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
         radius = float(np.abs(circle.nodes).max())
         if radius >= 0.9 * rho:
             circle = scale_circle(circle, 0.9 * rho / radius)
-        contours = (line, circle)
+        factors = packed_factors(a, t, (line, circle))
         ims = []
 
         def D(s):
             grid = build_grid(s, a, size)
-            comps = stat_components(a, t, s, contours, grid.nodes)
-            g_rho, pair_res, pair_circ = stat_rho_pieces(a, t, s, rho, contours, grid.nodes)
+            comps = stat_components(a, t, s, factors, grid.nodes)
+            g_rho, pair_res, pair_circ = stat_rho_pieces(a, t, s, rho, factors, grid.nodes)
             det1, _, im = _det_core(comps.kmat, grid.weights)
             ims.append(im)
             resolvent = np.eye(size) - comps.kmat * grid.weights[None, :]
@@ -333,10 +362,14 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
 def prob_finite_n(n, t, s):
     """P(x_n(t) <= s) for integer n >= 1 via the raw double-contour kernel.
 
-    Valid at any real level s, including the bulk and lower tail, because
-    the vertical line is re-anchored at the dominant w-saddle of the raw
-    phase t w^2/2 + n log(-w) + xi w instead of the upper-tail scaling.
-    The kernel has rank n, so each grid size costs one n x n determinant.
+    Valid at any real level s where p is resolved, the bulk and lower tail
+    included, because the vertical line is re-anchored at the dominant
+    w-saddle of the raw phase t w^2/2 + n log(-w) + xi w instead of the
+    upper-tail scaling.  The kernel has rank n, so each grid size costs one
+    n x n determinant.  Deep in the lower tail that determinant is a
+    cancellation of O(1) entries: near p = 1e-15 (s = -1.79 at n = 5,
+    t = 1) its imaginary residue passes 1e-8, and NumericFailure says that
+    p is below what the n x n determinant resolves.
     """
     n = int(n)
     if n < 1:

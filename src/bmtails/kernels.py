@@ -26,11 +26,14 @@ that overflows raises NumericFailure naming the offsets.
 
 The stationary one-point formula needs three further contour objects
 (a boundary-value remainder, a rank-one pair) which share the packed
-contours.  :func:`stat_components` returns them together with the packed
-kernel matrix on the same quadrature nodes, so each finite-difference level
-forms the contour weights, the grid exponentials and the Cauchy matrix
-once.  A raw kernel for finite particle index n on generic contours
-(vertical line, small circle around the pole of order n) supports
+contours.  :func:`packed_factors` folds the phases into the contour
+weights and forms the Cauchy matrix; none of this depends on the level,
+so the stationary formulas form the contour weights and the Cauchy matrix
+once per grid size.  From those factors :func:`stat_components` returns
+the stationary data together with the packed kernel matrix on the same
+quadrature nodes, so each finite-difference level forms its grid
+exponentials once.  A raw kernel for finite particle index n on generic
+contours (vertical line, small circle around the pole of order n) supports
 cross-checks against exact Gaussian and matrix-diagonalization laws at
 small n.  It is returned as two n-column factors instead of a matrix: on
 the circle |z| < |w|, so the Cauchy factor is the series
@@ -115,35 +118,35 @@ def _demand_real(value, what, level):
 # packed kernel
 
 
-def _packed_weights(a, t, contours):
-    """Nodes and weights of the saddle contours with the phases folded in.
+def packed_factors(a, t, contours):
+    """Level-independent factors of the packed kernel on the saddle contours.
 
-    Returns (w, aw, z, bz): line nodes w with weights carrying e^{t H(w)},
-    circle nodes z with weights carrying e^{-t H(z)}.
+    Returns (w, aw, z, bz, cauchy): line nodes w with weights carrying
+    e^{t H(w)}, circle nodes z with weights carrying e^{-t H(z)}, and the
+    Cauchy matrix cauchy = 1/(w - z).
     """
     line, circle = contours
     w = line.nodes
     z = circle.nodes
     aw = line.weights * np.exp(t * _h_vals(w, a))
     bz = circle.weights * np.exp(-t * _h_vals(z, a))
-    return w, aw, z, bz
+    return w, aw, z, bz, 1.0 / np.subtract.outer(w, z)
 
 
-def _packed_assembly(w, aw, z, bz, xi1, xi2):
-    """Packed kernel on xi1 x xi2 with the factors it is assembled from.
+def _packed_assembly(factors, xi1, xi2):
+    """Packed kernel on xi1 x xi2 with its grid exponentials.
 
-    Returns (kmat, e1, e2, cauchy), where e1 = e^{xi1 (w+1)},
-    e2 = e^{-xi2 (z+1)} and cauchy = 1/(w - z).
+    Returns (kmat, e1, e2), where e1 = e^{xi1 (w+1)} and e2 = e^{-xi2 (z+1)}.
     """
+    w, aw, z, bz, cauchy = factors
     e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), w + 1.0))
     e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), z + 1.0))
-    cauchy = 1.0 / np.subtract.outer(w, z)
-    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T), e1, e2, cauchy
+    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T), e1, e2
 
 
-def khat_packed_grid(a, t, xi1, xi2, contours):
+def khat_packed_grid(xi1, xi2, factors):
     """Conjugated packed kernel on the product grid xi1 x xi2 (complex)."""
-    return _packed_assembly(*_packed_weights(a, t, contours), xi1, xi2)[0]
+    return _packed_assembly(factors, xi1, xi2)[0]
 
 
 def khat_packed(a, t, xi1, xi2):
@@ -153,10 +156,11 @@ def khat_packed(a, t, xi1, xi2):
     xi1 = _check_finite(xi1, "xi1")
     xi2 = _check_finite(xi2, "xi2")
     cfg = ContourConfig()
-    coarse = khat_packed_grid(a, t, [xi1], [xi2], build_packed_contours(a, t, cfg))[0, 0]
+    coarse_factors = packed_factors(a, t, build_packed_contours(a, t, cfg))
+    coarse = khat_packed_grid([xi1], [xi2], coarse_factors)[0, 0]
     fine_contours = build_packed_contours(
         a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit))
-    fine = khat_packed_grid(a, t, [xi1], [xi2], fine_contours)[0, 0]
+    fine = khat_packed_grid([xi1], [xi2], packed_factors(a, t, fine_contours))[0, 0]
     im = _demand_real(fine, "packed kernel value", f"(xi1, xi2) = ({xi1}, {xi2})")
     return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
 
@@ -194,14 +198,14 @@ def khat_flat(a, t, xi1, xi2, cfg=None):
 
 
 # ---------------------------------------------------------------------------
-# stationary pieces (shared packed contours)
+# stationary pieces (shared packed factors)
 
 
-def stat_components(a, t, s_offset, contours, nodes):
+def stat_components(a, t, s_offset, factors, nodes):
     """Packed kernel and stationary rank-one data at offset s on the nodes.
 
-    One formation of the contour weights, the grid exponentials and the
-    Cauchy matrix gives the packed kernel matrix on nodes x nodes, the
+    From the :func:`packed_factors` of the contours, one formation of the
+    grid exponentials gives the packed kernel matrix on nodes x nodes, the
     rank-one pair f_star (decaying) and g_one (bounded) on the nodes, the
     boundary remainder r_hat = Rhat_t(s) and the scalar prefactor
     f_hat_t = s + a t + Rhat_t(s) - 1.  The nodes are offsets >= s.
@@ -209,8 +213,8 @@ def stat_components(a, t, s_offset, contours, nodes):
     a = check_a(a)
     t = _check_time(t)
     s = float(s_offset)
-    w, aw, z, bz = _packed_weights(a, t, contours)
-    kmat, e1, e2, cauchy = _packed_assembly(w, aw, z, bz, nodes, nodes)
+    w, aw, z, bz, cauchy = factors
+    kmat, e1, e2 = _packed_assembly(factors, nodes, nodes)
     zp1 = z + 1.0
     wp1 = w + 1.0
     bz_s = bz * np.exp(-s * zp1)
@@ -230,7 +234,7 @@ def stat_components(a, t, s_offset, contours, nodes):
     )
 
 
-def stat_rho_pieces(a, t, s_offset, rho, contours, nodes):
+def stat_rho_pieces(a, t, s_offset, rho, factors, nodes):
     """Density-rho ingredients: g_rho on the nodes and its exact tail pairing.
 
     g_rho splits into a residue term decaying at rate 1 - rho and a contour
@@ -244,14 +248,13 @@ def stat_rho_pieces(a, t, s_offset, rho, contours, nodes):
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
     s = float(s_offset)
-    circle = contours[1]
-    if np.abs(circle.nodes).max() >= rho:
+    _, _, z, bz, _ = factors
+    if np.abs(z).max() >= rho:
         raise NumericFailure(
             "z-circle radius must stay below rho",
-            residual=float(np.abs(circle.nodes).max()),
+            residual=float(np.abs(z).max()),
             hint="rebuild gamma_plus with a smaller radius",
         )
-    _, _, z, bz = _packed_weights(a, t, contours)
     zp1 = z + 1.0
     res_amp = np.exp(-t * phase_packed(-rho, a))
 

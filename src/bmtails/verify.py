@@ -146,7 +146,7 @@ def _check_deformation():
     for fac in (0.9, 1.1):
         moved = contours.scale_circle(circle, fac)
         val = kernels.khat_packed_grid(
-            a, t, np.array([0.3]), np.array([0.7]), (line, moved)
+            np.array([0.3]), np.array([0.7]), kernels.packed_factors(a, t, (line, moved))
         )[0, 0]
         worst_packed = max(worst_packed, abs(val.real - base))
     flat4 = kernels.khat_flat(a, t, 0.0, 0.0).value

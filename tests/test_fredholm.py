@@ -243,10 +243,10 @@ def test_entry_points_reproduce_frozen_values(name):
     (fredholm.prob_stat, (4, 1.0)),
     (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
 ])
-def test_stationary_level_forms_one_cauchy_matrix(monkeypatch, fn, args):
-    # each finite-difference level takes the packed kernel and the rank-one
-    # data from one assembly, so 1/(w - z) is formed once per level
-    outers, levels = [], []
+def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
+    # 1/(w - z) does not depend on the level, so each grid size forms it once
+    # and all of its finite-difference levels share it
+    outers, sizes = [], []
 
     def outer(w, z):
         outers.append(1)
@@ -261,13 +261,59 @@ def test_stationary_level_forms_one_cauchy_matrix(monkeypatch, fn, args):
     monkeypatch.setattr(kernels, "np", CountingNumpy())
     stat_components = fredholm.stat_components
 
-    def spy(*a):
-        levels.append(1)
-        return stat_components(*a)
+    def spy(a, t, s, factors, nodes):
+        sizes.append(len(nodes))
+        return stat_components(a, t, s, factors, nodes)
 
     monkeypatch.setattr(fredholm, "stat_components", spy)
     fn(*args)
-    assert len(levels) > 0 and len(outers) == len(levels)
+    assert len(sizes) > len(set(sizes)) > 0
+    assert len(outers) == len(set(sizes))
+
+
+@pytest.mark.parametrize("t, a, nodes", [
+    (4.0, 1.0, [477]),         # the density is set by t: one spiral serves both grids
+    (0.1, 1.0, [493, 985]),    # the density follows the scale: two spirals
+])
+def test_prob_flat_builds_each_spiral_once(monkeypatch, t, a, nodes):
+    built = []
+    build = fredholm.build_flat_contour
+
+    def spy(*args, **kwargs):
+        path = build(*args, **kwargs)
+        built.append(path.nodes.size)
+        return path
+
+    monkeypatch.setattr(fredholm, "build_flat_contour", spy)
+    assert fredholm.prob_flat(t, a).grid.size == 96
+    assert built == nodes
+
+
+def test_solve_logs_each_grid_size(caplog):
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        res = fredholm.prob_packed(4, 1.0)
+    records = [r for r in caplog.records if r.name == "bmtails.fredholm"]
+    assert all(r.levelno == logging.DEBUG for r in records)
+    lines = [r.getMessage() for r in records]
+    assert len(lines) == 2 and res.grid.size == 96
+    assert lines[0].startswith("prob_packed: grid size 48, p ")
+    assert "delta inf" in lines[0]
+    assert lines[1].startswith(f"prob_packed: grid size 96, p {res.p:.17g},")
+    assert f"log_survival {res.log_survival:.17g}," in lines[1]
+    assert f"delta {res.refinement_delta:.3e}, im residue {res.im_residue:.3e}" in lines[1]
+
+
+@pytest.mark.parametrize("n, t, s", [
+    (5, 1.0, -2.236068), (5, 1.0, -1.788854), (5, 4.0, -4.472136), (5, 4.0, -3.577709),
+])
+def test_finite_n_deep_lower_tail_names_the_resolution(n, t, s):
+    # the Hermite Gram oracle gives p = 4.3e-19 and 5.6e-16 here; a denser
+    # contour cannot resolve them, and the hint must not suggest one
+    with pytest.raises(NumericFailure, match="imaginary residue") as info:
+        fredholm.prob_finite_n(n, t, s)
+    assert 0.0 < info.value.last < 1e-15
+    assert "below what the determinant resolves" in info.value.hint
+    assert "contour density" not in info.value.hint
 
 
 def test_tail_rate_table_columns_and_trend():

@@ -29,7 +29,7 @@ def test_khat_packed_deformation_invariance():
     for fac in (0.9, 1.1):
         moved = contours.scale_circle(circle, fac)
         val = kernels.khat_packed_grid(
-            a, t, np.array([0.3]), np.array([0.7]), (line, moved)
+            np.array([0.3]), np.array([0.7]), kernels.packed_factors(a, t, (line, moved))
         )[0, 0]
         assert abs(val.real - base) <= 1e-8
         assert abs(val.imag) <= 1e-10
@@ -200,11 +200,11 @@ def test_khat_flat_reference_and_invariance():
 
 def test_stat_components_identities():
     a, t = 1.0, 4
-    cts = contours.build_packed_contours(a, t)
+    factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
     h = 1e-5
     for s in (0.0, 0.5, 2.0):
         xs = s + np.array([0.0, 5.0, 15.0])
-        comp = kernels.stat_components(a, t, s, cts, xs)
+        comp = kernels.stat_components(a, t, s, factors, xs)
         assert comp.kmat.shape == (3, 3)
         assert comp.f_hat_t == pytest.approx(s + a * t + comp.r_hat - 1.0)
         fs = comp.f_star
@@ -212,18 +212,18 @@ def test_stat_components_identities():
         gs = comp.g_one
         assert np.all(np.abs(gs - 1.0) < 0.1)
         # derivative identity d/ds r_hat = g_one(s) - 1, by central differences
-        up = kernels.stat_components(a, t, s + h, cts, xs).r_hat
-        dn = kernels.stat_components(a, t, s - h, cts, xs).r_hat
+        up = kernels.stat_components(a, t, s + h, factors, xs).r_hat
+        dn = kernels.stat_components(a, t, s - h, factors, xs).r_hat
         np.testing.assert_allclose((up - dn) / (2 * h), gs[0] - 1.0, atol=1e-9)
 
 
 def test_stat_components_kernel_is_khat_packed_grid():
     # one assembly: the stationary kernel matrix must be the packed one
     a, t, s = 1.0, 4, 0.5
-    cts = contours.build_packed_contours(a, t)
+    factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
     nodes = fredholm.build_grid(s, a, 48).nodes
-    comp = kernels.stat_components(a, t, s, cts, nodes)
-    assert np.array_equal(comp.kmat, kernels.khat_packed_grid(a, t, nodes, nodes, cts))
+    comp = kernels.stat_components(a, t, s, factors, nodes)
+    assert np.array_equal(comp.kmat, kernels.khat_packed_grid(nodes, nodes, factors))
 
 
 def test_stat_rho_pieces_consistency():
@@ -235,7 +235,7 @@ def test_stat_rho_pieces_consistency():
         circle = contours.scale_circle(circle, 0.9 * rho / radius)
     big = np.array([60.0, 80.0])
     g_rho, pair_res, pair_circ = kernels.stat_rho_pieces(
-        a, t, s, rho, (line, circle), big)
+        a, t, s, rho, kernels.packed_factors(a, t, (line, circle)), big)
     # residue part dominates the tail of g_rho with decay rate 1 - rho
     expected = np.exp(-t * rates.phase_packed(-rho, a)) * np.exp(-(1 - rho) * big)
     np.testing.assert_allclose(g_rho, expected, rtol=1e-6)
@@ -251,9 +251,9 @@ def test_stat_rho_pieces_consistency():
 
 def test_stat_rho_pieces_rejects_wide_circle():
     a, t = 1.0, 4
-    cts = contours.build_packed_contours(a, t)
+    factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
     with pytest.raises(NumericFailure):
-        kernels.stat_rho_pieces(a, t, 0.0, 0.05, cts, np.zeros(1))
+        kernels.stat_rho_pieces(a, t, 0.0, 0.05, factors, np.zeros(1))
 
 
 @pytest.mark.parametrize("fn, xi1, xi2", [
