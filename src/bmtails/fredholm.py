@@ -337,7 +337,8 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
         def D(s):
             grid = build_grid(s, a, size)
             comps = stat_components(a, t, s, factors, grid.nodes)
-            g_rho, pair_res, pair_circ = stat_rho_pieces(a, t, s, rho, factors, grid.nodes)
+            g_rho, pair_res, pair_circ = stat_rho_pieces(
+                a, t, s, rho, factors, grid.nodes, comps.e2)
             det1, _, im = _det_core(comps.kmat, grid.weights)
             ims.append(im)
             resolvent = np.eye(size) - comps.kmat * grid.weights[None, :]

@@ -90,6 +90,7 @@ class StatComponents:
     kmat: np.ndarray      # packed kernel on nodes x nodes (complex)
     f_star: np.ndarray    # decaying rank-one factor on the nodes
     g_one: np.ndarray     # bounded rank-one factor on the nodes
+    e2: np.ndarray        # z-side exponentials e^{-xi (z+1)} on the nodes
     r_hat: float
     f_hat_t: float
 
@@ -229,13 +230,17 @@ def stat_components(a, t, s_offset, factors, nodes):
         kmat=kmat,
         f_star=f_star.real,
         g_one=g_one.real,
+        e2=e2,
         r_hat=r_hat,
         f_hat_t=s + a * t + r_hat - 1.0,
     )
 
 
-def stat_rho_pieces(a, t, s_offset, rho, factors, nodes):
+def stat_rho_pieces(a, t, s_offset, rho, factors, nodes, e2):
     """Density-rho ingredients: g_rho on the nodes and its exact tail pairing.
+
+    ``e2`` is the :class:`StatComponents` field of the same factors and
+    nodes, so the z-side exponentials are formed once per level.
 
     g_rho splits into a residue term decaying at rate 1 - rho and a contour
     term on the z-circle (the circle radius stays below rho, so the pole at
@@ -259,7 +264,6 @@ def stat_rho_pieces(a, t, s_offset, rho, factors, nodes):
     res_amp = np.exp(-t * phase_packed(-rho, a))
 
     xi = np.asarray(nodes, dtype=float)
-    e2 = np.exp(-np.multiply.outer(xi, zp1))
     g_rho = res_amp * np.exp(-(1.0 - rho) * xi) + (e2 @ (bz / (z + rho))) / _TWO_PI_I
     pair_res = res_amp * np.exp(-(1.0 - rho) * s) / (1.0 - rho)
     pair_circ_c = np.sum(bz * np.exp(-s * zp1) / (zp1 * (z + rho))) / _TWO_PI_I

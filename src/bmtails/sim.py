@@ -1,18 +1,39 @@
 """Monte Carlo simulation of Brownian particles with one-sided collisions.
 
-The system is evolved by Euler-Maruyama: each step adds independent
-Gaussian increments to every particle and then applies a running maximum
-over the particle index,
+Particle n is reflected upward off particle n-1, which is the Skorokhod
+recursion
 
-    x_n <- max(x_n + dB_n, x_{n-1}),    in increasing n,
+    x_n(t) = max(x_n(0) + B_n(t), sup_{s <= t} (x_{n-1}(s) + B_n(t) - B_n(s))),
 
-which is the exact discrete Skorokhod recursion for one-sided reflection
-off the already-updated left neighbor.  Ordering therefore holds after
-every step by construction.  Infinite systems (flat, stationary) are
-truncated a configurable number of particles below the tagged index; a
-particle m positions below the tagged one influences the upper tail only
-through a Gaussian bridge of probability about e^{-(m+at)^2/2t}, so the
-default window of 4t particles is far beyond anything measurable.
+the convention under which the packed start matches the top eigenvalue of a
+Hermitian Gaussian matrix (:func:`gue_top_sample`).  Over a step of length
+h the recursion reads
+
+    x_n(t+h) = dB_n + max(x_n(t), S),   S = sup_{t <= s <= t+h} Z(s),
+    Z(s) = x_{n-1}(s) - (B_n(s) - B_n(t)),
+
+swept in increasing n so that x_{n-1}(t+h) is already known.  The
+simulator takes Z to be a Brownian bridge of variance 2 per unit time from
+y0 = x_{n-1}(t) to y1 = x_{n-1}(t+h) - dB_n and samples its maximum
+exactly,
+
+    S = (y0 + y1 + sqrt((y1 - y0)^2 + 4 h E)) / 2,    E ~ Exp(1).
+
+The step is exact whenever the left neighbour moves freely during the
+step, so the second particle of the packed start is exact at any h.  An
+Euler step, which takes the maximum only at the grid times, reads low by
+O(sqrt(dt)); this step has no such term.  The default step is
+min(1e-2 t, 0.25), 100 steps up to t = 25: there the packed means at
+t = 2, 5, 16 and 64 lie within 1.8 standard errors of the eigenvalue law
+(4e4 to 1e5 replicas) and the flat tails within 0.8 of the determinant
+(2e5 replicas).  Ordering holds after every step by construction.
+
+Infinite systems (flat, stationary) are truncated ``cutoff`` particles
+below the tagged index, 4t by default.  The lowest particle kept moves
+freely, so the push of the missing particles is lost, and the loss spreads
+to the right as time runs.  At 4t the flat tails show no loss, but the
+stationary tail at t = 2, a = 0.25 reads about 0.004 low (4.8 to 7.9
+standard errors at 4e5 replicas) and needs a cutoff of about 6t to 8t.
 
 Replicas are split into fixed-size blocks, each with its own counter-based
 generator spawned from the configured seed.  The block layout does not
@@ -35,6 +56,7 @@ from .rates import check_a
 
 _BLOCK = 4096          # replicas per RNG stream
 _CHECK_EVERY = 4096    # steps between finiteness sweeps
+_DT_MAX = 0.25         # largest accepted step, also the default's cap
 
 _ICS = ("packed", "flat", "stationary")
 
@@ -56,9 +78,9 @@ class SimConfig:
             raise ValueError("t must be a positive integer (the tagged index)")
         object.__setattr__(self, "t", int(self.t))
         if self.dt is None:
-            object.__setattr__(self, "dt", 1e-4 * max(1, self.t))
-        if not 0.0 < self.dt <= 1e-2:
-            raise ValueError(f"dt must lie in (0, 1e-2], got {self.dt}")
+            object.__setattr__(self, "dt", min(1e-2 * self.t, _DT_MAX))
+        if not 0.0 < self.dt <= _DT_MAX:
+            raise ValueError(f"dt must lie in (0, {_DT_MAX:g}], got {self.dt}")
         if self.cutoff is None:
             object.__setattr__(self, "cutoff", 4 * self.t)
         if self.ic != "packed" and self.cutoff < 1:
@@ -107,12 +129,34 @@ def _initial_block(cfg, rng, nrep):
 def _evolve_block(cfg, seed_seq, nrep):
     """Final positions (nrep, particles) of one replica block."""
     rng = np.random.Generator(np.random.Philox(seed_seq))
-    x = _initial_block(cfg, rng, nrep)
+    # particle-major, so that each particle's replicas are contiguous
+    x = np.ascontiguousarray(_initial_block(cfg, rng, nrep).T)
+    cols = x.shape[0]
     n_steps = int(round(cfg.t / cfg.dt))
-    root_dt = np.sqrt(cfg.t / n_steps)
+    h = cfg.t / n_steps
+    root_h = np.sqrt(h)
+    new = np.empty_like(x)
     for step in range(n_steps):
-        x += root_dt * rng.standard_normal(x.shape)
-        np.maximum.accumulate(x, axis=1, out=x)
+        db = rng.standard_normal(x.shape)
+        db *= root_h
+        four_he = rng.standard_exponential((cols - 1, nrep))
+        four_he *= 4.0 * h
+        free = x + db
+        lag = x[:-1] + db[1:]         # y0 + dB_n
+        new[0] = free[0]
+        for n in range(1, cols):
+            # with d = y1 - y0, S - y1 = (sqrt(d^2 + 4hE) - d)/2 is >= 0 also
+            # in floating point, so x_n(t+h) = max(x_n(t) + dB_n,
+            # x_{n-1}(t+h) + S - y1) never falls below x_{n-1}(t+h)
+            d = new[n - 1] - lag[n - 1]
+            m = d * d
+            m += four_he[n - 1]
+            np.sqrt(m, out=m)
+            m -= d
+            m *= 0.5
+            m += new[n - 1]
+            np.maximum(free[n], m, out=new[n])
+        x, new = new, x
         if step % _CHECK_EVERY == 0 and not np.isfinite(x).all():
             raise NumericFailure(
                 "simulation produced non-finite positions",
@@ -123,7 +167,7 @@ def _evolve_block(cfg, seed_seq, nrep):
             "simulation produced non-finite positions",
             hint=f"detected at the final step ({n_steps})",
         )
-    return x
+    return x.T
 
 
 def _worker_count():
@@ -141,6 +185,13 @@ def _evolve(cfg):
     ]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(blocks))
     workers = min(_worker_count(), len(blocks))
+    # logging is already loaded with the package (fredholm logs its grids)
+    import logging
+
+    logging.getLogger("bmtails.sim").debug(
+        "%s t=%d: dt %.17g, %d steps, cutoff %d, %d blocks, %d workers",
+        cfg.ic, cfg.t, cfg.dt, int(round(cfg.t / cfg.dt)), cfg.cutoff,
+        len(blocks), workers)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(

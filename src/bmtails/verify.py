@@ -7,8 +7,8 @@ line contains timing or machine data, so repeated runs emit identical
 bytes; check 13 asserts exactly that for the fast subset.
 
 The fast subset (checks 1 to 6) covers the closed-form and contour layers
-and finishes in seconds; the remaining checks run determinants and
-simulations and take a few minutes in total.
+and finishes in about a second; the remaining checks run determinants and
+simulations, and the whole suite takes seconds.
 """
 
 from __future__ import annotations
@@ -190,7 +190,7 @@ def _check_gue_cross_validation():
     cdf = _finite_n_cdf(5, 1, -0.5, 6.5, 141)
     samples = sim.gue_top_sample(5, 1.0, 10000, seed=101)
     _, p_det = stats.kstest(samples, cdf)
-    cfg = sim.SimConfig(ic="packed", t=5, dt=1e-4, reps=10000, seed=102)
+    cfg = sim.SimConfig(ic="packed", t=5, reps=10000, seed=102)
     walkers = sim.simulate_samples(cfg).values
     eigs = sim.gue_top_sample(5, 5.0, 10000, seed=103)
     _, p_sim = stats.ks_2samp(walkers, eigs)
@@ -259,9 +259,7 @@ def _check_stationary_continuation():
 
 
 def _check_gap_stationarity():
-    cfg = sim.SimConfig(
-        ic="stationary", t=4, dt=1e-4, cutoff=48, reps=2000, seed=104
-    )
+    cfg = sim.SimConfig(ic="stationary", t=4, cutoff=48, reps=2000, seed=104)
     out = sim.stationary_gap_check(cfg)
     mean_ok = abs(out["mean_gap"] - 1.0) <= 3.0 * out["mean_gap_stderr"]
     ok = out["ks_pvalue"] > 0.01 and mean_ok

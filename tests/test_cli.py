@@ -114,6 +114,16 @@ def test_simulate_sample_dump_deterministic(capsys):
     assert len(rows) == 50
 
 
+def test_simulate_verbose_logs_the_step_and_keeps_the_output(capsys):
+    args = ("simulate", "--ic", "flat", "--t", "2", "--reps", "20", "--seed", "3")
+    code1, out1, err1 = run_cli(capsys, *args)
+    code2, out2, err2 = run_cli(capsys, *args, "--verbose")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert err1 == ""
+    assert "DEBUG: flat t=2: dt 0.02, 100 steps, cutoff 8, 1 blocks," in err2
+
+
 def test_simulate_json_summary(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--ic", "flat", "--t", "1",
                            "--dt", "0.01", "--reps", "80", "--seed", "1",

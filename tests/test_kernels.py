@@ -234,8 +234,10 @@ def test_stat_rho_pieces_consistency():
     if radius >= rho:
         circle = contours.scale_circle(circle, 0.9 * rho / radius)
     big = np.array([60.0, 80.0])
+    factors = kernels.packed_factors(a, t, (line, circle))
+    e2 = kernels.stat_components(a, t, s, factors, big).e2
     g_rho, pair_res, pair_circ = kernels.stat_rho_pieces(
-        a, t, s, rho, kernels.packed_factors(a, t, (line, circle)), big)
+        a, t, s, rho, factors, big, e2)
     # residue part dominates the tail of g_rho with decay rate 1 - rho
     expected = np.exp(-t * rates.phase_packed(-rho, a)) * np.exp(-(1 - rho) * big)
     np.testing.assert_allclose(g_rho, expected, rtol=1e-6)
@@ -253,7 +255,8 @@ def test_stat_rho_pieces_rejects_wide_circle():
     a, t = 1.0, 4
     factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
     with pytest.raises(NumericFailure):
-        kernels.stat_rho_pieces(a, t, 0.0, 0.05, factors, np.zeros(1))
+        kernels.stat_rho_pieces(a, t, 0.0, 0.05, factors, np.zeros(1),
+                                np.ones((1, 1)))
 
 
 @pytest.mark.parametrize("fn, xi1, xi2", [

@@ -6,6 +6,9 @@ from scipy import stats
 
 from bmtails import fredholm, sim
 
+# replicas of the cross-checks that resolve the time-step bias
+BIAS_REPS = 100_000
+
 # mean of the top eigenvalue of the 2 x 2 Hermitian Gaussian ensemble with
 # unit entry variance, from the explicit two-point eigenvalue density
 TOP_EIG_MEAN_2 = 1.1283791670955126  # 2 / sqrt(pi)
@@ -13,9 +16,12 @@ TOP_EIG_MEAN_2 = 1.1283791670955126  # 2 / sqrt(pi)
 
 def test_config_defaults():
     cfg = sim.SimConfig(ic="flat", t=3)
-    assert cfg.dt == pytest.approx(3e-4)
+    assert cfg.dt == pytest.approx(3e-2)
     assert cfg.cutoff == 12
     assert cfg.rho == 1.0
+    # the default step is capped at the largest accepted one
+    assert sim.SimConfig(ic="packed", t=64).dt == 0.25
+    assert sim.SimConfig(ic="packed", t=1, dt=0.25).dt == 0.25
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -197,3 +203,35 @@ def test_tail_estimate_matches_determinant():
     exact = 1.0 - fredholm.prob_packed(2, 0.4).p
     assert stderr > 0
     assert abs(p_hat - exact) < 3 * stderr
+
+
+# Cross-checks at the default step, with enough replicas to expose an
+# O(sqrt(dt)) bias: an Euler step with the maximum taken only at the grid
+# times reads the packed t = 5 mean 0.09 low even at dt = 5e-4.
+
+def test_packed_mean_matches_top_eigenvalue_at_default_step():
+    cfg = sim.SimConfig(ic="packed", t=5, reps=BIAS_REPS, seed=31)
+    x = sim.simulate_samples(cfg).values
+    eigs = np.concatenate([sim.gue_top_sample(5, 5.0, BIAS_REPS // 10, seed=32 + k)
+                           for k in range(10)])
+    se = np.hypot(x.std(ddof=1) / np.sqrt(x.size), eigs.std(ddof=1) / np.sqrt(eigs.size))
+    assert abs(x.mean() - eigs.mean()) < 3 * se
+
+
+def test_flat_tail_matches_determinant_at_default_step():
+    # an Euler step at dt = 2e-4 reads this tail about 0.003 low, which
+    # BIAS_REPS replicas do not resolve
+    cfg = sim.SimConfig(ic="flat", t=2, reps=4 * BIAS_REPS, seed=33)
+    p_hat, stderr = sim.tail_estimate(cfg, 0.25)
+    exact = 1.0 - fredholm.prob_flat(2, 0.25).p
+    assert abs(p_hat - exact) < 3 * stderr
+
+
+def test_second_particle_mean_exact_at_coarsest_step():
+    """The bridge step is exact when the left neighbour moves freely, so
+    x_2(t) of the packed start, the top eigenvalue of a 2 x 2 matrix with
+    mean 2 sqrt(t/pi), needs no small step."""
+    cfg = sim.SimConfig(ic="packed", t=2, dt=0.25, reps=BIAS_REPS, seed=34)
+    x = sim.simulate_samples(cfg).values
+    se = x.std(ddof=1) / np.sqrt(x.size)
+    assert abs(x.mean() - TOP_EIG_MEAN_2 * np.sqrt(2.0)) < 3 * se
