@@ -51,6 +51,7 @@ _CONVERT = {
     "grid_size": int,
     "a": float, "a_min": float, "a_max": float, "dt": float, "rho": float,
     "fast": lambda raw: {"true": True, "false": False}[raw.lower()],
+    "format": lambda raw: {"csv": "csv", "json": "json"}[raw],
 }
 
 _KNOWN_KEYS = frozenset().union(*(d.keys() for d in _DEFAULTS.values()))

@@ -7,8 +7,8 @@ Every contour the kernels integrate over is laid out here:
 * a circle of signed radius r, equispaced in the angle from -pi and
   traversed counterclockwise, so theta = 0 sits at r on the real axis,
 * the Lambert spiral gamma(tau) solving gamma e^gamma = z_a e^{z_a + 2 pi i
-  tau}, which starts at the flat saddle z_a and hops Lambert branches each
-  time tau crosses an integer.
+  tau}, which starts at the flat saddle z_a and steps to the next Lambert
+  branch each time tau crosses an integer.
 
 The saddle contours of the packed phase H are the line through the left
 saddle w- and the circle of radius |w+| through the right saddle w+ on the
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericFailure
-from .lambertw import lambert_w, solve_wexpw
+from .lambertw import lambert_w
 from .rates import check_a, flat_curvature, phase_packed_d2, saddle_points, solve_za
 
 # e^{t * phase} below this, relative to the saddle, is cut off the packed
@@ -174,43 +174,44 @@ def build_raw_contours(n, t, xi1, xi2, c, r, oversample):
 def build_flat_contour(a, cfg=None, z_a=None):
     """The Lambert spiral through the flat saddle z_a, truncated at tau_max.
 
-    Marches tau outward from 0 in steps 1/points_per_unit.  Each node is the
-    Halley solution of gamma e^gamma = z_a e^{z_a + 2 pi i tau} seeded by an
-    Euler predictor from the previous node, which follows the analytic
-    continuation straight through the branch switches at integer tau.  The
-    tau < 0 half is the complex conjugate by symmetry of the pre-image.
+    Nodes sit at tau = j / points_per_unit: gamma_0 = z_a = W_{-1}(z_a e^{z_a})
+    and gamma_j = W_k(z_a e^{z_a + 2 pi i tau}) with k = ceil(tau) for j >= 1,
+    since under the branch cuts of Corless et al. the spiral enters W_1 once
+    tau > 0 and W_{k+1} once tau passes each integer k.  The tau < 0 half is
+    the complex conjugate by symmetry of the pre-image.
     """
     a = check_a(a)
     cfg = cfg or ContourConfig()
     if z_a is None:
         z_a = solve_za(a)
 
-    h = 1.0 / cfg.points_per_unit
-    n_steps = int(np.round(cfg.tau_max * cfg.points_per_unit))
+    ppu = cfg.points_per_unit
+    h = 1.0 / ppu
+    n_steps = int(np.round(cfg.tau_max * ppu))
     base = z_a * np.exp(z_a)
-
-    gam = np.empty(n_steps + 1, dtype=complex)
-    gam[0] = z_a
-    for j in range(n_steps):
-        g = gam[j]
-        tangent = 2j * np.pi * g / (1.0 + g)
-        target = base * np.exp(2j * np.pi * (j + 1) * h)
-        gam[j + 1] = solve_wexpw(target, g + h * tangent)
-        gap = abs(gam[j + 1] - g)
-        local = abs(tangent) * h
-        if gap > 10.0 * local + 1e-9:
-            raise NumericFailure(
-                "flat contour lost continuity across a branch switch",
-                last=gam[j + 1],
-                residual=gap,
-                hint=f"offending tau = {(j + 1) * h:.6f}; raise points_per_unit",
-            )
+    j = np.arange(1, n_steps + 1)
+    branch = -(-j // ppu)
+    # the argument turned back by whole turns to (-1, 0]; at 0 it lies on the
+    # negative real axis, where W_k takes its value from above
+    turn = (j - ppu * branch) * h
+    gam = np.concatenate([[z_a], lambert_w(branch, base * np.exp(2j * np.pi * turn))])
 
     tau = np.concatenate([-h * np.arange(n_steps, 0, -1), h * np.arange(n_steps + 1)])
     nodes = np.concatenate([np.conj(gam[n_steps:0:-1]), gam])
     weights = (2j * np.pi * nodes / (1.0 + nodes)) * h
     weights[0] *= 0.5
     weights[-1] *= 0.5
+    # a node off its branch jumps far beyond the tangent step |weight| before it
+    gap = np.abs(np.diff(gam))
+    jump = gap > 10.0 * np.abs(weights[n_steps:-1]) + 1e-9
+    if jump.any():
+        first = int(np.argmax(jump))
+        raise NumericFailure(
+            "flat contour lost continuity across a branch switch",
+            last=gam[first + 1],
+            residual=float(gap[first]),
+            hint=f"offending tau = {(first + 1) * h:.6f}; raise points_per_unit",
+        )
     # |z_a e^{z_a}| < 1/e, so the pre-image circle avoids the branch point
     # and the principal branch is smooth along it.
     return ContourPath(
@@ -221,14 +222,14 @@ def build_flat_contour(a, cfg=None, z_a=None):
     )
 
 
-def flat_contour_cfg(a, t, cfg=None, z_a=None):
-    """The configuration :func:`flat_contour_for` builds the spiral with.
+def flat_contour_for(a, t, cfg=None, z_a=None):
+    """Lambert spiral dense enough for the time-t phase e^{tG}.
 
     The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
     the configured density is raised accordingly, and the spiral is trimmed
     where e^{tG} falls below 1e-12 of its saddle value.  Once
     16 sqrt(t |eta|) exceeds points_per_unit the density is set by t alone,
-    and doubling points_per_unit returns the same configuration.
+    and doubling points_per_unit returns the same spiral.
     """
     a = check_a(a)
     t = _check_time(t)
@@ -239,12 +240,7 @@ def flat_contour_cfg(a, t, cfg=None, z_a=None):
     ppu = max(cfg.points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
     tau_max = min(cfg.tau_max, max(0.5, span))
-    return replace(cfg, points_per_unit=ppu, tau_max=tau_max)
-
-
-def flat_contour_for(a, t, cfg=None, z_a=None):
-    """Lambert spiral dense enough for the time-t phase e^{tG}."""
-    return build_flat_contour(a, flat_contour_cfg(a, t, cfg, z_a=z_a), z_a=z_a)
+    return build_flat_contour(a, replace(cfg, points_per_unit=ppu, tau_max=tau_max), z_a=z_a)
 
 
 @dataclass(frozen=True)

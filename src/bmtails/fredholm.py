@@ -25,8 +25,7 @@ together until successive values agree, reports the last change as the
 refinement delta, and checks the imaginary residue and the [0, 1] range.
 The flat spiral's density is bound to t rather than to the scale once t
 is large enough (see :func:`prob_flat`); there the flat refinement delta
-refines only the Nystrom grid, and one spiral serves every grid size of
-the call.
+refines only the Nystrom grid.
 The stationary law needs an s-derivative; it is taken by central
 differences with one Richardson extrapolation, and the two step sizes
 must agree or the evaluation is rejected.  The contour weights and the
@@ -53,9 +52,8 @@ from .contours import (
     ContourConfig,
     _check_finite,
     _check_time,
-    build_flat_contour,
     build_packed_contours,
-    flat_contour_cfg,
+    flat_contour_for,
     scale_circle,
 )
 from .errors import NumericFailure
@@ -73,6 +71,8 @@ from .rates import check_a, rate_flat, rate_packed, solve_za
 log = logging.getLogger("bmtails.fredholm")
 
 _CLAMP = 1e-9
+# refinement stops once p moves by less than this between grid sizes
+_TARGET = 1e-9
 # below this a probability that fails the imaginary-residue gate is not
 # resolved by the determinant at all
 _UNRESOLVED_P = 1e-12
@@ -161,8 +161,8 @@ def _det_core(kmat, weights):
     return det, log_survival, im
 
 
-def _solve(what, evaluate, size0, target, max_size):
-    """Double (size, scale) from (size0, 1) until p moves by less than target.
+def _solve(what, evaluate, size0, max_size):
+    """Double (size, scale) from (size0, 1) until p moves by less than _TARGET.
 
     evaluate returns ((p, log_survival, im_residue), grid).  Each grid size
     is logged at DEBUG level, which gives the refinement history.
@@ -173,7 +173,7 @@ def _solve(what, evaluate, size0, target, max_size):
         delta = np.inf if prev is None else abs(result[0] - prev[0])
         log.debug("%s: grid size %d, p %.17g, log_survival %.17g, delta %.3e, "
                   "im residue %.3e", what, size, result[0], result[1], delta, result[2])
-        if delta < target or 2 * size > max_size:
+        if delta < _TARGET or 2 * size > max_size:
             break
         prev = result
         size *= 2
@@ -223,33 +223,28 @@ def prob_packed(t, a, *, s_offset=0.0, grid_size=48):
         kmat = khat_packed_grid(grid.nodes, grid.nodes, factors)
         return _det_core(kmat, grid.weights), grid
 
-    return _solve("prob_packed", evaluate, grid_size, 1e-9, 384)
+    return _solve("prob_packed", evaluate, grid_size, 384)
 
 
 def prob_flat(t, a, *, s_offset=0.0, grid_size=48):
     """P(x_t(t) <= 2t + at + s_offset) under the flat start.
 
-    The spiral's density is set by t once 16 sqrt(t |eta|) exceeds the
-    scaled points_per_unit (:func:`contours.flat_contour_cfg`), so then the
-    refinement delta measures only the Nystrom grid.  Each distinct spiral
-    configuration is built once per call.
+    The spiral's density is set by t once 16 sqrt(t |eta|) exceeds the scaled
+    points_per_unit (:func:`contours.flat_contour_for`), so then the
+    refinement delta measures only the Nystrom grid.
     """
     a = check_a(a)
     t = float(t)
     z_a = solve_za(a)
     decay = abs(z_a + 1.0)
-    spirals = {}  # ContourConfig -> spiral, for this call only
 
     def evaluate(size, scale):
-        cfg = flat_contour_cfg(a, t, _contour_cfg(scale), z_a=z_a)
-        if cfg not in spirals:
-            spirals[cfg] = build_flat_contour(a, cfg, z_a=z_a)
-        path = spirals[cfg]
+        path = flat_contour_for(a, t, _contour_cfg(scale), z_a=z_a)
         grid = build_grid(s_offset, decay, size)
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights), grid
 
-    return _solve("prob_flat", evaluate, grid_size, 1e-9, 384)
+    return _solve("prob_flat", evaluate, grid_size, 384)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +304,7 @@ def prob_stat(t, a, h=None, *, grid_size=48):
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return (deriv, logs, max(ims)), build_grid(0.0, a, size)
 
-    return _solve("prob_stat", evaluate, grid_size, 1e-9, 192)
+    return _solve("prob_stat", evaluate, grid_size, 192)
 
 
 def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
@@ -353,7 +348,7 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return (p, logs, max(ims)), build_grid(0.0, a, size)
 
-    return _solve("prob_stat_rho", evaluate, grid_size, 1e-9, 192)
+    return _solve("prob_stat_rho", evaluate, grid_size, 192)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +398,7 @@ def prob_finite_n(n, t, s):
         # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
         return _det_core((right.T * grid.weights) @ left, np.ones(n)), grid
 
-    return _solve("prob_finite_n", evaluate, 64, 1e-9, 512)
+    return _solve("prob_finite_n", evaluate, 64, 512)
 
 
 # ---------------------------------------------------------------------------

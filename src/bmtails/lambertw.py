@@ -1,18 +1,19 @@
 """Multi-branch Lambert W and the left-to-right collision map phi.
 
-The Lambert W function solves w*exp(w) = z.  Branch k is selected through
-the usual logarithmic shift log(z) + 2*pi*i*k in the starting guess; near
-the branch point z = -1/e a square-root series seeds the iteration instead,
-and for large |z| the two-term asymptotic log(z) - log(log(z)) is used.
-Iterations are Halley steps on f(w) = w*exp(w) - z, run until
-|w e^w - z| <= 1e-13 (1 + |z|) for every entry; the tolerance and the
-iteration cap are fixed, since no caller needs other values.
+The Lambert W function solves w*exp(w) = z.  lambert_w is
+scipy.special.lambertw with the branch cuts of Corless et al., Adv.
+Comput. Math. 5 (1996), broadcast over an array of branches, plus the
+argument checks and an exact -1 at the branch point z = -1/e.
+solve_wexpw is a Halley iteration on f(w) = w*exp(w) - z from an explicit
+seed, run until |w e^w - z| <= 1e-13 (1 + |z|): it follows whichever
+sheet the seed lies on, which makes it a reference for analytic
+continuation.
 
 phi maps a real z < -1 to the conjugate solution of w*exp(w) = z*exp(z)
-inside (-1, 0); on z >= -1 it is the identity.  Within 1e-3 below z = -1,
-where that equation has a double root and loses half the digits, phi is
-taken from its reflection series instead.  It shows up as the image of
-the steep-descent variable in the flat-start kernel, so its derivative
+inside (-1, 0); on z >= -1 it is the identity.  Within 0.12 below z = -1,
+where that equation has a double root and loses digits, phi is taken
+from its reflection series instead.  It shows up as the image of the
+steep-descent variable in the flat-start kernel, so its derivative
 identity phi'(z) * z * (1 + phi) = (1 + z) * phi is exposed as well.
 """
 
@@ -20,18 +21,26 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import lambertw
 
 from .errors import NumericFailure, SingularityError
 
-_EM1 = np.exp(-1.0)          # 1/e
-_BP_SNAP = 1e-12             # snap-to-branch-point radius
-_BP_SERIES = 0.25            # use the square-root series inside this radius
-_PHI_SERIES = 1e-3           # phi(-1 - eps) from its reflection series for eps <= this
+_EM1 = np.exp(-1.0)         # 1/e
+_BP_SNAP = 1e-12            # snap-to-branch-point radius
+_PHI_SERIES = 0.12          # phi(-1 - eps) from its reflection series for eps <= this
 # phi(-1 - eps) = -1 + eps (1 - 2 eps/3 + 4 eps^2/9 - ...), highest power first;
-# the first omitted term is 7648 eps^7 / 42525 < 2e-22 inside the window
-_PHI_COEFFS = (-40.0 / 189.0, 104.0 / 405.0, -44.0 / 135.0, 4.0 / 9.0, -2.0 / 3.0, 1.0)
-_RTOL = 1e-13                # every solve meets |w e^w - z| <= _RTOL (1 + |z|)
-_MAX_ITER = 100              # Halley steps before a solve is declared failed
+# the first omitted term is 8407858707080704 eps^18 / 125364292963284375 < 2e-18
+# inside the window
+_PHI_COEFFS = (
+    886909037097472.0 / 12463116844303125.0, -314833934543872.0 / 4154372281434375.0,
+    11547336704.0 / 142492618125.0, -9352282112.0 / 107417512125.0,
+    893393408.0 / 9499507875.0, -1441952704.0 / 14105329875.0,
+    89072576.0 / 795685275.0, -23429344.0 / 189448875.0,
+    31712.0 / 229635.0, -2848.0 / 18225.0, 7648.0 / 42525.0,
+    -40.0 / 189.0, 104.0 / 405.0, -44.0 / 135.0, 4.0 / 9.0, -2.0 / 3.0, 1.0,
+)
+_RTOL = 1e-13               # every solve meets |w e^w - z| <= _RTOL (1 + |z|)
+_MAX_ITER = 100             # Halley steps before a solve is declared failed
 
 
 def _halley(z, w):
@@ -65,112 +74,51 @@ def _halley(z, w):
     )
 
 
-def _seed(k, z):
-    """Branch-aware starting guesses (vectorized in z)."""
-    z = np.asarray(z, dtype=complex)
-    w = np.empty_like(z)
-
-    near_bp = np.abs(z + _EM1) <= _BP_SERIES
-    p2 = 2.0 * (np.e * z + 1.0)
-    p = np.sqrt(p2)
-    if k == 0:
-        ser = -1.0 + p - p2 / 6.0 + 11.0 / 72.0 * p * p2
-        small = (np.abs(z) < 0.8) & ~near_bp
-        big = ~near_bp & ~small
-        w[near_bp] = ser[near_bp]
-        w[small] = z[small] * (1.0 - z[small])
-        if big.any():
-            zb = z[big]
-            lz = np.log(zb)
-            # log z - log log z misbehaves when log z is small (z near 1);
-            # there log(1 + z) is a safe principal-branch guess instead
-            tame = np.abs(lz) < 1.0
-            wb = np.empty_like(zb)
-            wb[tame] = np.log(1.0 + zb[tame])
-            wb[~tame] = lz[~tame] - np.log(lz[~tame])
-            w[big] = wb
-        return w
-
-    # the sheets k = 1 (from below) and k = -1 (from above / real axis)
-    # also touch the branch point; the series with the opposite root sign
-    # starts on the correct side
-    use_ser = near_bp & (
-        ((k == -1) & (z.imag >= 0.0)) | ((k == 1) & (z.imag < 0.0))
-    )
-    ser = -1.0 - p - p2 / 6.0 - 11.0 / 72.0 * p * p2
-    lz = np.log(np.where(z == 0.0, 1.0, z)) + 2j * np.pi * k
-    w[:] = lz - np.log(lz)
-    w[use_ser] = ser[use_ser]
-    if k == -1:
-        # real W_-1 on (-1/e, 0): seed and converge on the real line
-        real_neg = (z.imag == 0.0) & (z.real < 0.0) & (z.real >= -_EM1) & ~use_ser
-        if real_neg.any():
-            x = z[real_neg].real
-            lx = np.log(-x)
-            w[real_neg] = lx - np.log(-lx)
-    return w
-
-
 def lambert_w(k, z):
     """Branch k of the Lambert W function at complex z.
 
     Parameters
     ----------
-    k : int
-        Branch index.
+    k : int or array_like of int
+        Branch index, broadcast against z.
     z : complex or array_like
         Argument(s); must be finite.  z = 0 is only valid on branch 0.
 
     Returns
     -------
     complex or ndarray
-        The result satisfies |w e^w - z| <= 1e-13 (1 + |z|).  Real inputs
+        scipy.special.lambertw, except that within 1e-12 of -1/e, where
+        scipy returns NaN, branches 0 and -1 give exactly -1.  Real inputs
         on branch 0 (z >= -1/e) and branch -1 (-1/e <= z < 0) give results
         with zero imaginary part.
     """
-    if not isinstance(k, (int, np.integer)):
+    k_arr = np.asarray(k)
+    if not np.issubdtype(k_arr.dtype, np.integer):
         raise ValueError(f"branch index must be an integer, got {k!r}")
-    k = int(k)
-    z_arr = np.atleast_1d(np.asarray(z, dtype=complex))
-    scalar = np.isscalar(z) or np.asarray(z).ndim == 0
+    z_arr = np.asarray(z, dtype=complex)
     if not np.isfinite(z_arr).all():
         raise ValueError("lambert_w requires finite arguments")
-    if k != 0 and (z_arr == 0).any():
-        raise ValueError(f"W_{k}(0) is not finite")
+    k_arr, z_arr = np.broadcast_arrays(k_arr, z_arr)
+    at_zero = (k_arr != 0) & (z_arr == 0)
+    if at_zero.any():
+        raise ValueError(f"W_{int(k_arr[at_zero][0])}(0) is not finite")
 
-    out = np.empty_like(z_arr)
-    snap = (np.abs(z_arr + _EM1) <= _BP_SNAP) & (k in (0, -1))
-    out[snap] = -1.0
-
-    rest = ~snap
-    if rest.any():
-        zr = z_arr[rest]
-        real_line = zr.imag == 0.0
-        if k == 0:
-            real_line &= zr.real >= -_EM1
-        elif k == -1:
-            real_line &= (zr.real >= -_EM1) & (zr.real < 0.0)
-        else:
-            real_line &= False
-        vals = np.empty_like(zr)
-        if real_line.any():
-            x = zr[real_line]
-            w0 = _seed(k, x)
-            vals[real_line] = _halley(x.real, w0.real)
-        if (~real_line).any():
-            x = zr[~real_line]
-            vals[~real_line] = _halley(x, _seed(k, x))
-        out[rest] = vals
-
-    return complex(out[0]) if scalar else out.reshape(np.shape(z))
+    w = lambertw(z_arr, k_arr)
+    x = z_arr.real
+    real_line = (z_arr.imag == 0.0) & (x >= -_EM1) & ((k_arr == 0) | ((k_arr == -1) & (x < 0.0)))
+    w = np.where(real_line, w.real, w)
+    snap = (np.abs(z_arr + _EM1) <= _BP_SNAP) & ((k_arr == 0) | (k_arr == -1))
+    w = np.where(snap, -1.0, w)
+    return complex(w) if w.ndim == 0 else w
 
 
 def solve_wexpw(target, seed):
     """Solve w*exp(w) = target starting from an explicit seed.
 
     Continuation helper: no branch logic, the iteration lands on whichever
-    sheet the seed belongs to, to the residual lambert_w meets.  Used to
-    trace contours through branch switches node by node.
+    sheet the seed belongs to, with |w e^w - target| <= 1e-13 (1 + |target|).
+    Tracing a contour node by node with it gives a reference for the
+    branch each node of the contour lies on.
     """
     return _halley(target, seed)
 
@@ -179,7 +127,7 @@ def _phi_reflection(eps):
     """phi(-1 - eps) for 0 < eps <= _PHI_SERIES from its series in eps.
 
     w e^w = z e^z has a double root at w = z = -1, so solving it for z just
-    below -1 loses half the digits; the series in eps keeps them all.
+    below -1 loses digits in proportion to 1/eps; the series keeps them all.
     """
     return -1.0 + eps * np.polyval(_PHI_COEFFS, eps)
 
@@ -204,7 +152,7 @@ def phi(z):
             target = xb * np.exp(xb)
             w = lambert_w(0, target).real
             ew = np.exp(w)
-            # one Newton polish; w + 1 is of order 1e-3 or more out here
+            # one Newton polish; w + 1 is of order 0.1 or more out here
             w -= (w * ew - target) / (ew * (w + 1.0))
             out[far] = w
         return out

@@ -43,6 +43,7 @@ blocks run sequentially or on a thread pool.
 
 from __future__ import annotations
 
+import logging
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -53,6 +54,8 @@ import numpy as np
 
 from .errors import NumericFailure
 from .rates import check_a
+
+log = logging.getLogger("bmtails.sim")
 
 _BLOCK = 4096          # replicas per RNG stream
 _CHECK_EVERY = 4096    # steps between finiteness sweeps
@@ -185,10 +188,7 @@ def _evolve(cfg):
     ]
     seeds = np.random.SeedSequence(cfg.seed).spawn(len(blocks))
     workers = min(_worker_count(), len(blocks))
-    # logging is already loaded with the package (fredholm logs its grids)
-    import logging
-
-    logging.getLogger("bmtails.sim").debug(
+    log.debug(
         "%s t=%d: dt %.17g, %d steps, cutoff %d, %d blocks, %d workers",
         cfg.ic, cfg.t, cfg.dt, int(round(cfg.t / cfg.dt)), cfg.cutoff,
         len(blocks), workers)

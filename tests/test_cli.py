@@ -173,6 +173,17 @@ def test_config_bad_syntax(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["rates", "prob"])
+def test_config_bad_format_rejected(capsys, tmp_path, command):
+    # a config value skips argparse's choices, so it is checked on reading
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = xml\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "bad config value for 'format'" in err
+
+
 def test_missing_required_parameter(capsys):
     code, _, err = run_cli(capsys, "prob", "--ic", "packed", "--t", "4")
     assert code == 2

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bmtails import contours, rates
+from bmtails.errors import NumericFailure
+from bmtails.lambertw import solve_wexpw
 from bmtails.rates import _g_vals, _h_vals
 
 
@@ -113,6 +115,55 @@ def test_flat_march_accuracy_survives_coarse_stepping():
     np.testing.assert_allclose(
         np.abs(path.nodes * np.exp(path.nodes)), level, rtol=1e-8
     )
+
+
+def _continued_spiral(z_a, ppu, n_steps):
+    """The tau >= 0 half of the spiral traced node by node: an Euler predictor
+    along gamma' = 2 pi i gamma / (1 + gamma), then a Halley solve from it,
+    which stays on the predictor's sheet through every branch switch."""
+    base = z_a * np.exp(z_a)
+    gam = [complex(z_a)]
+    for j in range(1, n_steps + 1):
+        g = gam[-1]
+        seed = g + 2j * np.pi * g / (1.0 + g) / ppu
+        gam.append(complex(solve_wexpw(base * np.exp(2j * np.pi * j / ppu), seed)))
+    return np.array(gam)
+
+
+@pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("ppu", [8, 64, 392])
+def test_flat_spiral_branches_match_continuation(a, ppu):
+    # gamma_j = W_ceil(tau_j) lands every node, integer tau included, on
+    # the sheet that analytic continuation from z_a reaches
+    cfg = contours.ContourConfig(points_per_unit=ppu, tau_max=6.0)
+    path = contours.build_flat_contour(a, cfg=cfg)
+    z_a = rates.solve_za(a)
+    n = 6 * ppu
+    assert path.nodes[n] == z_a
+    ref = _continued_spiral(z_a, ppu, n)
+    np.testing.assert_allclose(path.nodes[n:], ref, rtol=1e-10, atol=0)
+    # the target phase reduced by whole turns first, so that it carries no
+    # rounding of 2 pi tau at large tau
+    j = np.arange(-n, n + 1)
+    zeta = z_a * np.exp(z_a) * np.exp(2j * np.pi * np.mod(j, ppu) / ppu)
+    resid = np.abs(path.nodes * np.exp(path.nodes) - zeta)
+    assert np.all(resid <= 1e-14 * np.abs(zeta))
+
+
+def test_flat_spiral_guard_catches_a_wrong_branch(monkeypatch):
+    true_w = contours.lambert_w
+
+    def off_by_one(k, z):
+        k = np.array(k)
+        if k.ndim:
+            k[167] += 1  # tau = 168/64 put on the next sheet
+        return true_w(k, z)
+
+    monkeypatch.setattr(contours, "lambert_w", off_by_one)
+    cfg = contours.ContourConfig(points_per_unit=64, tau_max=4.0)
+    with pytest.raises(NumericFailure, match="lost continuity") as info:
+        contours.build_flat_contour(1.0, cfg=cfg)
+    assert "offending tau = 2.625000" in info.value.hint
 
 
 def test_paths_are_frozen_and_finite():

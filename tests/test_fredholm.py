@@ -271,24 +271,6 @@ def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
     assert len(outers) == len(set(sizes))
 
 
-@pytest.mark.parametrize("t, a, nodes", [
-    (4.0, 1.0, [477]),         # the density is set by t: one spiral serves both grids
-    (0.1, 1.0, [493, 985]),    # the density follows the scale: two spirals
-])
-def test_prob_flat_builds_each_spiral_once(monkeypatch, t, a, nodes):
-    built = []
-    build = fredholm.build_flat_contour
-
-    def spy(*args, **kwargs):
-        path = build(*args, **kwargs)
-        built.append(path.nodes.size)
-        return path
-
-    monkeypatch.setattr(fredholm, "build_flat_contour", spy)
-    assert fredholm.prob_flat(t, a).grid.size == 96
-    assert built == nodes
-
-
 def test_solve_logs_each_grid_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
         res = fredholm.prob_packed(4, 1.0)
@@ -337,7 +319,7 @@ def _unit_pairing_det(scale):
         kmat = scale * np.exp(-grid.nodes)[None, :] * np.ones((size, 1))
         return fredholm._det_core(kmat, grid.weights), grid
 
-    return fredholm._solve("unit pairing", evaluate, 48, 1e-9, 96)
+    return fredholm._solve("unit pairing", evaluate, 48, 96)
 
 
 def test_clamp_negative_roundoff(caplog):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.special
 
 from bmtails.lambertw import lambert_w, phi, phi_prime, solve_wexpw
 
@@ -22,12 +21,33 @@ def test_defining_identity_on_random_points(branch):
     assert np.all(resid <= 1e-12 * (1.0 + np.abs(z)))
 
 
+def _mp_lambert(k, z):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        return np.array([complex(mpmath.lambertw(mpmath.mpc(v.real, v.imag), int(b)))
+                         for b, v in np.broadcast(k, z)])
+
+
 @pytest.mark.parametrize("branch", [-2, -1, 0, 1, 2])
-def test_agrees_with_scipy(branch):
-    z = sample_box(11, 4_000)
+def test_agrees_with_mpmath(branch):
+    z = sample_box(11, 200)
     w = lambert_w(branch, z)
-    ref = scipy.special.lambertw(z, k=branch)
-    np.testing.assert_allclose(w, ref, rtol=1e-10, atol=1e-10)
+    np.testing.assert_allclose(w, _mp_lambert(branch, z), rtol=1e-14, atol=0)
+
+
+def test_array_of_branches_broadcasts():
+    z = sample_box(13, 40)
+    k = np.arange(-3, 4)[:, None]
+    w = lambert_w(k, z)
+    assert w.shape == (7, z.size)
+    np.testing.assert_allclose(w.ravel(), _mp_lambert(k, z), rtol=1e-14, atol=0)
+    np.testing.assert_array_equal(w[3], lambert_w(0, z))
+    # one argument on several branches, and W_k(0) named by its branch
+    np.testing.assert_array_equal(lambert_w(np.array([-1, 0]), -EM1), [-1.0, -1.0])
+    with pytest.raises(ValueError, match="W_2"):
+        lambert_w(np.array([0, 2]), 0.0)
+    with pytest.raises(ValueError, match="integer"):
+        lambert_w(np.array([0.0, 1.0]), 1.0)
 
 
 def test_known_values():
@@ -108,8 +128,19 @@ def test_phi_reflection_series_against_mpmath(k):
     assert abs(phi(np.array([z]))[0] - ref) <= 2e-16
 
 
+def test_phi_both_paths_against_mpmath():
+    # series inside eps <= 0.12, the Lambert / bracketed solve outside it
+    mpmath = pytest.importorskip("mpmath")
+    z = -1.0 - np.logspace(-12, 0, 200)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.re(mpmath.lambertw(mpmath.mpf(v) * mpmath.exp(v))))
+                        for v in z])
+    np.testing.assert_allclose(phi(z), ref, rtol=0, atol=2e-15)
+    np.testing.assert_allclose([phi(float(v)) for v in z], ref, rtol=0, atol=2e-15)
+
+
 def test_solve_wexpw_tracks_seed_branch():
-    # continuation solve used by the flat contour: target just off the real
+    # the continuation solve behind the spiral tests: target just off the real
     # locus, seeded with the real solution, must stay on the same sheet
     z0 = -2.4
     target = z0 * np.exp(z0) * np.exp(0.05j)
