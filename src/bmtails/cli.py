@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import fredholm, rates, sim, verify
+from . import fredholm, rates, sim
 from .errors import NumericFailure
 
 log = logging.getLogger("bmtails.cli")
@@ -298,6 +298,9 @@ def _cmd_figure1(ns):
 
 
 def _cmd_verify(ns):
+    # verify pulls in scipy.stats and scipy.interpolate, which no other command needs
+    from . import verify
+
     buf = io.StringIO()
     failures = verify.run(fast=bool(ns.fast), stream=buf)
     _emit(buf.getvalue(), ns.out)

@@ -201,9 +201,10 @@ def build_flat_contour(a, cfg=None, z_a=None):
     weights = (2j * np.pi * nodes / (1.0 + nodes)) * h
     weights[0] *= 0.5
     weights[-1] *= 0.5
-    # a node off its branch jumps far beyond the tangent step |weight| before it
+    # a step along the spiral never exceeds its tangent step |weight|; a node off
+    # its branch jumps by about 2 pi, 8 tangent steps even at 8 points per unit
     gap = np.abs(np.diff(gam))
-    jump = gap > 10.0 * np.abs(weights[n_steps:-1]) + 1e-9
+    jump = gap > 2.0 * np.abs(weights[n_steps:-1]) + 1e-9
     if jump.any():
         first = int(np.argmax(jump))
         raise NumericFailure(

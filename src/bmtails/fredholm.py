@@ -5,13 +5,11 @@ Nystrom method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes
 u in (0,1) are mapped to xi = s - log(1-u)/d, which absorbs the proven
 exponential kernel decay (rate a for the packed and stationary kernels,
 |z_a + 1| for the flat one) so grids of a few dozen nodes converge.
-Determinants are computed from the eigenvalues of the weighted kernel
-matrix as
-
-    log det = sum_i log(1 - lambda_i),    survival = -expm1(log det),
-
-which keeps full relative precision for survivals as small as 1e-15;
-forming 1 - det directly would lose them to cancellation.
+With M = W^1/2 K W^1/2, log det(I - M) comes from LU while the survival
+|1 - det| is at least 1e-2, where LU's absolute error of about N eps is
+about 1e-12 relative.  Smaller survivals, which 1 - det would lose to
+cancellation, come from the trace series -sum_j tr(M^j)/j, whose terms keep
+their relative precision; it needs ||M||_F < 1/2, or NumericFailure is raised.
 
 The finite-index route works with a kernel of rank n, given as factors
 K = L R^T with n columns each (see :func:`kernels.raw_kernel_grid`).  By
@@ -71,6 +69,10 @@ from .rates import check_a, rate_flat, rate_packed, solve_za
 log = logging.getLogger("bmtails.fredholm")
 
 _CLAMP = 1e-9
+# _det_core's routes: LU's log det down to this survival, the trace series below
+_LU_SURVIVAL = 1e-2
+_SERIES_NORM = 0.5
+_SERIES_TERMS = 64
 # refinement stops once p moves by less than this between grid sizes
 _TARGET = 1e-9
 # below this a probability that fails the imaginary-residue gate is not
@@ -124,39 +126,37 @@ def build_grid(s, decay_rate, size):
     return QuadGrid(nodes=nodes, weights=weights, size=int(size))
 
 
-def _log1m(lam):
-    """log(1 - lam) elementwise, series-protected for small |lam|."""
-    lam = np.asarray(lam, dtype=complex)
-    small = np.abs(lam) < 1e-4
-    safe = np.where(small, 0.0, lam)
-    # an eigenvalue of exactly 1 gives log(0) = -inf, which is the right
-    # answer (the determinant vanishes); keep numpy quiet about it
-    with np.errstate(divide="ignore"):
-        out = np.where(small, -lam - lam * lam / 2.0 - lam ** 3 / 3.0,
-                       np.log(1.0 - safe))
-    return out
-
-
 def _det_core(kmat, weights):
-    """(det, log_survival, im_residue) of I - sqrt(w) K sqrt(w).
+    """(det, log_survival, im_residue) of I - M with M = sqrt(w) K sqrt(w).
 
-    A real determinant's log has imaginary part a multiple of pi, odd when
-    the determinant is negative; the residue is measured from the nearest
-    multiple, whose parity gives the sign.
+    log det(I - M) is LU's, or the trace series' when |1 - det| from LU is
+    below _LU_SURVIVAL; a series that cannot converge raises NumericFailure.
+    The log of a real determinant has imaginary part a multiple of pi, odd
+    when it is negative; the residue from that multiple is returned.
     """
     sq = np.sqrt(weights)
-    sym = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
-    lam = np.linalg.eigvals(sym)
-    logdet = np.sum(_log1m(lam))
+    m = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
+    norm = float(np.linalg.norm(m))
+    sign, level = np.linalg.slogdet(np.eye(len(m)) - m)
+    logdet, power, terms = complex(level, np.angle(sign)), m, 0
+    if not (sign.real <= 0.0 or abs(np.expm1(level)) >= _LU_SURVIVAL):
+        logdet = 0j
+        while norm < _SERIES_NORM and terms < _SERIES_TERMS:
+            terms += 1
+            term = complex(np.trace(power)) / terms
+            logdet -= term
+            if abs(term) <= 1e-17 * abs(logdet):
+                break
+            power = power @ m
+        else:
+            raise NumericFailure(f"survival below {_LU_SURVIVAL:g}, no convergent trace series",
+                                 hint=f"||M||_F = {norm:.3g}, not below {_SERIES_NORM:g}")
+    log.debug("determinant of order %d: route %s, %d series terms, ||M||_F %.3e",
+              len(m), "series" if terms else "lu", terms, norm)
     turns = np.round(logdet.imag / np.pi)
     im = abs(logdet.imag - turns * np.pi)
-    level = logdet.real
-    if turns % 2:
-        det = -float(np.exp(level))
-        survival = 1.0 - det
-    else:
-        det = float(np.exp(level))
-        survival = float(-np.expm1(level))
+    det = float(np.exp(logdet.real)) * (-1.0 if turns % 2 else 1.0)
+    survival = 1.0 - det if turns % 2 else float(-np.expm1(logdet.real))
     log_survival = float(np.log(survival)) if survival > 0.0 else -np.inf
     return det, log_survival, im
 

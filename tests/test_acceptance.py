@@ -13,8 +13,8 @@ correction rather than against zero:
   of r; the flat estimate, whose correction is only log(sqrt(t))/t, is
   held to the same bound uncorrected.
 
-The slowest checks (8, 11, 12) simulate for a minute or two each; the
-whole module finishes in around five minutes.
+The simulating checks (8, 11, 12) take about a second each; the whole
+module finishes in about ten seconds.
 """
 
 import pytest

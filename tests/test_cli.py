@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -237,3 +241,13 @@ def test_verify_fast_byte_identical(capsys):
     assert out1 == out2
     assert out1.count("\n") == 7
     assert "6 of 6 checks passed" in out1
+
+
+def test_cli_import_leaves_verify_and_its_scipy_modules_unloaded():
+    # only the verify command needs scipy.stats and scipy.interpolate
+    code = ("import sys, bmtails.cli; print(sorted(m for m in "
+            "('bmtails.verify', 'scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

@@ -152,18 +152,21 @@ def test_flat_spiral_branches_match_continuation(a, ppu):
 
 def test_flat_spiral_guard_catches_a_wrong_branch(monkeypatch):
     true_w = contours.lambert_w
+    ppu = None
 
     def off_by_one(k, z):
         k = np.array(k)
         if k.ndim:
-            k[167] += 1  # tau = 168/64 put on the next sheet
+            k[21 * ppu // 8 - 1] += 1  # tau = 21/8 put on the next sheet
         return true_w(k, z)
 
     monkeypatch.setattr(contours, "lambert_w", off_by_one)
-    cfg = contours.ContourConfig(points_per_unit=64, tau_max=4.0)
-    with pytest.raises(NumericFailure, match="lost continuity") as info:
-        contours.build_flat_contour(1.0, cfg=cfg)
-    assert "offending tau = 2.625000" in info.value.hint
+    # at 8 points per unit the slip, about 6.3, is 8 tangent steps
+    for ppu in (64, 8):
+        cfg = contours.ContourConfig(points_per_unit=ppu, tau_max=4.0)
+        with pytest.raises(NumericFailure, match="lost continuity") as info:
+            contours.build_flat_contour(1.0, cfg=cfg)
+        assert "offending tau = 2.625000" in info.value.hint
 
 
 def test_paths_are_frozen_and_finite():

@@ -74,6 +74,73 @@ def test_det_core_zero_kernel_is_one():
     assert det == 1.0
 
 
+def test_det_core_rank_one_deep_survival():
+    # the rank-one kernel scaled to survival 1e-12, far below what 1 - det
+    # from LU resolves; the trace series keeps its relative precision
+    grid = fredholm.build_grid(0.0, 1.0, 48)
+    x = grid.nodes
+    scale = 3e-12
+    kmat = scale * np.exp(-x)[:, None] * np.exp(-2.0 * x)[None, :]
+    log_survival = fredholm._det_core(kmat, grid.weights)[1]
+    np.testing.assert_allclose(log_survival, np.log(scale / 3.0), rtol=1e-12)
+
+
+def _eigen_log_survival(m):
+    """log(1 - det(I - M)) from the eigenvalue sum sum_i log(1 - lambda_i)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        logdet = mpmath.fsum(mpmath.log(1 - mpmath.mpc(lam)) for lam in np.linalg.eigvals(m))
+        return float(mpmath.log(-mpmath.expm1(mpmath.re(logdet))))
+
+
+@pytest.mark.parametrize("survival, route", [(0.5, "lu"), (1e-3, "series"), (1e-10, "series")])
+def test_det_core_routes_match_eigenvalue_sum(caplog, survival, route):
+    # a non-normal complex kernel with a real positive spectrum: M = c V D V^-1
+    rng = np.random.default_rng(11)
+    size = 24
+    v = np.eye(size) + 0.2 * (rng.standard_normal((size, size))
+                              + 1j * rng.standard_normal((size, size)))
+    d = rng.uniform(0.0, 1.0, size)
+    # sum log(1 - c d) = log(1 - survival) to first order in c d
+    c = -np.log1p(-survival) / d.sum()
+    m = c * (v * d) @ np.linalg.inv(v)
+    weights = fredholm.build_grid(0.0, 1.0, size).weights
+    kmat = m / np.sqrt(np.outer(weights, weights))
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        log_survival = fredholm._det_core(kmat, weights)[1]
+    np.testing.assert_allclose(log_survival, np.log(survival), rtol=0.1)
+    np.testing.assert_allclose(log_survival, _eigen_log_survival(m), rtol=1e-12)
+    assert f"order {size}: route {route}," in caplog.records[-1].getMessage()
+
+
+def test_det_core_small_survival_with_large_norm_raises():
+    # det(I - M) = 1, so the survival is 0, but ||M||_F = 2 rules out the series
+    with pytest.raises(NumericFailure, match="no convergent trace series") as info:
+        fredholm._det_core(np.array([[0.0, 2.0], [0.0, 0.0]]), np.ones(2))
+    assert "||M||_F = 2" in info.value.hint
+    # a determinant of 1.1 is 0.1 from 1 and stays with LU whatever the norm
+    det = fredholm._det_core(np.array([[0.0, 2.0], [0.0, -0.1]]), np.ones(2))[0]
+    assert det == pytest.approx(1.1, rel=1e-15)
+
+
+def test_det_core_logs_each_route(caplog):
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        fredholm.prob_packed(4, 1.0)
+        fredholm.prob_packed(1, 0.25)
+    lines = [r.getMessage() for r in caplog.records if r.funcName == "_det_core"]
+    assert all(r.levelno == logging.DEBUG for r in caplog.records)
+    assert lines[0].startswith("determinant of order 48: route series, 5 series terms, ||M||_F ")
+    assert lines[-1].startswith("determinant of order 96: route lu, 0 series terms, ||M||_F ")
+    assert len(lines) == 4
+
+
+def test_packed_short_time_residue_still_raises():
+    # a known fault: at t <= 0.9 the packed determinant's imaginary residue
+    # (1.8e-6 here) exceeds the gate on either determinant route
+    with pytest.raises(NumericFailure, match="imaginary residue"):
+        fredholm.prob_packed(0.5, 0.5)
+
+
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.5])
 def test_free_particle_is_gaussian(s):
     res = fredholm.prob_finite_n(1, 1, s)
@@ -274,7 +341,8 @@ def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
 def test_solve_logs_each_grid_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
         res = fredholm.prob_packed(4, 1.0)
-    records = [r for r in caplog.records if r.name == "bmtails.fredholm"]
+    records = [r for r in caplog.records
+               if r.name == "bmtails.fredholm" and r.funcName == "_solve"]
     assert all(r.levelno == logging.DEBUG for r in records)
     lines = [r.getMessage() for r in records]
     assert len(lines) == 2 and res.grid.size == 96
