@@ -183,7 +183,10 @@ def _solve(what, evaluate, size0, max_size):
         # a determinant this close to 0 is a cancellation of O(1) terms,
         # and its phase is noise whatever the contour density
         hint = (f"p = {p:.1e} is below what the determinant resolves"
-                if abs(p) < _UNRESOLVED_P else "increase contour density")
+                if abs(p) < _UNRESOLVED_P else
+                f"residue stays at grid size {size}, contour density x{scale}"
+                + (" (the largest grid)" if 2 * size > max_size
+                   else "; increase contour density"))
         raise NumericFailure(
             f"{what}: imaginary residue {im:.3e} in log-determinant",
             last=p,

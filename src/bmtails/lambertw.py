@@ -12,15 +12,16 @@ continuation.
 phi maps a real z < -1 to the conjugate solution of w*exp(w) = z*exp(z)
 inside (-1, 0); on z >= -1 it is the identity.  Within 0.12 below z = -1,
 where that equation has a double root and loses digits, phi is taken
-from its reflection series instead.  It shows up as the image of the
-steep-descent variable in the flat-start kernel, so its derivative
-identity phi'(z) * z * (1 + phi) = (1 + z) * phi is exposed as well.
+from its reflection series; further out it is W_0(z e^z) with one Newton
+step, taken on the equation's log form within 1 of z = -1.  Scalars and
+arrays take the same path.  phi shows up as the image of the steep-descent
+variable in the flat-start kernel, so its derivative identity
+phi'(z) * z * (1 + phi) = (1 + z) * phi is exposed as well.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import lambertw
 
 from .errors import NumericFailure, SingularityError
@@ -41,37 +42,6 @@ _PHI_COEFFS = (
 )
 _RTOL = 1e-13               # every solve meets |w e^w - z| <= _RTOL (1 + |z|)
 _MAX_ITER = 100             # Halley steps before a solve is declared failed
-
-
-def _halley(z, w):
-    """Vectorized Halley iteration for w*exp(w) = z from seed w.
-
-    Both arguments may be complex arrays of the same shape.  Raises
-    NumericFailure if any entry fails to meet |w e^w - z| <= _RTOL (1 + |z|)
-    within _MAX_ITER steps.
-    """
-    z = np.asarray(z, dtype=complex)
-    w = np.array(w, dtype=complex)
-    tol = _RTOL * (1.0 + np.abs(z))
-    for _ in range(_MAX_ITER):
-        ew = np.exp(w)
-        f = w * ew - z
-        done = np.abs(f) <= tol
-        if done.all():
-            return w
-        w1 = w + 1.0
-        # keep the denominator away from the double root at w = -1
-        w1 = np.where(np.abs(w1) < 1e-30, 1e-30, w1)
-        step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
-        w = np.where(done, w, w - step)
-    bad = ~(np.abs(w * np.exp(w) - z) <= tol)
-    raise NumericFailure(
-        "Halley iteration for Lambert W did not converge",
-        last=w,
-        residual=float(np.max(np.abs(w * np.exp(w) - z))),
-        hint="seed closer to the target branch "
-             f"({int(np.count_nonzero(bad))} point(s) unconverged)",
-    )
 
 
 def lambert_w(k, z):
@@ -113,67 +83,73 @@ def lambert_w(k, z):
 
 
 def solve_wexpw(target, seed):
-    """Solve w*exp(w) = target starting from an explicit seed.
+    """Solve w*exp(w) = target by Halley's iteration from an explicit seed.
 
     Continuation helper: no branch logic, the iteration lands on whichever
-    sheet the seed belongs to, with |w e^w - target| <= 1e-13 (1 + |target|).
-    Tracing a contour node by node with it gives a reference for the
-    branch each node of the contour lies on.
+    sheet the seed belongs to.  Both arguments may be complex arrays of the
+    same shape; every entry meets |w e^w - target| <= 1e-13 (1 + |target|)
+    within _MAX_ITER steps, or NumericFailure is raised.  Tracing a contour
+    node by node with it gives a reference for the branch each node lies on.
     """
-    return _halley(target, seed)
-
-
-def _phi_reflection(eps):
-    """phi(-1 - eps) for 0 < eps <= _PHI_SERIES from its series in eps.
-
-    w e^w = z e^z has a double root at w = z = -1, so solving it for z just
-    below -1 loses digits in proportion to 1/eps; the series keeps them all.
-    """
-    return -1.0 + eps * np.polyval(_PHI_COEFFS, eps)
+    z = np.asarray(target, dtype=complex)
+    w = np.array(seed, dtype=complex)
+    tol = _RTOL * (1.0 + np.abs(z))
+    for _ in range(_MAX_ITER):
+        ew = np.exp(w)
+        f = w * ew - z
+        done = np.abs(f) <= tol
+        if done.all():
+            return w
+        w1 = w + 1.0
+        # keep the denominator away from the double root at w = -1
+        w1 = np.where(np.abs(w1) < 1e-30, 1e-30, w1)
+        step = f / (ew * w1 - (w + 2.0) * f / (2.0 * w1))
+        w = np.where(done, w, w - step)
+    bad = ~(np.abs(w * np.exp(w) - z) <= tol)
+    raise NumericFailure(
+        "Halley iteration for Lambert W did not converge",
+        last=w,
+        residual=float(np.max(np.abs(w * np.exp(w) - z))),
+        hint="seed closer to the target branch "
+             f"({int(np.count_nonzero(bad))} point(s) unconverged)",
+    )
 
 
 def phi(z):
     """Collision map: the solution of w*exp(w) = z*exp(z) with w in (-1, 0].
 
     Acts as the identity for real z >= -1 and maps (-inf, -1) monotonically
-    (decreasing) onto (-1, 0).  Complex arguments are routed through the
-    principal branch.
+    (decreasing) onto (-1, 0).  Scalars and arrays share one path, a scalar
+    giving a float; an argument with a nonzero imaginary part raises
+    ValueError.
     """
-    if np.ndim(z) > 0:
-        x = np.real(np.asarray(z)).astype(float)
-        if not np.isfinite(x).all():
-            raise ValueError("phi requires finite arguments")
-        out = np.where(x >= -1.0, x, 0.0)
-        near = (x < -1.0) & (x >= -1.0 - _PHI_SERIES)
-        out[near] = _phi_reflection(-1.0 - x[near])
-        far = x < -1.0 - _PHI_SERIES
-        if far.any():
-            xb = x[far]
-            target = xb * np.exp(xb)
-            w = lambert_w(0, target).real
-            ew = np.exp(w)
-            # one Newton polish; w + 1 is of order 0.1 or more out here
-            w -= (w * ew - target) / (ew * (w + 1.0))
-            out[far] = w
-        return out
-    if np.iscomplexobj(z) and np.asarray(z).imag != 0.0:
-        zc = complex(z)
-        return lambert_w(0, zc * np.exp(zc))
-    x = float(np.real(z))
-    if not np.isfinite(x):
-        raise ValueError("phi requires a finite argument")
-    if x >= -1.0:
-        return x
-    if x >= -1.0 - _PHI_SERIES:
-        return float(_phi_reflection(-1.0 - x))
-    target = x * np.exp(x)
-    # w*exp(w) is increasing on (-1, 0), so the root is bracketed
-    w = brentq(lambda w: w * np.exp(w) - target, -1.0, 0.0,
-               xtol=1e-15, rtol=8.9e-16)
-    # one Newton polish for a machine-level residual
-    ew = np.exp(w)
-    w -= (w * ew - target) / (ew * (w + 1.0))
-    return float(w)
+    if np.iscomplexobj(z) and np.any(np.imag(z) != 0.0):
+        raise ValueError("phi requires real arguments")
+    out = np.real(np.asarray(z)).astype(float)
+    if not np.isfinite(out).all():
+        raise ValueError("phi requires finite arguments")
+    eps = -1.0 - out
+    near = (eps > 0.0) & (eps <= _PHI_SERIES)
+    if near.any():
+        # w e^w = z e^z has a double root at w = z = -1, which the series avoids
+        out[near] = -1.0 + eps[near] * np.polyval(_PHI_COEFFS, eps[near])
+    far = eps > _PHI_SERIES
+    if far.any():
+        x, u = out[far], eps[far]
+        target = x * np.exp(x)
+        # target is in (-1/e, 0) and at least 2e-3 from the branch point, where
+        # lambert_w's checks and snap never act, so scipy's W_0 is called directly
+        w = lambertw(target).real
+        ew = np.exp(w)
+        # one Newton polish on w e^w = z e^z; within eps <= 1, near its double
+        # root, on the log form log(-w) + (w + 1) = log1p(eps) - eps instead,
+        # whose two sides are of order eps^2 and keep their digits
+        step = (w * ew - target) / (ew * (w + 1.0))
+        m = u <= 1.0
+        wm, um = w[m], u[m]
+        step[m] = ((np.log(-wm) + (wm + 1.0)) - (np.log1p(um) - um)) * wm / (wm + 1.0)
+        out[far] = w - step
+    return float(out) if out.ndim == 0 else out
 
 
 def phi_prime(z):

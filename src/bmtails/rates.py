@@ -30,12 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NumericFailure
-from .lambertw import phi, phi_prime
+from .lambertw import phi
 
 _ZA_RIGHT_MARGIN = 1e-9
+_ZA_XTOL = 1e-15          # Newton stops on a step below this, relative to z
+_ZA_MAX_ITER = 100        # Newton steps before solve_za is declared failed
 
 
 def check_a(a):
@@ -180,8 +181,9 @@ def solve_za(a):
     """The flat saddle z_a < -1 solving (z+1)(phi(z)+1) + a = 0.
 
     (z+1)(phi(z)+1) is a monotone bijection of (-inf,-1) onto (-inf,0), so
-    the root is bracketed in (-3-a, -1); bisection-style solve then one
-    Newton polish using the phi' identity.
+    the root is bracketed in (-3-a, -1).  Newton's method runs inside that
+    bracket from z = -1 - e with e^2 = a (1 + e), its slope from the phi'
+    identity, and bisects whenever a step would leave the bracket.
     """
     a = check_a(a)
 
@@ -195,11 +197,22 @@ def solve_za(a):
             residual=min(abs(res(lo)), abs(res(hi))),
             hint="unexpected: the bracket (-3-a, -1) should always contain z_a",
         )
-    z = brentq(res, lo, hi, xtol=1e-14, rtol=8.9e-16)
-    p = phi(z)
-    slope = (p + 1.0) + (z + 1.0) * phi_prime(z)
-    z -= ((z + 1.0) * (p + 1.0) + a) / slope
-    return float(z)
+    z = -1.0 - (a + np.sqrt(a * a + 4.0 * a)) / 2.0
+    for _ in range(_ZA_MAX_ITER):
+        if not lo < z < hi:
+            z = (lo + hi) / 2.0
+        p = phi(z)
+        f = (z + 1.0) * (p + 1.0) + a
+        lo, hi = (z, hi) if f < 0.0 else (lo, z)
+        # phi' = (1+z) phi / (z (1+phi)), from the phi just computed
+        step = f / ((p + 1.0) + (z + 1.0) ** 2 * p / (z * (p + 1.0)))
+        z -= step
+        if abs(step) <= _ZA_XTOL * abs(z):
+            return float(z)
+    raise NumericFailure(
+        "flat saddle Newton iteration did not converge", last=z, residual=abs(f),
+        hint=f"bracket ({lo!r}, {hi!r}) after {_ZA_MAX_ITER} steps",
+    )
 
 
 def flat_curvature(z_a, a):

@@ -244,10 +244,12 @@ def test_verify_fast_byte_identical(capsys):
 
 
 def test_cli_import_leaves_verify_and_its_scipy_modules_unloaded():
-    # only the verify command needs scipy.stats and scipy.interpolate
-    code = ("import sys, bmtails.cli; print(sorted(m for m in "
-            "('bmtails.verify', 'scipy.stats', 'scipy.interpolate') if m in sys.modules))")
+    # only the verify command needs scipy.stats and scipy.interpolate, and
+    # nothing needs scipy.optimize
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    for module in ("bmtails", "bmtails.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in ('bmtails.verify', "
+                "'scipy.stats', 'scipy.interpolate', 'scipy.optimize') if m in sys.modules))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]", module

@@ -136,9 +136,11 @@ def test_det_core_logs_each_route(caplog):
 
 def test_packed_short_time_residue_still_raises():
     # a known fault: at t <= 0.9 the packed determinant's imaginary residue
-    # (1.8e-6 here) exceeds the gate on either determinant route
-    with pytest.raises(NumericFailure, match="imaginary residue"):
+    # (1.8e-6 here) exceeds the gate on either determinant route, and the
+    # hint names the largest grid the refinement reached
+    with pytest.raises(NumericFailure, match="imaginary residue") as info:
         fredholm.prob_packed(0.5, 0.5)
+    assert "grid size 384" in info.value.hint
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.5])

@@ -101,15 +101,23 @@ def test_phi_vectorized_matches_scalar():
     z = np.linspace(-8.0, -1.1, 40)
     vec = phi(z)
     scl = np.array([phi(float(v)) for v in z])
-    np.testing.assert_allclose(vec, scl, rtol=1e-13)
+    # scalars and arrays share one path
+    np.testing.assert_array_equal(vec, scl)
+    assert all(type(phi(v)) is float for v in (-3.0, -1.05, -0.5, np.float64(-2.0)))
     # the identity part passes through untouched
     mixed = np.array([-3.0, -0.5, 0.7])
     np.testing.assert_array_equal(phi(mixed)[1:], mixed[1:])
 
 
+@pytest.mark.parametrize("z", [np.array([-2 + 0.1j]), -2 + 0.1j])
+def test_phi_rejects_non_real_input(z):
+    with pytest.raises(ValueError, match="real"):
+        phi(z)
+
+
 @pytest.mark.parametrize("k", range(3, 13))
 def test_phi_scalar_near_branch_point(k):
-    # both paths take phi from its reflection series here, where the
+    # scalars and arrays take phi from its reflection series here, where the
     # defining equation has a double root; phi(z) + 1 is of order z + 1
     z = -1.0 - 10.0 ** -k
     scl = phi(z)
@@ -137,6 +145,17 @@ def test_phi_both_paths_against_mpmath():
                         for v in z])
     np.testing.assert_allclose(phi(z), ref, rtol=0, atol=2e-15)
     np.testing.assert_allclose([phi(float(v)) for v in z], ref, rtol=0, atol=2e-15)
+
+
+def test_phi_just_outside_series_window_against_mpmath():
+    # the Newton step on the log form keeps the digits that w e^w = z e^z
+    # loses near its double root (1e-15 with the plain step)
+    mpmath = pytest.importorskip("mpmath")
+    z = -1.0 - np.linspace(0.1201, 1.0, 200)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.re(mpmath.lambertw(mpmath.mpf(v) * mpmath.exp(v))))
+                        for v in z])
+    np.testing.assert_allclose(phi(z), ref, rtol=0, atol=3e-16)
 
 
 def test_solve_wexpw_tracks_seed_branch():

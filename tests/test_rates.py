@@ -65,6 +65,24 @@ def test_flat_saddle_residuals_on_grid():
         assert abs((z_a + 1.0) * (phi(z_a) + 1.0) + a) <= 1e-12 * (1.0 + a)
 
 
+def test_solve_za_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        def g(z, a):
+            return (z + 1) * (mpmath.re(mpmath.lambertw(z * mpmath.exp(z))) + 1) + a
+
+        for a in np.geomspace(1e-4, 1e3, 60):
+            z_a = rates.solve_za(a)
+            ref = mpmath.findroot(lambda z: g(z, mpmath.mpf(a)), mpmath.mpf(z_a))
+            assert abs((z_a - ref) / ref) <= 1e-15
+
+
+def test_solve_za_raises_when_newton_runs_out_of_steps(monkeypatch):
+    monkeypatch.setattr(rates, "_ZA_MAX_ITER", 1)
+    with pytest.raises(NumericFailure, match="did not converge"):
+        rates.solve_za(1.0)
+
+
 def test_closed_forms_match_phase_values():
     """The closed rates equal the phase function evaluated at the saddles."""
     for a in A_GRID:
