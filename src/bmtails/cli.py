@@ -6,6 +6,15 @@ and the verification suite.  Outputs are deterministic for a fixed seed:
 CSV files use CRLF line endings, a header row and 17 significant digits;
 JSON output is a single snake_case object.
 
+Each option is declared once, on its subcommand's parser, with its type,
+choices and default.  ``--config FILE`` reads ``key=value`` lines keyed by
+flag name (``grid-size`` or ``grid_size``); each value is checked by its
+flag and becomes that flag's default, so command-line flags still win.
+Keys of other subcommands are ignored; an unknown key, or a value outside
+its flag's type or choices, exits 2.  ``prob --grid-size`` accepts 8-192
+(packed, flat) or 8-96 (stationary); ``--rho 1``, the default, is the
+unit-density stationary start.
+
 Exit codes: 0 success, 1 verification checks failed, 2 invalid arguments
 or configuration, 3 numeric failure inside a computation.  Log lines go
 to standard error prefixed with their severity.
@@ -28,33 +37,9 @@ from .errors import NumericFailure
 log = logging.getLogger("bmtails.cli")
 
 _ICS = ("packed", "flat", "stationary")
-
-# builtin defaults per subcommand; config-file values override these and
-# command-line flags override both
-_DEFAULTS = {
-    "rates": {"ic": "all", "a_min": 0.01, "a_max": 10.0, "points": 50,
-              "format": "csv", "out": None},
-    "prob": {"ic": None, "t": None, "a": None, "rho": None, "grid_size": 48,
-             "format": "json", "out": None},
-    "tail": {"ic": None, "a": None, "t_list": "4,8,16", "format": "csv",
-             "out": None},
-    "simulate": {"ic": None, "t": None, "dt": None, "cutoff": None,
-                 "reps": 1000, "seed": 0, "rho": None, "a": None,
-                 "format": None, "out": None},
-    "figure1": {"a_min": 0.01, "a_max": 6.0, "points": 200,
-                "format": "csv", "out": None},
-    "verify": {"fast": None, "out": None},
-}
-
-_CONVERT = {
-    "t": int, "points": int, "reps": int, "seed": int, "cutoff": int,
-    "grid_size": int,
-    "a": float, "a_min": float, "a_max": float, "dt": float, "rho": float,
-    "fast": lambda raw: {"true": True, "false": False}[raw.lower()],
-    "format": lambda raw: {"csv": "csv", "json": "json"}[raw],
-}
-
-_KNOWN_KEYS = frozenset().union(*(d.keys() for d in _DEFAULTS.values()))
+_BOOLS = {"true": True, "false": False}
+# flags that a config file cannot set
+_FLAG_ONLY = frozenset({"help", "config", "verbose"})
 
 
 # ---------------------------------------------------------------------------
@@ -80,25 +65,29 @@ def _read_config(path):
     return entries
 
 
-def _settle(args, command):
-    """Merge builtin defaults, config file and flags for one command."""
-    merged = dict(_DEFAULTS[command])
-    if getattr(args, "config", None):
-        for key, raw in _read_config(args.config).items():
-            if key not in _KNOWN_KEYS:
-                raise ValueError(f"unknown config key {key!r}")
-            if key not in merged:
-                continue        # belongs to another subcommand
-            convert = _CONVERT.get(key, str)
-            try:
-                merged[key] = convert(raw)
-            except (ValueError, KeyError):
-                raise ValueError(f"bad config value for {key!r}: {raw!r}")
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    return argparse.Namespace(**merged)
+def _config_defaults(subparsers, command, path):
+    """The config file's values for command, typed and checked by its flags.
+
+    A key that no subcommand has is an error; a key of another subcommand
+    is skipped.
+    """
+    options = {name: {a.dest: a for a in sub._actions if a.dest not in _FLAG_ONLY}
+               for name, sub in subparsers.items()}
+    values = {}
+    for key, raw in _read_config(path).items():
+        if not any(key in opts for opts in options.values()):
+            raise ValueError(f"unknown config key {key!r}")
+        action = options[command].get(key)
+        if action is None:
+            continue        # belongs to another subcommand
+        try:
+            value = _BOOLS[raw.lower()] if action.nargs == 0 else (action.type or str)(raw)
+            if action.choices is not None and value not in action.choices:
+                raise KeyError(raw)
+        except (ValueError, KeyError):
+            raise ValueError(f"bad config value for {key!r}: {raw!r}")
+        values[key] = value
+    return values
 
 
 def _require(ns, command, *keys):
@@ -147,6 +136,10 @@ def _table_text(fmt, columns, rows):
     return _csv_text(columns, rows)
 
 
+def _row_text(fmt, row):
+    return _csv_text(list(row), [row]) if fmt == "csv" else _json_text(row)
+
+
 def _emit(text, out):
     if out:
         with open(out, "w", newline="") as fh:
@@ -160,11 +153,6 @@ def _emit(text, out):
 # subcommands
 
 
-def _check_ic(ic, allowed=_ICS):
-    if ic not in allowed:
-        raise ValueError(f"ic must be one of {allowed}, got {ic!r}")
-
-
 def _check_grid(ns):
     if not 0.0 < ns.a_min < ns.a_max:
         raise ValueError("need 0 < a-min < a-max")
@@ -173,7 +161,6 @@ def _check_grid(ns):
 
 
 def _cmd_rates(ns):
-    _check_ic(ns.ic, _ICS + ("all",))
     _check_grid(ns)
     rows = []
     for a in np.geomspace(ns.a_min, ns.a_max, ns.points):
@@ -200,14 +187,13 @@ def _cmd_rates(ns):
 
 def _cmd_prob(ns):
     _require(ns, "prob", "ic", "t", "a")
-    _check_ic(ns.ic)
-    if ns.rho is not None and ns.ic != "stationary":
+    if ns.rho != 1.0 and ns.ic != "stationary":
         raise ValueError("rho only applies to the stationary start")
     if ns.ic == "packed":
         res = fredholm.prob_packed(ns.t, ns.a, grid_size=ns.grid_size)
     elif ns.ic == "flat":
         res = fredholm.prob_flat(ns.t, ns.a, grid_size=ns.grid_size)
-    elif ns.rho is None:
+    elif ns.rho == 1.0:
         res = fredholm.prob_stat(ns.t, ns.a, grid_size=ns.grid_size)
     else:
         res = fredholm.prob_stat_rho(ns.t, ns.a, ns.rho, grid_size=ns.grid_size)
@@ -215,24 +201,21 @@ def _cmd_prob(ns):
         "ic": ns.ic,
         "t": ns.t,
         "a": ns.a,
-        "rho": 1.0 if ns.rho is None else ns.rho,
+        "rho": ns.rho,
         "p": res.p,
         "log_survival": res.log_survival,
         "survival": float(np.exp(res.log_survival)),
         "im_residue": res.im_residue,
         "refinement_delta": res.refinement_delta,
     }
-    if ns.format == "csv":
-        _emit(_csv_text(list(row), [row]), ns.out)
-    else:
-        _emit(_json_text(row), ns.out)
+    _emit(_row_text(ns.format, row), ns.out)
     return 0
 
 
 def _cmd_tail(ns):
-    _require(ns, "tail", "ic", "a", "t_list")
+    _require(ns, "tail", "ic", "a")
     try:
-        ts = [float(part) for part in str(ns.t_list).split(",") if part.strip()]
+        ts = [float(part) for part in ns.t_list.split(",") if part.strip()]
     except ValueError:
         raise ValueError(f"t-list must be comma-separated numbers, got {ns.t_list!r}")
     if not ts:
@@ -245,40 +228,22 @@ def _cmd_tail(ns):
 
 def _cmd_simulate(ns):
     _require(ns, "simulate", "ic", "t")
-    kwargs = dict(ic=ns.ic, t=ns.t, reps=ns.reps, seed=ns.seed)
-    for key in ("dt", "cutoff", "rho"):
-        if getattr(ns, key) is not None:
-            kwargs[key] = getattr(ns, key)
-    cfg = sim.SimConfig(**kwargs)
+    cfg = sim.SimConfig(ic=ns.ic, t=ns.t, dt=ns.dt, cutoff=ns.cutoff, reps=ns.reps,
+                        seed=ns.seed, rho=ns.rho)
+    row = {"ic": cfg.ic, "t": cfg.t, "dt": cfg.dt, "cutoff": cfg.cutoff,
+           "reps": cfg.reps, "seed": cfg.seed, "rho": cfg.rho}
     if ns.a is not None:
         p_hat, stderr = sim.tail_estimate(cfg, ns.a)
-        row = {
-            "ic": cfg.ic, "t": cfg.t, "dt": cfg.dt, "cutoff": cfg.cutoff,
-            "reps": cfg.reps, "seed": cfg.seed, "rho": cfg.rho, "a": ns.a,
-            "level": 2.0 * cfg.t + ns.a * cfg.t,
-            "p_hat": p_hat, "stderr": stderr,
-        }
-        if ns.format == "csv":
-            _emit(_csv_text(list(row), [row]), ns.out)
-        else:
-            _emit(_json_text(row), ns.out)
-        return 0
-    batch = sim.simulate_samples(cfg)
-    if ns.format == "json":
-        values = batch.values
-        row = {
-            "ic": cfg.ic, "t": cfg.t, "dt": cfg.dt, "cutoff": cfg.cutoff,
-            "reps": cfg.reps, "seed": cfg.seed, "rho": cfg.rho,
-            "mean": float(values.mean()),
-            "std": float(values.std(ddof=1)),
-            "stderr": float(values.std(ddof=1) / np.sqrt(len(values))),
-            "min": float(values.min()),
-            "max": float(values.max()),
-        }
-        _emit(_json_text(row), ns.out)
+        row.update(a=ns.a, level=2.0 * cfg.t + ns.a * cfg.t, p_hat=p_hat, stderr=stderr)
     else:
-        rows = [{"x": v} for v in batch.values]
-        _emit(_csv_text(["x"], rows), ns.out)
+        values = sim.simulate_samples(cfg).values
+        if ns.format != "json":
+            _emit(_csv_text(["x"], [{"x": v} for v in values]), ns.out)
+            return 0
+        std = float(values.std(ddof=1))
+        row.update(mean=float(values.mean()), std=std, stderr=float(std / np.sqrt(len(values))),
+                   min=float(values.min()), max=float(values.max()))
+    _emit(_row_text(ns.format, row), ns.out)
     return 0
 
 
@@ -302,7 +267,7 @@ def _cmd_verify(ns):
     from . import verify
 
     buf = io.StringIO()
-    failures = verify.run(fast=bool(ns.fast), stream=buf)
+    failures = verify.run(fast=ns.fast, stream=buf)
     _emit(buf.getvalue(), ns.out)
     return 1 if failures else 0
 
@@ -321,13 +286,13 @@ _COMMANDS = {
 # parser
 
 
-def _add_common(parser, fmt=True):
+def _add_common(parser, fmt="csv", formats=("csv", "json")):
     parser.add_argument("--config", metavar="FILE",
                         help="key=value file supplying defaults; flags win")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout)")
-    if fmt:
-        parser.add_argument("--format", choices=("csv", "json"))
+    if formats:
+        parser.add_argument("--format", choices=formats, default=fmt)
     parser.add_argument("--verbose", action="store_true",
                         help="log progress at debug level")
 
@@ -342,24 +307,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("rates", help="rate-function table over an a-grid")
-    p.add_argument("--ic", choices=_ICS + ("all",))
-    p.add_argument("--a-min", type=float, dest="a_min")
-    p.add_argument("--a-max", type=float, dest="a_max")
-    p.add_argument("--points", type=int)
+    p.add_argument("--ic", choices=_ICS + ("all",), default="all")
+    p.add_argument("--a-min", type=float, dest="a_min", default=0.01)
+    p.add_argument("--a-max", type=float, dest="a_max", default=10.0)
+    p.add_argument("--points", type=int, default=50)
     _add_common(p)
 
     p = sub.add_parser("prob", help="one-point distribution value P(x_t(t) <= 2t+at)")
     p.add_argument("--ic", choices=_ICS)
     p.add_argument("--t", type=int, help="tagged particle index = time")
     p.add_argument("--a", type=float, help="deviation parameter")
-    p.add_argument("--rho", type=float, help="stationary density in (0,1)")
-    p.add_argument("--grid-size", type=int, dest="grid_size")
-    _add_common(p)
+    p.add_argument("--rho", type=float, default=1.0, help="stationary density in (0,1]")
+    p.add_argument("--grid-size", type=int, dest="grid_size", default=48)
+    _add_common(p, "json")
 
     p = sub.add_parser("tail", help="finite-t rate estimates vs the exact rate")
     p.add_argument("--ic", choices=("packed", "flat"))
     p.add_argument("--a", type=float)
-    p.add_argument("--t-list", dest="t_list", metavar="T1,T2,...",
+    p.add_argument("--t-list", dest="t_list", metavar="T1,T2,...", default="4,8,16",
                    help="increasing times, e.g. 4,8,16")
     _add_common(p)
 
@@ -369,38 +334,44 @@ def build_parser():
     p.add_argument("--dt", type=float)
     p.add_argument("--cutoff", type=int,
                    help="particles kept below the tagged one")
-    p.add_argument("--reps", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rho", type=float)
+    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--a", type=float,
                    help="estimate the tail P(x >= 2t+at) instead of dumping samples")
-    _add_common(p)
+    _add_common(p, None)    # JSON with --a, else CSV samples
 
     p = sub.add_parser("figure1", help="flat rate and its two asymptotes")
-    p.add_argument("--a-min", type=float, dest="a_min")
-    p.add_argument("--a-max", type=float, dest="a_max")
-    p.add_argument("--points", type=int)
+    p.add_argument("--a-min", type=float, dest="a_min", default=0.01)
+    p.add_argument("--a-max", type=float, dest="a_max", default=6.0)
+    p.add_argument("--points", type=int, default=200)
     _add_common(p)
 
     p = sub.add_parser("verify", help="run the verification checks")
-    p.add_argument("--fast", action="store_true", default=None,
+    p.add_argument("--fast", action="store_true",
                    help="closed-form and contour checks only (seconds)")
-    _add_common(p, fmt=False)
+    _add_common(p, formats=())
 
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     logging.basicConfig(
         stream=sys.stderr,
         format="%(levelname)s: %(message)s",
-        level=logging.DEBUG if getattr(args, "verbose", False) else logging.WARNING,
+        level=logging.DEBUG if args.verbose else logging.WARNING,
         force=True,
     )
     try:
-        ns = _settle(args, args.command)
-        return _COMMANDS[args.command](ns)
+        if args.config:
+            # config values become the subcommand's defaults, so flags still win
+            (subparsers,) = (a.choices for a in parser._actions if a.dest == "command")
+            subparsers[args.command].set_defaults(
+                **_config_defaults(subparsers, args.command, args.config))
+            args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except NumericFailure as exc:
         hint = f" ({exc.hint})" if exc.hint else ""
         log.error("%s%s", exc, hint)

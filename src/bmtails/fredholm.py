@@ -165,8 +165,11 @@ def _solve(what, evaluate, size0, max_size):
     """Double (size, scale) from (size0, 1) until p moves by less than _TARGET.
 
     evaluate returns ((p, log_survival, im_residue), grid).  Each grid size
-    is logged at DEBUG level, which gives the refinement history.
+    is logged at DEBUG level, which gives the refinement history.  size0
+    must lie in [8, max_size // 2], so that p is refined at least once.
     """
+    if not 8 <= size0 <= max_size // 2:
+        raise ValueError(f"{what}: grid_size must lie in [8, {max_size // 2}], got {size0}")
     prev, size, scale = None, size0, 1
     while True:
         result, grid = evaluate(size, scale)

@@ -150,20 +150,24 @@ def khat_packed_grid(xi1, xi2, factors):
     return _packed_assembly(factors, xi1, xi2)[0]
 
 
+def _certified(what, xi1, xi2, cfg, value_at):
+    """KernelEval of value_at(cfg) refined against twice cfg's points_per_unit."""
+    coarse = value_at(cfg)
+    fine = value_at(replace(cfg, points_per_unit=2 * cfg.points_per_unit))
+    im = _demand_real(fine, what, f"(xi1, xi2) = ({xi1}, {xi2})")
+    return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
+
+
 def khat_packed(a, t, xi1, xi2):
     """Pointwise conjugated packed kernel with a refinement certificate."""
     a = check_a(a)
     t = _check_time(t)
     xi1 = _check_finite(xi1, "xi1")
     xi2 = _check_finite(xi2, "xi2")
-    cfg = ContourConfig()
-    coarse_factors = packed_factors(a, t, build_packed_contours(a, t, cfg))
-    coarse = khat_packed_grid([xi1], [xi2], coarse_factors)[0, 0]
-    fine_contours = build_packed_contours(
-        a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit))
-    fine = khat_packed_grid([xi1], [xi2], packed_factors(a, t, fine_contours))[0, 0]
-    im = _demand_real(fine, "packed kernel value", f"(xi1, xi2) = ({xi1}, {xi2})")
-    return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
+    return _certified(
+        "packed kernel value", xi1, xi2, ContourConfig(),
+        lambda c: khat_packed_grid(
+            [xi1], [xi2], packed_factors(a, t, build_packed_contours(a, t, c)))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +191,10 @@ def khat_flat(a, t, xi1, xi2, cfg=None):
     t = _check_time(t)
     xi1 = _check_finite(xi1, "xi1")
     xi2 = _check_finite(xi2, "xi2")
-    cfg = cfg or ContourConfig()
     z_a = solve_za(a)
-    path = flat_contour_for(a, t, cfg, z_a=z_a)
-    coarse = khat_flat_grid(a, t, [xi1], [xi2], path)[0, 0]
-    fine_path = flat_contour_for(
-        a, t, replace(cfg, points_per_unit=2 * cfg.points_per_unit), z_a=z_a)
-    fine = khat_flat_grid(a, t, [xi1], [xi2], fine_path)[0, 0]
-    im = _demand_real(fine, "flat kernel value", f"(xi1, xi2) = ({xi1}, {xi2})")
-    return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
+    return _certified(
+        "flat kernel value", xi1, xi2, cfg or ContourConfig(),
+        lambda c: khat_flat_grid(a, t, [xi1], [xi2], flat_contour_for(a, t, c, z_a=z_a))[0, 0])
 
 
 # ---------------------------------------------------------------------------

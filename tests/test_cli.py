@@ -14,7 +14,10 @@ from bmtails.errors import NumericFailure
 
 
 def run_cli(capsys, *argv):
-    code = cli.main(list(argv))
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:     # argparse's usage errors
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -76,6 +79,16 @@ def test_prob_csv_row(capsys):
     assert header[:4] == ["ic", "t", "a", "rho"]
     assert len(rows) == 1
     assert rows[0][0] == "flat"
+
+
+@pytest.mark.parametrize("ic", ["stationary", "flat"])
+def test_prob_rho_one_is_the_default(capsys, ic):
+    args = ("prob", "--ic", ic, "--t", "4", "--a", "1")
+    code1, out1, _ = run_cli(capsys, *args)
+    code2, out2, _ = run_cli(capsys, *args, "--rho", "1")
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["rho"] == 1.0
 
 
 def test_prob_rejects_rho_for_flat(capsys):
@@ -188,6 +201,28 @@ def test_config_bad_format_rejected(capsys, tmp_path, command):
     assert "bad config value for 'format'" in err
 
 
+@pytest.mark.parametrize("command, base, flag, line, code, lines", [
+    ("verify", (), ("--fast",), "fast = true", 0, 7),
+    ("tail", ("--ic", "flat", "--a", "1"), ("--t-list", "4,8"), "t_list = 4,8", 0, 3),
+    ("prob", ("--ic", "packed", "--t", "4", "--a", "1"), ("--grid-size", "64"),
+     "grid-size = 64", 0, 11),
+    ("simulate", ("--ic", "flat", "--t", "1", "--reps", "40", "--format", "json"),
+     ("--cutoff", "4"), "cutoff = 4", 0, 14),
+    ("prob", ("--ic", "packed", "--t", "4", "--a", "1"), ("--grid-size", "256"),
+     "grid_size = 256", 2, 0),
+    ("tail", ("--a", "1", "--t-list", "4"), ("--ic", "stationary"), "ic = stationary", 2, 0),
+], ids=["fast", "t_list", "grid_size", "cutoff", "grid_size-too-large", "ic-outside-choices"])
+def test_config_key_acts_as_its_flag(capsys, tmp_path, command, base, flag, line,
+                                     code, lines):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    code1, out1, _ = run_cli(capsys, command, *base, *flag)
+    code2, out2, _ = run_cli(capsys, command, *base, "--config", str(cfg))
+    assert code1 == code2 == code
+    assert out1 == out2
+    assert out1.count("\n") == lines
+
+
 def test_missing_required_parameter(capsys):
     code, _, err = run_cli(capsys, "prob", "--ic", "packed", "--t", "4")
     assert code == 2
@@ -200,6 +235,12 @@ def test_out_of_range_rejected_before_compute(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rates", "--a-min", "2", "--a-max", "1")
     assert code == 2
+    # a first grid above half the largest one would never be refined
+    for ic, size, top in (("packed", "256", 192), ("stationary", "128", 96)):
+        code, out, err = run_cli(capsys, "prob", "--ic", ic, "--t", "4", "--a", "1",
+                                 "--grid-size", size)
+        assert code == 2 and out == ""
+        assert f"grid_size must lie in [8, {top}], got {size}" in err
     for a in ("nan", "inf"):
         code, out, err = run_cli(capsys, "simulate", "--ic", "packed", "--t", "1",
                                  "--dt", "0.01", "--reps", "50", "--seed", "2",

@@ -340,6 +340,25 @@ def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
     assert len(outers) == len(set(sizes))
 
 
+@pytest.mark.parametrize("fn, args, size, top", [
+    (fredholm.prob_packed, (4, 1.0), 256, 192),
+    (fredholm.prob_flat, (4, 1.0), 193, 192),
+    (fredholm.prob_packed, (4, 1.0), 7, 192),
+    (fredholm.prob_stat, (4, 1.0), 97, 96),
+    (fredholm.prob_stat_rho, (4, 1.0, 0.9), 128, 96),
+])
+def test_grid_size_outside_the_refined_range_raises(fn, args, size, top):
+    # a first grid above half the largest one would be returned unrefined
+    with pytest.raises(ValueError, match=rf"grid_size must lie in \[8, {top}\], got {size}"):
+        fn(*args, grid_size=size)
+
+
+def test_largest_first_grid_size_is_refined_once():
+    res = fredholm.prob_packed(4, 1.0, grid_size=192)
+    assert res.grid.size == 384
+    assert res.refinement_delta < 1e-9
+
+
 def test_solve_logs_each_grid_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
         res = fredholm.prob_packed(4, 1.0)
