@@ -333,7 +333,8 @@ def build_parser():
     p.add_argument("--t", type=int)
     p.add_argument("--dt", type=float)
     p.add_argument("--cutoff", type=int,
-                   help="particles kept below the tagged one")
+                   help="particles kept below the tagged one (flat, default "
+                        "4t) or below particle 0 (stationary, default 0)")
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--rho", type=float, default=1.0)

@@ -132,10 +132,13 @@ def build_packed_contours(a, t, cfg=None):
     gamma_minus is the truncated vertical line through w-, gamma_plus the
     full circle of radius |w+|.  Node densities scale with the local
     Gaussian width 1/sqrt(t |H''|) so the trapezoidal rule stays spectrally
-    accurate as t grows.
+    accurate as t grows.  t must be whole: otherwise the circle crosses the
+    branch cut of (-w)^t (-z)^{-t} in e^{tH}, and the kernel depends on its radius.
     """
     a = check_a(a)
     t = _check_time(t)
+    if t != int(t):
+        raise ValueError(f"the packed phase needs a whole-number time, got {t}")
     cfg = cfg or ContourConfig()
 
     w_minus, w_plus = saddle_points(a)

@@ -257,15 +257,12 @@ def prob_flat(t, a, *, s_offset=0.0, grid_size=48):
 # stationary start
 
 
-def _fd_derivative(D, h, a, t, what):
+def _fd_derivative(D, a, t, what):
     """D'(0) by central differences at h and h/2 plus one Richardson step.
 
-    h defaults to 1e-3 (1 + a t); the two estimates must agree to 1e-5 (1 + |D'|).
+    h = 1e-3 (1 + a t); the two estimates must agree to 1e-5 (1 + |D'|).
     """
-    if h is None:
-        h = 1e-3 * (1.0 + a * t)
-    if not h > 0:
-        raise ValueError(f"finite-difference step h must be positive, got {h}")
+    h = 1e-3 * (1.0 + a * t)
     d1 = (D(h) - D(-h)) / (2.0 * h)
     d2 = (D(h / 2.0) - D(-h / 2.0)) / h
     deriv = (4.0 * d2 - d1) / 3.0
@@ -275,12 +272,12 @@ def _fd_derivative(D, h, a, t, what):
             f"{what} derivative unstable in the step size",
             last=deriv,
             residual=spread,
-            hint="adjust h or raise the grid size",
+            hint="raise the grid size",
         )
     return deriv
 
 
-def prob_stat(t, a, h=None, *, grid_size=48):
+def prob_stat(t, a, *, grid_size=48):
     """P(x_t(t) <= 2t + at) under the unit-density stationary start.
 
     Evaluates D(s) = Fhat_t(s) det(1 - P K P) + det(1 - P(K + f* x g1)P)
@@ -306,14 +303,14 @@ def prob_stat(t, a, h=None, *, grid_size=48):
             ims.extend((im1, im2))
             return comps.f_hat_t * det1 + det2
 
-        deriv = _fd_derivative(D, h, a, t, "stationary")
+        deriv = _fd_derivative(D, a, t, "stationary")
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return (deriv, logs, max(ims)), build_grid(0.0, a, size)
 
     return _solve("prob_stat", evaluate, grid_size, 192)
 
 
-def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
+def prob_stat_rho(t, a, rho, *, grid_size=48):
     """P(x_t(t) <= 2t + at) for the stationary start with density rho < 1.
 
     Uses det(1 - P(K + (1-rho) f x g_rho)P) = det(1 - PKP) (1 - (1-rho) S)
@@ -349,7 +346,7 @@ def prob_stat_rho(t, a, rho, *, h=None, grid_size=48):
             s_pair = pair_res + pair_circ + inner_c.real
             return det1 * (1.0 - delta_rho * s_pair)
 
-        deriv = _fd_derivative(D, h, a, t, "density-rho")
+        deriv = _fd_derivative(D, a, t, "density-rho")
         p = D(0.0) + deriv / delta_rho
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return (p, logs, max(ims)), build_grid(0.0, a, size)

@@ -28,12 +28,14 @@ t = 2, 5, 16 and 64 lie within 1.8 standard errors of the eigenvalue law
 (4e4 to 1e5 replicas) and the flat tails within 0.8 of the determinant
 (2e5 replicas).  Ordering holds after every step by construction.
 
-Infinite systems (flat, stationary) are truncated ``cutoff`` particles
-below the tagged index, 4t by default.  The lowest particle kept moves
-freely, so the push of the missing particles is lost, and the loss spreads
-to the right as time runs.  At 4t the flat tails show no loss, but the
-stationary tail at t = 2, a = 0.25 reads about 0.004 low (4.8 to 7.9
-standard errors at 4e5 replicas) and needs a cutoff of about 6t to 8t.
+The flat start keeps particles t - cutoff..t (cutoff 4t by default); its
+lowest particle moves freely, so the push of the missing ones is lost, which
+at 4t does not show in the flat tails.  The stationary start keeps particles
+-cutoff..t (cutoff 0 by default), and its lowest particle moves as a free
+Brownian motion with drift rho.  By Burke's theorem for Brownian queues in
+tandem (O'Connell and Yor 2001; Ferrari, Spohn and Weiss 2015) that is the
+law of particle 0, independent of the gaps to its right, so any cutoff >= 0
+simulates the stationary system exactly.
 
 Replicas are split into fixed-size blocks, each with its own counter-based
 generator spawned from the configured seed.  The block layout does not
@@ -85,9 +87,10 @@ class SimConfig:
         if not 0.0 < self.dt <= _DT_MAX:
             raise ValueError(f"dt must lie in (0, {_DT_MAX:g}], got {self.dt}")
         if self.cutoff is None:
-            object.__setattr__(self, "cutoff", 4 * self.t)
-        if self.ic != "packed" and self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1 for flat/stationary starts")
+            object.__setattr__(self, "cutoff", 4 * self.t if self.ic == "flat" else 0)
+        least = 1 if self.ic == "flat" else 0
+        if self.cutoff < least:
+            raise ValueError(f"cutoff must be >= {least} for the {self.ic} start")
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0 <= self.seed < 2 ** 64:
@@ -138,6 +141,8 @@ def _evolve_block(cfg, seed_seq, nrep):
     n_steps = int(round(cfg.t / cfg.dt))
     h = cfg.t / n_steps
     root_h = np.sqrt(h)
+    # the Burke boundary: the lowest stationary particle drifts at rate rho
+    drift = cfg.rho * h if cfg.ic == "stationary" else 0.0
     new = np.empty_like(x)
     for step in range(n_steps):
         db = rng.standard_normal(x.shape)
@@ -145,6 +150,7 @@ def _evolve_block(cfg, seed_seq, nrep):
         four_he = rng.standard_exponential((cols - 1, nrep))
         four_he *= 4.0 * h
         free = x + db
+        free[0] += drift
         lag = x[:-1] + db[1:]         # y0 + dB_n
         new[0] = free[0]
         for n in range(1, cols):
@@ -248,7 +254,7 @@ def tail_estimate(cfg, a):
 
 
 def stationary_gap_check(cfg):
-    """Gap statistics of the stationary system inside the window.
+    """Gap statistics of the stationary system over particles -cutoff..t.
 
     The Kolmogorov-Smirnov statistic is computed from one designated gap
     per replica (the central one), which keeps the tested sample iid; the
@@ -262,16 +268,7 @@ def stationary_gap_check(cfg):
     cols = _n_particles(cfg)
     lo, hi = cols // 3, 2 * cols // 3
     if hi - lo < 2:
-        raise ValueError("truncation window too small for a middle-third gap study")
-    # the missing pushers below the window bias gaps near the left edge, and
-    # the bias front travels right at about 2.5 gaps per unit time; demand
-    # the examined indices clear it with margin (cutoff = 8t is enough)
-    if lo < 3 * cfg.t:
-        raise ValueError(
-            f"truncation window too small: middle third starts at gap {lo} "
-            f"but left-edge effects reach past gap {int(2.5 * cfg.t)} by time "
-            f"{cfg.t}; raise cutoff to at least 8t"
-        )
+        raise ValueError("particle window too small for a middle-third gap study")
     positions, _ = _evolve(cfg)
     mid = cols // 2
     designated = positions[:, mid] - positions[:, mid - 1]

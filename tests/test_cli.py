@@ -108,6 +108,14 @@ def test_tail_table(capsys):
     assert [float(r[4]) for r in rows] == [rates.rate_flat(1.0).rate] * 2
 
 
+def test_tail_rejects_non_integer_packed_time(capsys):
+    code, out, err = run_cli(capsys, "tail", "--ic", "packed", "--a", "1",
+                             "--t-list", "2.5,4")
+    assert code == 2
+    assert out == ""
+    assert "whole-number time" in err
+
+
 def test_figure1_columns(capsys):
     code, out, _ = run_cli(capsys, "figure1", "--points", "5", "--a-max", "2")
     header, rows = parse_csv(out)

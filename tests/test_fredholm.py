@@ -134,13 +134,17 @@ def test_det_core_logs_each_route(caplog):
     assert len(lines) == 4
 
 
-def test_packed_short_time_residue_still_raises():
-    # a known fault: at t <= 0.9 the packed determinant's imaginary residue
-    # (1.8e-6 here) exceeds the gate on either determinant route, and the
-    # hint names the largest grid the refinement reached
-    with pytest.raises(NumericFailure, match="imaginary residue") as info:
-        fredholm.prob_packed(0.5, 0.5)
-    assert "grid size 384" in info.value.hint
+@pytest.mark.parametrize("fn, extra", [
+    (fredholm.prob_packed, ()),
+    (fredholm.prob_stat, ()),
+    (fredholm.prob_stat_rho, (0.9,)),
+])
+@pytest.mark.parametrize("t, a", [(0.5, 0.5), (4.5, 1.0)])
+def test_packed_phase_needs_whole_number_time(fn, extra, t, a):
+    # (-w)^t and (-z)^{-t} have a branch cut that the circle around 0
+    # crosses at non-integer t, where the kernel depends on the radius
+    with pytest.raises(ValueError, match="whole-number time"):
+        fn(t, a, *extra)
 
 
 @pytest.mark.parametrize("s", [-1.0, 0.0, 1.0, 2.5])
@@ -269,18 +273,15 @@ def test_prob_stat_rho_validates_rho():
             fredholm.prob_stat_rho(4, 1.0, bad)
 
 
-@pytest.mark.parametrize("fn, args", [
-    (fredholm.prob_stat, (4, 1.0)),
-    (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
-])
-def test_stationary_step_validation(fn, args):
-    for bad in (0.0, np.nan):
-        with pytest.raises(ValueError, match="h must be positive"):
-            fn(*args, h=bad)
-    # steps this small drown the difference quotient in roundoff, so the
-    # h and h/2 estimates disagree
-    with pytest.raises(NumericFailure):
-        fn(*args, h=1e-12)
+def test_fd_derivative_rejects_step_dependence():
+    # sign(s) s^2 has quotients h at step h and h/2 at step h/2, which
+    # disagree far beyond the 1e-5 tolerance
+    with pytest.raises(NumericFailure, match="unstable in the step size") as info:
+        fredholm._fd_derivative(lambda s: np.sign(s) * s * s, 1.0, 4.0, "test")
+    assert info.value.residual == pytest.approx(2.5e-3)
+    # a smooth D passes, and the Richardson step removes the h^2 term
+    assert fredholm._fd_derivative(np.sin, 1.0, 4.0, "test") == \
+        pytest.approx(1.0, abs=1e-10)
 
 
 # (p, log_survival, final grid size) of each entry point, far tighter than

@@ -19,6 +19,10 @@ def test_config_defaults():
     assert cfg.dt == pytest.approx(3e-2)
     assert cfg.cutoff == 12
     assert cfg.rho == 1.0
+    # the stationary start keeps particles 0..t; packed keeps none below 1
+    stat = sim.SimConfig(ic="stationary", t=3)
+    assert stat.cutoff == 0 and sim._n_particles(stat) == 4
+    assert sim.SimConfig(ic="packed", t=3).cutoff == 0
     # the default step is capped at the largest accepted one
     assert sim.SimConfig(ic="packed", t=64).dt == 0.25
     assert sim.SimConfig(ic="packed", t=1, dt=0.25).dt == 0.25
@@ -35,6 +39,9 @@ def test_config_defaults():
     dict(ic="packed", t=1, rho=0.5),
     dict(ic="stationary", t=1, rho=0.0),
     dict(ic="stationary", t=1, rho=1.2),
+    dict(ic="packed", t=1, cutoff=-1),
+    dict(ic="flat", t=1, cutoff=-1),
+    dict(ic="stationary", t=1, cutoff=-1),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -166,13 +173,6 @@ def test_gap_check_requires_stationary():
         sim.stationary_gap_check(cfg)
 
 
-def test_gap_check_rejects_short_window():
-    # default cutoff 4t leaves the middle third inside the edge-effect zone
-    cfg = sim.SimConfig(ic="stationary", t=2, reps=10)
-    with pytest.raises(ValueError, match="truncation window too small"):
-        sim.stationary_gap_check(cfg)
-
-
 def test_gap_check_statistics():
     cfg = sim.SimConfig(ic="stationary", t=1, dt=1e-3, cutoff=12, reps=600,
                         seed=29)
@@ -235,3 +235,43 @@ def test_second_particle_mean_exact_at_coarsest_step():
     x = sim.simulate_samples(cfg).values
     se = x.std(ddof=1) / np.sqrt(x.size)
     assert abs(x.mean() - TOP_EIG_MEAN_2 * np.sqrt(2.0)) < 3 * se
+
+
+# The stationary start keeps particles 0..t and drives particle 0 as a free
+# Brownian motion with drift rho, which by Burke's theorem it is in the
+# half-infinite system.  4e5 replicas resolve the loss of a truncation to
+# particles -4t..t with a driftless lowest one, 0.005 on the t = 2 tail (6.8
+# standard errors).
+
+def test_stationary_tail_matches_determinant_at_default_step():
+    cfg = sim.SimConfig(ic="stationary", t=2, reps=4 * BIAS_REPS, seed=35)
+    p_hat, stderr = sim.tail_estimate(cfg, 0.25)
+    exact = 1.0 - fredholm.prob_stat(2, 0.25).p
+    assert abs(p_hat - exact) < 3 * stderr
+
+
+def test_density_rho_tail_matches_determinant_at_default_step():
+    cfg = sim.SimConfig(ic="stationary", t=4, reps=4 * BIAS_REPS, seed=36, rho=0.9)
+    p_hat, stderr = sim.tail_estimate(cfg, 1.0)
+    exact = 1.0 - fredholm.prob_stat_rho(4, 1.0, 0.9).p
+    assert abs(p_hat - exact) < 3 * stderr
+
+
+@pytest.mark.parametrize("t", [4, 16])
+def test_stationary_tagged_increment_is_drifted_gaussian(t):
+    """At unit density every particle of the stationary system is a
+    Brownian motion with drift 1, so x_t(t) - x_t(0) is N(t, t).  Particle t
+    is pushed, so this tests the bridge step where it is not exact."""
+    cfg = sim.SimConfig(ic="stationary", t=t, dt=0.25, reps=BIAS_REPS, seed=37)
+    final, _ = sim._evolve(cfg)
+    # _evolve_block draws each block's initial positions first from its own
+    # Philox stream, so the same streams rebuild them
+    sizes = [min(sim._BLOCK, cfg.reps - i) for i in range(0, cfg.reps, sim._BLOCK)]
+    seeds = np.random.SeedSequence(cfg.seed).spawn(len(sizes))
+    start = np.concatenate([
+        sim._initial_block(cfg, np.random.Generator(np.random.Philox(s)), n)
+        for s, n in zip(seeds, sizes)])
+    inc = final[:, -1] - start[:, -1]
+    n = inc.size
+    assert abs(inc.mean() - t) < 3 * np.sqrt(t / n)
+    assert abs(inc.var(ddof=1) - t) < 3 * t * np.sqrt(2.0 / (n - 1))
