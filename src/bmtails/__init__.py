@@ -15,7 +15,6 @@ from .rates import (
     solve_za,
 )
 from .contours import (
-    ContourConfig,
     ContourPath,
     build_flat_contour,
     build_packed_contours,
@@ -52,7 +51,6 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContourConfig",
     "ContourPath",
     "KernelEval",
     "NumericFailure",

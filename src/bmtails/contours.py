@@ -14,7 +14,9 @@ The saddle contours of the packed phase H are the line through the left
 saddle w- and the circle of radius |w+| through the right saddle w+ on the
 negative real axis; the raw finite-n kernel uses a line and a circle placed
 by the caller.  The node-count rules of each route sit beside the function
-that lays it out, and one helper rescales a circle.
+that lays it out, and one helper rescales a circle.  The saddle and spiral
+builders take their density as an int, points_per_unit (default 64, at
+least 8), which the determinant solver doubles with each grid size.
 
 Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the
@@ -38,18 +40,10 @@ from .rates import check_a, flat_curvature, phase_packed_d2, saddle_points, solv
 _TRUNCATION_TOL = 1e-12
 # the raw finite-n line is cut where its Gaussian factor falls below this
 _RAW_TRUNCATION_TOL = 1e-13
-
-
-@dataclass(frozen=True)
-class ContourConfig:
-    points_per_unit: int = 64
-    tau_max: float = 4.0
-
-    def __post_init__(self):
-        if self.points_per_unit < 8:
-            raise ValueError("points_per_unit must be at least 8")
-        if self.tau_max <= 0:
-            raise ValueError("tau_max must be positive")
+# default contour density, in nodes per unit of length or of tau
+POINTS_PER_UNIT = 64
+# the flat spiral's tau window never reaches past this many turns
+_TAU_CAP = 4.0
 
 
 @dataclass(frozen=True)
@@ -69,6 +63,12 @@ def _check_time(t):
     if not np.isfinite(t) or t <= 0:
         raise ValueError(f"time parameter must be finite and > 0, got {t}")
     return t
+
+
+def _check_density(points_per_unit):
+    if points_per_unit < 8:
+        raise ValueError(f"points_per_unit must be at least 8, got {points_per_unit}")
+    return points_per_unit
 
 
 def _check_finite(x, name):
@@ -126,7 +126,7 @@ def scale_circle(circle, factor):
     return replace(circle, nodes=circle.nodes * factor, weights=circle.weights * factor)
 
 
-def build_packed_contours(a, t, cfg=None):
+def build_packed_contours(a, t, points_per_unit=POINTS_PER_UNIT):
     """(gamma_minus, gamma_plus) for the packed-phase double integral.
 
     gamma_minus is the truncated vertical line through w-, gamma_plus the
@@ -139,18 +139,18 @@ def build_packed_contours(a, t, cfg=None):
     t = _check_time(t)
     if t != int(t):
         raise ValueError(f"the packed phase needs a whole-number time, got {t}")
-    cfg = cfg or ContourConfig()
+    _check_density(points_per_unit)
 
     w_minus, w_plus = saddle_points(a)
     h2_lo = phase_packed_d2(w_minus, a)           # > 0
     h2_hi = -phase_packed_d2(w_plus, a)           # > 0
 
     y_max = _line_halfwidth(w_minus, 1.0, t, _TRUNCATION_TOL)
-    per_unit = max(cfg.points_per_unit, int(np.ceil(12.0 * np.sqrt(t * h2_lo))))
+    per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(t * h2_lo))))
     line = _line(w_minus, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
 
     m = max(
-        int(np.ceil(2.0 * np.pi * cfg.points_per_unit)),
+        int(np.ceil(2.0 * np.pi * points_per_unit)),
         int(np.ceil(24.0 * np.pi * np.sqrt(t * h2_hi) * abs(w_plus))),
     )
     m += m % 2  # keep theta = 0 on the grid
@@ -174,8 +174,8 @@ def build_raw_contours(n, t, xi1, xi2, c, r, oversample):
     return _line(c, half, n_line), _circle(r, m)
 
 
-def build_flat_contour(a, cfg=None, z_a=None):
-    """The Lambert spiral through the flat saddle z_a, truncated at tau_max.
+def build_flat_contour(a, points_per_unit=POINTS_PER_UNIT, tau_max=_TAU_CAP, z_a=None):
+    """The Lambert spiral through the flat saddle z_a, truncated at |tau| = tau_max.
 
     Nodes sit at tau = j / points_per_unit: gamma_0 = z_a = W_{-1}(z_a e^{z_a})
     and gamma_j = W_k(z_a e^{z_a + 2 pi i tau}) with k = ceil(tau) for j >= 1,
@@ -184,13 +184,14 @@ def build_flat_contour(a, cfg=None, z_a=None):
     the complex conjugate by symmetry of the pre-image.
     """
     a = check_a(a)
-    cfg = cfg or ContourConfig()
+    ppu = _check_density(points_per_unit)
+    if not tau_max > 0:
+        raise ValueError(f"tau_max must be positive, got {tau_max}")
     if z_a is None:
         z_a = solve_za(a)
 
-    ppu = cfg.points_per_unit
     h = 1.0 / ppu
-    n_steps = int(np.round(cfg.tau_max * ppu))
+    n_steps = int(np.round(tau_max * ppu))
     base = z_a * np.exp(z_a)
     j = np.arange(1, n_steps + 1)
     branch = -(-j // ppu)
@@ -226,61 +227,45 @@ def build_flat_contour(a, cfg=None, z_a=None):
     )
 
 
-def flat_contour_for(a, t, cfg=None, z_a=None):
+def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):
     """Lambert spiral dense enough for the time-t phase e^{tG}.
 
     The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
-    the configured density is raised accordingly, and the spiral is trimmed
-    where e^{tG} falls below 1e-12 of its saddle value.  Once
-    16 sqrt(t |eta|) exceeds points_per_unit the density is set by t alone,
-    and doubling points_per_unit returns the same spiral.
+    the density is raised accordingly, and the spiral is trimmed where e^{tG}
+    falls below 1e-12 of its saddle value, or at |tau| = 4 if that is sooner.
+    Once 16 sqrt(t |eta|) exceeds points_per_unit the density is set by t
+    alone, and doubling points_per_unit returns the same spiral.
     """
     a = check_a(a)
     t = _check_time(t)
-    cfg = cfg or ContourConfig()
+    _check_density(points_per_unit)
     if z_a is None:
         z_a = solve_za(a)
     eta = flat_curvature(z_a, a)
-    ppu = max(cfg.points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
+    ppu = max(points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
-    tau_max = min(cfg.tau_max, max(0.5, span))
-    return build_flat_contour(a, replace(cfg, points_per_unit=ppu, tau_max=tau_max), z_a=z_a)
-
-
-@dataclass(frozen=True)
-class SteepDescentReport:
-    max_interior: float
-    max_exterior: float
-    epsilon: float
-    ok: bool
+    tau_max = min(_TAU_CAP, max(0.5, span))
+    return build_flat_contour(a, ppu, tau_max, z_a=z_a)
 
 
 def steep_descent_report(path, phase, delta):
     """Certify that the phase peaks only near the critical parameter.
 
-    ``phase`` is either an array of per-node phase values (typically the
-    real part of the exponent) or a callable applied to the nodes.  epsilon
-    is the drop from the critical node (parameter closest to 0) to the best
-    node with |parameter| >= delta; a positive epsilon certifies uniform
-    exponential suppression of the contour tails.
+    ``phase`` holds the per-node phase values (typically the real part of
+    the exponent).  Returns epsilon, the drop from the critical node
+    (parameter closest to 0) to the best node with |parameter| >= delta; a
+    positive epsilon certifies uniform exponential suppression of the
+    contour tails.
     """
     if len(path.nodes) == 0:
         raise ValueError("empty contour path")
     if delta <= 0:
         raise ValueError("delta must be positive")
-    values = np.asarray(phase(path.nodes) if callable(phase) else phase, dtype=float)
+    values = np.asarray(phase, dtype=float)
     if values.shape != path.nodes.shape:
         raise ValueError("phase values must align with contour nodes")
 
     crit = int(np.argmin(np.abs(path.params)))
     exterior = np.abs(path.params) >= delta
-    interior = ~exterior
-    max_int = float(values[interior].max()) if interior.any() else float(values[crit])
     max_ext = float(values[exterior].max()) if exterior.any() else -np.inf
-    eps = values[crit] - max_ext
-    return SteepDescentReport(
-        max_interior=max_int,
-        max_exterior=max_ext,
-        epsilon=float(eps),
-        ok=bool(eps > 0.0),
-    )
+    return float(values[crit] - max_ext)

@@ -20,7 +20,9 @@ only sets the quadrature of the n^2 pairings R^T W L.
 Every entry point hands a closure evaluate(size, scale) to one driver,
 :func:`_solve`, which doubles the grid size and the contour density
 together until successive values agree, reports the last change as the
-refinement delta, and checks the imaginary residue and the [0, 1] range.
+refinement delta and the final grid size, and checks the imaginary residue
+and the [0, 1] range; a survival it cannot resolve (p above 1, or a
+log_survival that is not finite) raises NumericFailure.
 The flat spiral's density is bound to t rather than to the scale once t
 is large enough (see :func:`prob_flat`); there the flat refinement delta
 refines only the Nystrom grid.
@@ -47,7 +49,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .contours import (
-    ContourConfig,
+    POINTS_PER_UNIT,
     _check_finite,
     _check_time,
     build_packed_contours,
@@ -103,7 +105,7 @@ class ProbResult:
     log_survival: float
     im_residue: float
     refinement_delta: float
-    grid: QuadGrid
+    grid_size: int                # Nystrom nodes of the returned evaluation
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,15 +166,17 @@ def _det_core(kmat, weights):
 def _solve(what, evaluate, size0, max_size):
     """Double (size, scale) from (size0, 1) until p moves by less than _TARGET.
 
-    evaluate returns ((p, log_survival, im_residue), grid).  Each grid size
-    is logged at DEBUG level, which gives the refinement history.  size0
-    must lie in [8, max_size // 2], so that p is refined at least once.
+    evaluate returns (p, log_survival, im_residue).  Each grid size is logged
+    at DEBUG level, which gives the refinement history.  size0 must lie in
+    [8, max_size // 2], so that p is refined at least once.  A p above 1, or
+    a log_survival that is not finite, raises NumericFailure; a p within
+    _CLAMP below 0 is set to 0.
     """
     if not 8 <= size0 <= max_size // 2:
         raise ValueError(f"{what}: grid_size must lie in [8, {max_size // 2}], got {size0}")
     prev, size, scale = None, size0, 1
     while True:
-        result, grid = evaluate(size, scale)
+        result = evaluate(size, scale)
         delta = np.inf if prev is None else abs(result[0] - prev[0])
         log.debug("%s: grid size %d, p %.17g, log_survival %.17g, delta %.3e, "
                   "im residue %.3e", what, size, result[0], result[1], delta, result[2])
@@ -201,39 +205,40 @@ def _solve(what, evaluate, size0, max_size):
             f"{what}: probability {p!r} far outside [0, 1]",
             last=p,
         )
-    if not 0.0 <= p <= 1.0:
+    if p > 1.0 or not np.isfinite(log_survival):
+        raise NumericFailure(
+            f"{what}: no finite log_survival at p = {p!r}, grid size {size}",
+            last=p,
+            hint="the survival is below what 1 - det resolves",
+        )
+    if p < 0.0:
         log.warning("%s: clamping p = %.17g into [0, 1]", what, p)
-        p = min(max(p, 0.0), 1.0)
+        p = 0.0
         log_survival = min(log_survival, 0.0)
     return ProbResult(p=p, log_survival=log_survival, im_residue=im,
-                      refinement_delta=delta, grid=grid)
+                      refinement_delta=delta, grid_size=size)
 
 
 # ---------------------------------------------------------------------------
 # scaled one-point probabilities
 
 
-def _contour_cfg(scale):
-    """The default contour configuration with its node density times scale."""
-    return ContourConfig(points_per_unit=scale * ContourConfig.points_per_unit)
-
-
-def prob_packed(t, a, *, s_offset=0.0, grid_size=48):
-    """P(x_t(t) <= 2t + at + s_offset) under the packed start."""
+def prob_packed(t, a, *, grid_size=48):
+    """P(x_t(t) <= 2t + at) under the packed start."""
     a = check_a(a)
     t = float(t)
 
     def evaluate(size, scale):
-        factors = packed_factors(a, t, build_packed_contours(a, t, _contour_cfg(scale)))
-        grid = build_grid(s_offset, a, size)
+        factors = packed_factors(a, t, build_packed_contours(a, t, scale * POINTS_PER_UNIT))
+        grid = build_grid(0.0, a, size)
         kmat = khat_packed_grid(grid.nodes, grid.nodes, factors)
-        return _det_core(kmat, grid.weights), grid
+        return _det_core(kmat, grid.weights)
 
     return _solve("prob_packed", evaluate, grid_size, 384)
 
 
-def prob_flat(t, a, *, s_offset=0.0, grid_size=48):
-    """P(x_t(t) <= 2t + at + s_offset) under the flat start.
+def prob_flat(t, a, *, grid_size=48):
+    """P(x_t(t) <= 2t + at) under the flat start.
 
     The spiral's density is set by t once 16 sqrt(t |eta|) exceeds the scaled
     points_per_unit (:func:`contours.flat_contour_for`), so then the
@@ -245,10 +250,10 @@ def prob_flat(t, a, *, s_offset=0.0, grid_size=48):
     decay = abs(z_a + 1.0)
 
     def evaluate(size, scale):
-        path = flat_contour_for(a, t, _contour_cfg(scale), z_a=z_a)
-        grid = build_grid(s_offset, decay, size)
+        path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, z_a=z_a)
+        grid = build_grid(0.0, decay, size)
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
-        return _det_core(kmat, grid.weights), grid
+        return _det_core(kmat, grid.weights)
 
     return _solve("prob_flat", evaluate, grid_size, 384)
 
@@ -291,7 +296,7 @@ def prob_stat(t, a, *, grid_size=48):
     t = float(t)
 
     def evaluate(size, scale):
-        factors = packed_factors(a, t, build_packed_contours(a, t, _contour_cfg(scale)))
+        factors = packed_factors(a, t, build_packed_contours(a, t, scale * POINTS_PER_UNIT))
         ims = []
 
         def D(s):
@@ -305,7 +310,7 @@ def prob_stat(t, a, *, grid_size=48):
 
         deriv = _fd_derivative(D, a, t, "stationary")
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
-        return (deriv, logs, max(ims)), build_grid(0.0, a, size)
+        return deriv, logs, max(ims)
 
     return _solve("prob_stat", evaluate, grid_size, 192)
 
@@ -325,7 +330,7 @@ def prob_stat_rho(t, a, rho, *, grid_size=48):
     delta_rho = 1.0 - rho
 
     def evaluate(size, scale):
-        line, circle = build_packed_contours(a, t, _contour_cfg(scale))
+        line, circle = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
         radius = float(np.abs(circle.nodes).max())
         if radius >= 0.9 * rho:
             circle = scale_circle(circle, 0.9 * rho / radius)
@@ -349,7 +354,7 @@ def prob_stat_rho(t, a, rho, *, grid_size=48):
         deriv = _fd_derivative(D, a, t, "density-rho")
         p = D(0.0) + deriv / delta_rho
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
-        return (p, logs, max(ims)), build_grid(0.0, a, size)
+        return p, logs, max(ims)
 
     return _solve("prob_stat_rho", evaluate, grid_size, 192)
 
@@ -399,7 +404,7 @@ def prob_finite_n(n, t, s):
         left, right = raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c,
                                       circle_rad=r, oversample=scale)
         # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
-        return _det_core((right.T * grid.weights) @ left, np.ones(n)), grid
+        return _det_core((right.T * grid.weights) @ left, np.ones(n))
 
     return _solve("prob_finite_n", evaluate, 64, 512)
 

@@ -48,12 +48,12 @@ e^{i xi y}, which is summed in blocks of about sqrt(N) of the N nodes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .contours import (
-    ContourConfig,
+    POINTS_PER_UNIT,
     _check_finite,
     _check_time,
     build_packed_contours,
@@ -150,10 +150,10 @@ def khat_packed_grid(xi1, xi2, factors):
     return _packed_assembly(factors, xi1, xi2)[0]
 
 
-def _certified(what, xi1, xi2, cfg, value_at):
-    """KernelEval of value_at(cfg) refined against twice cfg's points_per_unit."""
-    coarse = value_at(cfg)
-    fine = value_at(replace(cfg, points_per_unit=2 * cfg.points_per_unit))
+def _certified(what, xi1, xi2, value_at):
+    """KernelEval of value_at at twice the default density, against it at the default."""
+    coarse = value_at(POINTS_PER_UNIT)
+    fine = value_at(2 * POINTS_PER_UNIT)
     im = _demand_real(fine, what, f"(xi1, xi2) = ({xi1}, {xi2})")
     return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
 
@@ -165,9 +165,9 @@ def khat_packed(a, t, xi1, xi2):
     xi1 = _check_finite(xi1, "xi1")
     xi2 = _check_finite(xi2, "xi2")
     return _certified(
-        "packed kernel value", xi1, xi2, ContourConfig(),
-        lambda c: khat_packed_grid(
-            [xi1], [xi2], packed_factors(a, t, build_packed_contours(a, t, c)))[0, 0])
+        "packed kernel value", xi1, xi2,
+        lambda ppu: khat_packed_grid(
+            [xi1], [xi2], packed_factors(a, t, build_packed_contours(a, t, ppu)))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def khat_flat_grid(a, t, xi1, xi2, path):
     return (e1 * core) @ e2.T
 
 
-def khat_flat(a, t, xi1, xi2, cfg=None):
+def khat_flat(a, t, xi1, xi2):
     """Pointwise conjugated flat kernel with a refinement certificate."""
     a = check_a(a)
     t = _check_time(t)
@@ -193,8 +193,8 @@ def khat_flat(a, t, xi1, xi2, cfg=None):
     xi2 = _check_finite(xi2, "xi2")
     z_a = solve_za(a)
     return _certified(
-        "flat kernel value", xi1, xi2, cfg or ContourConfig(),
-        lambda c: khat_flat_grid(a, t, [xi1], [xi2], flat_contour_for(a, t, c, z_a=z_a))[0, 0])
+        "flat kernel value", xi1, xi2,
+        lambda ppu: khat_flat_grid(a, t, [xi1], [xi2], flat_contour_for(a, t, ppu, z_a=z_a))[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +327,8 @@ def _raw_weights(n, t, contours):
     return w, aw, z, bz
 
 
-def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=1):
-    """Particle-n kernel on generic contours, conjugated by e^{sigma xi}.
+def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
+    """Particle-n kernel on generic contours, conjugated by e^{-line_re xi}.
 
     The w-contour is the vertical line Re w = line_re < 0 and the
     z-contour the circle |z| = circle_rad around the pole of order n at
@@ -339,17 +339,18 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=
     Returns the factors (left, right), of shapes (len(xi1), n) and
     (len(xi2), n), with K = left @ right.T:
 
-        left[:, k]  = (2 pi i)^-2 int dw e^{xi1 (w + sigma)} e^{t w^2/2} (-w)^n w^-(k+1),
-        right[:, k] = oint dz e^{-xi2 (z + sigma)} e^{-t z^2/2} (-z)^-n z^k.
+        left[:, k]  = (2 pi i)^-2 int dw e^{xi1 (w - c)} e^{t w^2/2} (-w)^n w^-(k+1),
+        right[:, k] = oint dz e^{-xi2 (z - c)} e^{-t z^2/2} (-z)^-n z^k,
+
+    with c = line_re.
 
     Since |z| < |w|, 1/(w - z) = sum_k z^k / w^(k+1), and inside the circle
     the z-integrand's only singularity is the pole of order n at 0, so every
     term with k >= n integrates to zero: the kernel has rank exactly n.
 
-    The left factor is e^{xi1 (line_re + sigma)}, exactly 1 for the default
-    sigma, times the blocked phase transform of the w-moments, which needs
-    the exact line layout of :func:`contours._line` (see
-    :func:`_line_phase_transform`).
+    On the line w - c = iy, so the left factor is the blocked phase
+    transform of the w-moments, which needs the exact line layout of
+    :func:`contours._line` (see :func:`_line_phase_transform`).
     """
     if n < 1 or n != int(n):
         raise ValueError(f"particle index must be a positive integer, got {n}")
@@ -360,8 +361,6 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=
         raise ValueError("line_re must be negative")
     if not 0 < r < -c:
         raise ValueError("need 0 < circle_rad < |line_re| for contour nesting")
-    if sigma is None:
-        sigma = -c
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     n = int(n)
@@ -372,8 +371,7 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=
     z_pows = np.vander(z, n, increasing=True)                     # z^k
     moments = (_DOUBLE_PREF * aw)[:, None] * w_pows
     left = _line_phase_transform(xi1, contours[0].params, moments)
-    left *= np.exp(xi1 * (c + sigma))[:, None]
-    e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
+    e2 = np.exp(-np.multiply.outer(xi2, z - c))
     right = e2 @ (bz[:, None] * z_pows)
     return left, right
 

@@ -226,8 +226,10 @@ def flat_curvature(z_a, a):
 def rate_flat(a):
     """Upper-tail rate for the flat start, with saddle diagnostics.
 
-    rate = (phi(z_a) - z_a) * ((z_a + phi(z_a))/2 + 1 + a) = -G(z_a).
-    Its relative error grows like 1e-16 / a^1.5 by cancellation, so a < 1e-6
+    rate = (phi(z_a) - z_a) * ((phi(z_a) + 1 + (z_a + 1))/2 + a) = -G(z_a).
+    The second factor, about 2a/3, is summed from phi(z_a) + 1 and z_a + 1,
+    so no terms of order 1 cancel in it; the relative errors of those two
+    sums still grow as a falls (3e-12 in the rate at a = 1e-5), so a < 1e-6
     raises NumericFailure.
     """
     a = check_a(a)
@@ -236,7 +238,7 @@ def rate_flat(a):
                              last=a, hint=f'use rate_asymptote("flat", {a!r}, "small")')
     z_a = solve_za(a)
     p = phi(z_a)
-    rate = (p - z_a) * ((z_a + p) / 2.0 + 1.0 + a)
+    rate = (p - z_a) * ((p + 1.0 + (z_a + 1.0)) / 2.0 + a)
     return SaddleDiagnostics(
         ic="flat",
         a=a,

@@ -121,18 +121,14 @@ def _check_steep_descent():
     for a in (0.1, 1.0, 10.0):
         line, circle = contours.build_packed_contours(a, 1)
         for path, sign in ((line, 1.0), (circle, -1.0)):
-            rep = contours.steep_descent_report(
+            eps.append(contours.steep_descent_report(
                 path, sign * np.real(rates._h_vals(path.nodes, a)), 0.1
-            )
-            eps.append(rep.epsilon)
-            all_ok = all_ok and rep.ok
+            ))
         flat = contours.build_flat_contour(a)
-        rep = contours.steep_descent_report(
+        eps.append(contours.steep_descent_report(
             flat, np.real(rates._g_vals(flat.nodes, flat.phi_nodes, a)), 0.1
-        )
-        eps.append(rep.epsilon)
-        all_ok = all_ok and rep.ok
-    return all_ok, (
+        ))
+    return min(eps) > 0.0, (
         f"min phase drop {min(eps):.3e} over 9 certificates at delta 0.1 "
         f"(a in 0.1/1/10, all three contours)"
     )
@@ -149,15 +145,19 @@ def _check_deformation():
             np.array([0.3]), np.array([0.7]), kernels.packed_factors(a, t, (line, moved))
         )[0, 0]
         worst_packed = max(worst_packed, abs(val.real - base))
-    flat4 = kernels.khat_flat(a, t, 0.0, 0.0).value
-    flat6 = kernels.khat_flat(
-        a, t, 0.0, 0.0, cfg=contours.ContourConfig(tau_max=6.0)
-    ).value
-    flat_diff = abs(flat4 - flat6)
+    # the time-t spiral, trimmed where e^{tG} is below 1e-12 of its peak,
+    # against the same nodes continued to tau = 6
+    trimmed = contours.flat_contour_for(a, t)
+    tau = trimmed.params[-1]
+    ppu = int(round(1.0 / (trimmed.params[1] - trimmed.params[0])))
+    wide = contours.build_flat_contour(a, ppu, 6.0)
+    flat = [kernels.khat_flat_grid(a, t, [0.0], [0.0], path)[0, 0].real
+            for path in (trimmed, wide)]
+    flat_diff = abs(flat[0] - flat[1])
     ok = worst_packed <= 1e-8 and flat_diff <= 1e-8
     return ok, (
         f"packed circle +-10% max drift {worst_packed:.2e}, flat tau window "
-        f"4->6 drift {flat_diff:.2e} (tol 1e-8)"
+        f"{tau:.2f}->6 drift {flat_diff:.2e} (tol 1e-8)"
     )
 
 

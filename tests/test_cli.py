@@ -268,6 +268,15 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
     assert "synthetic failure" in err and "refine the contour" in err
 
 
+def test_deep_tail_exits_three_without_output(capsys):
+    # the survival at t = 64, a = 5 is below what the determinant resolves:
+    # no row with log_survival -inf is printed
+    code, out, err = run_cli(capsys, "prob", "--ic", "packed", "--t", "64",
+                             "--a", "5")
+    assert code == 3 and out == ""
+    assert "no finite log_survival" in err
+
+
 def test_usage_error_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["prob", "--no-such-flag"])

@@ -29,19 +29,12 @@ def test_packed_contours_geometry(a, t):
 def test_steep_descent_certificates(a):
     t = 4
     line, circle = contours.build_packed_contours(a, t)
-    rep_line = contours.steep_descent_report(
-        line, lambda w: _h_vals(w, a).real, 0.1
-    )
-    rep_circ = contours.steep_descent_report(
-        circle, lambda w: -_h_vals(w, a).real, 0.1
-    )
-    assert rep_line.ok and rep_line.epsilon > 0
-    assert rep_circ.ok and rep_circ.epsilon > 0
+    assert contours.steep_descent_report(line, _h_vals(line.nodes, a).real, 0.1) > 0
+    assert contours.steep_descent_report(circle, -_h_vals(circle.nodes, a).real, 0.1) > 0
 
     path = contours.build_flat_contour(a)
     g_real = _g_vals(path.nodes, path.phi_nodes, a).real
-    rep_flat = contours.steep_descent_report(path, g_real, 0.1)
-    assert rep_flat.ok and rep_flat.epsilon > 0
+    assert contours.steep_descent_report(path, g_real, 0.1) > 0
 
 
 @pytest.mark.parametrize("a", [0.1, 1.0, 10.0])
@@ -81,35 +74,29 @@ def test_line_halfwidth_shrinks_with_t():
         n_prev = span
 
 
-def test_contour_config_validation():
-    with pytest.raises(ValueError):
-        contours.ContourConfig(points_per_unit=4)
-    with pytest.raises(ValueError):
-        contours.ContourConfig(tau_max=0.0)
-
-
-def test_steep_descent_report_array_and_callable_agree():
-    line, _ = contours.build_packed_contours(1.0, 4)
-    vals = _h_vals(line.nodes, 1.0).real
-    r1 = contours.steep_descent_report(line, vals, 0.1)
-    r2 = contours.steep_descent_report(line, lambda w: _h_vals(w, 1.0).real, 0.1)
-    assert r1 == r2
+def test_builders_validate_density_and_window():
+    with pytest.raises(ValueError, match="points_per_unit"):
+        contours.build_packed_contours(1.0, 4, points_per_unit=4)
+    with pytest.raises(ValueError, match="points_per_unit"):
+        contours.build_flat_contour(1.0, points_per_unit=4)
+    with pytest.raises(ValueError, match="points_per_unit"):
+        contours.flat_contour_for(1.0, 4, points_per_unit=4)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="tau_max"):
+            contours.build_flat_contour(1.0, tau_max=bad)
 
 
 def test_steep_descent_flags_bad_contour():
     line, _ = contours.build_packed_contours(1.0, 4)
     # a phase that rises away from the critical point on purpose
     rigged = -_h_vals(line.nodes, 1.0).real
-    rep = contours.steep_descent_report(line, rigged, 0.1)
-    assert not rep.ok
-    assert rep.epsilon <= 0
+    assert contours.steep_descent_report(line, rigged, 0.1) <= 0
 
 
 def test_flat_march_accuracy_survives_coarse_stepping():
     # the minimum allowed resolution must still keep every node on the
     # level set, otherwise the continuity guard would have tripped
-    cfg = contours.ContourConfig(points_per_unit=8, tau_max=4.0)
-    path = contours.build_flat_contour(1.0, cfg=cfg)
+    path = contours.build_flat_contour(1.0, points_per_unit=8)
     z_a = rates.solve_za(1.0)
     level = np.abs(z_a * np.exp(z_a))
     np.testing.assert_allclose(
@@ -135,8 +122,7 @@ def _continued_spiral(z_a, ppu, n_steps):
 def test_flat_spiral_branches_match_continuation(a, ppu):
     # gamma_j = W_ceil(tau_j) lands every node, integer tau included, on
     # the sheet that analytic continuation from z_a reaches
-    cfg = contours.ContourConfig(points_per_unit=ppu, tau_max=6.0)
-    path = contours.build_flat_contour(a, cfg=cfg)
+    path = contours.build_flat_contour(a, points_per_unit=ppu, tau_max=6.0)
     z_a = rates.solve_za(a)
     n = 6 * ppu
     assert path.nodes[n] == z_a
@@ -163,9 +149,8 @@ def test_flat_spiral_guard_catches_a_wrong_branch(monkeypatch):
     monkeypatch.setattr(contours, "lambert_w", off_by_one)
     # at 8 points per unit the slip, about 6.3, is 8 tangent steps
     for ppu in (64, 8):
-        cfg = contours.ContourConfig(points_per_unit=ppu, tau_max=4.0)
         with pytest.raises(NumericFailure, match="lost continuity") as info:
-            contours.build_flat_contour(1.0, cfg=cfg)
+            contours.build_flat_contour(1.0, points_per_unit=ppu)
         assert "offending tau = 2.625000" in info.value.hint
 
 

@@ -54,11 +54,6 @@ def test_quad_grid_rejects_non_finite_weights():
         fredholm.QuadGrid(nodes=g.nodes, weights=weights, size=8)
 
 
-def test_prob_packed_rejects_non_finite_offset():
-    with pytest.raises(ValueError, match="finite"):
-        fredholm.prob_packed(4, 1.0, s_offset=np.nan)
-
-
 def test_det_core_rank_one_exact():
     # kernel u(x)v(y) has det(1 - K) = 1 - <u, v>
     grid = fredholm.build_grid(0.0, 1.0, 48)
@@ -231,8 +226,9 @@ def test_prob_packed_matches_gue_oracle_through_saddle_route():
 
 
 def test_prob_monotone_in_level():
+    # the level 2t + at + s at t = 4, a = 1, for s = -1, 0, 1, 2
     for fn in (fredholm.prob_packed, fredholm.prob_flat):
-        ps = [fn(4, 1.0, s_offset=s).p for s in (-1.0, 0.0, 1.0, 2.0)]
+        ps = [fn(4, 1.0 + s / 4.0).p for s in (-1.0, 0.0, 1.0, 2.0)]
         assert all(np.diff(ps) > 0)
 
 
@@ -306,7 +302,7 @@ def test_entry_points_reproduce_frozen_values(name):
     res = fn(*args)
     np.testing.assert_allclose(res.p, p, rtol=0, atol=1e-14)
     np.testing.assert_allclose(res.log_survival, log_survival, rtol=1e-12)
-    assert res.grid.size == size
+    assert res.grid_size == size
 
 
 @pytest.mark.parametrize("fn, args", [
@@ -356,7 +352,7 @@ def test_grid_size_outside_the_refined_range_raises(fn, args, size, top):
 
 def test_largest_first_grid_size_is_refined_once():
     res = fredholm.prob_packed(4, 1.0, grid_size=192)
-    assert res.grid.size == 384
+    assert res.grid_size == 384
     assert res.refinement_delta < 1e-9
 
 
@@ -367,7 +363,7 @@ def test_solve_logs_each_grid_size(caplog):
                if r.name == "bmtails.fredholm" and r.funcName == "_solve"]
     assert all(r.levelno == logging.DEBUG for r in records)
     lines = [r.getMessage() for r in records]
-    assert len(lines) == 2 and res.grid.size == 96
+    assert len(lines) == 2 and res.grid_size == 96
     assert lines[0].startswith("prob_packed: grid size 48, p ")
     assert "delta inf" in lines[0]
     assert lines[1].startswith(f"prob_packed: grid size 96, p {res.p:.17g},")
@@ -407,7 +403,7 @@ def _unit_pairing_det(scale):
     def evaluate(size, _scale):
         grid = fredholm.build_grid(0.0, 1.0, size)
         kmat = scale * np.exp(-grid.nodes)[None, :] * np.ones((size, 1))
-        return fredholm._det_core(kmat, grid.weights), grid
+        return fredholm._det_core(kmat, grid.weights)
 
     return fredholm._solve("unit pairing", evaluate, 48, 96)
 
@@ -422,6 +418,23 @@ def test_clamp_negative_roundoff(caplog):
 def test_negative_determinant_far_outside_raises():
     with pytest.raises(NumericFailure, match="far outside"):
         _unit_pairing_det(1.0 + 1e-6)
+
+
+def test_probability_just_above_one_raises(caplog):
+    # p = 1 + 1e-12 has no survival to report, so it is not clamped to 1
+    with caplog.at_level(logging.WARNING, logger="bmtails.fredholm"):
+        with pytest.raises(NumericFailure, match="no finite log_survival") as info:
+            _unit_pairing_det(-1e-12)
+    assert info.value.last > 1.0 and "grid size 96" in str(info.value)
+    assert not caplog.records
+
+
+@pytest.mark.parametrize("fn", [fredholm.prob_packed, fredholm.prob_flat, fredholm.prob_stat])
+def test_deep_tail_raises_instead_of_minus_infinity(fn):
+    # at t = 64, a = 5 the survival is about e^-1000 for packed and flat, far
+    # below what 1 - det resolves; the stationary p rounds to just above 1
+    with pytest.raises(NumericFailure, match="no finite log_survival"):
+        fn(64, 5.0)
 
 
 def test_build_grid_shares_a_read_only_rule():

@@ -48,41 +48,42 @@ def test_khat_matches_raw_kernel_at_shifted_level():
         hat = kernels.khat_packed(a, t, x1, x2).value
         left, right = kernels.raw_kernel_grid(
             t, t, np.array([shift + x1]), np.array([shift + x2]),
-            line_re=-1.0, circle_rad=0.5, sigma=1.0,
+            line_re=-1.0, circle_rad=0.5,
         )
+        # the raw conjugation e^{-c xi} at c = -1 is the saddle frame's e^{xi}
         raw = (left @ right.T)[0, 0]
         np.testing.assert_allclose(raw.real, hat, rtol=1e-10)
         assert abs(raw.imag) <= 1e-12
 
 
 def test_raw_kernel_deformation_invariance():
-    # sigma pinned: the default conjugation tracks the line and would change
-    # the represented (equivalent) kernel
+    # the conjugation e^{-c xi} tracks the line, so undo it to e^{xi} before
+    # comparing: the represented kernel must not depend on the contours
+    xi1, xi2 = 5.0, 5.5
     val = None
     for c, r in ((-1.0, 0.5), (-1.3, 0.4), (-0.8, 0.6)):
         left, right = kernels.raw_kernel_grid(
-            3, 2.0, np.array([5.0]), np.array([5.5]),
-            line_re=c, circle_rad=r, sigma=1.0,
+            3, 2.0, np.array([xi1]), np.array([xi2]),
+            line_re=c, circle_rad=r,
         )
-        cur = (left @ right.T)[0, 0]
+        cur = (left @ right.T)[0, 0] * np.exp((1.0 + c) * (xi1 - xi2))
         if val is not None:
             np.testing.assert_allclose(cur.real, val, rtol=1e-9)
         val = cur.real
 
 
-def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, sigma=None, oversample=1):
+def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
     """The raw kernel through the full line x circle Cauchy matrix.
 
     Same nodes and weights as raw_kernel_grid, but 1/(w - z) is kept whole
     instead of being cut to its first n Laurent terms.
     """
-    sigma = -line_re if sigma is None else sigma
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     cts = contours.build_raw_contours(n, t, xi1, xi2, line_re, circle_rad, oversample)
     w, aw, z, bz = kernels._raw_weights(n, t, cts)
-    e1 = np.exp(np.multiply.outer(xi1, w + sigma))
-    e2 = np.exp(-np.multiply.outer(xi2, z + sigma))
+    e1 = np.exp(np.multiply.outer(xi1, w - line_re))
+    e2 = np.exp(-np.multiply.outer(xi2, z - line_re))
     cauchy = 1.0 / np.subtract.outer(w, z)
     return kernels._DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
 
@@ -125,17 +126,24 @@ def test_line_phase_transform_matches_direct_phase_table(count):
 def test_prob_finite_n_matches_dense_determinant(monkeypatch, n, t, s):
     # the n x n Sylvester determinant against the full Nystrom matrix built
     # from the dense kernel on the same grid and contours
-    calls = []
+    calls, grids = [], []
 
     def spy(*args, **kwargs):
         calls.append((args, kwargs))
         return kernels.raw_kernel_grid(*args, **kwargs)
 
+    build_grid = fredholm.build_grid
+
+    def grid_spy(*args):
+        grids.append(build_grid(*args))
+        return grids[-1]
+
     monkeypatch.setattr(fredholm, "raw_kernel_grid", spy)
+    monkeypatch.setattr(fredholm, "build_grid", grid_spy)
     res = fredholm.prob_finite_n(n, t, s)
-    assert res.grid.size == 128
+    assert res.grid_size == grids[-1].size == 128
     args, kwargs = calls[-1]
-    p_dense = fredholm._det_core(dense_raw_kernel(*args, **kwargs), res.grid.weights)[0]
+    p_dense = fredholm._det_core(dense_raw_kernel(*args, **kwargs), grids[-1].weights)[0]
     assert abs(res.p - p_dense) <= 1e-13
 
 
@@ -191,11 +199,33 @@ def test_khat_flat_reference_and_invariance():
     a, t = 1.0, 4
     res = kernels.khat_flat(a, t, 0.0, 0.0)
     assert res.im_residue <= 1e-10
-    # doubling the nominal tau window must not move the value (the tail is
-    # already below the truncation tolerance)
-    cfg6 = contours.ContourConfig(tau_max=6.0)
-    res6 = kernels.khat_flat(a, t, 0.0, 0.0, cfg=cfg6)
-    assert abs(res.value - res6.value) <= 1e-8
+    # the spiral trimmed for time t, continued on the same nodes to tau = 6,
+    # must give the same value: its tail is below the truncation tolerance
+    trimmed = contours.flat_contour_for(a, t)
+    ppu = int(round(1.0 / (trimmed.params[1] - trimmed.params[0])))
+    wide = contours.build_flat_contour(a, ppu, 6.0)
+    assert trimmed.params[-1] < 1.0 and wide.nodes.size > 4 * trimmed.nodes.size
+    values = [kernels.khat_flat_grid(a, t, [0.0], [0.0], path)[0, 0].real
+              for path in (trimmed, wide)]
+    assert values[0] == res.value
+    assert 0.0 < abs(values[0] - values[1]) <= 1e-8
+
+
+def test_deformation_check_compares_two_different_spirals(monkeypatch):
+    # verify check 6's flat half: a drift between two evaluations on one
+    # spiral would be exactly zero and show nothing
+    sizes = []
+    khat_flat_grid = kernels.khat_flat_grid
+
+    def spy(a, t, xi1, xi2, path):
+        sizes.append(path.nodes.size)
+        return khat_flat_grid(a, t, xi1, xi2, path)
+
+    monkeypatch.setattr(kernels, "khat_flat_grid", spy)
+    ok, line = verify._check_deformation()
+    assert ok
+    assert len(sizes) == 2 and sizes[0] != sizes[1]
+    assert float(line.split("drift ")[-1].split()[0]) <= 1e-8
 
 
 def test_stat_components_identities():

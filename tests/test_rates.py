@@ -77,6 +77,22 @@ def test_solve_za_against_mpmath():
             assert abs((z_a - ref) / ref) <= 1e-15
 
 
+def test_rate_flat_against_mpmath():
+    # the 50 rows of `bmtails rates`; forming (z + p)/2 + 1 + a cancelled terms
+    # of order 1 and left 1.4e-14 at a = 0.0176
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for a in np.geomspace(0.01, 10.0, 50):
+            f = rates.rate_flat(a)
+            aa = mpmath.mpf(a)
+            z = mpmath.findroot(
+                lambda z: (z + 1) * (mpmath.re(mpmath.lambertw(z * mpmath.exp(z))) + 1) + aa,
+                mpmath.mpf(f.saddle_lo))
+            p = mpmath.re(mpmath.lambertw(z * mpmath.exp(z)))
+            ref = (p - z) * ((z + p) / 2 + 1 + aa)
+            assert abs((f.rate - ref) / ref) <= 5e-15
+
+
 def test_solve_za_raises_when_newton_runs_out_of_steps(monkeypatch):
     monkeypatch.setattr(rates, "_ZA_MAX_ITER", 1)
     with pytest.raises(NumericFailure, match="did not converge"):
