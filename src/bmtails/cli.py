@@ -12,8 +12,11 @@ flag name (``grid-size`` or ``grid_size``); each value is checked by its
 flag and becomes that flag's default, so command-line flags still win.
 Keys of other subcommands are ignored; an unknown key, or a value outside
 its flag's type or choices, exits 2.  ``prob --grid-size`` accepts 8-192
-(packed, flat) or 8-96 (stationary); ``--rho 1``, the default, is the
-unit-density stationary start.
+(flat) or 8-96 (stationary); the packed start has no Nystrom grid, so
+there it exits 2, as ``--rho`` does for a start that is not stationary.
+``--rho 1``, the default, is the unit-density stationary start.  ``tail``
+prints the rows of the times before the first one whose probability
+fails, then exits 3 naming that time.
 
 Exit codes: 0 success, 1 verification checks failed, 2 invalid arguments
 or configuration, 3 numeric failure inside a computation.  Log lines go
@@ -190,13 +193,17 @@ def _cmd_prob(ns):
     if ns.rho != 1.0 and ns.ic != "stationary":
         raise ValueError("rho only applies to the stationary start")
     if ns.ic == "packed":
-        res = fredholm.prob_packed(ns.t, ns.a, grid_size=ns.grid_size)
-    elif ns.ic == "flat":
-        res = fredholm.prob_flat(ns.t, ns.a, grid_size=ns.grid_size)
-    elif ns.rho == 1.0:
-        res = fredholm.prob_stat(ns.t, ns.a, grid_size=ns.grid_size)
+        if ns.grid_size is not None:
+            raise ValueError("grid-size does not apply to the packed start, which has no grid")
+        res = fredholm.prob_packed(ns.t, ns.a)
     else:
-        res = fredholm.prob_stat_rho(ns.t, ns.a, ns.rho, grid_size=ns.grid_size)
+        grid = {} if ns.grid_size is None else {"grid_size": ns.grid_size}
+        if ns.ic == "flat":
+            res = fredholm.prob_flat(ns.t, ns.a, **grid)
+        elif ns.rho == 1.0:
+            res = fredholm.prob_stat(ns.t, ns.a, **grid)
+        else:
+            res = fredholm.prob_stat_rho(ns.t, ns.a, ns.rho, **grid)
     row = {
         "ic": ns.ic,
         "t": ns.t,
@@ -220,8 +227,14 @@ def _cmd_tail(ns):
         raise ValueError(f"t-list must be comma-separated numbers, got {ns.t_list!r}")
     if not ts:
         raise ValueError("t-list is empty")
-    table = fredholm.tail_rate_table(ns.ic, ns.a, ts)
     columns = ["t", "p", "log_survival", "r_hat", "r_exact", "scaled_survival"]
+    try:
+        table = fredholm.tail_rate_table(ns.ic, ns.a, ts)
+    except NumericFailure as exc:
+        # the rows before the failing t stand; print them, then exit 3
+        if exc.last:
+            _emit(_table_text(ns.format, columns, exc.last), ns.out)
+        raise
     _emit(_table_text(ns.format, columns, table), ns.out)
     return 0
 
@@ -318,7 +331,8 @@ def build_parser():
     p.add_argument("--t", type=int, help="tagged particle index = time")
     p.add_argument("--a", type=float, help="deviation parameter")
     p.add_argument("--rho", type=float, default=1.0, help="stationary density in (0,1]")
-    p.add_argument("--grid-size", type=int, dest="grid_size", default=48)
+    p.add_argument("--grid-size", type=int, dest="grid_size",
+                   help="first Nystrom grid size (flat, stationary; default 48)")
     _add_common(p, "json")
 
     p = sub.add_parser("tail", help="finite-t rate estimates vs the exact rate")

@@ -1,15 +1,20 @@
 """Fredholm determinants on a half-line and one-point probabilities.
 
-The projected determinants det(1 - P_s K P_s) are evaluated by the
-Nystrom method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes
-u in (0,1) are mapped to xi = s - log(1-u)/d, which absorbs the proven
-exponential kernel decay (rate a for the packed and stationary kernels,
-|z_a + 1| for the flat one) so grids of a few dozen nodes converge.
-With M = W^1/2 K W^1/2, log det(I - M) comes from LU while the survival
-|1 - det| is at least 1e-2, where LU's absolute error of about N eps is
-about 1e-12 relative.  Smaller survivals, which 1 - det would lose to
-cancellation, come from the trace series -sum_j tr(M^j)/j, whose terms keep
-their relative precision; it needs ||M||_F < 1/2, or NumericFailure is raised.
+The packed determinant needs no quadrature grid: it is det(I_m - G) for
+the m x m moment Gram G of :func:`kernels.packed_gram`, and the survival
+keeps its relative precision however deep the tail (see :func:`prob_packed`).
+
+The flat, stationary and finite-index determinants det(1 - P_s K P_s) are
+evaluated by the Nystrom method (Bornemann, Math. Comp. 79 (2010)):
+Gauss-Legendre nodes u in (0,1) are mapped to xi = s - log(1-u)/d, which
+absorbs the proven exponential kernel decay (rate a for the stationary
+kernels, |z_a + 1| for the flat one) so grids of a few dozen nodes
+converge.  With M = W^1/2 K W^1/2, log det(I - M) comes from LU while the
+survival |1 - det| is at least 1e-2, where LU's absolute error of about
+N eps is about 1e-12 relative.  Smaller survivals, which 1 - det would
+lose to cancellation, come from the trace series -sum_j tr(M^j)/j, whose
+terms keep their relative precision; it needs ||M||_F < 1/2, or
+NumericFailure is raised.
 
 The finite-index route works with a kernel of rank n, given as factors
 K = L R^T with n columns each (see :func:`kernels.raw_kernel_grid`).  By
@@ -18,11 +23,12 @@ determinant is that of an n x n matrix whatever the grid size; the grid
 only sets the quadrature of the n^2 pairings R^T W L.
 
 Every entry point hands a closure evaluate(size, scale) to one driver,
-:func:`_solve`, which doubles the grid size and the contour density
-together until successive values agree, reports the last change as the
-refinement delta and the final grid size, and checks the imaginary residue
-and the [0, 1] range; a survival it cannot resolve (p above 1, or a
-log_survival that is not finite) raises NumericFailure.
+:func:`_solve`, which doubles the contour density, and on the Nystrom
+routes the grid size with it, until successive values agree; it reports
+the last change as the refinement delta and the final grid size (the Gram
+order on the packed route), and checks the imaginary residue and the
+[0, 1] range; a survival it cannot resolve (p above 1, or a log_survival
+that is not finite) raises NumericFailure.
 The flat spiral's density is bound to t rather than to the scale once t
 is large enough (see :func:`prob_flat`); there the flat refinement delta
 refines only the Nystrom grid.
@@ -60,8 +66,9 @@ from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
     khat_flat_grid,
-    khat_packed_grid,
     packed_factors,
+    packed_gram,
+    packed_gram_order,
     raw_kernel_grid,
     stat_components,
     stat_rho_pieces,
@@ -75,6 +82,8 @@ _CLAMP = 1e-9
 _LU_SURVIVAL = 1e-2
 _SERIES_NORM = 0.5
 _SERIES_TERMS = 64
+# below this log e^{-t r} the packed survival is e^{-t r} tr(Gt) to double precision
+_DEEP_LOG_SCALE = -600.0
 # refinement stops once p moves by less than this between grid sizes
 _TARGET = 1e-9
 # below this a probability that fails the imaginary-residue gate is not
@@ -105,7 +114,8 @@ class ProbResult:
     log_survival: float
     im_residue: float
     refinement_delta: float
-    grid_size: int                # Nystrom nodes of the returned evaluation
+    grid_size: int                # Nystrom nodes of the returned evaluation, or
+                                  # the Gram order m of prob_packed
 
 
 @functools.lru_cache(maxsize=None)
@@ -163,28 +173,38 @@ def _det_core(kmat, weights):
     return det, log_survival, im
 
 
-def _solve(what, evaluate, size0, max_size):
-    """Double (size, scale) from (size0, 1) until p moves by less than _TARGET.
+def _doubling(what, size0, max_size):
+    """The Nystrom grid sizes size0, 2 size0, ... up to max_size.
 
-    evaluate returns (p, log_survival, im_residue).  Each grid size is logged
-    at DEBUG level, which gives the refinement history.  size0 must lie in
-    [8, max_size // 2], so that p is refined at least once.  A p above 1, or
-    a log_survival that is not finite, raises NumericFailure; a p within
-    _CLAMP below 0 is set to 0.
+    size0 must lie in [8, max_size // 2], so that p is refined at least once.
     """
     if not 8 <= size0 <= max_size // 2:
         raise ValueError(f"{what}: grid_size must lie in [8, {max_size // 2}], got {size0}")
-    prev, size, scale = None, size0, 1
-    while True:
+    sizes = []
+    while size0 <= max_size:
+        sizes.append(size0)
+        size0 *= 2
+    return sizes
+
+
+def _solve(what, evaluate, sizes):
+    """Evaluate at sizes[k] and contour density 2^k until p moves by less than _TARGET.
+
+    evaluate(size, scale) returns (p, log_survival, im_residue).  Each step
+    is logged at DEBUG level, which gives the refinement history.  A p above
+    1, or a log_survival that is not finite, raises NumericFailure; a p
+    within _CLAMP below 0 is set to 0.
+    """
+    prev = None
+    for step, size in enumerate(sizes):
+        scale = 2 ** step
         result = evaluate(size, scale)
         delta = np.inf if prev is None else abs(result[0] - prev[0])
         log.debug("%s: grid size %d, p %.17g, log_survival %.17g, delta %.3e, "
                   "im residue %.3e", what, size, result[0], result[1], delta, result[2])
-        if delta < _TARGET or 2 * size > max_size:
+        if delta < _TARGET:
             break
         prev = result
-        size *= 2
-        scale *= 2
     p, log_survival, im = result
     if im > _IM_TOL * (1.0 + abs(p)):
         # a determinant this close to 0 is a cancellation of O(1) terms,
@@ -192,7 +212,7 @@ def _solve(what, evaluate, size0, max_size):
         hint = (f"p = {p:.1e} is below what the determinant resolves"
                 if abs(p) < _UNRESOLVED_P else
                 f"residue stays at grid size {size}, contour density x{scale}"
-                + (" (the largest grid)" if 2 * size > max_size
+                + (" (the largest grid)" if step == len(sizes) - 1
                    else "; increase contour density"))
         raise NumericFailure(
             f"{what}: imaginary residue {im:.3e} in log-determinant",
@@ -223,18 +243,30 @@ def _solve(what, evaluate, size0, max_size):
 # scaled one-point probabilities
 
 
-def prob_packed(t, a, *, grid_size=48):
-    """P(x_t(t) <= 2t + at) under the packed start."""
+def prob_packed(t, a):
+    """P(x_t(t) <= 2t + at) under the packed start.
+
+    det(1 - P_0 Khat P_0) is det(I_m - G) for the moment Gram G of
+    :func:`kernels.packed_gram`, with no Nystrom grid: grid_size reports
+    the order m of :func:`kernels.packed_gram_order`, and only the contour
+    density is doubled.  G = e^{-t r} Gt with Gt bounded.  Once t r exceeds
+    600, 1 - det(I - G) is e^{-t r} tr(Gt) up to a relative e^{-t r} |Gt|
+    below 1e-260, so log_survival is -t r + log tr(Gt), and the phase of
+    tr(Gt) is the imaginary residue.
+    """
     a = check_a(a)
-    t = float(t)
+    t = _check_time(t)
 
     def evaluate(size, scale):
-        factors = packed_factors(a, t, build_packed_contours(a, t, scale * POINTS_PER_UNIT))
-        grid = build_grid(0.0, a, size)
-        kmat = khat_packed_grid(grid.nodes, grid.nodes, factors)
-        return _det_core(kmat, grid.weights)
+        contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
+        gram, log_scale = packed_gram(a, t, contours, size)
+        if log_scale > _DEEP_LOG_SCALE:
+            return _det_core(np.exp(log_scale) * gram, np.ones(size))
+        trace = complex(np.trace(gram))
+        return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
 
-    return _solve("prob_packed", evaluate, grid_size, 384)
+    # contour densities x1 to x8, as on the Nystrom routes' default grids 48 to 384
+    return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
 
 
 def prob_flat(t, a, *, grid_size=48):
@@ -255,7 +287,7 @@ def prob_flat(t, a, *, grid_size=48):
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights)
 
-    return _solve("prob_flat", evaluate, grid_size, 384)
+    return _solve("prob_flat", evaluate, _doubling("prob_flat", grid_size, 384))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +344,7 @@ def prob_stat(t, a, *, grid_size=48):
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return deriv, logs, max(ims)
 
-    return _solve("prob_stat", evaluate, grid_size, 192)
+    return _solve("prob_stat", evaluate, _doubling("prob_stat", grid_size, 192))
 
 
 def prob_stat_rho(t, a, rho, *, grid_size=48):
@@ -356,7 +388,7 @@ def prob_stat_rho(t, a, rho, *, grid_size=48):
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
 
-    return _solve("prob_stat_rho", evaluate, grid_size, 192)
+    return _solve("prob_stat_rho", evaluate, _doubling("prob_stat_rho", grid_size, 192))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +438,7 @@ def prob_finite_n(n, t, s):
         # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
         return _det_core((right.T * grid.weights) @ left, np.ones(n))
 
-    return _solve("prob_finite_n", evaluate, 64, 512)
+    return _solve("prob_finite_n", evaluate, _doubling("prob_finite_n", 64, 512))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +451,10 @@ def tail_rate_table(ic, a, ts):
     Each row carries the finite-t rate estimate r_hat = -log(survival)/t,
     the exact rate, and the prefactor-scaled survival t e^{tr} (1-p) for
     the packed start or sqrt(t) e^{tr} (1-p) for the flat one, whose
-    approach to a constant exhibits the subexponential correction.
+    approach to a constant exhibits the subexponential correction.  A t
+    whose probability raises NumericFailure stops the table: the failure is
+    raised again, naming that t, with the rows of the earlier times as its
+    ``last``.
     """
     a = check_a(a)
     ts = [float(t) for t in ts]
@@ -436,7 +471,11 @@ def tail_rate_table(ic, a, ts):
 
     rows = []
     for t in ts:
-        res = prob(t, a)
+        try:
+            res = prob(t, a)
+        except NumericFailure as exc:
+            raise NumericFailure(f"t = {t:g}: {exc}", last=rows, residual=exc.residual,
+                                 hint=exc.hint) from exc
         r_hat = -res.log_survival / t
         scaled = t ** power * np.exp(t * r_exact + res.log_survival)
         rows.append({

@@ -14,7 +14,9 @@ Lambert spiral with the image branch phi carried along,
                    e^{x1(gamma+1) - x2(phi(gamma)+1)}.
 
 The contours come from :mod:`contours`; this module folds the phases
-into their weights and assembles the kernels.  Both kernels are evaluated
+into their weights and assembles the kernels.  The packed one-point
+determinant needs no kernel matrix: :func:`packed_gram` gives it as a
+small moment Gram matrix on the contours alone.  Both kernels are evaluated
 on whole quadrature grids at once by splitting the integrand into
 per-contour-node factors; the double integral couples the two contours
 only through the Cauchy factor 1/(w - z), which becomes a fixed matrix.
@@ -132,6 +134,47 @@ def packed_factors(a, t, contours):
     aw = line.weights * np.exp(t * _h_vals(w, a))
     bz = circle.weights * np.exp(-t * _h_vals(z, a))
     return w, aw, z, bz, 1.0 / np.subtract.outer(w, z)
+
+
+def packed_gram_order(a, t):
+    """The Gram order m = min(t, ceil(log(1e-18) / (2 log|w+|))) of :func:`packed_gram`.
+
+    Order t is exact.  The terms k >= m of the Cauchy series sum to
+    (z/w)^m / (w - z), and |z/w| <= |w+|^2 on the contours, so the part of
+    the kernel's integrand that they drop is at most |w+|^(2m) <= 1e-18 of
+    its modulus.  m is 4 at t = 4, and 11 (a = 5) to 30 (a = 0.5) at t >= 30.
+    """
+    w_plus = saddle_points(a)[1]
+    return min(int(t), int(np.ceil(np.log(1e-18) / (2.0 * np.log(abs(w_plus))))))
+
+
+def packed_gram(a, t, contours, order):
+    """Moment Gram of the packed kernel on the half-line, scaled by e^{t r}.
+
+    Returns (gram, log_scale) with det(I - Khat) on L^2(0, infinity) equal
+    to det(I - e^{log_scale} gram), the gram of the given order (see
+    :func:`packed_gram_order`) and log_scale = -t r = t (H(w-) - H(w+)).
+    With 1/(w - z) = sum_k z^k / w^(k+1), Khat(x1, x2) = sum_k L_k(x1) R_k(x2),
+    and the xi-integral of e^{xi (w - z)} over (0, infinity) is 1/(z - w)
+    because Re(w - z) < 0 between the contours, so
+
+        gram_jk = (2 pi i)^-2 sum_{z, w} bz z^j aw w^-(k+1) / (z - w),
+
+    with aw carrying e^{t (H(w) - H(w-))} and bz e^{t (H(w+) - H(z))}.  Both
+    have modulus at most one on the saddle contours, so gram stays bounded
+    whatever the depth of the tail, and no Nystrom grid is needed.
+    """
+    line, circle = contours
+    w_minus, w_plus = saddle_points(a)
+    h_lo, h_hi = phase_packed(w_minus, a), phase_packed(w_plus, a)
+    w = line.nodes
+    z = circle.nodes
+    aw = line.weights * np.exp(t * (_h_vals(w, a) - h_lo))
+    bz = circle.weights * np.exp(t * (h_hi - _h_vals(z, a)))
+    w_moments = aw[:, None] * np.vander(1.0 / w, order + 1, increasing=True)[:, 1:]
+    z_moments = bz[:, None] * np.vander(z, order, increasing=True)
+    cauchy = 1.0 / np.subtract.outer(z, w)
+    return _DOUBLE_PREF * (z_moments.T @ (cauchy @ w_moments)), t * (h_lo - h_hi)
 
 
 def _packed_assembly(factors, xi1, xi2):

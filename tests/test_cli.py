@@ -212,11 +212,11 @@ def test_config_bad_format_rejected(capsys, tmp_path, command):
 @pytest.mark.parametrize("command, base, flag, line, code, lines", [
     ("verify", (), ("--fast",), "fast = true", 0, 7),
     ("tail", ("--ic", "flat", "--a", "1"), ("--t-list", "4,8"), "t_list = 4,8", 0, 3),
-    ("prob", ("--ic", "packed", "--t", "4", "--a", "1"), ("--grid-size", "64"),
+    ("prob", ("--ic", "flat", "--t", "4", "--a", "1"), ("--grid-size", "64"),
      "grid-size = 64", 0, 11),
     ("simulate", ("--ic", "flat", "--t", "1", "--reps", "40", "--format", "json"),
      ("--cutoff", "4"), "cutoff = 4", 0, 14),
-    ("prob", ("--ic", "packed", "--t", "4", "--a", "1"), ("--grid-size", "256"),
+    ("prob", ("--ic", "flat", "--t", "4", "--a", "1"), ("--grid-size", "256"),
      "grid_size = 256", 2, 0),
     ("tail", ("--a", "1", "--t-list", "4"), ("--ic", "stationary"), "ic = stationary", 2, 0),
 ], ids=["fast", "t_list", "grid_size", "cutoff", "grid_size-too-large", "ic-outside-choices"])
@@ -244,7 +244,7 @@ def test_out_of_range_rejected_before_compute(capsys):
     code, _, err = run_cli(capsys, "rates", "--a-min", "2", "--a-max", "1")
     assert code == 2
     # a first grid above half the largest one would never be refined
-    for ic, size, top in (("packed", "256", 192), ("stationary", "128", 96)):
+    for ic, size, top in (("flat", "256", 192), ("stationary", "128", 96)):
         code, out, err = run_cli(capsys, "prob", "--ic", ic, "--t", "4", "--a", "1",
                                  "--grid-size", size)
         assert code == 2 and out == ""
@@ -269,12 +269,47 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
 
 
 def test_deep_tail_exits_three_without_output(capsys):
-    # the survival at t = 64, a = 5 is below what the determinant resolves:
-    # no row with log_survival -inf is printed
-    code, out, err = run_cli(capsys, "prob", "--ic", "packed", "--t", "64",
+    # the flat survival at t = 64, a = 5 is below what the determinant
+    # resolves: no row with log_survival -inf is printed
+    code, out, err = run_cli(capsys, "prob", "--ic", "flat", "--t", "64",
                              "--a", "5")
     assert code == 3 and out == ""
     assert "no finite log_survival" in err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_packed_prob_has_no_grid_size(capsys, tmp_path, source):
+    base = ("prob", "--ic", "packed", "--t", "4", "--a", "1")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("grid_size = 48\n")
+    extra = ("--grid-size", "48") if source == "flag" else ("--config", str(cfg))
+    code, out, err = run_cli(capsys, *base, *extra)
+    assert code == 2 and out == ""
+    assert "grid-size does not apply to the packed start" in err
+    assert run_cli(capsys, *base)[0] == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tail_prints_the_rows_before_a_failing_time(capsys, fmt):
+    # flat (64, 5) is below what the determinant resolves; (16, 5) is not
+    code, out, err = run_cli(capsys, "tail", "--ic", "flat", "--a", "5",
+                             "--t-list", "16,64", "--format", fmt)
+    assert code == 3
+    assert "t = 64: prob_flat: no finite log_survival" in err
+    if fmt == "csv":
+        lines = out.split("\r\n")
+        assert lines[0].startswith("t,p,log_survival") and lines[1].startswith("16,")
+        assert lines[2:] == [""]
+    else:
+        assert json.loads(out)["t"] == [16.0]
+
+
+def test_packed_tail_reaches_deep_times(capsys):
+    code, out, _ = run_cli(capsys, "tail", "--ic", "packed", "--a", "5",
+                           "--t-list", "16,64,256", "--format", "json")
+    table = json.loads(out)
+    assert code == 0 and table["t"] == [16.0, 64.0, 256.0]
+    assert all(np.isfinite(v) for v in table["log_survival"])
 
 
 def test_usage_error_exits_two(capsys):

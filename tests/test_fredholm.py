@@ -120,11 +120,11 @@ def test_det_core_small_survival_with_large_norm_raises():
 
 def test_det_core_logs_each_route(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
-        fredholm.prob_packed(4, 1.0)
-        fredholm.prob_packed(1, 0.25)
+        fredholm.prob_flat(4, 1.0)
+        fredholm.prob_flat(1, 0.25)
     lines = [r.getMessage() for r in caplog.records if r.funcName == "_det_core"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    assert lines[0].startswith("determinant of order 48: route series, 5 series terms, ||M||_F ")
+    assert lines[0].startswith("determinant of order 48: route series, 6 series terms, ||M||_F ")
     assert lines[-1].startswith("determinant of order 96: route lu, 0 series terms, ||M||_F ")
     assert len(lines) == 4
 
@@ -153,6 +153,10 @@ def test_packed_t1_is_gaussian():
     for a in (0.5, 1.0, 2.0):
         res = fredholm.prob_packed(1, a)
         np.testing.assert_allclose(res.p, norm.cdf(2.0 + a), atol=1e-9)
+    # deep in the tail too, where p rounds to 1 (e^-75 and e^-516)
+    for a in (10.0, 30.0):
+        res = fredholm.prob_packed(1, a)
+        np.testing.assert_allclose(res.log_survival, norm.logsf(2.0 + a), rtol=1e-12)
 
 
 @pytest.mark.parametrize("key", sorted(GUE_CDF))
@@ -162,15 +166,16 @@ def test_finite_n_matches_gue_oracle(key):
     np.testing.assert_allclose(res.p, GUE_CDF[key], atol=5e-11)
 
 
-def _hermite_gram_cdf(n, t, s):
-    """P(x_n(t) <= s) as det(I - G) at 40 digits, independent of bmtails.
+def _hermite_gram(n, t, s, digits):
+    """(P(x_n(t) <= s), log P(x_n(t) > s)) as det(I - G) at the given digits.
 
-    The top eigenvalue of the n x n Gaussian Hermitian ensemble with entry
-    variance t; with u0 = s / sqrt(2t) and the Hermite functions
-    phi_k = H_k e^{-u^2/2} / sqrt(2^k k! sqrt(pi)), G_jk is the integral of
-    phi_j phi_k over (u0, infinity).  It is a combination of the moments
-    I_m = int_{u0}^inf u^m e^{-u^2} du, which obey
-    I_m = u0^{m-1} e^{-u0^2} / 2 + (m - 1) I_{m-2} / 2.
+    Independent of bmtails.  The top eigenvalue of the n x n Gaussian
+    Hermitian ensemble with entry variance t; with u0 = s / sqrt(2t) and the
+    Hermite functions phi_k = H_k e^{-u^2/2} / sqrt(2^k k! sqrt(pi)), G_jk is
+    the integral of phi_j phi_k over (u0, infinity).  It is a combination of
+    the moments I_m = int_{u0}^inf u^m e^{-u^2} du, which obey
+    I_m = u0^{m-1} e^{-u0^2} / 2 + (m - 1) I_{m-2} / 2.  1 - det loses as
+    many digits as the survival has leading zeros.
     """
     mpmath = pytest.importorskip("mpmath")
     herm = [[1], [0, 2]]  # integer coefficients of H_k, lowest power first
@@ -179,7 +184,7 @@ def _hermite_gram_cdf(n, t, s):
         for i, c in enumerate(herm[k - 1]):
             nxt[i] -= 2 * k * c
         herm.append(nxt)
-    with mpmath.workdps(40):
+    with mpmath.workdps(digits):
         u0 = mpmath.mpf(s) / mpmath.sqrt(2 * mpmath.mpf(t))
         gauss = mpmath.exp(-u0 * u0)
         mom = [mpmath.sqrt(mpmath.pi) * mpmath.erfc(u0) / 2, gauss / 2]
@@ -193,7 +198,13 @@ def _hermite_gram_cdf(n, t, s):
                 g = sum(cj * ck * mom[a + b]
                         for a, cj in enumerate(herm[j]) for b, ck in enumerate(herm[k]))
                 mat[j, k] = (j == k) - norm_k[j] * norm_k[k] * g
-        return float(mpmath.det(mat))
+        det = mpmath.det(mat)
+        return float(det), float(mpmath.log(1 - det))
+
+
+def _hermite_gram_cdf(n, t, s):
+    """P(x_n(t) <= s) from :func:`_hermite_gram` at 40 digits."""
+    return _hermite_gram(n, t, s, 40)[0]
 
 
 def test_hermite_gram_oracle_reproduces_known_values():
@@ -215,6 +226,98 @@ def test_finite_n_matches_hermite_gram_oracle(n, t):
 def test_finite_n_bulk_imaginary_residue(s):
     # the levels where the line's phase factors carry the most cancellation
     assert fredholm.prob_finite_n(5, 1, s).im_residue <= 2e-9
+
+
+# packed log_survival at (t, a): the level (2 + a) t of particle t, from
+# _hermite_gram at 120 digits, which 160 digits reproduce to 25 digits
+HERMITE_LOG_SURVIVAL = {
+    (4, 5.0): -87.504869401152498,
+    (8, 3.0): -75.114943780523794,
+    (16, 3.0): -142.36703623128627,
+}
+
+
+@pytest.mark.parametrize("t, a", sorted(HERMITE_LOG_SURVIVAL))
+def test_hermite_gram_reproduces_the_120_digit_values(t, a):
+    log_survival = _hermite_gram(t, t, (2.0 + a) * t, 120)[1]
+    assert log_survival == pytest.approx(HERMITE_LOG_SURVIVAL[(t, a)], rel=1e-16)
+
+
+@pytest.mark.parametrize("t, a", sorted(HERMITE_LOG_SURVIVAL))
+def test_prob_packed_matches_the_120_digit_hermite_values(t, a):
+    value = HERMITE_LOG_SURVIVAL[(t, a)]
+    assert abs(fredholm.prob_packed(t, a).log_survival - value) <= 1e-12 * abs(value)
+
+
+def _log_hermite(n, u):
+    """log psi_k(u) for k < n, psi_k = pi^(1/4) e^{u^2/2} phi_k, above the largest zero.
+
+    The recurrence psi_{k+1} = sqrt(2/(k+1)) u psi_k - sqrt(k/(k+1)) psi_{k-1}
+    runs on the ratios psi_k / psi_{k-1}, which are positive beyond the zeros
+    of psi_n, so the logs are sums of logs and never overflow.
+    """
+    logs = np.zeros((n,) + np.shape(u))
+    ratio = None
+    for k in range(1, n):
+        ratio = np.sqrt(2.0 / k) * u - (0.0 if k == 1 else np.sqrt((k - 1) / k) / ratio)
+        logs[k] = logs[k - 1] + np.log(ratio)
+    return logs
+
+
+def _hermite_log_survival(t, a, nodes=120):
+    """Packed log P(x_t(t) > (2 + a) t) from the Hermite Gram in double precision.
+
+    Independent of bmtails, and of the contours, saddles and Lambert W.
+    With u0 = (2 + a) sqrt(t / 2) beyond the edge sqrt(2t), G_jk =
+    c_j c_k Gh_jk, where c_k = pi^(-1/4) e^{-u0^2/2} psi_k(u0) holds the
+    Gaussian factored out in logs, and Gh_jk is the integral over v > 0 of
+    e^{-2 u0 v - v^2} psi_j(u0 + v) psi_k(u0 + v) / (psi_j(u0) psi_k(u0)),
+    taken by Gauss-Laguerre in 2 u0 v.  G is symmetric, so log det(I - G) is
+    the sum of log1p(-mu) over its eigenvalues mu, each formed as e^lam muh
+    from the eigenvalues muh of G e^-lam, so nothing underflows before the log.
+    """
+    n = int(t)
+    u0 = (2.0 + a) * np.sqrt(t / 2.0)
+    x, weights = np.polynomial.laguerre.laggauss(nodes)
+    v = x / (2.0 * u0)
+    at_u0 = _log_hermite(n, u0)
+    shape = np.exp(_log_hermite(n, u0 + v) - at_u0[:, None] - v * v / 2.0)
+    g_hat = (shape * (weights / (2.0 * u0))) @ shape.T
+    log_c = -u0 * u0 / 2.0 + at_u0 - np.log(np.pi) / 4.0
+    lam = 2.0 * log_c.max()
+    mu_hat = np.linalg.eigvalsh(np.exp(log_c[:, None] + log_c[None, :] - lam) * g_hat)
+    mu = np.exp(lam) * mu_hat
+    # -log1p(-mu) = mu q with q -> 1 as mu -> 0
+    q = np.ones_like(mu)
+    q[mu != 0] = -np.log1p(-mu[mu != 0]) / mu[mu != 0]
+    log_y = lam + np.log(np.sum(mu_hat * q))    # y = -log det(I - G)
+    y = np.exp(log_y)
+    return float(log_y + (np.log(-np.expm1(-y) / y) if y > 0 else 0.0))
+
+
+def test_double_hermite_oracle_matches_the_120_digit_values():
+    for (t, a), value in HERMITE_LOG_SURVIVAL.items():
+        assert abs(_hermite_log_survival(t, a) - value) <= 1e-14 * abs(value)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("t", [4, 16, 64])
+def test_prob_packed_matches_the_double_hermite_oracle(t, a):
+    oracle = _hermite_log_survival(t, a)
+    # the oracle's quadrature has converged: 100 nodes agree
+    assert abs(_hermite_log_survival(t, a, 100) - oracle) <= 1e-13 * abs(oracle)
+    assert abs(fredholm.prob_packed(t, a).log_survival - oracle) <= 1e-12 * abs(oracle)
+
+
+@pytest.mark.parametrize("t, a", [(16, 5.0), (64, 0.5), (64, 1.0), (256, 2.0)])
+def test_packed_gram_orders_m_and_2m_agree(monkeypatch, t, a):
+    base = fredholm.prob_packed(t, a)
+    order = kernels.packed_gram_order(a, t)
+    assert base.grid_size == order < t
+    monkeypatch.setattr(fredholm, "packed_gram_order", lambda a, t: min(2 * order, int(t)))
+    doubled = fredholm.prob_packed(t, a)
+    assert doubled.grid_size == min(2 * order, t)
+    assert abs(doubled.log_survival - base.log_survival) <= 1e-14 * abs(base.log_survival)
 
 
 def test_prob_packed_matches_gue_oracle_through_saddle_route():
@@ -280,11 +383,11 @@ def test_fd_derivative_rejects_step_dependence():
         pytest.approx(1.0, abs=1e-10)
 
 
-# (p, log_survival, final grid size) of each entry point, far tighter than
+# (p, log_survival, final grid size or Gram order) of each entry point, far tighter than
 # the oracle tests, so a change in the shared refinement driver shows
 FROZEN = {
     "packed": (fredholm.prob_packed, (4, 1),
-               0.999991593107674, -11.68645867356229, 96),
+               0.999991593107674, -11.68645867356225, 4),
     "flat": (fredholm.prob_flat, (4, 1),
              0.9996857475080847, -8.065313780802915, 96),
     "stat": (fredholm.prob_stat, (4, 1),
@@ -338,9 +441,9 @@ def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
 
 
 @pytest.mark.parametrize("fn, args, size, top", [
-    (fredholm.prob_packed, (4, 1.0), 256, 192),
+    (fredholm.prob_flat, (4, 1.0), 256, 192),
     (fredholm.prob_flat, (4, 1.0), 193, 192),
-    (fredholm.prob_packed, (4, 1.0), 7, 192),
+    (fredholm.prob_flat, (4, 1.0), 7, 192),
     (fredholm.prob_stat, (4, 1.0), 97, 96),
     (fredholm.prob_stat_rho, (4, 1.0, 0.9), 128, 96),
 ])
@@ -351,22 +454,22 @@ def test_grid_size_outside_the_refined_range_raises(fn, args, size, top):
 
 
 def test_largest_first_grid_size_is_refined_once():
-    res = fredholm.prob_packed(4, 1.0, grid_size=192)
+    res = fredholm.prob_flat(4, 1.0, grid_size=192)
     assert res.grid_size == 384
     assert res.refinement_delta < 1e-9
 
 
 def test_solve_logs_each_grid_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
-        res = fredholm.prob_packed(4, 1.0)
+        res = fredholm.prob_flat(4, 1.0)
     records = [r for r in caplog.records
                if r.name == "bmtails.fredholm" and r.funcName == "_solve"]
     assert all(r.levelno == logging.DEBUG for r in records)
     lines = [r.getMessage() for r in records]
     assert len(lines) == 2 and res.grid_size == 96
-    assert lines[0].startswith("prob_packed: grid size 48, p ")
+    assert lines[0].startswith("prob_flat: grid size 48, p ")
     assert "delta inf" in lines[0]
-    assert lines[1].startswith(f"prob_packed: grid size 96, p {res.p:.17g},")
+    assert lines[1].startswith(f"prob_flat: grid size 96, p {res.p:.17g},")
     assert f"log_survival {res.log_survival:.17g}," in lines[1]
     assert f"delta {res.refinement_delta:.3e}, im residue {res.im_residue:.3e}" in lines[1]
 
@@ -405,7 +508,7 @@ def _unit_pairing_det(scale):
         kmat = scale * np.exp(-grid.nodes)[None, :] * np.ones((size, 1))
         return fredholm._det_core(kmat, grid.weights)
 
-    return fredholm._solve("unit pairing", evaluate, 48, 96)
+    return fredholm._solve("unit pairing", evaluate, [48, 96])
 
 
 def test_clamp_negative_roundoff(caplog):
@@ -429,12 +532,25 @@ def test_probability_just_above_one_raises(caplog):
     assert not caplog.records
 
 
-@pytest.mark.parametrize("fn", [fredholm.prob_packed, fredholm.prob_flat, fredholm.prob_stat])
+@pytest.mark.parametrize("fn", [fredholm.prob_flat, fredholm.prob_stat])
 def test_deep_tail_raises_instead_of_minus_infinity(fn):
-    # at t = 64, a = 5 the survival is about e^-1000 for packed and flat, far
-    # below what 1 - det resolves; the stationary p rounds to just above 1
+    # at t = 64, a = 5 the flat survival is about e^-1150, far below what
+    # 1 - det resolves; the stationary p rounds to just above 1
     with pytest.raises(NumericFailure, match="no finite log_survival"):
         fn(64, 5.0)
+
+
+@pytest.mark.parametrize("t, a, log_survival", [
+    (64, 5.0, -1267.9674489932), (256, 2.0, -1110.4505626341), (256, 5.0, -5038.1228218883),
+])
+def test_packed_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch, t, a,
+                                                                     log_survival):
+    # e^{-t r} underflows here; the Gram route factors it out of the determinant
+    res = fredholm.prob_packed(t, a)
+    assert abs(res.log_survival - log_survival) <= 1e-10 * abs(log_survival)
+    monkeypatch.setattr(fredholm, "POINTS_PER_UNIT", 2 * fredholm.POINTS_PER_UNIT)
+    denser = fredholm.prob_packed(t, a)
+    assert abs(denser.log_survival - res.log_survival) <= 1e-13 * abs(log_survival)
 
 
 def test_build_grid_shares_a_read_only_rule():

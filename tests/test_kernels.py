@@ -35,6 +35,22 @@ def test_khat_packed_deformation_invariance():
         assert abs(val.imag) <= 1e-10
 
 
+def test_packed_gram_order():
+    assert [kernels.packed_gram_order(a, 64) for a in (0.5, 1.0, 2.0, 5.0)] == [30, 22, 16, 11]
+    assert [kernels.packed_gram_order(a, 4) for a in (0.5, 5.0)] == [4, 4]
+
+
+@pytest.mark.parametrize("t, a", [(1, 0.25), (4, 1.0), (8, 0.5)])
+def test_packed_gram_determinant_is_the_nystrom_one(t, a):
+    # the Gram and the Nystrom matrix of one kernel on the same contours
+    contours_ = contours.build_packed_contours(a, t)
+    gram, log_scale = kernels.packed_gram(a, t, contours_, t)
+    det = np.linalg.det(np.eye(t) - np.exp(log_scale) * gram)
+    grid = fredholm.build_grid(0.0, a, 96)
+    kmat = kernels.khat_packed_grid(grid.nodes, grid.nodes, kernels.packed_factors(a, t, contours_))
+    assert abs(det - fredholm._det_core(kmat, grid.weights)[0]) <= 1e-13
+
+
 def test_khat_matches_raw_kernel_at_shifted_level():
     """Same object through two unrelated discretizations.
 
