@@ -23,7 +23,6 @@ from .contours import (
 from .kernels import (
     KernelEval,
     StatComponents,
-    khat_flat,
     khat_packed,
     klimit,
     stat_components,
@@ -65,7 +64,6 @@ __all__ = [
     "build_grid",
     "build_packed_contours",
     "gue_top_sample",
-    "khat_flat",
     "khat_packed",
     "klimit",
     "lambert_w",

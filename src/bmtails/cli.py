@@ -8,15 +8,13 @@ JSON output is a single snake_case object.
 
 Each option is declared once, on its subcommand's parser, with its type,
 choices and default.  ``--config FILE`` reads ``key=value`` lines keyed by
-flag name (``grid-size`` or ``grid_size``); each value is checked by its
-flag and becomes that flag's default, so command-line flags still win.
-Keys of other subcommands are ignored; an unknown key, or a value outside
-its flag's type or choices, exits 2.  ``prob --grid-size`` accepts 8-192
-(flat) or 8-96 (stationary); the packed start has no Nystrom grid, so
-there it exits 2, as ``--rho`` does for a start that is not stationary.
-``--rho 1``, the default, is the unit-density stationary start.  ``tail``
-prints the rows of the times before the first one whose probability
-fails, then exits 3 naming that time.
+flag name (``t-list`` or ``t_list``); each value is checked by its flag
+and becomes that flag's default, so command-line flags still win.  Keys
+of other subcommands are ignored; an unknown key, or a value outside its
+flag's type or choices, exits 2.  ``prob --rho`` applies to the
+stationary start only; ``--rho 1``, the default, is its unit-density
+form.  ``tail`` prints the rows of the times before the first one whose
+probability fails, then exits 3 naming that time.
 
 Exit codes: 0 success, 1 verification checks failed, 2 invalid arguments
 or configuration, 3 numeric failure inside a computation.  Log lines go
@@ -157,6 +155,8 @@ def _emit(text, out):
 
 
 def _check_grid(ns):
+    if not (np.isfinite(ns.a_min) and np.isfinite(ns.a_max)):
+        raise ValueError(f"a-min and a-max must be finite, got {ns.a_min} and {ns.a_max}")
     if not 0.0 < ns.a_min < ns.a_max:
         raise ValueError("need 0 < a-min < a-max")
     if ns.points < 2:
@@ -193,17 +193,13 @@ def _cmd_prob(ns):
     if ns.rho != 1.0 and ns.ic != "stationary":
         raise ValueError("rho only applies to the stationary start")
     if ns.ic == "packed":
-        if ns.grid_size is not None:
-            raise ValueError("grid-size does not apply to the packed start, which has no grid")
         res = fredholm.prob_packed(ns.t, ns.a)
+    elif ns.ic == "flat":
+        res = fredholm.prob_flat(ns.t, ns.a)
+    elif ns.rho == 1.0:
+        res = fredholm.prob_stat(ns.t, ns.a)
     else:
-        grid = {} if ns.grid_size is None else {"grid_size": ns.grid_size}
-        if ns.ic == "flat":
-            res = fredholm.prob_flat(ns.t, ns.a, **grid)
-        elif ns.rho == 1.0:
-            res = fredholm.prob_stat(ns.t, ns.a, **grid)
-        else:
-            res = fredholm.prob_stat_rho(ns.t, ns.a, ns.rho, **grid)
+        res = fredholm.prob_stat_rho(ns.t, ns.a, ns.rho)
     row = {
         "ic": ns.ic,
         "t": ns.t,
@@ -241,6 +237,8 @@ def _cmd_tail(ns):
 
 def _cmd_simulate(ns):
     _require(ns, "simulate", "ic", "t")
+    if ns.a is None and ns.format == "json" and ns.reps < 2:
+        raise ValueError(f"the JSON summary's std needs reps >= 2, got {ns.reps}")
     cfg = sim.SimConfig(ic=ns.ic, t=ns.t, dt=ns.dt, cutoff=ns.cutoff, reps=ns.reps,
                         seed=ns.seed, rho=ns.rho)
     row = {"ic": cfg.ic, "t": cfg.t, "dt": cfg.dt, "cutoff": cfg.cutoff,
@@ -331,8 +329,6 @@ def build_parser():
     p.add_argument("--t", type=int, help="tagged particle index = time")
     p.add_argument("--a", type=float, help="deviation parameter")
     p.add_argument("--rho", type=float, default=1.0, help="stationary density in (0,1]")
-    p.add_argument("--grid-size", type=int, dest="grid_size",
-                   help="first Nystrom grid size (flat, stationary; default 48)")
     _add_common(p, "json")
 
     p = sub.add_parser("tail", help="finite-t rate estimates vs the exact rate")

@@ -21,7 +21,7 @@ class NumericFailure(RuntimeError):
     residual : float
         Residual magnitude at ``last``.
     hint : str
-        Suggested remedy (e.g. "raise the grid size", "refine contour").
+        Suggested remedy (e.g. "double the contour node density").
     """
 
     def __init__(self, message, last=None, residual=None, hint=""):

@@ -22,13 +22,15 @@ Sylvester's identity det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), so its
 determinant is that of an n x n matrix whatever the grid size; the grid
 only sets the quadrature of the n^2 pairings R^T W L.
 
-Every entry point hands a closure evaluate(size, scale) to one driver,
-:func:`_solve`, which doubles the contour density, and on the Nystrom
-routes the grid size with it, until successive values agree; it reports
-the last change as the refinement delta and the final grid size (the Gram
-order on the packed route), and checks the imaginary residue and the
-[0, 1] range; a survival it cannot resolve (p above 1, or a log_survival
-that is not finite) raises NumericFailure.
+Every entry point hands a closure evaluate(size, scale) and its fixed
+ladder of sizes to one driver, :func:`_solve`, which doubles the contour
+density at each rung (and on the Nystrom routes the grid size: flat 48 to
+384, stationary 48 to 192, finite index 64 to 512) until successive values
+agree; it reports the last change as the refinement delta and the final
+grid size (the Gram order m, the same on all four rungs of the packed
+route), and checks the imaginary residue and the [0, 1] range; a survival
+it cannot resolve (p above 1, or a log_survival that is not finite)
+raises NumericFailure.
 The flat spiral's density is bound to t rather than to the scale once t
 is large enough (see :func:`prob_flat`); there the flat refinement delta
 refines only the Nystrom grid.
@@ -173,20 +175,6 @@ def _det_core(kmat, weights):
     return det, log_survival, im
 
 
-def _doubling(what, size0, max_size):
-    """The Nystrom grid sizes size0, 2 size0, ... up to max_size.
-
-    size0 must lie in [8, max_size // 2], so that p is refined at least once.
-    """
-    if not 8 <= size0 <= max_size // 2:
-        raise ValueError(f"{what}: grid_size must lie in [8, {max_size // 2}], got {size0}")
-    sizes = []
-    while size0 <= max_size:
-        sizes.append(size0)
-        size0 *= 2
-    return sizes
-
-
 def _solve(what, evaluate, sizes):
     """Evaluate at sizes[k] and contour density 2^k until p moves by less than _TARGET.
 
@@ -265,11 +253,11 @@ def prob_packed(t, a):
         trace = complex(np.trace(gram))
         return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
 
-    # contour densities x1 to x8, as on the Nystrom routes' default grids 48 to 384
+    # contour densities x1 to x8, as on the flat route's grids 48 to 384
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
 
 
-def prob_flat(t, a, *, grid_size=48):
+def prob_flat(t, a):
     """P(x_t(t) <= 2t + at) under the flat start.
 
     The spiral's density is set by t once 16 sqrt(t |eta|) exceeds the scaled
@@ -287,7 +275,7 @@ def prob_flat(t, a, *, grid_size=48):
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights)
 
-    return _solve("prob_flat", evaluate, _doubling("prob_flat", grid_size, 384))
+    return _solve("prob_flat", evaluate, [48, 96, 192, 384])
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +297,12 @@ def _fd_derivative(D, a, t, what):
             f"{what} derivative unstable in the step size",
             last=deriv,
             residual=spread,
-            hint="raise the grid size",
+            hint=f"D(s) is not smooth on the scale of the step h = {h:.3g}",
         )
     return deriv
 
 
-def prob_stat(t, a, *, grid_size=48):
+def prob_stat(t, a):
     """P(x_t(t) <= 2t + at) under the unit-density stationary start.
 
     Evaluates D(s) = Fhat_t(s) det(1 - P K P) + det(1 - P(K + f* x g1)P)
@@ -344,10 +332,10 @@ def prob_stat(t, a, *, grid_size=48):
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return deriv, logs, max(ims)
 
-    return _solve("prob_stat", evaluate, _doubling("prob_stat", grid_size, 192))
+    return _solve("prob_stat", evaluate, [48, 96, 192])
 
 
-def prob_stat_rho(t, a, rho, *, grid_size=48):
+def prob_stat_rho(t, a, rho):
     """P(x_t(t) <= 2t + at) for the stationary start with density rho < 1.
 
     Uses det(1 - P(K + (1-rho) f x g_rho)P) = det(1 - PKP) (1 - (1-rho) S)
@@ -388,7 +376,7 @@ def prob_stat_rho(t, a, rho, *, grid_size=48):
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
 
-    return _solve("prob_stat_rho", evaluate, _doubling("prob_stat_rho", grid_size, 192))
+    return _solve("prob_stat_rho", evaluate, [48, 96, 192])
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +426,7 @@ def prob_finite_n(n, t, s):
         # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
         return _det_core((right.T * grid.weights) @ left, np.ones(n))
 
-    return _solve("prob_finite_n", evaluate, _doubling("prob_finite_n", 64, 512))
+    return _solve("prob_finite_n", evaluate, [64, 128, 256, 512])
 
 
 # ---------------------------------------------------------------------------

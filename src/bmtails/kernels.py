@@ -60,7 +60,6 @@ from .contours import (
     _check_time,
     build_packed_contours,
     build_raw_contours,
-    flat_contour_for,
 )
 from .errors import NumericFailure
 from .lambertw import phi
@@ -193,24 +192,24 @@ def khat_packed_grid(xi1, xi2, factors):
     return _packed_assembly(factors, xi1, xi2)[0]
 
 
-def _certified(what, xi1, xi2, value_at):
-    """KernelEval of value_at at twice the default density, against it at the default."""
-    coarse = value_at(POINTS_PER_UNIT)
-    fine = value_at(2 * POINTS_PER_UNIT)
-    im = _demand_real(fine, what, f"(xi1, xi2) = ({xi1}, {xi2})")
-    return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
-
-
 def khat_packed(a, t, xi1, xi2):
-    """Pointwise conjugated packed kernel with a refinement certificate."""
+    """Pointwise conjugated packed kernel with a refinement certificate.
+
+    The value is taken at twice the default contour density, and the
+    certificate is its change from the value at the default density.
+    """
     a = check_a(a)
     t = _check_time(t)
     xi1 = _check_finite(xi1, "xi1")
     xi2 = _check_finite(xi2, "xi2")
-    return _certified(
-        "packed kernel value", xi1, xi2,
-        lambda ppu: khat_packed_grid(
-            [xi1], [xi2], packed_factors(a, t, build_packed_contours(a, t, ppu)))[0, 0])
+
+    def value_at(ppu):
+        factors = packed_factors(a, t, build_packed_contours(a, t, ppu))
+        return khat_packed_grid([xi1], [xi2], factors)[0, 0]
+
+    coarse, fine = value_at(POINTS_PER_UNIT), value_at(2 * POINTS_PER_UNIT)
+    im = _demand_real(fine, "packed kernel value", f"(xi1, xi2) = ({xi1}, {xi2})")
+    return KernelEval(value=float(fine.real), im_residue=im, refinement_delta=abs(fine - coarse))
 
 
 # ---------------------------------------------------------------------------
@@ -226,18 +225,6 @@ def khat_flat_grid(a, t, xi1, xi2, path):
     e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), gam + 1.0))
     e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), phi + 1.0))
     return (e1 * core) @ e2.T
-
-
-def khat_flat(a, t, xi1, xi2):
-    """Pointwise conjugated flat kernel with a refinement certificate."""
-    a = check_a(a)
-    t = _check_time(t)
-    xi1 = _check_finite(xi1, "xi1")
-    xi2 = _check_finite(xi2, "xi2")
-    z_a = solve_za(a)
-    return _certified(
-        "flat kernel value", xi1, xi2,
-        lambda ppu: khat_flat_grid(a, t, [xi1], [xi2], flat_contour_for(a, t, ppu, z_a=z_a))[0, 0])
 
 
 # ---------------------------------------------------------------------------

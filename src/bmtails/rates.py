@@ -144,18 +144,29 @@ def saddle_packed(a):
     )
 
 
+def _finite_rate(what, a, rate):
+    if not np.isfinite(rate):
+        raise NumericFailure(f"{what} is not finite at a = {a!r}", last=rate,
+                             hint="a * a overflows above a of about 1.3e154")
+    return rate
+
+
 def rate_packed(a):
     """Upper-tail rate for the packed start (closed form)."""
     a = check_a(a)
-    disc = np.sqrt(a + a * a / 4.0)
-    return (2.0 + a) * disc - 2.0 * np.log1p(a / 2.0 + disc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = np.sqrt(a + a * a / 4.0)
+        rate = (2.0 + a) * disc - 2.0 * np.log1p(a / 2.0 + disc)
+    return _finite_rate("rate_packed", a, rate)
 
 
 def rate_stat(a):
     """Upper-tail rate for the stationary start (closed form, = H(w+))."""
     a = check_a(a)
-    disc = np.sqrt(a + a * a / 4.0)
-    return disc + a * a / (2.0 * (disc + a / 2.0)) - np.log1p(a / 2.0 + disc)
+    with np.errstate(over="ignore", invalid="ignore"):
+        disc = np.sqrt(a + a * a / 4.0)
+        rate = disc + a * a / (2.0 * (disc + a / 2.0)) - np.log1p(a / 2.0 + disc)
+    return _finite_rate("rate_stat", a, rate)
 
 
 def phase_flat(z, a):

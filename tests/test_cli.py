@@ -160,6 +160,24 @@ def test_simulate_json_summary(capsys):
     assert obj["min"] <= obj["mean"] <= obj["max"]
 
 
+def test_simulate_json_summary_needs_two_replicas(capsys):
+    # the std of one replica is undefined; the CSV dump of it is not
+    args = ("simulate", "--ic", "packed", "--t", "1", "--reps", "1")
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert code == 2 and out == ""
+    assert "reps >= 2, got 1" in err
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0 and err == ""
+    assert len(parse_csv(out)[1]) == 1
+
+
+@pytest.mark.parametrize("command", ["rates", "figure1"])
+def test_grid_bounds_must_be_finite(capsys, command):
+    code, out, err = run_cli(capsys, command, "--a-max", "inf")
+    assert code == 2 and out == ""
+    assert "a-min and a-max must be finite" in err
+
+
 def test_simulate_tail_mode(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--ic", "packed", "--t", "1",
                            "--dt", "0.01", "--reps", "200", "--seed", "2",
@@ -212,14 +230,14 @@ def test_config_bad_format_rejected(capsys, tmp_path, command):
 @pytest.mark.parametrize("command, base, flag, line, code, lines", [
     ("verify", (), ("--fast",), "fast = true", 0, 7),
     ("tail", ("--ic", "flat", "--a", "1"), ("--t-list", "4,8"), "t_list = 4,8", 0, 3),
-    ("prob", ("--ic", "flat", "--t", "4", "--a", "1"), ("--grid-size", "64"),
-     "grid-size = 64", 0, 11),
+    ("prob", ("--ic", "stationary", "--t", "4", "--a", "1"), ("--rho", "0.9"),
+     "rho = 0.9", 0, 11),
     ("simulate", ("--ic", "flat", "--t", "1", "--reps", "40", "--format", "json"),
      ("--cutoff", "4"), "cutoff = 4", 0, 14),
-    ("prob", ("--ic", "flat", "--t", "4", "--a", "1"), ("--grid-size", "256"),
-     "grid_size = 256", 2, 0),
+    ("prob", ("--ic", "stationary", "--t", "4", "--a", "1"), ("--rho", "1.5"),
+     "rho = 1.5", 2, 0),
     ("tail", ("--a", "1", "--t-list", "4"), ("--ic", "stationary"), "ic = stationary", 2, 0),
-], ids=["fast", "t_list", "grid_size", "cutoff", "grid_size-too-large", "ic-outside-choices"])
+], ids=["fast", "t_list", "rho", "cutoff", "rho-outside-range", "ic-outside-choices"])
 def test_config_key_acts_as_its_flag(capsys, tmp_path, command, base, flag, line,
                                      code, lines):
     cfg = tmp_path / "run.cfg"
@@ -243,12 +261,6 @@ def test_out_of_range_rejected_before_compute(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "rates", "--a-min", "2", "--a-max", "1")
     assert code == 2
-    # a first grid above half the largest one would never be refined
-    for ic, size, top in (("flat", "256", 192), ("stationary", "128", 96)):
-        code, out, err = run_cli(capsys, "prob", "--ic", ic, "--t", "4", "--a", "1",
-                                 "--grid-size", size)
-        assert code == 2 and out == ""
-        assert f"grid_size must lie in [8, {top}], got {size}" in err
     for a in ("nan", "inf"):
         code, out, err = run_cli(capsys, "simulate", "--ic", "packed", "--t", "1",
                                  "--dt", "0.01", "--reps", "50", "--seed", "2",
@@ -278,15 +290,16 @@ def test_deep_tail_exits_three_without_output(capsys):
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-def test_packed_prob_has_no_grid_size(capsys, tmp_path, source):
-    base = ("prob", "--ic", "packed", "--t", "4", "--a", "1")
+@pytest.mark.parametrize("ic", ["packed", "flat", "stationary"])
+def test_prob_has_no_grid_size(capsys, tmp_path, ic, source):
+    # each determinant refines itself from a fixed first grid
     cfg = tmp_path / "run.cfg"
     cfg.write_text("grid_size = 48\n")
     extra = ("--grid-size", "48") if source == "flag" else ("--config", str(cfg))
-    code, out, err = run_cli(capsys, *base, *extra)
+    code, out, err = run_cli(capsys, "prob", "--ic", ic, "--t", "4", "--a", "1", *extra)
     assert code == 2 and out == ""
-    assert "grid-size does not apply to the packed start" in err
-    assert run_cli(capsys, *base)[0] == 0
+    assert ("unrecognized arguments: --grid-size 48" if source == "flag"
+            else "unknown config key 'grid_size'") in err
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -13,7 +13,7 @@ def test_khat_packed_reference_value():
     assert res.refinement_delta <= 1e-12
 
 
-@pytest.mark.parametrize("fn", [kernels.khat_packed, kernels.khat_flat])
+@pytest.mark.parametrize("fn", [kernels.khat_packed])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["xi1", "xi2"])
 def test_pointwise_kernels_reject_non_finite_levels(fn, bad, name):
@@ -180,7 +180,9 @@ def test_rescaled_kernel_approaches_limit(ic, power):
         evaluate = lambda t, x1, x2: kernels.khat_packed(a, t, x1, x2).value
     else:
         rate = rates.rate_flat(a).rate
-        evaluate = lambda t, x1, x2: kernels.khat_flat(a, t, x1, x2).value
+        # at a = 1 the spiral's density is bound to t for every t here
+        evaluate = lambda t, x1, x2: kernels.khat_flat_grid(
+            a, t, [x1], [x2], contours.flat_contour_for(a, t))[0, 0].real
     lim = kernels.klimit(ic, a)
     x1, x2 = 0.5, 0.25
     errs = []
@@ -213,17 +215,20 @@ def test_klimit_exponential_profile():
 
 def test_khat_flat_reference_and_invariance():
     a, t = 1.0, 4
-    res = kernels.khat_flat(a, t, 0.0, 0.0)
-    assert res.im_residue <= 1e-10
+    trimmed = contours.flat_contour_for(a, t)
+    # the density is bound to t here, so a doubled density is the same spiral
+    doubled = contours.flat_contour_for(a, t, 2 * contours.POINTS_PER_UNIT)
+    np.testing.assert_array_equal(doubled.nodes, trimmed.nodes)
+    value = kernels.khat_flat_grid(a, t, [0.0], [0.0], trimmed)[0, 0]
+    np.testing.assert_allclose(value.real, 7.037043553057482e-04, rtol=1e-10)
+    assert abs(value.imag) <= 1e-10
     # the spiral trimmed for time t, continued on the same nodes to tau = 6,
     # must give the same value: its tail is below the truncation tolerance
-    trimmed = contours.flat_contour_for(a, t)
     ppu = int(round(1.0 / (trimmed.params[1] - trimmed.params[0])))
     wide = contours.build_flat_contour(a, ppu, 6.0)
     assert trimmed.params[-1] < 1.0 and wide.nodes.size > 4 * trimmed.nodes.size
     values = [kernels.khat_flat_grid(a, t, [0.0], [0.0], path)[0, 0].real
               for path in (trimmed, wide)]
-    assert values[0] == res.value
     assert 0.0 < abs(values[0] - values[1]) <= 1e-8
 
 
@@ -308,7 +313,6 @@ def test_stat_rho_pieces_rejects_wide_circle():
 @pytest.mark.parametrize("fn, xi1, xi2", [
     (kernels.khat_packed, -1000.0, 0.0),
     (kernels.khat_packed, 0.0, -1000.0),
-    (kernels.khat_flat, -1000.0, 0.0),
 ])
 def test_pointwise_kernels_raise_when_the_exponentials_overflow(fn, xi1, xi2):
     # negative offsets leave the steep-descent bound and the value is NaN

@@ -149,6 +149,14 @@ def test_rate_flat_refuses_tiny_a():
     assert 'rate_asymptote("flat"' in info.value.hint
 
 
+@pytest.mark.parametrize("rate", [rates.rate_packed, rates.rate_stat])
+def test_closed_form_rates_refuse_overflow(rate):
+    # a * a overflows above a of about 1.3e154; at 1e150 the rates are finite
+    assert np.isfinite(rate(1e150))
+    with pytest.raises(NumericFailure, match=r"not finite at a = 1e\+155"):
+        rate(1e155)
+
+
 def test_phase_packed_rejects_cut():
     with pytest.raises(ValueError):
         rates.phase_packed(0.5, 1.0)
