@@ -22,7 +22,6 @@ from .contours import (
 )
 from .kernels import (
     KernelEval,
-    StatComponents,
     khat_packed,
     klimit,
     stat_components,
@@ -59,7 +58,6 @@ __all__ = [
     "SampleBatch",
     "SimConfig",
     "SingularityError",
-    "StatComponents",
     "build_flat_contour",
     "build_grid",
     "build_packed_contours",

@@ -16,7 +16,7 @@ negative real axis; the raw finite-n kernel uses a line and a circle placed
 by the caller.  The node-count rules of each route sit beside the function
 that lays it out, and one helper rescales a circle.  The saddle and spiral
 builders take their density as an int, points_per_unit (default 64, at
-least 8), which the determinant solver doubles with each grid size.
+least 8), which the determinant solver doubles at each refinement step.
 
 Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the

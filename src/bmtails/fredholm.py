@@ -1,20 +1,21 @@
 """Fredholm determinants on a half-line and one-point probabilities.
 
-The packed determinant needs no quadrature grid: it is det(I_m - G) for
-the m x m moment Gram G of :func:`kernels.packed_gram`, and the survival
-keeps its relative precision however deep the tail (see :func:`prob_packed`).
+The packed and stationary determinants need no quadrature grid: they are
+det(I_m - G) for the m x m moment Gram G of :func:`kernels.packed_gram`,
+whose survival keeps its relative precision however deep the tail (see
+:func:`prob_packed`), and G bordered to order m + 1 by the stationary
+rank-one pair (:func:`kernels.stat_components`).
 
-The flat, stationary and finite-index determinants det(1 - P_s K P_s) are
+The flat and finite-index determinants det(1 - P_s K P_s) are
 evaluated by the Nystrom method (Bornemann, Math. Comp. 79 (2010)):
 Gauss-Legendre nodes u in (0,1) are mapped to xi = s - log(1-u)/d, which
-absorbs the proven exponential kernel decay (rate a for the stationary
-kernels, |z_a + 1| for the flat one) so grids of a few dozen nodes
-converge.  With M = W^1/2 K W^1/2, log det(I - M) comes from LU while the
-survival |1 - det| is at least 1e-2, where LU's absolute error of about
-N eps is about 1e-12 relative.  Smaller survivals, which 1 - det would
-lose to cancellation, come from the trace series -sum_j tr(M^j)/j, whose
-terms keep their relative precision; it needs ||M||_F < 1/2, or
-NumericFailure is raised.
+absorbs the proven exponential kernel decay (rate |z_a + 1| for the flat
+kernel) so grids of a few dozen nodes converge.  With M = W^1/2 K W^1/2,
+log det(I - M) comes from LU while the survival |1 - det| is at least
+1e-2, where LU's absolute error of about N eps is about 1e-12 relative.
+Smaller survivals, which 1 - det would lose to cancellation, come from the
+trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
+it needs ||M||_F < 1/2, or NumericFailure is raised.
 
 The finite-index route works with a kernel of rank n, given as factors
 K = L R^T with n columns each (see :func:`kernels.raw_kernel_grid`).  By
@@ -25,26 +26,26 @@ only sets the quadrature of the n^2 pairings R^T W L.
 Every entry point hands a closure evaluate(size, scale) and its fixed
 ladder of sizes to one driver, :func:`_solve`, which doubles the contour
 density at each rung (and on the Nystrom routes the grid size: flat 48 to
-384, stationary 48 to 192, finite index 64 to 512) until successive values
-agree; it reports the last change as the refinement delta and the final
-grid size (the Gram order m, the same on all four rungs of the packed
-route), and checks the imaginary residue and the [0, 1] range; a survival
-it cannot resolve (p above 1, or a log_survival that is not finite)
-raises NumericFailure.
+384, finite index 64 to 512; the Gram order m stays) until successive
+values agree; it reports the last change as the refinement delta and the
+final grid size, and checks the imaginary residue and the [0, 1] range; a
+survival it cannot resolve (p above 1, or a log_survival that is not
+finite) raises NumericFailure.
 The flat spiral's density is bound to t rather than to the scale once t
 is large enough (see :func:`prob_flat`); there the flat refinement delta
 refines only the Nystrom grid.
 The stationary law needs an s-derivative; it is taken by central
 differences with one Richardson extrapolation, and the two step sizes
 must agree or the evaluation is rejected.  The contour weights and the
-Cauchy matrix do not depend on the level, so each grid size forms them
-once for all of its levels.
+Cauchy matrix do not depend on the level, so each contour density forms
+them once for all of its levels.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
 pairings are split: the constant part is integrated over (s, infinity)
 inside the z-contour integral, where Re(z+1) > 0 makes the tail integral
-exact, and only decaying functions ever meet the quadrature grid.
+exact, and the decaying part f* pairs with g_rho and the Gram through the
+resolvent (1 - K)^{-1} = 1 + L (I_m - G)^{-1} R^T.
 """
 
 from __future__ import annotations
@@ -117,7 +118,8 @@ class ProbResult:
     im_residue: float
     refinement_delta: float
     grid_size: int                # Nystrom nodes of the returned evaluation, or
-                                  # the Gram order m of prob_packed
+                                  # the Gram order m of the packed and
+                                  # stationary routes
 
 
 @functools.lru_cache(maxsize=None)
@@ -306,11 +308,12 @@ def prob_stat(t, a):
     """P(x_t(t) <= 2t + at) under the unit-density stationary start.
 
     Evaluates D(s) = Fhat_t(s) det(1 - P K P) + det(1 - P(K + f* x g1)P)
-    around s = 0 and returns its derivative; the rank-one extension sits
-    directly inside the discretized determinant.  The contour weights and
-    the Cauchy matrix (:func:`kernels.packed_factors`) are formed once per
-    grid size, and each level s takes K, f* and g1 from one
-    :func:`kernels.stat_components` assembly on its grid.
+    around s = 0 and returns its derivative.  The determinants are
+    det(I_m - G) and det(I - B) for the Gram G of order m
+    (:func:`kernels.packed_gram_order`) and its border B of order m + 1 by
+    the rank-one pair (:func:`kernels.stat_components`).  The contour weights
+    and the Cauchy matrix (:func:`kernels.packed_factors`) are formed once
+    per contour density and shared by its finite-difference levels.
     """
     a = check_a(a)
     t = float(t)
@@ -320,28 +323,29 @@ def prob_stat(t, a):
         ims = []
 
         def D(s):
-            grid = build_grid(s, a, size)
-            comps = stat_components(a, t, s, factors, grid.nodes)
-            det1, _, im1 = _det_core(comps.kmat, grid.weights)
-            rank1 = np.outer(comps.f_star, comps.g_one)
-            det2, _, im2 = _det_core(comps.kmat + rank1, grid.weights)
+            bordered, f_hat_t, _ = stat_components(a, t, s, factors, size)
+            det1, _, im1 = _det_core(bordered[:size, :size], np.ones(size))
+            det2, _, im2 = _det_core(bordered, np.ones(size + 1))
             ims.extend((im1, im2))
-            return comps.f_hat_t * det1 + det2
+            return f_hat_t * det1 + det2
 
         deriv = _fd_derivative(D, a, t, "stationary")
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return deriv, logs, max(ims)
 
-    return _solve("prob_stat", evaluate, [48, 96, 192])
+    # contour densities x1, x2 and x4
+    return _solve("prob_stat", evaluate, [packed_gram_order(a, t)] * 3)
 
 
 def prob_stat_rho(t, a, rho):
     """P(x_t(t) <= 2t + at) for the stationary start with density rho < 1.
 
     Uses det(1 - P(K + (1-rho) f x g_rho)P) = det(1 - PKP) (1 - (1-rho) S)
-    with S = <(1 - PKP)^{-1} P f, P g_rho> assembled from the exact tail
-    integral of the constant part of f, the z-contour pairing, and a grid
-    solve against the decaying remainder f*.
+    with S = <(1 - PKP)^{-1} P f, P g_rho> = <g_rho, 1> + <g_rho, (1 - PKP)^{-1} f*>,
+    f* the decaying factor of :func:`prob_stat`.  With K = L R^T and
+    G = <R, L>, (1 - PKP)^{-1} = 1 + L (I_m - G)^{-1} R^T, so
+    S = <g_rho, 1> + <g_rho, f*> + <g_rho, L> (I_m - G)^{-1} <R, f*>, every
+    pairing exact on the contours (:func:`kernels.stat_rho_pieces`).
     """
     a = check_a(a)
     t = float(t)
@@ -358,25 +362,21 @@ def prob_stat_rho(t, a, rho):
         ims = []
 
         def D(s):
-            grid = build_grid(s, a, size)
-            comps = stat_components(a, t, s, factors, grid.nodes)
-            g_rho, pair_res, pair_circ = stat_rho_pieces(
-                a, t, s, rho, factors, grid.nodes, comps.e2)
-            det1, _, im = _det_core(comps.kmat, grid.weights)
-            ims.append(im)
-            resolvent = np.eye(size) - comps.kmat * grid.weights[None, :]
-            y = np.linalg.solve(resolvent, comps.f_star)
-            inner_c = complex(np.sum(grid.weights * g_rho * y))
-            ims.append(abs(inner_c.imag))
-            s_pair = pair_res + pair_circ + inner_c.real
-            return det1 * (1.0 - delta_rho * s_pair)
+            bordered, _, left = stat_components(a, t, s, factors, size)
+            row, pair = stat_rho_pieces(a, t, s, rho, factors, left)
+            gram = bordered[:size, :size]
+            det1, _, im = _det_core(gram, np.ones(size))
+            y = np.linalg.solve(np.eye(size) - gram, bordered[:size, size])
+            s_resolvent = complex(row[size] + row[:size] @ y)
+            ims.extend((im, abs(s_resolvent.imag)))
+            return det1 * (1.0 - delta_rho * (pair + s_resolvent.real))
 
         deriv = _fd_derivative(D, a, t, "density-rho")
         p = D(0.0) + deriv / delta_rho
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
 
-    return _solve("prob_stat_rho", evaluate, [48, 96, 192])
+    return _solve("prob_stat_rho", evaluate, [packed_gram_order(a, t)] * 3)
 
 
 # ---------------------------------------------------------------------------

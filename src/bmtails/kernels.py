@@ -16,36 +16,42 @@ Lambert spiral with the image branch phi carried along,
 The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The packed one-point
 determinant needs no kernel matrix: :func:`packed_gram` gives it as a
-small moment Gram matrix on the contours alone.  Both kernels are evaluated
-on whole quadrature grids at once by splitting the integrand into
-per-contour-node factors; the double integral couples the two contours
-only through the Cauchy factor 1/(w - z), which becomes a fixed matrix.
-All exponents are assembled before exponentiation, and on the saddle
-contours every exponential factor has modulus at most one for offsets
-xi1, xi2 >= 0, so there the evaluation never overflows regardless of t.
-At negative offsets e^{xi1(w+1)} and e^{-xi2(z+1)} grow, and a value
-that overflows raises NumericFailure naming the offsets.
+small moment Gram matrix on the contours alone, and so do the stationary
+ones (see below).  Both kernels are evaluated on whole quadrature grids
+at once by splitting the integrand into per-contour-node factors; the
+double integral couples the two contours only through the Cauchy factor
+1/(w - z), which becomes a fixed matrix.  All exponents are assembled
+before exponentiation, and on the saddle contours every exponential
+factor has modulus at most one for offsets xi1, xi2 >= 0, so there the
+evaluation never overflows regardless of t.  At negative offsets
+e^{xi1(w+1)} and e^{-xi2(z+1)} grow, and a value that overflows raises
+NumericFailure naming the offsets.
 
 The stationary one-point formula needs three further contour objects
 (a boundary-value remainder, a rank-one pair) which share the packed
 contours.  :func:`packed_factors` folds the phases into the contour
 weights and forms the Cauchy matrix; none of this depends on the level,
-so the stationary formulas form the contour weights and the Cauchy matrix
-once per grid size.  From those factors :func:`stat_components` returns
-the stationary data together with the packed kernel matrix on the same
-quadrature nodes, so each finite-difference level forms its grid
-exponentials once.  A raw kernel for finite particle index n on generic
-contours (vertical line, small circle around the pole of order n) supports
-cross-checks against exact Gaussian and matrix-diagonalization laws at
-small n.  It is returned as two n-column factors instead of a matrix: on
-the circle |z| < |w|, so the Cauchy factor is the series
-sum_k z^k / w^(k+1), and since the only singularity of the z-integrand
-inside the circle is the pole of order n at 0, every term with k >= n
-integrates to zero.  The kernel is the sum of the first n products of
-w-moments and z-moments, of rank exactly n like the Hermite kernel.
-On the line w = c + iy the level factor is e^{xi c} times the phase
-e^{i xi y}, which is summed in blocks of about sqrt(N) of the N nodes:
-2 sqrt(N) exponentials per level instead of N.
+so the stationary formulas form them once per contour density.  From those
+factors :func:`stat_components` returns, at each finite-difference level,
+the packed Gram bordered by the rank-one pair, and :func:`stat_rho_pieces`
+the pairings of the density-rho factor g_rho: every function involved is a
+sum of exponentials in xi over the contour nodes, or a constant, so each
+integral over (s, infinity) is exact and no quadrature grid is needed.
+:func:`khat_packed_grid` tabulates the packed kernel itself on a grid,
+for the pointwise kernel and the cross-checks.
+
+A raw kernel for finite particle index n on generic contours (vertical
+line, small circle around the pole of order n) supports cross-checks
+against exact Gaussian and matrix-diagonalization laws at small n.  It
+is returned as two n-column factors instead of a matrix: on the circle
+|z| < |w|, so the Cauchy factor is the series sum_k z^k / w^(k+1), and
+since the only singularity of the z-integrand inside the circle is the
+pole of order n at 0, every term with k >= n integrates to zero.  The
+kernel is the sum of the first n products of w-moments and z-moments, of
+rank exactly n like the Hermite kernel.  On the line w = c + iy the
+level factor is e^{xi c} times the phase e^{i xi y}, which is summed in
+blocks of about sqrt(N) of the N nodes: 2 sqrt(N) exponentials per level
+instead of N.
 """
 
 from __future__ import annotations
@@ -84,16 +90,6 @@ class KernelEval:
     value: float
     im_residue: float
     refinement_delta: float
-
-
-@dataclass(frozen=True)
-class StatComponents:
-    kmat: np.ndarray      # packed kernel on nodes x nodes (complex)
-    f_star: np.ndarray    # decaying rank-one factor on the nodes
-    g_one: np.ndarray     # bounded rank-one factor on the nodes
-    e2: np.ndarray        # z-side exponentials e^{-xi (z+1)} on the nodes
-    r_hat: float
-    f_hat_t: float
 
 
 def _demand_real(value, what, level):
@@ -176,20 +172,12 @@ def packed_gram(a, t, contours, order):
     return _DOUBLE_PREF * (z_moments.T @ (cauchy @ w_moments)), t * (h_lo - h_hi)
 
 
-def _packed_assembly(factors, xi1, xi2):
-    """Packed kernel on xi1 x xi2 with its grid exponentials.
-
-    Returns (kmat, e1, e2), where e1 = e^{xi1 (w+1)} and e2 = e^{-xi2 (z+1)}.
-    """
+def khat_packed_grid(xi1, xi2, factors):
+    """Conjugated packed kernel on the product grid xi1 x xi2 (complex)."""
     w, aw, z, bz, cauchy = factors
     e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), w + 1.0))
     e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), z + 1.0))
-    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T), e1, e2
-
-
-def khat_packed_grid(xi1, xi2, factors):
-    """Conjugated packed kernel on the product grid xi1 x xi2 (complex)."""
-    return _packed_assembly(factors, xi1, xi2)[0]
+    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
 
 
 def khat_packed(a, t, xi1, xi2):
@@ -228,61 +216,71 @@ def khat_flat_grid(a, t, xi1, xi2, path):
 
 
 # ---------------------------------------------------------------------------
-# stationary pieces (shared packed factors)
+# stationary Gram pairings (shared packed factors)
 
 
-def stat_components(a, t, s_offset, factors, nodes):
-    """Packed kernel and stationary rank-one data at offset s on the nodes.
+def stat_components(a, t, s_offset, factors, order):
+    """Gram pairings of the unit-density stationary determinants at offset s.
 
-    From the :func:`packed_factors` of the contours, one formation of the
-    grid exponentials gives the packed kernel matrix on nodes x nodes, the
-    rank-one pair f_star (decaying) and g_one (bounded) on the nodes, the
-    boundary remainder r_hat = Rhat_t(s) and the scalar prefactor
-    f_hat_t = s + a t + Rhat_t(s) - 1.  The nodes are offsets >= s.
+    From the :func:`packed_factors` of the contours, the packed kernel is
+    K = L R^T with L_k = (2 pi i)^-2 sum_w aw w^-(k+1) e^{xi (w+1)} and
+    R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < order (see :func:`packed_gram`),
+    and the rank-one pair is f*(xi) = sum_w c_w e^{xi (w+1)} (decaying) and
+    g1(xi) = 1 + (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z+1).  On (s, infinity)
+    a line term pairs with a circle term through the integral of e^{xi (w-z)},
+    e^{s (w-z)} / (z - w), and with the constant 1 of g1 through that of
+    e^{xi (w+1)}, -e^{s (w+1)} / (w+1), since Re(w + 1) < 0 on the line.
+
+    Returns (bordered, f_hat_t, left).  bordered is the Gram of order
+    order + 1, [[G, <R, f*>], [<g1, L>, <g1, f*>]]: det(I - G) is
+    det(1 - P_s K P_s) and det(I - bordered) is det(1 - P_s (K + f* x g1) P_s).
+    f_hat_t = s + a t + Rhat_t(s) - 1 with the boundary remainder Rhat_t(s).
+    left holds the line coefficients of L_0 .. L_{order-1} and f*, each times
+    e^{s (w+1)}, for :func:`stat_rho_pieces`.
     """
     a = check_a(a)
     t = _check_time(t)
     s = float(s_offset)
     w, aw, z, bz, cauchy = factors
-    kmat, e1, e2 = _packed_assembly(factors, nodes, nodes)
-    zp1 = z + 1.0
-    wp1 = w + 1.0
+    wp1, zp1 = w + 1.0, z + 1.0
+    aw_s = aw * np.exp(s * wp1)
     bz_s = bz * np.exp(-s * zp1)
 
     r_hat_c = -np.sum(bz_s / zp1 ** 2) / _TWO_PI_I
     _demand_real(r_hat_c, "stationary boundary remainder", f"s = {s}")
-    # the Cauchy-coupled part of f_star pairs the line with a fixed z-side vector
-    f_star = (e1 @ (aw / wp1)) / _TWO_PI_I + _DOUBLE_PREF * (e1 @ (aw * (cauchy @ (bz_s / zp1))))
-    g_one = 1.0 + (e2 @ (bz / zp1)) / _TWO_PI_I
-    r_hat = float(r_hat_c.real)
-    return StatComponents(
-        kmat=kmat,
-        f_star=f_star.real,
-        g_one=g_one.real,
-        e2=e2,
-        r_hat=r_hat,
-        f_hat_t=s + a * t + r_hat - 1.0,
-    )
+    # circle coefficients of R_0 .. R_{order-1} and of g1 - 1
+    right = bz_s[:, None] * np.column_stack((np.vander(z, order, increasing=True),
+                                             1.0 / (_TWO_PI_I * zp1)))
+    coupled = cauchy @ right
+    # f* pairs the line with the z-side vector of g1 through the Cauchy matrix
+    f_star = aw_s / _TWO_PI_I * (1.0 / wp1 + coupled[:, order])
+    w_pows = np.vander(1.0 / w, order + 1, increasing=True)[:, 1:]
+    left = np.column_stack(((_DOUBLE_PREF * aw_s)[:, None] * w_pows, f_star))
+    bordered = -(coupled.T @ left)
+    bordered[order] -= (1.0 / wp1) @ left
+    return bordered, s + a * t + float(r_hat_c.real) - 1.0, left
 
 
-def stat_rho_pieces(a, t, s_offset, rho, factors, nodes, e2):
-    """Density-rho ingredients: g_rho on the nodes and its exact tail pairing.
+def stat_rho_pieces(a, t, s_offset, rho, factors, left):
+    """Pairings of g_rho with the columns of ``left`` and with the constant 1.
 
-    ``e2`` is the :class:`StatComponents` field of the same factors and
-    nodes, so the z-side exponentials are formed once per level.
-
-    g_rho splits into a residue term decaying at rate 1 - rho and a contour
-    term on the z-circle (the circle radius stays below rho, so the pole at
-    -rho is picked up explicitly).  The pairing scalars integrate the
-    constant part of the rank-one row over (s, infinity) contour-first,
-    which converges because Re(z + 1) > 0 along the whole circle.
+    ``left`` is the third value :func:`stat_components` returns for the same
+    factors and offset.  g_rho splits into a residue term
+    e^{-t H(-rho)} e^{-(1 - rho) xi} and a contour term
+    (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z + rho) on the z-circle (the circle
+    radius stays below rho, so the pole at -rho is picked up explicitly).
+    On (s, infinity) the residue term pairs with e^{xi (w+1)} through
+    -e^{s (w + rho)} / (w + rho), and the contour term as in
+    :func:`stat_components`.  Returns (row, pair): row = <g_rho, left> over
+    its columns (complex), pair = <g_rho, 1>, integrated contour-first, which
+    converges because Re(z + 1) > 0 along the whole circle.
     """
     a = check_a(a)
     t = _check_time(t)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
     s = float(s_offset)
-    _, _, z, bz, _ = factors
+    w, _, z, bz, cauchy = factors
     if np.abs(z).max() >= rho:
         raise NumericFailure(
             "z-circle radius must stay below rho",
@@ -290,14 +288,12 @@ def stat_rho_pieces(a, t, s_offset, rho, factors, nodes, e2):
             hint="rebuild gamma_plus with a smaller radius",
         )
     zp1 = z + 1.0
-    res_amp = np.exp(-t * phase_packed(-rho, a))
-
-    xi = np.asarray(nodes, dtype=float)
-    g_rho = res_amp * np.exp(-(1.0 - rho) * xi) + (e2 @ (bz / (z + rho))) / _TWO_PI_I
-    pair_res = res_amp * np.exp(-(1.0 - rho) * s) / (1.0 - rho)
-    pair_circ_c = np.sum(bz * np.exp(-s * zp1) / (zp1 * (z + rho))) / _TWO_PI_I
+    bz_s = bz * np.exp(-s * zp1)
+    res_s = np.exp(-t * phase_packed(-rho, a) - (1.0 - rho) * s)
+    row = -(res_s / (w + rho) + cauchy @ (bz_s / (z + rho)) / _TWO_PI_I) @ left
+    pair_circ_c = np.sum(bz_s / (zp1 * (z + rho))) / _TWO_PI_I
     _demand_real(pair_circ_c, "rho pairing contour term", f"s = {s}")
-    return g_rho.real, float(pair_res), float(pair_circ_c.real)
+    return row, float(res_s / (1.0 - rho) + pair_circ_c.real)
 
 
 # ---------------------------------------------------------------------------

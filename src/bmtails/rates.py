@@ -194,13 +194,16 @@ def solve_za(a):
     (z+1)(phi(z)+1) is a monotone bijection of (-inf,-1) onto (-inf,0), so
     the root is bracketed in (-3-a, -1).  Newton's method runs inside that
     bracket from z = -1 - e with e^2 = a (1 + e), its slope from the phi'
-    identity, and bisects whenever a step would leave the bracket.
+    identity, and bisects whenever a step would leave the bracket.  Once
+    phi(-1 - a) underflows (a > 746), the root is -1 - a to double precision.
     """
     a = check_a(a)
 
     def res(z):
         return (z + 1.0) * (phi(z) + 1.0) + a
 
+    if a > 700.0 and phi(-1.0 - a) == 0.0:
+        return -1.0 - a
     lo, hi = -3.0 - a, -1.0 - _ZA_RIGHT_MARGIN
     if res(lo) >= 0.0 or res(hi) <= 0.0:
         raise NumericFailure(
@@ -230,8 +233,9 @@ def flat_curvature(z_a, a):
     """eta = 4 pi^2 (phi - z)(phi/(phi+1)^2 + z/(z+1)^2) at z = z_a (< 0)."""
     a = check_a(a)
     p = phi(z_a)
-    return (4.0 * np.pi ** 2 * (p - z_a)
-            * (p / (p + 1.0) ** 2 + z_a / (z_a + 1.0) ** 2))
+    zp1 = z_a + 1.0
+    _finite_rate("flat curvature", a, zp1 * zp1)
+    return 4.0 * np.pi ** 2 * (p - z_a) * (p / (p + 1.0) ** 2 + z_a / zp1 ** 2)
 
 
 def rate_flat(a):

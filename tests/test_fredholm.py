@@ -351,9 +351,9 @@ def test_refinement_delta_below_target():
 
 
 def test_prob_stat_value_and_stability():
-    # stable under its own refinement: 48 to 96 nodes at contour density x2
+    # stable under its own refinement: contour density x1 to x2 at Gram order m
     base = fredholm.prob_stat(4, 1.0)
-    assert base.refinement_delta < 1e-9 and base.grid_size == 96
+    assert base.refinement_delta < 1e-9 and base.grid_size == kernels.packed_gram_order(1.0, 4)
     assert 0.9 < base.p < 1.0
 
 
@@ -391,9 +391,9 @@ FROZEN = {
     "flat": (fredholm.prob_flat, (4, 1),
              0.9996857475080847, -8.065313780802915, 96),
     "stat": (fredholm.prob_stat, (4, 1),
-             0.9818641748033782, -4.009866004298115, 96),
+             0.9818641748033782, -4.009866004298115, 4),
     "stat_rho": (fredholm.prob_stat_rho, (4, 1, 0.9),
-                 0.9827584903282919, -4.060435449615932, 96),
+                 0.9827584903279957, -4.060435449598752, 4),
     "finite_n": (fredholm.prob_finite_n, (5, 1, 2.5),
                  0.21626343233881246, -0.2436823257321921, 128),
 }
@@ -408,14 +408,18 @@ def test_entry_points_reproduce_frozen_values(name):
     assert res.grid_size == size
 
 
-@pytest.mark.parametrize("fn, args", [
+STATIONARY_CALLS = [
     (fredholm.prob_stat, (4, 1.0)),
     (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
-])
+    (fredholm.prob_stat, (16, 0.5)),
+]
+
+
+@pytest.mark.parametrize("fn, args", STATIONARY_CALLS[:2])
 def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
-    # 1/(w - z) does not depend on the level, so each grid size forms it once
-    # and all of its finite-difference levels share it
-    outers, sizes = [], []
+    # 1/(w - z) does not depend on the level, so each contour density forms
+    # it once and all of its finite-difference levels share it
+    outers, densities, levels = [], [], []
 
     def outer(w, z):
         outers.append(1)
@@ -428,16 +432,45 @@ def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
             return getattr(np, name)
 
     monkeypatch.setattr(kernels, "np", CountingNumpy())
+    build_packed_contours = fredholm.build_packed_contours
     stat_components = fredholm.stat_components
 
-    def spy(a, t, s, factors, nodes):
-        sizes.append(len(nodes))
-        return stat_components(a, t, s, factors, nodes)
+    def contour_spy(a, t, points_per_unit):
+        densities.append(points_per_unit)
+        return build_packed_contours(a, t, points_per_unit)
 
+    def spy(a, t, s, factors, order):
+        levels.append(s)
+        return stat_components(a, t, s, factors, order)
+
+    monkeypatch.setattr(fredholm, "build_packed_contours", contour_spy)
     monkeypatch.setattr(fredholm, "stat_components", spy)
     fn(*args)
-    assert len(sizes) > len(set(sizes)) > 0
-    assert len(outers) == len(set(sizes))
+    assert len(set(densities)) == len(densities) >= 2
+    assert len(outers) == len(densities)
+    assert len(levels) > len(set(levels)) and len(levels) % len(densities) == 0
+
+
+@pytest.mark.parametrize("fn, args", STATIONARY_CALLS)
+def test_stationary_determinants_have_order_at_most_m_plus_one(monkeypatch, fn, args):
+    # the Gram route: no quadrature grid, and each determinant is of order
+    # m or m + 1 (the rank-one border)
+    orders = []
+    det_core = fredholm._det_core
+
+    def det_spy(kmat, weights):
+        orders.append(len(weights))
+        return det_core(kmat, weights)
+
+    def no_grid(*_):
+        raise AssertionError("build_grid called on the stationary route")
+
+    monkeypatch.setattr(fredholm, "_det_core", det_spy)
+    monkeypatch.setattr(fredholm, "build_grid", no_grid)
+    res = fn(*args)
+    m = kernels.packed_gram_order(args[1], args[0])
+    assert res.grid_size == m
+    assert orders and set(orders) <= {m, m + 1}
 
 
 def test_solve_logs_each_grid_size(caplog):

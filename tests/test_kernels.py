@@ -249,65 +249,92 @@ def test_deformation_check_compares_two_different_spirals(monkeypatch):
     assert float(line.split("drift ")[-1].split()[0]) <= 1e-8
 
 
-def test_stat_components_identities():
-    a, t = 1.0, 4
-    factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
+def _circle_sum(factors, xi, pole):
+    """(2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z + pole) at each xi.
+
+    At pole 1 this is g1 - 1, at pole rho the contour term of g_rho.
+    """
+    _, _, z, bz, _ = factors
+    e2 = np.exp(-np.multiply.outer(np.atleast_1d(xi), z + 1.0))
+    return e2 @ (bz / (z + pole)) / (2j * np.pi)
+
+
+def _nystrom_stat(a, t, s, rho, factors, size=384):
+    """det(1 - K), det(1 - K - f* x g1) and <g_rho, (1 - K)^-1 f*> on a Nystrom grid.
+
+    The kernel, the rank-one pair and g_rho are tabulated on the nodes of
+    build_grid(s, a, size) from their contour integrals.
+    """
+    w, aw, z, bz, cauchy = factors
+    two_pi_i = 2j * np.pi
+    grid = fredholm.build_grid(s, a, size)
+    x = grid.nodes
+    bz_s = bz * np.exp(-s * (z + 1.0))
+    e1 = np.exp(np.multiply.outer(x, w + 1.0))
+    f_star = (e1 @ (aw / (w + 1.0) + aw * (cauchy @ (bz_s / (z + 1.0))) / two_pi_i)) / two_pi_i
+    g_one = 1.0 + _circle_sum(factors, x, 1.0)
+    g_rho = (np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * x)
+             + _circle_sum(factors, x, rho))
+    kmat = kernels.khat_packed_grid(x, x, factors)
+    det1 = fredholm._det_core(kmat, grid.weights)[0]
+    det2 = fredholm._det_core(kmat + np.outer(f_star, g_one), grid.weights)[0]
+    y = np.linalg.solve(np.eye(size) - kmat * grid.weights, f_star)
+    return det1, det2, np.sum(grid.weights * g_rho * y)
+
+
+def _rho_factors(a, t, rho):
+    line, circle = contours.build_packed_contours(a, t)
+    radius = np.abs(circle.nodes).max()
+    return kernels.packed_factors(a, t, (line, contours.scale_circle(circle, 0.9 * rho / radius)))
+
+
+@pytest.mark.parametrize("t, a", [(4, 1.0), (4, 0.5)])
+def test_stat_gram_pairings_match_a_nystrom_grid(t, a):
+    # the bordered Gram and the rho pairings against the kernel, the rank-one
+    # pair and g_rho tabulated on 384 grid nodes, at the finite-difference levels
+    rho = 0.9
+    factors = _rho_factors(a, t, rho)
+    m = kernels.packed_gram_order(a, t)
+    h = 1e-3 * (1.0 + a * t)
+    for s in (-h, 0.0, h):
+        bordered, _, left = kernels.stat_components(a, t, s, factors, m)
+        assert bordered.shape == (m + 1, m + 1) and left.shape[1] == m + 1
+        row, _ = kernels.stat_rho_pieces(a, t, s, rho, factors, left)
+        gram = bordered[:m, :m]
+        s_gram = row[m] + row[:m] @ np.linalg.solve(np.eye(m) - gram, bordered[:m, m])
+        det1, det2, s_grid = _nystrom_stat(a, t, s, rho, factors)
+        assert abs(np.linalg.det(np.eye(m) - gram) - det1) <= 1e-12
+        assert abs(np.linalg.det(np.eye(m + 1) - bordered) - det2) <= 1e-12
+        assert abs(s_gram - s_grid) <= 1e-12
+
+
+def test_stat_components_boundary_remainder_and_rho_pairing():
+    a, t, rho = 1.0, 4, 0.9
+    factors = _rho_factors(a, t, rho)
     h = 1e-5
     for s in (0.0, 0.5, 2.0):
-        xs = s + np.array([0.0, 5.0, 15.0])
-        comp = kernels.stat_components(a, t, s, factors, xs)
-        assert comp.kmat.shape == (3, 3)
-        assert comp.f_hat_t == pytest.approx(s + a * t + comp.r_hat - 1.0)
-        fs = comp.f_star
-        assert abs(fs[2]) < 1e-12 and abs(fs[0]) < 1.0
-        gs = comp.g_one
-        assert np.all(np.abs(gs - 1.0) < 0.1)
+        # the boundary remainder from Fhat_t = s + a t + Rhat_t(s) - 1
+        r_hat = [kernels.stat_components(a, t, u, factors, 4)[1] - u - a * t + 1.0
+                 for u in (s - h, s + h)]
         # derivative identity d/ds r_hat = g_one(s) - 1, by central differences
-        up = kernels.stat_components(a, t, s + h, factors, xs).r_hat
-        dn = kernels.stat_components(a, t, s - h, factors, xs).r_hat
-        np.testing.assert_allclose((up - dn) / (2 * h), gs[0] - 1.0, atol=1e-9)
+        np.testing.assert_allclose((r_hat[1] - r_hat[0]) / (2 * h),
+                                   _circle_sum(factors, s, 1.0)[0].real, atol=1e-9)
+        # <g_rho, 1> against the quadrature of g_rho over (s, infinity)
+        left = np.zeros((factors[0].size, 1))
+        pair = kernels.stat_rho_pieces(a, t, s, rho, factors, left)[1]
 
+        def g_rho(x):
+            residue = np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * x)
+            return (residue + _circle_sum(factors, x, rho)[0]).real
 
-def test_stat_components_kernel_is_khat_packed_grid():
-    # one assembly: the stationary kernel matrix must be the packed one
-    a, t, s = 1.0, 4, 0.5
-    factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
-    nodes = fredholm.build_grid(s, a, 48).nodes
-    comp = kernels.stat_components(a, t, s, factors, nodes)
-    assert np.array_equal(comp.kmat, kernels.khat_packed_grid(nodes, nodes, factors))
-
-
-def test_stat_rho_pieces_consistency():
-    a, t, s, rho = 1.0, 4, 0.5, 0.9
-    cts = contours.build_packed_contours(a, t)
-    line, circle = cts
-    radius = np.abs(circle.nodes).max()
-    if radius >= rho:
-        circle = contours.scale_circle(circle, 0.9 * rho / radius)
-    big = np.array([60.0, 80.0])
-    factors = kernels.packed_factors(a, t, (line, circle))
-    e2 = kernels.stat_components(a, t, s, factors, big).e2
-    g_rho, pair_res, pair_circ = kernels.stat_rho_pieces(
-        a, t, s, rho, factors, big, e2)
-    # residue part dominates the tail of g_rho with decay rate 1 - rho
-    expected = np.exp(-t * rates.phase_packed(-rho, a)) * np.exp(-(1 - rho) * big)
-    np.testing.assert_allclose(g_rho, expected, rtol=1e-6)
-    # the two pairing scalars are finite and real
-    assert np.isfinite(pair_res) and np.isfinite(pair_circ)
-    # contour-first tail integral of the residue part matches pair_res
-    np.testing.assert_allclose(
-        pair_res,
-        np.exp(-t * rates.phase_packed(-rho, a)) * np.exp(-(1 - rho) * s) / (1 - rho),
-        rtol=1e-12,
-    )
+        np.testing.assert_allclose(pair, integrate.quad(g_rho, s, np.inf)[0], rtol=1e-9)
 
 
 def test_stat_rho_pieces_rejects_wide_circle():
     a, t = 1.0, 4
     factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
     with pytest.raises(NumericFailure):
-        kernels.stat_rho_pieces(a, t, 0.0, 0.05, factors, np.zeros(1),
-                                np.ones((1, 1)))
+        kernels.stat_rho_pieces(a, t, 0.0, 0.05, factors, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("fn, xi1, xi2", [

@@ -93,6 +93,24 @@ def test_rate_flat_against_mpmath():
             assert abs((f.rate - ref) / ref) <= 5e-15
 
 
+@pytest.mark.parametrize("a", [1e17, 1e100])
+def test_solve_za_at_large_a(a):
+    # phi(-1 - a) underflows to 0, so -1 - a is the root to double precision;
+    # the bracket end -3 - a rounds to -a above about 3.6e16
+    z_a = rates.solve_za(a)
+    assert z_a == -1.0 - a
+    assert (z_a + 1.0) * (phi(z_a) + 1.0) + a == 0.0
+    # r_flat = (phi - z)((z + phi)/2 + 1 + a) = (1 + a)^2 / 2 once phi is 0
+    assert rates.rate_flat(a).rate == pytest.approx((1.0 + a) ** 2 / 2.0, rel=1e-15)
+
+
+def test_flat_curvature_refuses_overflow():
+    # (z_a + 1)^2 overflows with a * a; at 1e150 the flat diagnostics are finite
+    assert np.isfinite(rates.rate_flat(1e150).second_deriv[0])
+    with pytest.raises(NumericFailure, match=r"not finite at a = 1e\+155"):
+        rates.rate_flat(1e155)
+
+
 def test_solve_za_raises_when_newton_runs_out_of_steps(monkeypatch):
     monkeypatch.setattr(rates, "_ZA_MAX_ITER", 1)
     with pytest.raises(NumericFailure, match="did not converge"):
