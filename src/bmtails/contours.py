@@ -193,6 +193,9 @@ def build_flat_contour(a, points_per_unit=POINTS_PER_UNIT, tau_max=_TAU_CAP, z_a
     h = 1.0 / ppu
     n_steps = int(np.round(tau_max * ppu))
     base = z_a * np.exp(z_a)
+    if abs(base) < np.finfo(float).tiny:
+        raise NumericFailure(f"the spiral's base z_a e^(z_a) underflows at a = {a!r}", last=base,
+                             hint="above a of 700 the survival is below what 1 - det resolves")
     j = np.arange(1, n_steps + 1)
     branch = -(-j // ppu)
     # the argument turned back by whole turns to (-1, 0]; at 0 it lies on the

@@ -34,11 +34,9 @@ finite) raises NumericFailure.
 The flat spiral's density is bound to t rather than to the scale once t
 is large enough (see :func:`prob_flat`); there the flat refinement delta
 refines only the Nystrom grid.
-The stationary law needs an s-derivative; it is taken by central
-differences with one Richardson extrapolation, and the two step sizes
-must agree or the evaluation is rejected.  The contour weights and the
-Cauchy matrix do not depend on the level, so each contour density forms
-them once for all of its levels.
+The stationary law needs an s-derivative, taken by central differences
+with one Richardson step; the two step sizes must agree.  Each contour
+density forms its weights and Cauchy power tables once for all levels.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
@@ -312,8 +310,8 @@ def prob_stat(t, a):
     det(I_m - G) and det(I - B) for the Gram G of order m
     (:func:`kernels.packed_gram_order`) and its border B of order m + 1 by
     the rank-one pair (:func:`kernels.stat_components`).  The contour weights
-    and the Cauchy matrix (:func:`kernels.packed_factors`) are formed once
-    per contour density and shared by its finite-difference levels.
+    and the Cauchy power tables (:func:`kernels.packed_factors`) are formed
+    once per contour density and shared by its finite-difference levels.
     """
     a = check_a(a)
     t = float(t)
@@ -323,7 +321,7 @@ def prob_stat(t, a):
         ims = []
 
         def D(s):
-            bordered, f_hat_t, _ = stat_components(a, t, s, factors, size)
+            bordered, f_hat_t, _ = stat_components(a, t, s, factors)
             det1, _, im1 = _det_core(bordered[:size, :size], np.ones(size))
             det2, _, im2 = _det_core(bordered, np.ones(size + 1))
             ims.extend((im1, im2))
@@ -362,7 +360,7 @@ def prob_stat_rho(t, a, rho):
         ims = []
 
         def D(s):
-            bordered, _, left = stat_components(a, t, s, factors, size)
+            bordered, _, left = stat_components(a, t, s, factors)
             row, pair = stat_rho_pieces(a, t, s, rho, factors, left)
             gram = bordered[:size, :size]
             det1, _, im = _det_core(gram, np.ones(size))

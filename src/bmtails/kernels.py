@@ -17,41 +17,36 @@ The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The packed one-point
 determinant needs no kernel matrix: :func:`packed_gram` gives it as a
 small moment Gram matrix on the contours alone, and so do the stationary
-ones (see below).  Both kernels are evaluated on whole quadrature grids
-at once by splitting the integrand into per-contour-node factors; the
-double integral couples the two contours only through the Cauchy factor
-1/(w - z), which becomes a fixed matrix.  All exponents are assembled
-before exponentiation, and on the saddle contours every exponential
-factor has modulus at most one for offsets xi1, xi2 >= 0, so there the
-evaluation never overflows regardless of t.  At negative offsets
-e^{xi1(w+1)} and e^{-xi2(z+1)} grow, and a value that overflows raises
-NumericFailure naming the offsets.
+ones (see below).  On the saddle contours |z/w| <= |w+|^2, so the Cauchy
+factor 1/(w - z) is the series sum_l z^l / w^(l+1), cut at the Gram order
+m; the Grams are built from power-moment sums over each contour, and no
+line x circle matrix is formed.  All exponents are assembled before
+exponentiation, and on the saddle contours every exponential factor has
+modulus at most one for offsets xi1, xi2 >= 0, so there the evaluation
+never overflows regardless of t.  At negative offsets e^{xi1(w+1)} and
+e^{-xi2(z+1)} grow, and a value that overflows raises NumericFailure
+naming the offsets.
 
-The stationary one-point formula needs three further contour objects
-(a boundary-value remainder, a rank-one pair) which share the packed
-contours.  :func:`packed_factors` folds the phases into the contour
-weights and forms the Cauchy matrix; none of this depends on the level,
-so the stationary formulas form them once per contour density.  From those
-factors :func:`stat_components` returns, at each finite-difference level,
-the packed Gram bordered by the rank-one pair, and :func:`stat_rho_pieces`
-the pairings of the density-rho factor g_rho: every function involved is a
-sum of exponentials in xi over the contour nodes, or a constant, so each
-integral over (s, infinity) is exact and no quadrature grid is needed.
+The stationary one-point formula needs a boundary-value remainder and a
+rank-one pair on the packed contours.  :func:`packed_factors` folds the
+phases into the contour weights and forms the power tables once per
+contour density; from them :func:`stat_components` returns, at each
+finite-difference level, the packed Gram bordered by the rank-one pair,
+and :func:`stat_rho_pieces` the pairings of the density-rho factor g_rho.
+Every function involved is a sum of exponentials in xi over the contour
+nodes, or a constant, so each integral over (s, infinity) is exact.
 :func:`khat_packed_grid` tabulates the packed kernel itself on a grid,
-for the pointwise kernel and the cross-checks.
+through the whole Cauchy matrix, for the pointwise kernel and the checks.
 
 A raw kernel for finite particle index n on generic contours (vertical
 line, small circle around the pole of order n) supports cross-checks
 against exact Gaussian and matrix-diagonalization laws at small n.  It
-is returned as two n-column factors instead of a matrix: on the circle
-|z| < |w|, so the Cauchy factor is the series sum_k z^k / w^(k+1), and
-since the only singularity of the z-integrand inside the circle is the
-pole of order n at 0, every term with k >= n integrates to zero.  The
-kernel is the sum of the first n products of w-moments and z-moments, of
-rank exactly n like the Hermite kernel.  On the line w = c + iy the
-level factor is e^{xi c} times the phase e^{i xi y}, which is summed in
-blocks of about sqrt(N) of the N nodes: 2 sqrt(N) exponentials per level
-instead of N.
+is returned as two n-column factors instead of a matrix: the only
+singularity of the z-integrand inside the circle is the pole of order n
+at 0, so the Cauchy series ends at n terms, and the kernel has rank n like
+the Hermite kernel.  On the line w = c + iy the level factor is e^{xi c}
+times the phase e^{i xi y}, which is summed in blocks of about sqrt(N) of
+the N nodes: 2 sqrt(N) exponentials per level instead of N.
 """
 
 from __future__ import annotations
@@ -92,23 +87,21 @@ class KernelEval:
     refinement_delta: float
 
 
+def _demand_finite(value, what, level):
+    """value, after rejecting any non-finite entry of it computed at level."""
+    if not np.isfinite(value).all():
+        raise NumericFailure(f"{what} is not finite at {level}", last=value,
+                             hint=f"the contour exponentials overflow at {level}; "
+                                  "they are bounded only for offsets >= 0")
+    return value
+
+
 def _demand_real(value, what, level):
     """|Im value|, after rejecting a non-finite or non-real value computed at level."""
-    if not np.isfinite(value):
-        raise NumericFailure(
-            f"{what} is not finite at {level}",
-            last=value,
-            hint=f"the contour exponentials overflow at {level}; "
-                 "they are bounded only for offsets >= 0",
-        )
-    im = abs(value.imag)
+    im = abs(_demand_finite(value, what, level).imag)
     if im > _IM_TOL * (1.0 + abs(value)):
-        raise NumericFailure(
-            f"{what} has imaginary residue {im:.3e}",
-            last=value,
-            residual=im,
-            hint="double the contour node density",
-        )
+        raise NumericFailure(f"{what} has imaginary residue {im:.3e}", last=value,
+                             residual=im, hint="double the contour node density")
     return im
 
 
@@ -119,16 +112,21 @@ def _demand_real(value, what, level):
 def packed_factors(a, t, contours):
     """Level-independent factors of the packed kernel on the saddle contours.
 
-    Returns (w, aw, z, bz, cauchy): line nodes w with weights carrying
-    e^{t H(w)}, circle nodes z with weights carrying e^{-t H(z)}, and the
-    Cauchy matrix cauchy = 1/(w - z).
+    Returns (w, aw, z, bz, z_pows, w_pows): line nodes w with weights
+    carrying e^{t H(w)}, circle nodes z with weights carrying e^{-t H(z)},
+    and the :func:`_cauchy_series` tables at order :func:`packed_gram_order`.
     """
     line, circle = contours
-    w = line.nodes
-    z = circle.nodes
+    w, z = line.nodes, circle.nodes
     aw = line.weights * np.exp(t * _h_vals(w, a))
     bz = circle.weights * np.exp(-t * _h_vals(z, a))
-    return w, aw, z, bz, 1.0 / np.subtract.outer(w, z)
+    return (w, aw, z, bz) + _cauchy_series(w, z, packed_gram_order(a, t))
+
+
+def _cauchy_series(w, z, order):
+    """Power tables (z^l, w^-(l+1)), l < order: 1/(w - z) acts as w_pows @ z_pows.T."""
+    return (np.vander(z, order, increasing=True),
+            np.vander(1.0 / w, order + 1, increasing=True)[:, 1:])
 
 
 def packed_gram_order(a, t):
@@ -157,27 +155,27 @@ def packed_gram(a, t, contours, order):
 
     with aw carrying e^{t (H(w) - H(w-))} and bz e^{t (H(w+) - H(z))}.  Both
     have modulus at most one on the saddle contours, so gram stays bounded
-    whatever the depth of the tail, and no Nystrom grid is needed.
+    whatever the depth of the tail, and no Nystrom grid is needed.  With the
+    same series for 1/(z - w), gram = -(2 pi i)^-2 (sum_z bz z^(j+l)) (sum_w
+    aw w^-(l+1) w^-(k+1)), exact at order t, where every j + l >= t vanishes.
     """
     line, circle = contours
     w_minus, w_plus = saddle_points(a)
     h_lo, h_hi = phase_packed(w_minus, a), phase_packed(w_plus, a)
-    w = line.nodes
-    z = circle.nodes
+    w, z = line.nodes, circle.nodes
     aw = line.weights * np.exp(t * (_h_vals(w, a) - h_lo))
     bz = circle.weights * np.exp(t * (h_hi - _h_vals(z, a)))
-    w_moments = aw[:, None] * np.vander(1.0 / w, order + 1, increasing=True)[:, 1:]
-    z_moments = bz[:, None] * np.vander(z, order, increasing=True)
-    cauchy = 1.0 / np.subtract.outer(z, w)
-    return _DOUBLE_PREF * (z_moments.T @ (cauchy @ w_moments)), t * (h_lo - h_hi)
+    z_pows, w_pows = _cauchy_series(w, z, order)
+    gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
+    return -_DOUBLE_PREF * gram, t * (h_lo - h_hi)
 
 
 def khat_packed_grid(xi1, xi2, factors):
-    """Conjugated packed kernel on the product grid xi1 x xi2 (complex)."""
-    w, aw, z, bz, cauchy = factors
+    """Conjugated packed kernel on the product grid xi1 x xi2 (complex), 1/(w - z) whole."""
+    w, aw, z, bz = factors[:4]
     e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), w + 1.0))
     e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), z + 1.0))
-    return _DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
+    return _DOUBLE_PREF * ((e1 * aw) @ (1.0 / np.subtract.outer(w, z)) @ (e2 * bz).T)
 
 
 def khat_packed(a, t, xi1, xi2):
@@ -219,45 +217,52 @@ def khat_flat_grid(a, t, xi1, xi2, path):
 # stationary Gram pairings (shared packed factors)
 
 
-def stat_components(a, t, s_offset, factors, order):
+def _level_weights(factors, s):
+    """aw e^{s (w+1)} and bz e^{-s (z+1)}; at s < 0 they grow, and overflow raises."""
+    w, aw, z, bz = factors[:4]
+    with np.errstate(over="ignore", invalid="ignore"):
+        aw_s, bz_s = aw * np.exp(s * (w + 1.0)), bz * np.exp(-s * (z + 1.0))
+    return (_demand_finite(aw_s, "a stationary line weight", f"s = {s}"),
+            _demand_finite(bz_s, "a stationary circle weight", f"s = {s}"))
+
+
+def stat_components(a, t, s_offset, factors):
     """Gram pairings of the unit-density stationary determinants at offset s.
 
     From the :func:`packed_factors` of the contours, the packed kernel is
     K = L R^T with L_k = (2 pi i)^-2 sum_w aw w^-(k+1) e^{xi (w+1)} and
-    R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < order (see :func:`packed_gram`),
+    R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < m (see :func:`packed_gram`),
     and the rank-one pair is f*(xi) = sum_w c_w e^{xi (w+1)} (decaying) and
     g1(xi) = 1 + (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z+1).  On (s, infinity)
     a line term pairs with a circle term through the integral of e^{xi (w-z)},
     e^{s (w-z)} / (z - w), and with the constant 1 of g1 through that of
     e^{xi (w+1)}, -e^{s (w+1)} / (w+1), since Re(w + 1) < 0 on the line.
+    1/(w - z) acts through the power tables, exact at m = t for g1 too.
 
-    Returns (bordered, f_hat_t, left).  bordered is the Gram of order
-    order + 1, [[G, <R, f*>], [<g1, L>, <g1, f*>]]: det(I - G) is
-    det(1 - P_s K P_s) and det(I - bordered) is det(1 - P_s (K + f* x g1) P_s).
+    Returns (bordered, f_hat_t, left).  bordered is the Gram of order m + 1,
+    [[G, <R, f*>], [<g1, L>, <g1, f*>]]: det(I - G) is det(1 - P_s K P_s)
+    and det(I - bordered) is det(1 - P_s (K + f* x g1) P_s).
     f_hat_t = s + a t + Rhat_t(s) - 1 with the boundary remainder Rhat_t(s).
-    left holds the line coefficients of L_0 .. L_{order-1} and f*, each times
+    left holds the line coefficients of L_0 .. L_{m-1} and f*, each times
     e^{s (w+1)}, for :func:`stat_rho_pieces`.
     """
     a = check_a(a)
     t = _check_time(t)
     s = float(s_offset)
-    w, aw, z, bz, cauchy = factors
+    w, _, z, _, z_pows, w_pows = factors
     wp1, zp1 = w + 1.0, z + 1.0
-    aw_s = aw * np.exp(s * wp1)
-    bz_s = bz * np.exp(-s * zp1)
+    aw_s, bz_s = _level_weights(factors, s)
 
     r_hat_c = -np.sum(bz_s / zp1 ** 2) / _TWO_PI_I
     _demand_real(r_hat_c, "stationary boundary remainder", f"s = {s}")
-    # circle coefficients of R_0 .. R_{order-1} and of g1 - 1
-    right = bz_s[:, None] * np.column_stack((np.vander(z, order, increasing=True),
-                                             1.0 / (_TWO_PI_I * zp1)))
-    coupled = cauchy @ right
-    # f* pairs the line with the z-side vector of g1 through the Cauchy matrix
-    f_star = aw_s / _TWO_PI_I * (1.0 / wp1 + coupled[:, order])
-    w_pows = np.vander(1.0 / w, order + 1, increasing=True)[:, 1:]
+    # circle coefficients of R_0 .. R_{m-1} and of g1 - 1
+    right = bz_s[:, None] * np.column_stack((z_pows, 1.0 / (_TWO_PI_I * zp1)))
+    coupled = w_pows @ (z_pows.T @ right)    # 1/(w - z) applied to them
+    # f* pairs the line with the z-side vector of g1 through the Cauchy factor
+    f_star = aw_s / _TWO_PI_I * (1.0 / wp1 + coupled[:, -1])
     left = np.column_stack(((_DOUBLE_PREF * aw_s)[:, None] * w_pows, f_star))
     bordered = -(coupled.T @ left)
-    bordered[order] -= (1.0 / wp1) @ left
+    bordered[-1] -= (1.0 / wp1) @ left
     return bordered, s + a * t + float(r_hat_c.real) - 1.0, left
 
 
@@ -280,18 +285,15 @@ def stat_rho_pieces(a, t, s_offset, rho, factors, left):
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
     s = float(s_offset)
-    w, _, z, bz, cauchy = factors
+    w, _, z, _, z_pows, w_pows = factors
     if np.abs(z).max() >= rho:
-        raise NumericFailure(
-            "z-circle radius must stay below rho",
-            residual=float(np.abs(z).max()),
-            hint="rebuild gamma_plus with a smaller radius",
-        )
-    zp1 = z + 1.0
-    bz_s = bz * np.exp(-s * zp1)
+        raise NumericFailure("z-circle radius must stay below rho",
+                             residual=float(np.abs(z).max()),
+                             hint="rebuild gamma_plus with a smaller radius")
+    _, bz_s = _level_weights(factors, s)
     res_s = np.exp(-t * phase_packed(-rho, a) - (1.0 - rho) * s)
-    row = -(res_s / (w + rho) + cauchy @ (bz_s / (z + rho)) / _TWO_PI_I) @ left
-    pair_circ_c = np.sum(bz_s / (zp1 * (z + rho))) / _TWO_PI_I
+    row = -(res_s / (w + rho) + w_pows @ (z_pows.T @ (bz_s / (z + rho))) / _TWO_PI_I) @ left
+    pair_circ_c = np.sum(bz_s / ((z + 1.0) * (z + rho))) / _TWO_PI_I
     _demand_real(pair_circ_c, "rho pairing contour term", f"s = {s}")
     return row, float(res_s / (1.0 - rho) + pair_circ_c.real)
 
@@ -370,9 +372,8 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
 
     with c = line_re.
 
-    Since |z| < |w|, 1/(w - z) = sum_k z^k / w^(k+1), and inside the circle
-    the z-integrand's only singularity is the pole of order n at 0, so every
-    term with k >= n integrates to zero: the kernel has rank exactly n.
+    Inside the circle the z-integrand's only singularity is the pole of
+    order n at 0, so the Cauchy series ends at n terms: the kernel has rank n.
 
     On the line w - c = iy, so the left factor is the blocked phase
     transform of the w-moments, which needs the exact line layout of
@@ -393,8 +394,7 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
 
     contours = build_raw_contours(n, t, xi1, xi2, c, r, oversample)
     w, aw, z, bz = _raw_weights(n, t, contours)
-    w_pows = np.vander(1.0 / w, n + 1, increasing=True)[:, 1:]   # w^-(k+1)
-    z_pows = np.vander(z, n, increasing=True)                     # z^k
+    z_pows, w_pows = _cauchy_series(w, z, n)
     moments = (_DOUBLE_PREF * aw)[:, None] * w_pows
     left = _line_phase_transform(xi1, contours[0].params, moments)
     e2 = np.exp(-np.multiply.outer(xi2, z - c))

@@ -121,9 +121,8 @@ def saddle_points(a):
     """
     a = check_a(a)
     disc = np.sqrt(a + a * a / 4.0)
-    w_minus = -1.0 - a / 2.0 - disc
-    w_plus = 1.0 / w_minus
-    return w_minus, w_plus
+    w_minus = _finite_rate("the saddle w-", a, -1.0 - a / 2.0 - disc)
+    return w_minus, 1.0 / w_minus
 
 
 def saddle_packed(a):

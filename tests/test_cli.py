@@ -289,6 +289,28 @@ def test_deep_tail_exits_three_without_output(capsys):
     assert "no finite log_survival" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("prob", "--ic", "stationary", "--t", "4", "--a", "500"),
+     "a stationary line weight is not finite at s = -2.001"),
+    (("prob", "--ic", "stationary", "--t", "4", "--a", "500", "--rho", "0.9"),
+     "a stationary line weight is not finite at s = -2.001"),
+    (("prob", "--ic", "flat", "--t", "4", "--a", "1000"),
+     "the spiral's base z_a e^(z_a) underflows at a = 1000.0"),
+    (("rates", "--a-min", "1e154", "--a-max", "1e155"), "the saddle w- is not finite"),
+    (("prob", "--ic", "packed", "--t", "4", "--a", "1e155"),
+     "the saddle w- is not finite at a = 1e+155"),
+    (("prob", "--ic", "stationary", "--t", "4", "--a", "1e155"),
+     "the saddle w- is not finite at a = 1e+155"),
+], ids=["stat-overflow", "stat-rho-overflow", "flat-spiral-underflow", "rates-huge-a",
+        "packed-huge-a", "stat-huge-a"])
+def test_numeric_limits_exit_three_without_output(capsys, argv, message):
+    # past what double precision holds, each command names the limit and
+    # exits 3; a numpy warning on the way fails the test
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 3 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("ic", ["packed", "flat", "stationary"])
 def test_prob_has_no_grid_size(capsys, tmp_path, ic, source):

@@ -415,11 +415,12 @@ STATIONARY_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("fn, args", STATIONARY_CALLS[:2])
-def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
-    # 1/(w - z) does not depend on the level, so each contour density forms
-    # it once and all of its finite-difference levels share it
-    outers, densities, levels = [], [], []
+@pytest.mark.parametrize("fn, args", [(fredholm.prob_packed, (4, 1.0))] + STATIONARY_CALLS[:2])
+def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
+    # 1/(w - z) acts through its series, so no line x circle matrix is formed;
+    # the power tables do not depend on the level, so each contour density
+    # forms them once and all of its finite-difference levels share them
+    outers, densities, tables, levels = [], [], [], []
 
     def outer(w, z):
         outers.append(1)
@@ -433,22 +434,30 @@ def test_stationary_grid_size_forms_one_cauchy_matrix(monkeypatch, fn, args):
 
     monkeypatch.setattr(kernels, "np", CountingNumpy())
     build_packed_contours = fredholm.build_packed_contours
+    cauchy_series = kernels._cauchy_series
     stat_components = fredholm.stat_components
 
     def contour_spy(a, t, points_per_unit):
         densities.append(points_per_unit)
         return build_packed_contours(a, t, points_per_unit)
 
-    def spy(a, t, s, factors, order):
+    def table_spy(w, z, order):
+        tables.append(order)
+        return cauchy_series(w, z, order)
+
+    def spy(a, t, s, factors):
         levels.append(s)
-        return stat_components(a, t, s, factors, order)
+        return stat_components(a, t, s, factors)
 
     monkeypatch.setattr(fredholm, "build_packed_contours", contour_spy)
+    monkeypatch.setattr(kernels, "_cauchy_series", table_spy)
     monkeypatch.setattr(fredholm, "stat_components", spy)
     fn(*args)
+    assert outers == []
     assert len(set(densities)) == len(densities) >= 2
-    assert len(outers) == len(densities)
-    assert len(levels) > len(set(levels)) and len(levels) % len(densities) == 0
+    assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
+    if fn is not fredholm.prob_packed:
+        assert len(levels) > len(set(levels)) and len(levels) % len(densities) == 0
 
 
 @pytest.mark.parametrize("fn, args", STATIONARY_CALLS)

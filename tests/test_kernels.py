@@ -254,7 +254,7 @@ def _circle_sum(factors, xi, pole):
 
     At pole 1 this is g1 - 1, at pole rho the contour term of g_rho.
     """
-    _, _, z, bz, _ = factors
+    z, bz = factors[2:4]
     e2 = np.exp(-np.multiply.outer(np.atleast_1d(xi), z + 1.0))
     return e2 @ (bz / (z + pole)) / (2j * np.pi)
 
@@ -265,7 +265,8 @@ def _nystrom_stat(a, t, s, rho, factors, size=384):
     The kernel, the rank-one pair and g_rho are tabulated on the nodes of
     build_grid(s, a, size) from their contour integrals.
     """
-    w, aw, z, bz, cauchy = factors
+    w, aw, z, bz = factors[:4]
+    cauchy = 1.0 / np.subtract.outer(w, z)
     two_pi_i = 2j * np.pi
     grid = fredholm.build_grid(s, a, size)
     x = grid.nodes
@@ -297,7 +298,7 @@ def test_stat_gram_pairings_match_a_nystrom_grid(t, a):
     m = kernels.packed_gram_order(a, t)
     h = 1e-3 * (1.0 + a * t)
     for s in (-h, 0.0, h):
-        bordered, _, left = kernels.stat_components(a, t, s, factors, m)
+        bordered, _, left = kernels.stat_components(a, t, s, factors)
         assert bordered.shape == (m + 1, m + 1) and left.shape[1] == m + 1
         row, _ = kernels.stat_rho_pieces(a, t, s, rho, factors, left)
         gram = bordered[:m, :m]
@@ -308,13 +309,76 @@ def test_stat_gram_pairings_match_a_nystrom_grid(t, a):
         assert abs(s_gram - s_grid) <= 1e-12
 
 
+def _saddle_scaled_factors(a, t):
+    """packed_factors with aw and bz scaled by e^{-t H(w-)} and e^{t H(w+)}.
+
+    The pairings keep every entry of order one at any t and a, where the
+    unscaled weights underflow; the series and Cauchy routes must agree on
+    any weights.
+    """
+    line, circle = contours.build_packed_contours(a, t)
+    w_minus, w_plus = rates.saddle_points(a)
+    w, z = line.nodes, circle.nodes
+    aw = line.weights * np.exp(t * (rates._h_vals(w, a) - rates.phase_packed(w_minus, a)))
+    bz = circle.weights * np.exp(t * (rates.phase_packed(w_plus, a) - rates._h_vals(z, a)))
+    return (w, aw, z, bz) + kernels.packed_factors(a, t, (line, circle))[4:]
+
+
+def _cauchy_double_sums(a, t, s, rho, factors, left):
+    """The packed Gram, the bordered Gram and the rho row through 1/(w - z) whole.
+
+    The packed Gram uses the weights of ``factors`` as packed_gram's own
+    saddle-scaled ones; the other two follow stat_components and
+    stat_rho_pieces with the series replaced by the n_w x n_z Cauchy matrix.
+    """
+    w, aw, z, bz = factors[:4]
+    m = factors[4].shape[1]
+    two_pi_i = 2j * np.pi
+    cauchy = 1.0 / np.subtract.outer(w, z)
+    w_mom = aw[:, None] * np.vander(1.0 / w, m + 1, increasing=True)[:, 1:]
+    z_mom = bz[:, None] * np.vander(z, m, increasing=True)
+    gram = -kernels._DOUBLE_PREF * (z_mom.T @ (cauchy.T @ w_mom))
+    aw_s, bz_s = aw * np.exp(s * (w + 1.0)), bz * np.exp(-s * (z + 1.0))
+    right = bz_s[:, None] * np.column_stack((np.vander(z, m, increasing=True),
+                                             1.0 / (two_pi_i * (z + 1.0))))
+    coupled = cauchy @ right
+    f_star = aw_s / two_pi_i * (1.0 / (w + 1.0) + coupled[:, m])
+    full_left = np.column_stack(((kernels._DOUBLE_PREF * aw_s)[:, None]
+                                 * np.vander(1.0 / w, m + 1, increasing=True)[:, 1:], f_star))
+    bordered = -(coupled.T @ full_left)
+    bordered[m] -= (1.0 / (w + 1.0)) @ full_left
+    res_s = np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * s)
+    row = -(res_s / (w + rho) + cauchy @ (bz_s / (z + rho)) / two_pi_i) @ left
+    return gram, bordered, row
+
+
+@pytest.mark.parametrize("t", [1, 2, 4, 16, 64, 256, 1024])
+@pytest.mark.parametrize("a", [0.05, 0.5, 1.0, 5.0, 30.0])
+def test_moment_grams_match_the_cauchy_double_sum(t, a):
+    # the Cauchy factor through its series, cut at m: exact at m = t (every
+    # term with j + l >= t integrates to zero), |w+|^(2m) <= 1e-18 below it
+    rho = 0.9
+    factors = _saddle_scaled_factors(a, t)
+    m = kernels.packed_gram_order(a, t)
+    assert factors[4].shape[1] == factors[5].shape[1] == m and m <= t
+    assert np.abs(factors[2]).max() < 0.9 * rho   # stat_rho_pieces keeps the circle
+    gram = kernels.packed_gram(a, t, contours.build_packed_contours(a, t), m)[0]
+    for s in (-0.25, 0.0, 0.5):
+        bordered, _, left = kernels.stat_components(a, t, s, factors)
+        row = kernels.stat_rho_pieces(a, t, s, rho, factors, left)[0]
+        ref_gram, ref_bordered, ref_row = _cauchy_double_sums(a, t, s, rho, factors, left)
+        for new, ref in ((gram, ref_gram), (bordered, ref_bordered), (row, ref_row)):
+            assert np.abs(ref).max() > 0.0
+            assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
 def test_stat_components_boundary_remainder_and_rho_pairing():
     a, t, rho = 1.0, 4, 0.9
     factors = _rho_factors(a, t, rho)
     h = 1e-5
     for s in (0.0, 0.5, 2.0):
         # the boundary remainder from Fhat_t = s + a t + Rhat_t(s) - 1
-        r_hat = [kernels.stat_components(a, t, u, factors, 4)[1] - u - a * t + 1.0
+        r_hat = [kernels.stat_components(a, t, u, factors)[1] - u - a * t + 1.0
                  for u in (s - h, s + h)]
         # derivative identity d/ds r_hat = g_one(s) - 1, by central differences
         np.testing.assert_allclose((r_hat[1] - r_hat[0]) / (2 * h),
