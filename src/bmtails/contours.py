@@ -234,10 +234,11 @@ def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):
     """Lambert spiral dense enough for the time-t phase e^{tG}.
 
     The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
-    the density is raised accordingly, and the spiral is trimmed where e^{tG}
-    falls below 1e-12 of its saddle value, or at |tau| = 4 if that is sooner.
-    Once 16 sqrt(t |eta|) exceeds points_per_unit the density is set by t
-    alone, and doubling points_per_unit returns the same spiral.
+    the density is points_per_unit max(1, sqrt(t |eta|) / 8), 8 sqrt(t |eta|)
+    at the default, and the spiral is trimmed where e^{tG} falls below 1e-12
+    of its saddle value, or at |tau| = 4 if that is sooner.  Doubling
+    points_per_unit doubles the density on the same window: 239 nodes at
+    the default once the Gaussian width sets both, then 477.
     """
     a = check_a(a)
     t = _check_time(t)
@@ -245,9 +246,9 @@ def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):
     if z_a is None:
         z_a = solve_za(a)
     eta = flat_curvature(z_a, a)
-    ppu = max(points_per_unit, int(np.ceil(16.0 * np.sqrt(t * abs(eta)))))
+    ppu = int(np.ceil(points_per_unit * max(1.0, np.sqrt(t * abs(eta)) / 8.0)))
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
-    tau_max = min(_TAU_CAP, max(0.5, span))
+    tau_max = min(_TAU_CAP, span)
     return build_flat_contour(a, ppu, tau_max, z_a=z_a)
 
 

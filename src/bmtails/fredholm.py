@@ -15,7 +15,9 @@ log det(I - M) comes from LU while the survival |1 - det| is at least
 1e-2, where LU's absolute error of about N eps is about 1e-12 relative.
 Smaller survivals, which 1 - det would lose to cancellation, come from the
 trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
-it needs ||M||_F < 1/2, or NumericFailure is raised.
+it needs ||M||_F < 1/2, or NumericFailure is raised.  Below e^-600 the flat
+survival is e^{-t r} times the integral of the kernel's diagonal, exact on
+the spiral, and no grid is built (see :func:`prob_flat`).
 
 The finite-index route works with a kernel of rank n, given as factors
 K = L R^T with n columns each (see :func:`kernels.raw_kernel_grid`).  By
@@ -30,10 +32,7 @@ density at each rung (and on the Nystrom routes the grid size: flat 48 to
 values agree; it reports the last change as the refinement delta and the
 final grid size, and checks the imaginary residue and the [0, 1] range; a
 survival it cannot resolve (p above 1, or a log_survival that is not
-finite) raises NumericFailure.
-The flat spiral's density is bound to t rather than to the scale once t
-is large enough (see :func:`prob_flat`); there the flat refinement delta
-refines only the Nystrom grid.
+finite), or a ladder that ends before p settles, raises NumericFailure.
 The stationary law needs an s-derivative, taken by central differences
 with one Richardson step; the two step sizes must agree.  Each contour
 density forms its weights and Cauchy power tables once for all levels.
@@ -67,6 +66,7 @@ from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
     khat_flat_grid,
+    khat_flat_trace,
     packed_factors,
     packed_gram,
     packed_gram_order,
@@ -81,9 +81,12 @@ log = logging.getLogger("bmtails.fredholm")
 _CLAMP = 1e-9
 # _det_core's routes: LU's log det down to this survival, the trace series below
 _LU_SURVIVAL = 1e-2
+# |log det| proven below this keeps |1 - det| below _LU_SURVIVAL
+_LU_SKIP = 0.0099
 _SERIES_NORM = 0.5
 _SERIES_TERMS = 64
-# below this log e^{-t r} the packed survival is e^{-t r} tr(Gt) to double precision
+# below this log e^{-t r} the packed and flat survivals are e^{-t r} times a
+# trace to double precision
 _DEEP_LOG_SCALE = -600.0
 # refinement stops once p moves by less than this between grid sizes
 _TARGET = 1e-9
@@ -115,9 +118,10 @@ class ProbResult:
     log_survival: float
     im_residue: float
     refinement_delta: float
-    grid_size: int                # Nystrom nodes of the returned evaluation, or
+    grid_size: int                # Nystrom nodes of the returned evaluation,
                                   # the Gram order m of the packed and
-                                  # stationary routes
+                                  # stationary routes, or 0 on the deep flat
+                                  # trace, which builds no grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,21 +149,34 @@ def _det_core(kmat, weights):
 
     log det(I - M) is LU's, or the trace series' when |1 - det| from LU is
     below _LU_SURVIVAL; a series that cannot converge raises NumericFailure.
+    With nu = ||M||_F < 1, |tr M^k| <= nu^k for k >= 2, so |log det(I - M)|
+    is at most |tr M| + nu^2 / (1 - nu); below _LU_SKIP that proves the
+    series route, and LU is not run.  The series stops once its tail after
+    k terms, at most nu^(k+1) / ((k + 1)(1 - nu)), is below 1e-17 |log det|,
+    before forming the next power.  Deep in the tail M's entries are near
+    the underflow threshold, where LU and the matrix products would run in
+    slow subnormal arithmetic.
     The log of a real determinant has imaginary part a multiple of pi, odd
     when it is negative; the residue from that multiple is returned.
     """
     sq = np.sqrt(weights)
     m = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
     norm = float(np.linalg.norm(m))
-    sign, level = np.linalg.slogdet(np.eye(len(m)) - m)
-    logdet, power, terms = complex(level, np.angle(sign)), m, 0
-    if not (sign.real <= 0.0 or abs(np.expm1(level)) >= _LU_SURVIVAL):
+    series = norm < _SERIES_NORM and \
+        abs(np.trace(m)) + norm * norm / (1.0 - norm) < _LU_SKIP
+    if not series:
+        sign, level = np.linalg.slogdet(np.eye(len(m)) - m)
+        logdet = complex(level, np.angle(sign))
+        series = not (sign.real <= 0.0 or abs(np.expm1(level)) >= _LU_SURVIVAL)
+    power, terms = m, 0
+    if series:
         logdet = 0j
         while norm < _SERIES_NORM and terms < _SERIES_TERMS:
             terms += 1
             term = complex(np.trace(power)) / terms
             logdet -= term
-            if abs(term) <= 1e-17 * abs(logdet):
+            if abs(term) <= 1e-17 * abs(logdet) or \
+                    norm ** (terms + 1) <= 1e-17 * abs(logdet) * (terms + 1) * (1.0 - norm):
                 break
             power = power @ m
         else:
@@ -180,8 +197,9 @@ def _solve(what, evaluate, sizes):
 
     evaluate(size, scale) returns (p, log_survival, im_residue).  Each step
     is logged at DEBUG level, which gives the refinement history.  A p above
-    1, or a log_survival that is not finite, raises NumericFailure; a p
-    within _CLAMP below 0 is set to 0.
+    1, a log_survival that is not finite, or a ladder whose last rung still
+    moves p by _TARGET or more raises NumericFailure; a p within _CLAMP
+    below 0 is set to 0.
     """
     prev = None
     for step, size in enumerate(sizes):
@@ -218,6 +236,14 @@ def _solve(what, evaluate, sizes):
             f"{what}: no finite log_survival at p = {p!r}, grid size {size}",
             last=p,
             hint="the survival is below what 1 - det resolves",
+        )
+    if not delta < _TARGET:
+        raise NumericFailure(
+            f"{what}: p still moves by {delta:.3e} at grid size {size}, "
+            f"contour density x{scale}",
+            last=p,
+            residual=delta,
+            hint=f"the ladder did not converge to {_TARGET:g} by its last rung",
         )
     if p < 0.0:
         log.warning("%s: clamping p = %.17g into [0, 1]", what, p)
@@ -260,22 +286,32 @@ def prob_packed(t, a):
 def prob_flat(t, a):
     """P(x_t(t) <= 2t + at) under the flat start.
 
-    The spiral's density is set by t once 16 sqrt(t |eta|) exceeds the scaled
-    points_per_unit (:func:`contours.flat_contour_for`), so then the
-    refinement delta measures only the Nystrom grid.
+    det(1 - P_0 Khat P_0) on a Nystrom grid of 48 to 384 nodes, with the
+    spiral of :func:`contours.flat_contour_for` doubled in density at each
+    rung.  Khat = e^{-t r} Kt with Kt bounded.  Once t r exceeds 600,
+    1 - det is e^{-t r} times the integral of Kt's diagonal, up to a relative
+    e^{-t r} |Kt| below 1e-260, and that integral is exact on the spiral
+    (:func:`kernels.khat_flat_trace`): log_survival is -t r plus its log,
+    the phase of the integral is the imaginary residue, and grid_size is 0,
+    since no grid is built.
     """
     a = check_a(a)
     t = float(t)
     z_a = solve_za(a)
     decay = abs(z_a + 1.0)
+    rate = rate_flat(a).rate
 
     def evaluate(size, scale):
         path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, z_a=z_a)
+        if not size:
+            trace = khat_flat_trace(a, t, path, rate)
+            return 1.0, -t * rate + float(np.log(trace.real)), abs(trace.imag / trace.real)
         grid = build_grid(0.0, decay, size)
         kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
         return _det_core(kmat, grid.weights)
 
-    return _solve("prob_flat", evaluate, [48, 96, 192, 384])
+    deep = -t * rate <= _DEEP_LOG_SCALE
+    return _solve("prob_flat", evaluate, [0] * 4 if deep else [48, 96, 192, 384])
 
 
 # ---------------------------------------------------------------------------

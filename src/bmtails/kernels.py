@@ -213,6 +213,20 @@ def khat_flat_grid(a, t, xi1, xi2, path):
     return (e1 * core) @ e2.T
 
 
+def khat_flat_trace(a, t, path, rate):
+    """e^{t rate} times the integral of the flat kernel's diagonal over (0, infinity).
+
+    K(x, x) = sum_gamma c_gamma e^{-x (phi - gamma)} with Re(phi - gamma) > 0
+    on the spiral, so the integral is sum_gamma c_gamma / (phi - gamma)
+    exactly.  e^{t rate} is folded into the exponent of c_gamma as
+    e^{t (G + rate)}, with rate = -G(z_a): its modulus peaks at one at the
+    saddle, so the sum stays representable however deep the tail.
+    """
+    gam, phi = path.nodes, path.phi_nodes
+    core = path.weights * np.exp(t * (_g_vals(gam, phi, a) + rate)) / _TWO_PI_I
+    return complex(np.sum(core / (phi - gam)))
+
+
 # ---------------------------------------------------------------------------
 # stationary Gram pairings (shared packed factors)
 

@@ -281,9 +281,9 @@ def test_numeric_failure_exit_code(capsys, monkeypatch):
 
 
 def test_deep_tail_exits_three_without_output(capsys):
-    # the flat survival at t = 64, a = 5 is below what the determinant
-    # resolves: no row with log_survival -inf is printed
-    code, out, err = run_cli(capsys, "prob", "--ic", "flat", "--t", "64",
+    # the stationary p at t = 64, a = 5 rounds to just above 1, so its
+    # survival is not resolved: no row with log_survival -inf is printed
+    code, out, err = run_cli(capsys, "prob", "--ic", "stationary", "--t", "64",
                              "--a", "5")
     assert code == 3 and out == ""
     assert "no finite log_survival" in err
@@ -325,8 +325,16 @@ def test_prob_has_no_grid_size(capsys, tmp_path, ic, source):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_tail_prints_the_rows_before_a_failing_time(capsys, fmt):
-    # flat (64, 5) is below what the determinant resolves; (16, 5) is not
+def test_tail_prints_the_rows_before_a_failing_time(capsys, monkeypatch, fmt):
+    prob_flat = cli.fredholm.prob_flat
+
+    def fail_at_64(t, a):
+        if t == 64:
+            raise NumericFailure("prob_flat: no finite log_survival at p = 1.0",
+                                 hint="the survival is below what 1 - det resolves")
+        return prob_flat(t, a)
+
+    monkeypatch.setattr(cli.fredholm, "prob_flat", fail_at_64)
     code, out, err = run_cli(capsys, "tail", "--ic", "flat", "--a", "5",
                              "--t-list", "16,64", "--format", fmt)
     assert code == 3
@@ -341,6 +349,15 @@ def test_tail_prints_the_rows_before_a_failing_time(capsys, fmt):
 
 def test_packed_tail_reaches_deep_times(capsys):
     code, out, _ = run_cli(capsys, "tail", "--ic", "packed", "--a", "5",
+                           "--t-list", "16,64,256", "--format", "json")
+    table = json.loads(out)
+    assert code == 0 and table["t"] == [16.0, 64.0, 256.0]
+    assert all(np.isfinite(v) for v in table["log_survival"])
+
+
+def test_flat_tail_reaches_deep_times(capsys):
+    # t = 64 and 256 take the grid-free trace below e^-600
+    code, out, _ = run_cli(capsys, "tail", "--ic", "flat", "--a", "5",
                            "--t-list", "16,64,256", "--format", "json")
     table = json.loads(out)
     assert code == 0 and table["t"] == [16.0, 64.0, 256.0]

@@ -124,9 +124,10 @@ def test_det_core_logs_each_route(caplog):
         fredholm.prob_flat(1, 0.25)
     lines = [r.getMessage() for r in caplog.records if r.funcName == "_det_core"]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    assert lines[0].startswith("determinant of order 48: route series, 6 series terms, ||M||_F ")
-    assert lines[-1].startswith("determinant of order 96: route lu, 0 series terms, ||M||_F ")
-    assert len(lines) == 4
+    # the series stops once its proven tail is below 1e-17 |log det|
+    assert lines[0].startswith("determinant of order 48: route series, 5 series terms, ||M||_F ")
+    assert lines[-1].startswith("determinant of order 192: route lu, 0 series terms, ||M||_F ")
+    assert len(lines) == 5
 
 
 @pytest.mark.parametrize("fn, extra", [
@@ -555,10 +556,9 @@ def test_probability_just_above_one_raises(caplog):
     assert not caplog.records
 
 
-@pytest.mark.parametrize("fn", [fredholm.prob_flat, fredholm.prob_stat])
+@pytest.mark.parametrize("fn", [fredholm.prob_stat])
 def test_deep_tail_raises_instead_of_minus_infinity(fn):
-    # at t = 64, a = 5 the flat survival is about e^-1150, far below what
-    # 1 - det resolves; the stationary p rounds to just above 1
+    # at t = 64, a = 5 the stationary p rounds to just above 1
     with pytest.raises(NumericFailure, match="no finite log_survival"):
         fn(64, 5.0)
 
@@ -574,6 +574,69 @@ def test_packed_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch
     monkeypatch.setattr(fredholm, "POINTS_PER_UNIT", 2 * fredholm.POINTS_PER_UNIT)
     denser = fredholm.prob_packed(t, a)
     assert abs(denser.log_survival - res.log_survival) <= 1e-13 * abs(log_survival)
+
+
+@pytest.mark.parametrize("t, a, log_survival", [
+    (64, 5.0, -1151.2144669183028), (256, 2.0, -1040.4856171995239),
+    (256, 5.0, -4591.064029407776),
+])
+def test_flat_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch, t, a,
+                                                                   log_survival):
+    # e^{-t r} underflows here; 1 - det is e^{-t r} times the integral of
+    # the kernel's diagonal, exact on the spiral, so no grid is built
+    res = fredholm.prob_flat(t, a)
+    assert res.p == 1.0 and res.grid_size == 0
+    assert abs(res.log_survival - log_survival) <= 1e-10 * abs(log_survival)
+    monkeypatch.setattr(fredholm, "POINTS_PER_UNIT", 2 * fredholm.POINTS_PER_UNIT)
+    denser = fredholm.prob_flat(t, a)
+    assert abs(denser.log_survival - res.log_survival) <= np.spacing(abs(log_survival))
+
+
+def test_unconverged_ladder_raises():
+    # p moves by 1e-6 / 2^k at every rung, never below the target
+    with pytest.raises(NumericFailure, match="still moves by 2.500e-07") as info:
+        fredholm._solve("test", lambda size, scale: (0.5 + 1e-6 / scale, -0.7, 0.0), [8] * 3)
+    assert "did not converge" in info.value.hint and info.value.last == 0.5 + 2.5e-7
+
+
+def test_flat_ladder_that_does_not_converge_raises():
+    # at t = 4, a = 0.01 the spiral still moves p by 6e-7 at its densest rung
+    with pytest.raises(NumericFailure, match="p still moves by") as info:
+        fredholm.prob_flat(4, 0.01)
+    assert "did not converge" in info.value.hint
+
+
+def _full_det_core_log_survival(m):
+    """log_survival of I - m from LU, or from the trace series up to its first
+    negligible term, with neither of _det_core's early exits."""
+    sign, level = np.linalg.slogdet(np.eye(len(m)) - m)
+    logdet = complex(level, np.angle(sign))
+    if not (sign.real <= 0.0 or abs(np.expm1(level)) >= fredholm._LU_SURVIVAL):
+        logdet, power, k = 0j, m, 0
+        while True:
+            k += 1
+            term = complex(np.trace(power)) / k
+            logdet -= term
+            if abs(term) <= 1e-17 * abs(logdet):
+                break
+            power = power @ m
+    return float(np.log(-np.expm1(logdet.real)))
+
+
+@pytest.mark.parametrize("nu, lu_calls", [(1e-150, 0), (1e-3, 0), (8e-3, 0), (0.3, 1)])
+def test_det_core_early_exits_change_no_bit(monkeypatch, nu, lu_calls):
+    # skipping LU where the series is proven, and stopping the series where
+    # its tail is proven negligible, give the same bits as doing both in full;
+    # entries of positive real part keep det(I - M) in (0, 1)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 1.0, (24, 24)) + 0.2j * rng.standard_normal((24, 24))
+    m = nu * x / np.linalg.norm(x)
+    expected = _full_det_core_log_survival(m)
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda mat: calls.append(1) or slogdet(mat))
+    assert repr(fredholm._det_core(m, np.ones(24))[1]) == repr(expected)
+    assert len(calls) == lu_calls
 
 
 def test_build_grid_shares_a_read_only_rule():

@@ -216,20 +216,36 @@ def test_klimit_exponential_profile():
 def test_khat_flat_reference_and_invariance():
     a, t = 1.0, 4
     trimmed = contours.flat_contour_for(a, t)
-    # the density is bound to t here, so a doubled density is the same spiral
+    # a doubled density refines the spiral on the same tau window
     doubled = contours.flat_contour_for(a, t, 2 * contours.POINTS_PER_UNIT)
-    np.testing.assert_array_equal(doubled.nodes, trimmed.nodes)
-    value = kernels.khat_flat_grid(a, t, [0.0], [0.0], trimmed)[0, 0]
-    np.testing.assert_allclose(value.real, 7.037043553057482e-04, rtol=1e-10)
-    assert abs(value.imag) <= 1e-10
+    assert doubled.nodes.size == 2 * trimmed.nodes.size - 1
+    assert abs(doubled.params[-1] - trimmed.params[-1]) <= trimmed.params[1] - trimmed.params[0]
+    for path in (trimmed, doubled):
+        value = kernels.khat_flat_grid(a, t, [0.0], [0.0], path)[0, 0]
+        np.testing.assert_allclose(value.real, 7.037043553057482e-04, rtol=1e-10)
+        assert abs(value.imag) <= 1e-10
     # the spiral trimmed for time t, continued on the same nodes to tau = 6,
     # must give the same value: its tail is below the truncation tolerance
-    ppu = int(round(1.0 / (trimmed.params[1] - trimmed.params[0])))
+    ppu = int(round(1.0 / (doubled.params[1] - doubled.params[0])))
     wide = contours.build_flat_contour(a, ppu, 6.0)
-    assert trimmed.params[-1] < 1.0 and wide.nodes.size > 4 * trimmed.nodes.size
+    assert doubled.params[-1] < 1.0 and wide.nodes.size > 4 * doubled.nodes.size
     values = [kernels.khat_flat_grid(a, t, [0.0], [0.0], path)[0, 0].real
-              for path in (trimmed, wide)]
+              for path in (doubled, wide)]
     assert 0.0 < abs(values[0] - values[1]) <= 1e-8
+
+
+@pytest.mark.parametrize("t, a", [(16, 5.0), (64, 2.0)])
+def test_khat_flat_trace_is_the_deep_survival(t, a):
+    # below e^-250, 1 - det(1 - K) is the integral of K's diagonal to double
+    # precision; on the spiral that integral needs no grid, holds under
+    # density doubling, and the Nystrom survival agrees with it to 1e-8
+    rate = rates.rate_flat(a).rate
+    logs = [-t * rate + np.log(kernels.khat_flat_trace(
+        a, t, contours.flat_contour_for(a, t, ppu), rate).real)
+        for ppu in (64, 128, 256)]
+    np.testing.assert_allclose(logs, logs[0], rtol=1e-15)
+    nystrom = fredholm.prob_flat(t, a).log_survival
+    np.testing.assert_allclose(nystrom, logs[0], rtol=1e-8)
 
 
 def test_deformation_check_compares_two_different_spirals(monkeypatch):
