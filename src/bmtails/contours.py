@@ -12,11 +12,13 @@ Every contour the kernels integrate over is laid out here:
 
 The saddle contours of the packed phase H are the line through the left
 saddle w- and the circle of radius |w+| through the right saddle w+ on the
-negative real axis; the raw finite-n kernel uses a line and a circle placed
-by the caller.  The node-count rules of each route sit beside the function
-that lays it out, and one helper rescales a circle.  The saddle and spiral
-builders take their density as an int, points_per_unit (default 64, at
-least 8), which the determinant solver doubles at each refinement step.
+negative real axis, and so are those of the particle-n phase above its
+edge (:func:`finite_anchors`); the raw finite-n kernel matrix uses a line
+and a circle placed by the caller.  The node-count rules of each route sit
+beside the function that lays it out, and one helper rescales a circle.
+The saddle and spiral builders take their density as an int,
+points_per_unit (default 64, at least 8), which the determinant solver
+doubles at each refinement step.
 
 Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the
@@ -35,11 +37,9 @@ from .errors import NumericFailure
 from .lambertw import lambert_w
 from .rates import check_a, flat_curvature, phase_packed_d2, saddle_points, solve_za
 
-# e^{t * phase} below this, relative to the saddle, is cut off the packed
-# line and the flat spiral
+# e^{t * phase} below this, relative to its value at c, is cut off each
+# line, and relative to the saddle off the flat spiral
 _TRUNCATION_TOL = 1e-12
-# the raw finite-n line is cut where its Gaussian factor falls below this
-_RAW_TRUNCATION_TOL = 1e-13
 # default contour density, in nodes per unit of length or of tau
 POINTS_PER_UNIT = 64
 # the flat spiral's tau window never reaches past this many turns
@@ -126,6 +126,23 @@ def scale_circle(circle, factor):
     return replace(circle, nodes=circle.nodes * factor, weights=circle.weights * factor)
 
 
+def _saddle_contours(c, radius, ratio, t, curv_lo, curv_hi, points_per_unit):
+    """The line Re w = c and the circle of signed radius, at densities that
+    resolve the Gaussian widths 1/sqrt(curv) of t |phase''| at c and radius.
+
+    ratio is that of :func:`_line_halfwidth`."""
+    y_max = _line_halfwidth(c, ratio, t, _TRUNCATION_TOL)
+    per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(curv_lo))))
+    line = _line(c, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
+
+    m = max(
+        int(np.ceil(2.0 * np.pi * points_per_unit)),
+        int(np.ceil(24.0 * np.pi * np.sqrt(curv_hi) * abs(radius))),
+    )
+    m += m % 2  # keep theta = 0 on the grid
+    return line, _circle(radius, m)
+
+
 def build_packed_contours(a, t, points_per_unit=POINTS_PER_UNIT):
     """(gamma_minus, gamma_plus) for the packed-phase double integral.
 
@@ -144,33 +161,47 @@ def build_packed_contours(a, t, points_per_unit=POINTS_PER_UNIT):
     w_minus, w_plus = saddle_points(a)
     h2_lo = phase_packed_d2(w_minus, a)           # > 0
     h2_hi = -phase_packed_d2(w_plus, a)           # > 0
-
-    y_max = _line_halfwidth(w_minus, 1.0, t, _TRUNCATION_TOL)
-    per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(t * h2_lo))))
-    line = _line(w_minus, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
-
-    m = max(
-        int(np.ceil(2.0 * np.pi * points_per_unit)),
-        int(np.ceil(24.0 * np.pi * np.sqrt(t * h2_hi) * abs(w_plus))),
-    )
-    m += m % 2  # keep theta = 0 on the grid
-    return line, _circle(w_plus, m)
+    return _saddle_contours(w_minus, w_plus, 1.0, t, t * h2_lo, t * h2_hi, points_per_unit)
 
 
-def build_raw_contours(n, t, xi1, xi2, c, r, oversample):
-    """(line, circle) for the particle-n kernel: Re w = c and |z| = r.
+def finite_anchors(n, t, s):
+    """(c, w_hi): where the particle-n line and circle cross the negative real axis.
+
+    Above the edge s > 2 sqrt(n t) these are the saddles w- and w+ = n / (t w-)
+    of f(w) = t w^2/2 + n log(-w) + s w.  At or below it, with no real
+    saddle, c = -0.3 / sqrt(t) and the circle's radius is 0.85 |c|.
+    """
+    if s > 2.0 * np.sqrt(n * t):
+        c = -(s + np.sqrt(s * s - 4.0 * n * t)) / (2.0 * t)
+        return c, n / (t * c)
+    c = -0.3 / np.sqrt(t)
+    return c, 0.85 * c
+
+
+def build_finite_contours(n, t, s, points_per_unit=POINTS_PER_UNIT):
+    """(line, circle) through :func:`finite_anchors`, dense as |f''| = |t - n / w^2| there.
+
+    Below the edge the line's 12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes
+    per unit, resolves the pole of w^-n at distance |c| from it.
+    """
+    t = _check_time(t)
+    _check_density(points_per_unit)
+    c, w_hi = finite_anchors(n, t, s)
+    return _saddle_contours(c, w_hi, n / t, t, abs(t - n / (c * c)),
+                            abs(n / (w_hi * w_hi) - t), points_per_unit)
+
+
+def build_raw_contours(n, t, xi1, xi2, c, r):
+    """(line, circle) for the particle-n kernel on a grid of levels: Re w = c and |z| = r.
 
     The line is trimmed where the Gaussian factor e^{t w^2/2} (-w)^n falls
-    below 1e-13 of its value at c, and both node counts grow with the
-    largest level so that e^{xi w} and e^{-xi z} stay resolved; oversample
-    multiplies both densities.
+    below 1e-12 of its value at c, and both node counts grow with the
+    largest level so that e^{xi w} and e^{-xi z} stay resolved.
     """
-    half = _line_halfwidth(c, n / t, t, _RAW_TRUNCATION_TOL)
+    half = _line_halfwidth(c, n / t, t, _TRUNCATION_TOL)
     freq = float(np.max(np.abs(xi1 + t * c))) + 1.0
-    n_line = 2 * int(np.ceil(oversample * half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
-    m = oversample * max(
-        256, 8 * int(n), int(np.ceil(8.0 * r * (float(np.max(np.abs(xi2))) + t * r + 1.0)))
-    )
+    n_line = 2 * int(np.ceil(half * max(12.0 * np.sqrt(t), 2.0 * freq))) + 1
+    m = max(256, 8 * int(n), int(np.ceil(8.0 * r * (float(np.max(np.abs(xi2))) + t * r + 1.0))))
     return _line(c, half, n_line), _circle(r, m)
 
 

@@ -1,38 +1,34 @@
 """Fredholm determinants on a half-line and one-point probabilities.
 
-The packed and stationary determinants need no quadrature grid: they are
-det(I_m - G) for the m x m moment Gram G of :func:`kernels.packed_gram`,
-whose survival keeps its relative precision however deep the tail (see
-:func:`prob_packed`), and G bordered to order m + 1 by the stationary
-rank-one pair (:func:`kernels.stat_components`).
+The packed, stationary and finite-index determinants need no quadrature
+grid: they are det(I_m - G) for the m x m moment Gram G of
+:func:`kernels.packed_gram`, whose survival keeps its relative precision
+however deep the tail (see :func:`prob_packed`), G bordered to order
+m + 1 by the stationary rank-one pair (:func:`kernels.stat_components`),
+and det(I_n - G) for the particle-n Gram of :func:`kernels.finite_gram`,
+which is exact at order n because that kernel has rank n.
 
-The flat and finite-index determinants det(1 - P_s K P_s) are
-evaluated by the Nystrom method (Bornemann, Math. Comp. 79 (2010)):
-Gauss-Legendre nodes u in (0,1) are mapped to xi = s - log(1-u)/d, which
-absorbs the proven exponential kernel decay (rate |z_a + 1| for the flat
-kernel) so grids of a few dozen nodes converge.  With M = W^1/2 K W^1/2,
-log det(I - M) comes from LU while the survival |1 - det| is at least
-1e-2, where LU's absolute error of about N eps is about 1e-12 relative.
+The flat determinant det(1 - P_0 K P_0) is evaluated by the Nystrom
+method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes u in
+(0,1) are mapped to xi = s - log(1-u)/d, which absorbs the proven
+exponential kernel decay (rate |z_a + 1|) so grids of a few dozen nodes
+converge.  With M = W^1/2 K W^1/2, log det(I - M) comes from LU while the
+survival |1 - det| is at least 1e-2, where LU's absolute error of about
+N eps is about 1e-12 relative.
 Smaller survivals, which 1 - det would lose to cancellation, come from the
 trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
 it needs ||M||_F < 1/2, or NumericFailure is raised.  Below e^-600 the flat
 survival is e^{-t r} times the integral of the kernel's diagonal, exact on
 the spiral, and no grid is built (see :func:`prob_flat`).
 
-The finite-index route works with a kernel of rank n, given as factors
-K = L R^T with n columns each (see :func:`kernels.raw_kernel_grid`).  By
-Sylvester's identity det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), so its
-determinant is that of an n x n matrix whatever the grid size; the grid
-only sets the quadrature of the n^2 pairings R^T W L.
-
 Every entry point hands a closure evaluate(size, scale) and its fixed
 ladder of sizes to one driver, :func:`_solve`, which doubles the contour
-density at each rung (and on the Nystrom routes the grid size: flat 48 to
-384, finite index 64 to 512; the Gram order m stays) until successive
-values agree; it reports the last change as the refinement delta and the
-final grid size, and checks the imaginary residue and the [0, 1] range; a
-survival it cannot resolve (p above 1, or a log_survival that is not
-finite), or a ladder that ends before p settles, raises NumericFailure.
+density at each rung (and on the flat Nystrom route the grid size, 48 to
+384; the Gram orders m and n stay) until successive values agree; it
+reports the last change as the refinement delta and the final grid size,
+and checks the imaginary residue and the [0, 1] range; a survival it
+cannot resolve (p above 1, or a log_survival that is not finite), or a
+ladder that ends before p settles, raises NumericFailure.
 The stationary law needs an s-derivative, taken by central differences
 with one Richardson step; the two step sizes must agree.  Each contour
 density forms its weights and Cauchy power tables once for all levels.
@@ -58,6 +54,7 @@ from .contours import (
     POINTS_PER_UNIT,
     _check_finite,
     _check_time,
+    build_finite_contours,
     build_packed_contours,
     flat_contour_for,
     scale_circle,
@@ -65,12 +62,12 @@ from .contours import (
 from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
+    finite_gram,
     khat_flat_grid,
     khat_flat_trace,
     packed_factors,
     packed_gram,
     packed_gram_order,
-    raw_kernel_grid,
     stat_components,
     stat_rho_pieces,
 )
@@ -118,10 +115,11 @@ class ProbResult:
     log_survival: float
     im_residue: float
     refinement_delta: float
-    grid_size: int                # Nystrom nodes of the returned evaluation,
-                                  # the Gram order m of the packed and
-                                  # stationary routes, or 0 on the deep flat
-                                  # trace, which builds no grid
+    grid_size: int                # flat Nystrom nodes of the returned
+                                  # evaluation, the Gram order m of the packed
+                                  # and stationary routes, n on the finite-
+                                  # index one, or 0 on the deep flat trace,
+                                  # which builds no grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -253,6 +251,18 @@ def _solve(what, evaluate, sizes):
                       refinement_delta=delta, grid_size=size)
 
 
+def _gram_det(gram, log_scale):
+    """(p, log_survival, im_residue) of det(I - e^{log_scale} gram), gram bounded.
+
+    Below _DEEP_LOG_SCALE, 1 - det is e^{log_scale} tr(gram) to a relative
+    e^{log_scale} |gram| < 1e-260; the trace's phase is the imaginary residue.
+    """
+    if log_scale > _DEEP_LOG_SCALE:
+        return _det_core(np.exp(log_scale) * gram, np.ones(len(gram)))
+    trace = complex(np.trace(gram))
+    return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+
+
 # ---------------------------------------------------------------------------
 # scaled one-point probabilities
 
@@ -263,21 +273,15 @@ def prob_packed(t, a):
     det(1 - P_0 Khat P_0) is det(I_m - G) for the moment Gram G of
     :func:`kernels.packed_gram`, with no Nystrom grid: grid_size reports
     the order m of :func:`kernels.packed_gram_order`, and only the contour
-    density is doubled.  G = e^{-t r} Gt with Gt bounded.  Once t r exceeds
-    600, 1 - det(I - G) is e^{-t r} tr(Gt) up to a relative e^{-t r} |Gt|
-    below 1e-260, so log_survival is -t r + log tr(Gt), and the phase of
-    tr(Gt) is the imaginary residue.
+    density is doubled.  G = e^{-t r} Gt with Gt bounded, so once t r
+    exceeds 600 log_survival is -t r + log tr(Gt) (:func:`_gram_det`).
     """
     a = check_a(a)
     t = _check_time(t)
 
     def evaluate(size, scale):
         contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        gram, log_scale = packed_gram(a, t, contours, size)
-        if log_scale > _DEEP_LOG_SCALE:
-            return _det_core(np.exp(log_scale) * gram, np.ones(size))
-        trace = complex(np.trace(gram))
-        return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+        return _gram_det(*packed_gram(a, t, contours, size))
 
     # contour densities x1 to x8, as on the flat route's grids 48 to 384
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
@@ -418,49 +422,26 @@ def prob_stat_rho(t, a, rho):
 
 
 def prob_finite_n(n, t, s):
-    """P(x_n(t) <= s) for integer n >= 1 via the raw double-contour kernel.
+    """P(x_n(t) <= s) for integer n >= 1 as det(I_n - G), G of :func:`kernels.finite_gram`.
 
-    Valid at any real level s where p is resolved, the bulk and lower tail
-    included, because the vertical line is re-anchored at the dominant
-    w-saddle of the raw phase t w^2/2 + n log(-w) + xi w instead of the
-    upper-tail scaling.  The kernel has rank n, so each grid size costs one
-    n x n determinant.  Deep in the lower tail that determinant is a
-    cancellation of O(1) entries: near p = 1e-15 (s = -1.79 at n = 5,
-    t = 1) its imaginary residue passes 1e-8, and NumericFailure says that
-    p is below what the n x n determinant resolves.
+    Only the contour density is doubled, and grid_size reports n.  At n = t
+    and s = (2 + a) t this is :func:`prob_packed`'s determinant, deep tail
+    included.  Deep in the lower tail the determinant is a cancellation of
+    O(1) entries: near p = 1e-15 (s = -1.79 at n = 5, t = 1) its imaginary
+    residue passes 1e-8, and NumericFailure says that p is below what the
+    n x n determinant resolves.
     """
+    if not float(n).is_integer() or n < 1:
+        raise ValueError(f"particle index must be an integer >= 1, got {n}")
     n = int(n)
-    if n < 1:
-        raise ValueError("particle index must be >= 1")
     t = _check_time(t)
     s = _check_finite(s, "level s")
-    edge = 2.0 * np.sqrt(n * t)
-    decay = max(0.4 / np.sqrt(t), 0.8 * (s - edge) / t)
-    if s > edge:
-        # upper tail: anchor the line at the w-saddle of the smallest grid
-        # level, so e^{xi c} only shrinks entries as xi grows
-        xi_ref = s + min(1.0 / decay, np.sqrt(t))
-        c = -(xi_ref + np.sqrt(xi_ref * xi_ref - 4.0 * t * n)) / (2.0 * t)
-    else:
-        # bulk and lower tail: there is no negative real saddle; a short
-        # line keeps every exponential factor of the integrand near 1
-        c = -0.3 / np.sqrt(t)
-    r = min(0.85 * abs(c), max(n / (t * abs(c)), 0.15 * abs(c)))
-    if t * c * c / 2.0 + n * abs(np.log(abs(c))) > 500.0 or \
-            t * r * r / 2.0 + n * abs(np.log(r)) > 500.0:
-        raise NumericFailure(
-            "raw-kernel contour parameters overflow the exponential scale",
-            hint=f"level s={s} too extreme for n={n}, t={t}",
-        )
 
     def evaluate(size, scale):
-        grid = build_grid(s, decay, size)
-        left, right = raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c,
-                                      circle_rad=r, oversample=scale)
-        # Sylvester: det(I - W^1/2 L R^T W^1/2) = det(I - R^T W L), n x n
-        return _det_core((right.T * grid.weights) @ left, np.ones(n))
+        contours = build_finite_contours(n, t, s, scale * POINTS_PER_UNIT)
+        return _gram_det(*finite_gram(n, t, s, contours))
 
-    return _solve("prob_finite_n", evaluate, [64, 128, 256, 512])
+    return _solve("prob_finite_n", evaluate, [n] * 4)
 
 
 # ---------------------------------------------------------------------------

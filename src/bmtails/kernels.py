@@ -17,15 +17,15 @@ The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The packed one-point
 determinant needs no kernel matrix: :func:`packed_gram` gives it as a
 small moment Gram matrix on the contours alone, and so do the stationary
-ones (see below).  On the saddle contours |z/w| <= |w+|^2, so the Cauchy
-factor 1/(w - z) is the series sum_l z^l / w^(l+1), cut at the Gram order
-m; the Grams are built from power-moment sums over each contour, and no
-line x circle matrix is formed.  All exponents are assembled before
-exponentiation, and on the saddle contours every exponential factor has
-modulus at most one for offsets xi1, xi2 >= 0, so there the evaluation
-never overflows regardless of t.  At negative offsets e^{xi1(w+1)} and
-e^{-xi2(z+1)} grow, and a value that overflows raises NumericFailure
-naming the offsets.
+and finite-index ones (:func:`finite_gram`).  On the saddle contours
+|z/w| <= |w+|^2, so the Cauchy factor 1/(w - z) is the series
+sum_l z^l / w^(l+1), cut at the Gram order; the Grams are built from
+power-moment sums over each contour, and no line x circle matrix is
+formed.  All exponents are assembled before exponentiation, and on the
+saddle contours every exponential factor has modulus at most one for
+offsets xi1, xi2 >= 0, so there the evaluation never overflows regardless
+of t.  At negative offsets e^{xi1(w+1)} and e^{-xi2(z+1)} grow, and a value
+that overflows raises NumericFailure naming the offsets.
 
 The stationary one-point formula needs a boundary-value remainder and a
 rank-one pair on the packed contours.  :func:`packed_factors` folds the
@@ -36,17 +36,9 @@ and :func:`stat_rho_pieces` the pairings of the density-rho factor g_rho.
 Every function involved is a sum of exponentials in xi over the contour
 nodes, or a constant, so each integral over (s, infinity) is exact.
 :func:`khat_packed_grid` tabulates the packed kernel itself on a grid,
-through the whole Cauchy matrix, for the pointwise kernel and the checks.
-
-A raw kernel for finite particle index n on generic contours (vertical
-line, small circle around the pole of order n) supports cross-checks
-against exact Gaussian and matrix-diagonalization laws at small n.  It
-is returned as two n-column factors instead of a matrix: the only
-singularity of the z-integrand inside the circle is the pole of order n
-at 0, so the Cauchy series ends at n terms, and the kernel has rank n like
-the Hermite kernel.  On the line w = c + iy the level factor is e^{xi c}
-times the phase e^{i xi y}, which is summed in blocks of about sqrt(N) of
-the N nodes: 2 sqrt(N) exponentials per level instead of N.
+through the whole Cauchy matrix, for the pointwise kernel and the checks,
+and :func:`raw_kernel_grid` the finite-index kernel, on contours the
+caller places.
 """
 
 from __future__ import annotations
@@ -61,10 +53,12 @@ from .contours import (
     _check_time,
     build_packed_contours,
     build_raw_contours,
+    finite_anchors,
 )
 from .errors import NumericFailure
 from .lambertw import phi
 from .rates import (
+    _f_vals,
     _g_vals,
     _h_vals,
     check_a,
@@ -165,17 +159,55 @@ def packed_gram(a, t, contours, order):
     w, z = line.nodes, circle.nodes
     aw = line.weights * np.exp(t * (_h_vals(w, a) - h_lo))
     bz = circle.weights * np.exp(t * (h_hi - _h_vals(z, a)))
+    return _moment_gram(w, aw, z, bz, order), t * (h_lo - h_hi)
+
+
+def _moment_gram(w, aw, z, bz, order):
+    """-(2 pi i)^-2 (Z^T bz Z)(W^T aw W) with Z = z^l and W = w^-(l+1), l < order."""
     z_pows, w_pows = _cauchy_series(w, z, order)
     gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
-    return -_DOUBLE_PREF * gram, t * (h_lo - h_hi)
+    return -_DOUBLE_PREF * gram
+
+
+def finite_gram(n, t, s, contours):
+    """Moment Gram of the particle-n kernel on (s, infinity), scaled as :func:`packed_gram`.
+
+    This is :func:`raw_kernel_grid`'s kernel, with the level folded into
+    its phase f(w) = t w^2/2 + n log(-w) + s w.  The z-integrand's only pole
+    is of order n at 0, so the Cauchy series is exact at order n, and
+    det(1 - P_s K P_s) = det(I_n - e^{log_scale} gram), log_scale =
+    f(c) - f(w_hi) at :func:`contours.finite_anchors`.  Above the edge these
+    are the saddles w- and w+, and the gram is the packed one at n = t and
+    s = (2 + a) t.  The powers are those of w / rho and z / rho, rho =
+    sqrt(n / t) = sqrt(w- w+), which conjugates the gram by diag(rho^j) and
+    scales it by rho^-2: det and trace stay, and above the edge no power
+    exceeds one in modulus, so n > t does not overflow them.
+    """
+    line, circle = contours
+    c, w_hi = finite_anchors(n, t, s)
+    f_lo, f_hi = float(_f_vals(c, n, t, s).real), float(_f_vals(w_hi, n, t, s).real)
+    w, z = line.nodes, circle.nodes
+    rho = np.sqrt(n / t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        aw = line.weights * np.exp(_f_vals(w, n, t, s) - f_lo)
+        bz = circle.weights * np.exp(f_hi - _f_vals(z, n, t, s))
+    if not (np.isfinite(aw).all() and np.isfinite(bz).all()):
+        raise NumericFailure(f"the finite-n contour weights overflow at n = {n}, t = {t}, s = {s}",
+                             hint="at or below the edge 2 sqrt(n t) the line's grow like "
+                                  "(n / (0.09 e))^(n/2), and the circle's like e^(-0.51 s / sqrt(t))")
+    return _moment_gram(w / rho, aw, z / rho, bz, n) / (rho * rho), f_lo - f_hi
+
+
+def _cauchy_grid(xi1, xi2, w, aw, z, bz, shift):
+    """(2 pi i)^-2 sum aw e^{xi1 (w + shift)} bz e^{-xi2 (z + shift)} / (w - z), 1/(w - z) whole."""
+    e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), w + shift))
+    e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), z + shift))
+    return _DOUBLE_PREF * ((e1 * aw) @ (1.0 / np.subtract.outer(w, z)) @ (e2 * bz).T)
 
 
 def khat_packed_grid(xi1, xi2, factors):
     """Conjugated packed kernel on the product grid xi1 x xi2 (complex), 1/(w - z) whole."""
-    w, aw, z, bz = factors[:4]
-    e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), w + 1.0))
-    e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), z + 1.0))
-    return _DOUBLE_PREF * ((e1 * aw) @ (1.0 / np.subtract.outer(w, z)) @ (e2 * bz).T)
+    return _cauchy_grid(xi1, xi2, *factors[:4], 1.0)
 
 
 def khat_packed(a, t, xi1, xi2):
@@ -354,44 +386,19 @@ def klimit(ic, a):
 # raw kernel at finite particle index
 
 
-def _raw_weights(n, t, contours):
-    """Nodes and weights of the raw contours with the phases folded in.
-
-    Returns (w, aw, z, bz): line nodes w with weights carrying
-    e^{t w^2/2} (-w)^n, circle nodes z with weights carrying
-    e^{-t z^2/2} (-z)^{-n}.
-    """
-    line, circle = contours
-    w = line.nodes
-    z = circle.nodes
-    aw = line.weights * np.exp(t * w * w / 2.0 + n * np.log(-w))
-    bz = circle.weights * np.exp(-t * z * z / 2.0 - n * np.log(-z))
-    return w, aw, z, bz
-
-
-def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
+def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad):
     """Particle-n kernel on generic contours, conjugated by e^{-line_re xi}.
 
     The w-contour is the vertical line Re w = line_re < 0 and the
     z-contour the circle |z| = circle_rad around the pole of order n at
     the origin; the circle must stay strictly inside the line's modulus
     so the Cauchy coupling keeps its nesting.  xi are absolute positions
-    (no macroscopic recentring).
+    (no macroscopic recentring).  Returns the matrix of
 
-    Returns the factors (left, right), of shapes (len(xi1), n) and
-    (len(xi2), n), with K = left @ right.T:
+        K(xi1, xi2) = (2 pi i)^-2 int dw oint dz e^{xi1 (w - c) - xi2 (z - c)}
+                      e^{t (w^2 - z^2)/2} (w / z)^n / (w - z),
 
-        left[:, k]  = (2 pi i)^-2 int dw e^{xi1 (w - c)} e^{t w^2/2} (-w)^n w^-(k+1),
-        right[:, k] = oint dz e^{-xi2 (z - c)} e^{-t z^2/2} (-z)^-n z^k,
-
-    with c = line_re.
-
-    Inside the circle the z-integrand's only singularity is the pole of
-    order n at 0, so the Cauchy series ends at n terms: the kernel has rank n.
-
-    On the line w - c = iy, so the left factor is the blocked phase
-    transform of the w-moments, which needs the exact line layout of
-    :func:`contours._line` (see :func:`_line_phase_transform`).
+    c = line_re, through the whole line x circle Cauchy matrix.
     """
     if n < 1 or n != int(n):
         raise ValueError(f"particle index must be a positive integer, got {n}")
@@ -406,38 +413,8 @@ def raw_kernel_grid(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
     xi2 = np.asarray(xi2, dtype=float)
     n = int(n)
 
-    contours = build_raw_contours(n, t, xi1, xi2, c, r, oversample)
-    w, aw, z, bz = _raw_weights(n, t, contours)
-    z_pows, w_pows = _cauchy_series(w, z, n)
-    moments = (_DOUBLE_PREF * aw)[:, None] * w_pows
-    left = _line_phase_transform(xi1, contours[0].params, moments)
-    e2 = np.exp(-np.multiply.outer(xi2, z - c))
-    right = e2 @ (bz[:, None] * z_pows)
-    return left, right
-
-
-def _line_phase_transform(xi, y, moments):
-    """sum_j e^{i xi y_j} moments[j] for every xi, by blocks of B nodes.
-
-    y is the exact layout y_j = step (j - m) of :func:`contours._line`, so
-    y[bB + l] is the anchor y[bB] plus the offset y[m + l] = step l, both
-    nodes themselves.  Tables of e^{i xi y[bB]} and e^{i xi y[m + l]}
-    replace the len(xi) x len(y) phase table: 2 sqrt(len(y)) exponentials
-    per xi.  On linspace nodes anchors and offsets miss the nodes by
-    rounding; the cancelling bulk sums amplify that phase error, and at
-    n = 5, t = 1, s = -0.5 the imaginary residue rises from 6.8e-11 to 3.4e-9.
-    """
-    count = y.size
-    m = (count - 1) // 2
-    block = int(np.ceil(np.sqrt(count)))  # <= m + 1, so y[m:m + block] exists
-    n_blocks = -(-count // block)
-    cols = moments.shape[1]
-    padded = np.zeros((n_blocks * block, cols), dtype=complex)
-    padded[:count] = moments
-    # row l holds the moments at offset l of every block, so one product
-    # with the step table sums all blocks
-    by_offset = padded.reshape(n_blocks, block, cols).transpose(1, 0, 2).reshape(block, -1)
-    steps = np.exp(1j * np.multiply.outer(xi, y[m:m + block]))
-    anchors = np.exp(1j * np.multiply.outer(xi, y[::block]))
-    per_block = (steps @ by_offset).reshape(xi.size, n_blocks, cols)
-    return np.einsum("xb,xbk->xk", anchors, per_block)
+    line, circle = build_raw_contours(n, t, xi1, xi2, c, r)
+    w, z = line.nodes, circle.nodes
+    aw = line.weights * np.exp(_f_vals(w, n, t, 0.0))
+    bz = circle.weights * np.exp(-_f_vals(z, n, t, 0.0))
+    return _cauchy_grid(xi1, xi2, w, aw, z, bz, -c)

@@ -222,9 +222,9 @@ def gue_top_sample(n, t, count, seed=0):
     variance t.  With A filled by iid standard complex Gaussians this is
     H = (A + A^dagger) sqrt(t)/2.
     """
+    if not float(n).is_integer() or n < 1:
+        raise ValueError(f"matrix size must be an integer >= 1, got {n}")
     n = int(n)
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
     t = float(t)
     if not np.isfinite(t) or t <= 0:
         raise ValueError(f"time parameter must be finite and > 0, got {t}")

@@ -163,13 +163,12 @@ def test_paths_are_frozen_and_finite():
 
 @pytest.mark.parametrize("route", ["packed", "raw"])
 def test_line_nodes_are_exact_multiples_of_the_step(route):
-    # the raw kernel splits e^{i xi y} into anchors y[bB] and steps y[m + l];
-    # they reproduce the nodes only if every node is exactly step * (j - m)
+    # every node is exactly step * (j - m), so the conjugate of each node is
+    # a node, on the packed line and on the particle-n line of the bulk
     if route == "packed":
         line, _ = contours.build_packed_contours(1.0, 4)
     else:
-        line, _ = contours.build_raw_contours(5, 1.0, np.array([0.5]), np.array([0.5]),
-                                              -0.3, 0.25, 1)
+        line, _ = contours.build_finite_contours(5, 1.0, 0.5)
     y = line.params
     m = (y.size - 1) // 2
     step = y[m + 1]

@@ -248,6 +248,8 @@ def test_hermite_gram_reproduces_the_120_digit_values(t, a):
 def test_prob_packed_matches_the_120_digit_hermite_values(t, a):
     value = HERMITE_LOG_SURVIVAL[(t, a)]
     assert abs(fredholm.prob_packed(t, a).log_survival - value) <= 1e-12 * abs(value)
+    finite = fredholm.prob_finite_n(t, t, (2.0 + a) * t)
+    assert abs(finite.log_survival - value) <= 1e-12 * abs(value)
 
 
 def _log_hermite(n, u):
@@ -308,6 +310,9 @@ def test_prob_packed_matches_the_double_hermite_oracle(t, a):
     # the oracle's quadrature has converged: half its 120 nodes agree
     assert abs(_hermite_log_survival(t, a, 60) - oracle) <= 1e-13 * abs(oracle)
     assert abs(fredholm.prob_packed(t, a).log_survival - oracle) <= 1e-12 * abs(oracle)
+    if t <= 64:
+        finite = fredholm.prob_finite_n(t, t, (2.0 + a) * t)
+        assert abs(finite.log_survival - oracle) <= 1e-12 * abs(oracle)
 
 
 @pytest.mark.parametrize("t, a", [(16, 5.0), (64, 0.5), (64, 1.0), (256, 2.0)])
@@ -396,7 +401,7 @@ FROZEN = {
     "stat_rho": (fredholm.prob_stat_rho, (4, 1, 0.9),
                  0.9827584903279957, -4.060435449598752, 4),
     "finite_n": (fredholm.prob_finite_n, (5, 1, 2.5),
-                 0.21626343233881246, -0.2436823257321921, 128),
+                 0.21626343233881246, -0.2436823257321921, 5),
 }
 
 
@@ -416,11 +421,13 @@ STATIONARY_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("fn, args", [(fredholm.prob_packed, (4, 1.0))] + STATIONARY_CALLS[:2])
+@pytest.mark.parametrize("fn, args", [(fredholm.prob_packed, (4, 1.0))] + STATIONARY_CALLS[:2]
+                         + [(fredholm.prob_finite_n, (5, 1, 2.5))])
 def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     # 1/(w - z) acts through its series, so no line x circle matrix is formed;
     # the power tables do not depend on the level, so each contour density
-    # forms them once and all of its finite-difference levels share them
+    # forms them once and all of its finite-difference levels share them;
+    # the finite-n Gram is of order n, and no Nystrom grid is built
     outers, densities, tables, levels = [], [], [], []
 
     def outer(w, z):
@@ -434,13 +441,19 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
             return getattr(np, name)
 
     monkeypatch.setattr(kernels, "np", CountingNumpy())
-    build_packed_contours = fredholm.build_packed_contours
+    builders = {name: getattr(fredholm, name)
+                for name in ("build_packed_contours", "build_finite_contours")}
     cauchy_series = kernels._cauchy_series
     stat_components = fredholm.stat_components
 
-    def contour_spy(a, t, points_per_unit):
-        densities.append(points_per_unit)
-        return build_packed_contours(a, t, points_per_unit)
+    def contour_spy(name):
+        def spy(*args):
+            densities.append(args[-1])
+            return builders[name](*args)
+        return spy
+
+    def no_grid(*_):
+        raise AssertionError("build_grid called on a Gram route")
 
     def table_spy(w, z, order):
         tables.append(order)
@@ -450,14 +463,19 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
         levels.append(s)
         return stat_components(a, t, s, factors)
 
-    monkeypatch.setattr(fredholm, "build_packed_contours", contour_spy)
+    for name in builders:
+        monkeypatch.setattr(fredholm, name, contour_spy(name))
     monkeypatch.setattr(kernels, "_cauchy_series", table_spy)
     monkeypatch.setattr(fredholm, "stat_components", spy)
-    fn(*args)
+    monkeypatch.setattr(fredholm, "build_grid", no_grid)
+    res = fn(*args)
     assert outers == []
     assert len(set(densities)) == len(densities) >= 2
-    assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
-    if fn is not fredholm.prob_packed:
+    if fn is fredholm.prob_finite_n:
+        assert tables == [args[0]] * len(densities) and res.grid_size == args[0]
+    else:
+        assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
+    if fn not in (fredholm.prob_packed, fredholm.prob_finite_n):
         assert len(levels) > len(set(levels)) and len(levels) % len(densities) == 0
 
 
@@ -654,6 +672,9 @@ def test_build_grid_shares_a_read_only_rule():
 def test_prob_finite_n_validates_index():
     with pytest.raises(ValueError):
         fredholm.prob_finite_n(0, 1, 0.0)
+    # a fractional index is not truncated to the law of its integer part
+    with pytest.raises(ValueError, match="integer"):
+        fredholm.prob_finite_n(2.5, 1, 0.0)
     for t in (np.nan, -1.0, 0.0):
         with pytest.raises(ValueError, match="time parameter"):
             fredholm.prob_finite_n(1, t, 0.0)
@@ -662,6 +683,41 @@ def test_prob_finite_n_validates_index():
             fredholm.prob_finite_n(1, 1, s)
 
 
-def test_prob_finite_n_overflow_guard():
-    with pytest.raises(NumericFailure):
-        fredholm.prob_finite_n(3, 1, 1e4)
+@pytest.mark.parametrize("u", [10.0, 40.0, 200.0])
+@pytest.mark.parametrize("t", [1, 4, 16])
+def test_free_particle_deep_tail_is_gaussian(u, t):
+    # the survival of one Brownian motion, e^-53 to e^-20006: the Gram of
+    # order 1 through the saddles, by the trace below e^-600
+    res = fredholm.prob_finite_n(1, t, u * np.sqrt(t))
+    np.testing.assert_allclose(res.log_survival, norm.logsf(u), rtol=1e-12)
+
+
+def test_finite_n_far_upper_tail_matches_the_hermite_oracle():
+    # x_n(t) has the law of sqrt(t) x_n(1), so particle 3 at level 1e4 and
+    # t = 1 is the packed law at t = 3, a = 1e4 / sqrt(3) - 2: e^-5e7
+    oracle = _hermite_log_survival(3, 1e4 / np.sqrt(3.0) - 2.0)
+    res = fredholm.prob_finite_n(3, 1, 1e4)
+    assert abs(res.log_survival - oracle) <= 1e-12 * abs(oracle)
+
+
+def test_prob_finite_n_names_overflowing_contour_weights():
+    # far in the lower tail the circle's weights carry e^{-s z}, |z| = 0.255
+    with pytest.raises(NumericFailure, match="contour weights overflow") as info:
+        fredholm.prob_finite_n(1, 1, -3000.0)
+    assert "edge" in info.value.hint
+
+
+def test_finite_n_deep_upper_tail_is_the_packed_determinant():
+    # the packed law is particle t's at level (2 + a) t; (16, 5) is e^-324
+    # and (64, 5) e^-1268, past where the exponentials of the kernel underflow
+    res = fredholm.prob_finite_n(16, 16, 112)
+    assert res.log_survival == pytest.approx(-324.39859723468726, rel=1e-15, abs=0.0)
+    assert res.grid_size == 16
+    deep = fredholm.prob_finite_n(64, 64, 448)
+    packed = fredholm.prob_packed(64, 5)
+    assert deep.log_survival == pytest.approx(packed.log_survival, rel=1e-15, abs=0.0)
+    # x_n(t) has the law of sqrt(t / n) x_n(n): particle 100 at t = 0.01 and
+    # level 3 is packed (100, 1), with |w+| = 38, where z^198 would overflow
+    scaled = fredholm.prob_finite_n(100, 0.01, 3.0)
+    packed = fredholm.prob_packed(100, 1.0)
+    assert scaled.log_survival == pytest.approx(packed.log_survival, rel=1e-14, abs=0.0)

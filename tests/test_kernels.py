@@ -62,12 +62,11 @@ def test_khat_matches_raw_kernel_at_shifted_level():
     shift = (2.0 + a) * t
     for x1, x2 in ((0.0, 0.0), (0.3, 0.7), (1.5, 0.2)):
         hat = kernels.khat_packed(a, t, x1, x2).value
-        left, right = kernels.raw_kernel_grid(
+        raw = kernels.raw_kernel_grid(
             t, t, np.array([shift + x1]), np.array([shift + x2]),
             line_re=-1.0, circle_rad=0.5,
-        )
+        )[0, 0]
         # the raw conjugation e^{-c xi} at c = -1 is the saddle frame's e^{xi}
-        raw = (left @ right.T)[0, 0]
         np.testing.assert_allclose(raw.real, hat, rtol=1e-10)
         assert abs(raw.imag) <= 1e-12
 
@@ -78,89 +77,50 @@ def test_raw_kernel_deformation_invariance():
     xi1, xi2 = 5.0, 5.5
     val = None
     for c, r in ((-1.0, 0.5), (-1.3, 0.4), (-0.8, 0.6)):
-        left, right = kernels.raw_kernel_grid(
+        cur = kernels.raw_kernel_grid(
             3, 2.0, np.array([xi1]), np.array([xi2]),
             line_re=c, circle_rad=r,
-        )
-        cur = (left @ right.T)[0, 0] * np.exp((1.0 + c) * (xi1 - xi2))
+        )[0, 0] * np.exp((1.0 + c) * (xi1 - xi2))
         if val is not None:
             np.testing.assert_allclose(cur.real, val, rtol=1e-9)
         val = cur.real
-
-
-def dense_raw_kernel(n, t, xi1, xi2, line_re, circle_rad, oversample=1):
-    """The raw kernel through the full line x circle Cauchy matrix.
-
-    Same nodes and weights as raw_kernel_grid, but 1/(w - z) is kept whole
-    instead of being cut to its first n Laurent terms.
-    """
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = np.asarray(xi2, dtype=float)
-    cts = contours.build_raw_contours(n, t, xi1, xi2, line_re, circle_rad, oversample)
-    w, aw, z, bz = kernels._raw_weights(n, t, cts)
-    e1 = np.exp(np.multiply.outer(xi1, w - line_re))
-    e2 = np.exp(-np.multiply.outer(xi2, z - line_re))
-    cauchy = 1.0 / np.subtract.outer(w, z)
-    return kernels._DOUBLE_PREF * ((e1 * aw) @ cauchy @ (e2 * bz).T)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8])
 @pytest.mark.parametrize("t", [1.0, 4.0])
 @pytest.mark.parametrize("line", ["bulk", "tail"])
 def test_raw_kernel_rank_n_matches_dense(n, t, line):
-    # the line and circle prob_finite_n picks in the bulk and the upper tail
-    if line == "bulk":
-        s, c = -0.5, -0.3 / np.sqrt(t)
-    else:
-        s = 2.0 * np.sqrt(n * t) + 1.5
-        xi_ref = s + np.sqrt(t)
-        c = -(xi_ref + np.sqrt(xi_ref * xi_ref - 4.0 * t * n)) / (2.0 * t)
-    r = min(0.85 * abs(c), max(n / (t * abs(c)), 0.15 * abs(c)))
+    # the Cauchy series cut at n terms, which makes the finite-n Gram exact
+    # at order n, against raw_kernel_grid's whole Cauchy matrix, on the
+    # contours of the bulk and of the upper tail
+    s = -0.5 if line == "bulk" else 2.0 * np.sqrt(n * t) + 1.5
+    c, w_hi = contours.finite_anchors(n, t, s)
     xi = s + np.linspace(0.0, 12.0, 40)
-    left, right = kernels.raw_kernel_grid(n, t, xi, xi, line_re=c, circle_rad=r)
-    assert left.shape == right.shape == (xi.size, n)
-    dense = dense_raw_kernel(n, t, xi, xi, line_re=c, circle_rad=r)
-    err = np.abs(left @ right.T - dense).max()
-    assert err <= 1e-12 * np.abs(dense).max()
-
-
-@pytest.mark.parametrize("count", [3, 5, 9, 101, 1153])
-def test_line_phase_transform_matches_direct_phase_table(count):
-    # blocks of ceil(sqrt(count)) nodes, the last one padded unless it divides
-    line = contours._line(-0.5, 7.0, count)
-    rng = np.random.default_rng(count)
-    xi = rng.uniform(-3.0, 9.0, 17)
-    moments = rng.normal(size=(count, 3)) + 1j * rng.normal(size=(count, 3))
-    direct = np.exp(1j * np.multiply.outer(xi, line.params)) @ moments
-    blocked = kernels._line_phase_transform(xi, line.params, moments)
-    assert np.abs(blocked - direct).max() <= 1e-13 * np.abs(moments).sum()
+    dense = kernels.raw_kernel_grid(n, t, xi, xi, line_re=c, circle_rad=-w_hi)
+    path, circle = contours.build_raw_contours(n, t, xi, xi, c, -w_hi)
+    w, z = path.nodes, circle.nodes
+    aw = path.weights * np.exp(rates._f_vals(w, n, t, 0.0))
+    bz = circle.weights * np.exp(-rates._f_vals(z, n, t, 0.0))
+    z_pows, w_pows = kernels._cauchy_series(w, z, n)
+    left = np.exp(np.multiply.outer(xi, w - c)) @ ((kernels._DOUBLE_PREF * aw)[:, None] * w_pows)
+    right = np.exp(-np.multiply.outer(xi, z - c)) @ (bz[:, None] * z_pows)
+    assert np.abs(left @ right.T - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 @pytest.mark.parametrize("n,t,s", [
     (1, 1.0, -2.0), (1, 4.0, 3.0), (5, 1.0, -0.5), (5, 1.0, 3.0), (5, 1.0, 6.0),
 ])
-def test_prob_finite_n_matches_dense_determinant(monkeypatch, n, t, s):
-    # the n x n Sylvester determinant against the full Nystrom matrix built
-    # from the dense kernel on the same grid and contours
-    calls, grids = [], []
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return kernels.raw_kernel_grid(*args, **kwargs)
-
-    build_grid = fredholm.build_grid
-
-    def grid_spy(*args):
-        grids.append(build_grid(*args))
-        return grids[-1]
-
-    monkeypatch.setattr(fredholm, "raw_kernel_grid", spy)
-    monkeypatch.setattr(fredholm, "build_grid", grid_spy)
+def test_prob_finite_n_matches_dense_determinant(n, t, s):
+    # the n x n Gram against the Nystrom determinant of the dense kernel on
+    # 128 nodes of (s, infinity), mapped at a rate that follows the decay of
+    # the kernel, conjugated by e^{-c xi} on the Gram's own line and circle
     res = fredholm.prob_finite_n(n, t, s)
-    assert res.grid_size == grids[-1].size == 128
-    args, kwargs = calls[-1]
-    p_dense = fredholm._det_core(dense_raw_kernel(*args, **kwargs), grids[-1].weights)[0]
-    assert abs(res.p - p_dense) <= 1e-13
+    assert res.grid_size == n
+    c, w_hi = contours.finite_anchors(n, t, s)
+    decay = max(0.4 / np.sqrt(t), 0.8 * (s - 2.0 * np.sqrt(n * t)) / t)
+    grid = fredholm.build_grid(s, decay, 128)
+    kmat = kernels.raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c, circle_rad=-w_hi)
+    assert abs(res.p - fredholm._det_core(kmat, grid.weights)[0]) <= 1e-13
 
 
 def test_raw_kernel_validates_nesting():

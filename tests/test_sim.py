@@ -115,6 +115,13 @@ def test_gue_sampler_validates():
         sim.gue_top_sample(2, 1, 0)
 
 
+def test_gue_sampler_rejects_a_fractional_size():
+    # 2.7 is not truncated to 2 x 2 matrices
+    with pytest.raises(ValueError, match="integer"):
+        sim.gue_top_sample(2.7, 1.0, 10)
+    assert sim.gue_top_sample(2.0, 1.0, 3, seed=4).shape == (3,)
+
+
 def test_gue_sampler_n1_is_gaussian():
     vals = sim.gue_top_sample(1, 4.0, 5000, seed=9)
     stat, pvalue = stats.kstest(vals, "norm", args=(0.0, 2.0))
