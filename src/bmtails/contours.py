@@ -10,12 +10,15 @@ Every contour the kernels integrate over is laid out here:
   tau}, which starts at the flat saddle z_a and steps to the next Lambert
   branch each time tau crosses an integer.
 
-The saddle contours of the packed phase H are the line through the left
-saddle w- and the circle of radius |w+| through the right saddle w+ on the
-negative real axis, and so are those of the particle-n phase above its
-edge (:func:`finite_anchors`); the raw finite-n kernel matrix uses a line
-and a circle placed by the caller.  The node-count rules of each route sit
-beside the function that lays it out, and one helper rescales a circle.
+Above its edge the saddle contours of the particle-n phase are the line
+through the left saddle w- and the circle of radius |w+| through the right
+saddle w+ on the negative real axis (:func:`finite_anchors`).  The packed
+phase H is that phase at n = t and level (2 + a) t, so
+:func:`build_packed_contours` takes its contours from
+:func:`build_finite_contours`, the one layout of a saddle line and circle;
+the raw finite-n kernel matrix uses a line and a circle placed by the
+caller.  The node-count rules of each route sit beside the function that
+lays it out, and one helper rescales a circle.
 The saddle and spiral builders take their density as an int,
 points_per_unit (default 64, at least 8), which the determinant solver
 doubles at each refinement step.
@@ -35,7 +38,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .lambertw import lambert_w
-from .rates import check_a, flat_curvature, phase_packed_d2, saddle_points, solve_za
+from .rates import check_a, flat_curvature, solve_za
 
 # e^{t * phase} below this, relative to its value at c, is cut off each
 # line, and relative to the saddle off the flat spiral
@@ -81,8 +84,8 @@ def _check_finite(x, name):
 def _line_halfwidth(c, ratio, t, tol):
     """Smallest y with Re phase(c + iy) - phase(c) <= log(tol) / t.
 
-    For the phase w^2/2 + ratio log(-w) + (linear), with ratio 1 for H and
-    n/t for the raw particle-n phase, the drop is -y^2/2 + ratio log(1 +
+    For the phase w^2/2 + ratio log(-w) + (linear), with ratio n/t for the
+    particle-n phase (1 for H), the drop is -y^2/2 + ratio log(1 +
     y^2/c^2)/2 >= -y^2/2: start from the Gaussian estimate and pad for the log.
     """
     target = np.log(tol) / t
@@ -126,42 +129,20 @@ def scale_circle(circle, factor):
     return replace(circle, nodes=circle.nodes * factor, weights=circle.weights * factor)
 
 
-def _saddle_contours(c, radius, ratio, t, curv_lo, curv_hi, points_per_unit):
-    """The line Re w = c and the circle of signed radius, at densities that
-    resolve the Gaussian widths 1/sqrt(curv) of t |phase''| at c and radius.
-
-    ratio is that of :func:`_line_halfwidth`."""
-    y_max = _line_halfwidth(c, ratio, t, _TRUNCATION_TOL)
-    per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(curv_lo))))
-    line = _line(c, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
-
-    m = max(
-        int(np.ceil(2.0 * np.pi * points_per_unit)),
-        int(np.ceil(24.0 * np.pi * np.sqrt(curv_hi) * abs(radius))),
-    )
-    m += m % 2  # keep theta = 0 on the grid
-    return line, _circle(radius, m)
-
-
 def build_packed_contours(a, t, points_per_unit=POINTS_PER_UNIT):
     """(gamma_minus, gamma_plus) for the packed-phase double integral.
 
-    gamma_minus is the truncated vertical line through w-, gamma_plus the
-    full circle of radius |w+|.  Node densities scale with the local
-    Gaussian width 1/sqrt(t |H''|) so the trapezoidal rule stays spectrally
-    accurate as t grows.  t must be whole: otherwise the circle crosses the
-    branch cut of (-w)^t (-z)^{-t} in e^{tH}, and the kernel depends on its radius.
+    The packed start's tagged particle is n = t at level (2 + a) t, so these
+    are that particle's :func:`build_finite_contours`: the truncated
+    vertical line through w- and the full circle of radius |w+|.  t must be
+    whole: otherwise the circle crosses the branch cut of (-w)^t (-z)^{-t}
+    in e^{tH}, and the kernel depends on its radius.
     """
     a = check_a(a)
     t = _check_time(t)
     if t != int(t):
         raise ValueError(f"the packed phase needs a whole-number time, got {t}")
-    _check_density(points_per_unit)
-
-    w_minus, w_plus = saddle_points(a)
-    h2_lo = phase_packed_d2(w_minus, a)           # > 0
-    h2_hi = -phase_packed_d2(w_plus, a)           # > 0
-    return _saddle_contours(w_minus, w_plus, 1.0, t, t * h2_lo, t * h2_hi, points_per_unit)
+    return build_finite_contours(int(t), t, (2.0 + a) * t, points_per_unit)
 
 
 def finite_anchors(n, t, s):
@@ -179,16 +160,26 @@ def finite_anchors(n, t, s):
 
 
 def build_finite_contours(n, t, s, points_per_unit=POINTS_PER_UNIT):
-    """(line, circle) through :func:`finite_anchors`, dense as |f''| = |t - n / w^2| there.
+    """(line, circle) through :func:`finite_anchors`, the only saddle line/circle layout.
 
-    Below the edge the line's 12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes
-    per unit, resolves the pole of w^-n at distance |c| from it.
+    Node densities resolve the Gaussian widths 1 / sqrt|f''| of the phase,
+    |f''| = |t - n / w^2|, at both anchors, so the trapezoidal rule stays
+    spectrally accurate as t grows.  Below the edge the line's
+    12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes per unit, resolves the
+    pole of w^-n at distance |c| from it.
     """
     t = _check_time(t)
     _check_density(points_per_unit)
     c, w_hi = finite_anchors(n, t, s)
-    return _saddle_contours(c, w_hi, n / t, t, abs(t - n / (c * c)),
-                            abs(n / (w_hi * w_hi) - t), points_per_unit)
+    y_max = _line_halfwidth(c, n / t, t, _TRUNCATION_TOL)
+    per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(abs(t - n / (c * c))))))
+    line = _line(c, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
+    m = max(
+        int(np.ceil(2.0 * np.pi * points_per_unit)),
+        int(np.ceil(24.0 * np.pi * np.sqrt(abs(n / (w_hi * w_hi) - t)) * abs(w_hi))),
+    )
+    m += m % 2  # keep theta = 0 on the grid
+    return line, _circle(w_hi, m)
 
 
 def build_raw_contours(n, t, xi1, xi2, c, r):

@@ -1,12 +1,13 @@
 """Fredholm determinants on a half-line and one-point probabilities.
 
-The packed, stationary and finite-index determinants need no quadrature
-grid: they are det(I_m - G) for the m x m moment Gram G of
-:func:`kernels.packed_gram`, whose survival keeps its relative precision
-however deep the tail (see :func:`prob_packed`), G bordered to order
-m + 1 by the stationary rank-one pair (:func:`kernels.stat_components`),
-and det(I_n - G) for the particle-n Gram of :func:`kernels.finite_gram`,
-which is exact at order n because that kernel has rank n.
+The finite-index, packed and stationary determinants need no quadrature
+grid.  The particle-n one is det(I_n - G) for the moment Gram G of
+:func:`kernels.finite_gram`, exact at order n because that kernel has rank
+n, whose survival keeps its relative precision however deep the tail.
+The packed start's tagged particle is n = t at level (2 + a) t, so its
+determinant is the same Gram cut at order m <= t (see :func:`prob_packed`),
+and the stationary ones are a packed Gram of order m and its border to
+order m + 1 by the rank-one pair (:func:`kernels.stat_components`).
 
 The flat determinant det(1 - P_0 K P_0) is evaluated by the Nystrom
 method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes u in
@@ -66,7 +67,6 @@ from .kernels import (
     khat_flat_grid,
     khat_flat_trace,
     packed_factors,
-    packed_gram,
     packed_gram_order,
     stat_components,
     stat_rho_pieces,
@@ -90,6 +90,8 @@ _TARGET = 1e-9
 # below this a probability that fails the imaginary-residue gate is not
 # resolved by the determinant at all
 _UNRESOLVED_P = 1e-12
+# log of the largest double: a log det above it has no finite det
+_LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -156,6 +158,8 @@ def _det_core(kmat, weights):
     slow subnormal arithmetic.
     The log of a real determinant has imaginary part a multiple of pi, odd
     when it is negative; the residue from that multiple is returned.
+    An LU log det above that of the largest double raises NumericFailure;
+    the series' is bounded by its norm.
     """
     sq = np.sqrt(weights)
     m = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
@@ -164,6 +168,10 @@ def _det_core(kmat, weights):
         abs(np.trace(m)) + norm * norm / (1.0 - norm) < _LU_SKIP
     if not series:
         sign, level = np.linalg.slogdet(np.eye(len(m)) - m)
+        if level > _LOG_MAX:
+            raise NumericFailure(f"det(I - M) = e^{level:.6g} overflows",
+                                 hint="the determinant of a probability lies in [0, 1]: "
+                                      "M's entries are too large to cancel in double precision")
         logdet = complex(level, np.angle(sign))
         series = not (sign.real <= 0.0 or abs(np.expm1(level)) >= _LU_SURVIVAL)
     power, terms = m, 0
@@ -270,18 +278,20 @@ def _gram_det(gram, log_scale):
 def prob_packed(t, a):
     """P(x_t(t) <= 2t + at) under the packed start.
 
-    det(1 - P_0 Khat P_0) is det(I_m - G) for the moment Gram G of
-    :func:`kernels.packed_gram`, with no Nystrom grid: grid_size reports
-    the order m of :func:`kernels.packed_gram_order`, and only the contour
-    density is doubled.  G = e^{-t r} Gt with Gt bounded, so once t r
-    exceeds 600 log_survival is -t r + log tr(Gt) (:func:`_gram_det`).
+    The tagged particle is n = t at level (2 + a) t, so det(1 - P_0 Khat P_0)
+    is det(I_m - G) for that particle's moment Gram G
+    (:func:`kernels.finite_gram`), cut at the order m of
+    :func:`kernels.packed_gram_order`, with no Nystrom grid: grid_size
+    reports m, and only the contour density is doubled.  G = e^{-t r} Gt
+    with Gt bounded, so once t r exceeds 600 log_survival is
+    -t r + log tr(Gt) (:func:`_gram_det`).
     """
     a = check_a(a)
     t = _check_time(t)
 
     def evaluate(size, scale):
         contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        return _gram_det(*packed_gram(a, t, contours, size))
+        return _gram_det(*finite_gram(t, t, (2 + a) * t, contours, size))
 
     # contour densities x1 to x8, as on the flat route's grids 48 to 384
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
@@ -439,7 +449,7 @@ def prob_finite_n(n, t, s):
 
     def evaluate(size, scale):
         contours = build_finite_contours(n, t, s, scale * POINTS_PER_UNIT)
-        return _gram_det(*finite_gram(n, t, s, contours))
+        return _gram_det(*finite_gram(n, t, s, contours, n))
 
     return _solve("prob_finite_n", evaluate, [n] * 4)
 

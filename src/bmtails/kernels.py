@@ -14,18 +14,19 @@ Lambert spiral with the image branch phi carried along,
                    e^{x1(gamma+1) - x2(phi(gamma)+1)}.
 
 The contours come from :mod:`contours`; this module folds the phases
-into their weights and assembles the kernels.  The packed one-point
-determinant needs no kernel matrix: :func:`packed_gram` gives it as a
-small moment Gram matrix on the contours alone, and so do the stationary
-and finite-index ones (:func:`finite_gram`).  On the saddle contours
-|z/w| <= |w+|^2, so the Cauchy factor 1/(w - z) is the series
-sum_l z^l / w^(l+1), cut at the Gram order; the Grams are built from
-power-moment sums over each contour, and no line x circle matrix is
-formed.  All exponents are assembled before exponentiation, and on the
-saddle contours every exponential factor has modulus at most one for
-offsets xi1, xi2 >= 0, so there the evaluation never overflows regardless
-of t.  At negative offsets e^{xi1(w+1)} and e^{-xi2(z+1)} grow, and a value
-that overflows raises NumericFailure naming the offsets.
+into their weights and assembles the kernels.  The one-point determinants
+need no kernel matrix.  :func:`finite_gram` gives the particle-n one as a
+small moment Gram matrix on the contours alone; the packed start is
+particle n = t at level (2 + a) t, and its Gram is that one cut at order
+:func:`packed_gram_order`.  On the saddle contours |z/w| <= |w+|^2, so the
+Cauchy factor 1/(w - z) is the series sum_l z^l / w^(l+1), cut at the
+Gram order; the Grams are built from power-moment sums over each contour,
+and no line x circle matrix is formed.  All exponents are assembled before
+exponentiation, and on the saddle contours every exponential factor has
+modulus at most one for offsets xi1, xi2 >= 0, so there the evaluation
+never overflows regardless of t.  At negative offsets e^{xi1(w+1)} and
+e^{-xi2(z+1)} grow, and a value that overflows raises NumericFailure
+naming the offsets.
 
 The stationary one-point formula needs a boundary-value remainder and a
 rank-one pair on the packed contours.  :func:`packed_factors` folds the
@@ -124,7 +125,7 @@ def _cauchy_series(w, z, order):
 
 
 def packed_gram_order(a, t):
-    """The Gram order m = min(t, ceil(log(1e-18) / (2 log|w+|))) of :func:`packed_gram`.
+    """The packed Gram order m = min(t, ceil(log(1e-18) / (2 log|w+|))).
 
     Order t is exact.  The terms k >= m of the Cauchy series sum to
     (z/w)^m / (w - z), and |z/w| <= |w+|^2 on the contours, so the part of
@@ -135,67 +136,50 @@ def packed_gram_order(a, t):
     return min(int(t), int(np.ceil(np.log(1e-18) / (2.0 * np.log(abs(w_plus))))))
 
 
-def packed_gram(a, t, contours, order):
-    """Moment Gram of the packed kernel on the half-line, scaled by e^{t r}.
+def finite_gram(n, t, s, contours, order):
+    """Moment Gram of the particle-n kernel on (s, infinity), cut at order.
 
-    Returns (gram, log_scale) with det(I - Khat) on L^2(0, infinity) equal
-    to det(I - e^{log_scale} gram), the gram of the given order (see
-    :func:`packed_gram_order`) and log_scale = -t r = t (H(w-) - H(w+)).
-    With 1/(w - z) = sum_k z^k / w^(k+1), Khat(x1, x2) = sum_k L_k(x1) R_k(x2),
-    and the xi-integral of e^{xi (w - z)} over (0, infinity) is 1/(z - w)
-    because Re(w - z) < 0 between the contours, so
+    :func:`raw_kernel_grid`'s kernel with the level folded into its phase
+    f(w) = t w^2/2 + n log(-w) + s w.  Returns (gram, log_scale), with
+    det(1 - P_s K P_s) = det(I - e^{log_scale} gram) and log_scale =
+    f(c) - f(w_hi) at :func:`contours.finite_anchors`.  Through the series
+    1/(w - z) = sum_l z^l / w^(l+1), and the integral e^{s (w - z)} / (z - w)
+    of e^{xi (w - z)} over (s, infinity), since Re(w - z) < 0,
 
-        gram_jk = (2 pi i)^-2 sum_{z, w} bz z^j aw w^-(k+1) / (z - w),
+        gram = -(2 pi i)^-2 (sum_z bz z^(j+l)) (sum_w aw w^-(l+1) w^-(k+1)),
 
-    with aw carrying e^{t (H(w) - H(w-))} and bz e^{t (H(w+) - H(z))}.  Both
-    have modulus at most one on the saddle contours, so gram stays bounded
-    whatever the depth of the tail, and no Nystrom grid is needed.  With the
-    same series for 1/(z - w), gram = -(2 pi i)^-2 (sum_z bz z^(j+l)) (sum_w
-    aw w^-(l+1) w^-(k+1)), exact at order t, where every j + l >= t vanishes.
-    """
-    line, circle = contours
-    w_minus, w_plus = saddle_points(a)
-    h_lo, h_hi = phase_packed(w_minus, a), phase_packed(w_plus, a)
-    w, z = line.nodes, circle.nodes
-    aw = line.weights * np.exp(t * (_h_vals(w, a) - h_lo))
-    bz = circle.weights * np.exp(t * (h_hi - _h_vals(z, a)))
-    return _moment_gram(w, aw, z, bz, order), t * (h_lo - h_hi)
-
-
-def _moment_gram(w, aw, z, bz, order):
-    """-(2 pi i)^-2 (Z^T bz Z)(W^T aw W) with Z = z^l and W = w^-(l+1), l < order."""
-    z_pows, w_pows = _cauchy_series(w, z, order)
-    gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
-    return -_DOUBLE_PREF * gram
-
-
-def finite_gram(n, t, s, contours):
-    """Moment Gram of the particle-n kernel on (s, infinity), scaled as :func:`packed_gram`.
-
-    This is :func:`raw_kernel_grid`'s kernel, with the level folded into
-    its phase f(w) = t w^2/2 + n log(-w) + s w.  The z-integrand's only pole
-    is of order n at 0, so the Cauchy series is exact at order n, and
-    det(1 - P_s K P_s) = det(I_n - e^{log_scale} gram), log_scale =
-    f(c) - f(w_hi) at :func:`contours.finite_anchors`.  Above the edge these
-    are the saddles w- and w+, and the gram is the packed one at n = t and
-    s = (2 + a) t.  The powers are those of w / rho and z / rho, rho =
-    sqrt(n / t) = sqrt(w- w+), which conjugates the gram by diag(rho^j) and
-    scales it by rho^-2: det and trace stay, and above the edge no power
-    exceeds one in modulus, so n > t does not overflow them.
+    aw carrying e^{f(w) - f(c)} and bz e^{f(w_hi) - f(z)}.  The z-integrand's
+    only pole is of order n at 0, so order n is exact.  Above the edge c and
+    w_hi are the saddles w- and w+, both weights have modulus at most one,
+    and the gram stays bounded however deep the tail.  The packed Gram is
+    particle n = t at s = (2 + a) t, cut at :func:`packed_gram_order`.
+    The powers are those of w / rho and z / rho, rho = sqrt(n / t) =
+    sqrt(w- w+): this conjugates the gram by diag(rho^j) and scales it by
+    rho^-2, which keeps det and trace, and above the edge keeps every power
+    at most one, so n > t does not overflow them.  A weight or a moment
+    that overflows raises NumericFailure.
     """
     line, circle = contours
     c, w_hi = finite_anchors(n, t, s)
     f_lo, f_hi = float(_f_vals(c, n, t, s).real), float(_f_vals(w_hi, n, t, s).real)
     w, z = line.nodes, circle.nodes
     rho = np.sqrt(n / t)
+    where = f"n = {n}, t = {t}, s = {s}"
     with np.errstate(over="ignore", invalid="ignore"):
         aw = line.weights * np.exp(_f_vals(w, n, t, s) - f_lo)
         bz = circle.weights * np.exp(f_hi - _f_vals(z, n, t, s))
+        z_pows, w_pows = _cauchy_series(w / rho, z / rho, order)
+        gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
     if not (np.isfinite(aw).all() and np.isfinite(bz).all()):
-        raise NumericFailure(f"the finite-n contour weights overflow at n = {n}, t = {t}, s = {s}",
+        raise NumericFailure(f"the finite-n contour weights overflow at {where}",
                              hint="at or below the edge 2 sqrt(n t) the line's grow like "
                                   "(n / (0.09 e))^(n/2), and the circle's like e^(-0.51 s / sqrt(t))")
-    return _moment_gram(w / rho, aw, z / rho, bz, n) / (rho * rho), f_lo - f_hi
+    if not np.isfinite(gram).all():
+        raise NumericFailure(f"the finite-n Gram overflows at {where}",
+                             hint="at or below the edge 2 sqrt(n t) the line sits at "
+                                  "|w| = 0.3 / sqrt(t), and its powers (rho / w)^l, "
+                                  "rho = sqrt(n / t), and their moments pass the largest double")
+    return -_DOUBLE_PREF * gram / (rho * rho), f_lo - f_hi
 
 
 def _cauchy_grid(xi1, xi2, w, aw, z, bz, shift):
@@ -277,7 +261,7 @@ def stat_components(a, t, s_offset, factors):
 
     From the :func:`packed_factors` of the contours, the packed kernel is
     K = L R^T with L_k = (2 pi i)^-2 sum_w aw w^-(k+1) e^{xi (w+1)} and
-    R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < m (see :func:`packed_gram`),
+    R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < m (see :func:`finite_gram`),
     and the rank-one pair is f*(xi) = sum_w c_w e^{xi (w+1)} (decaying) and
     g1(xi) = 1 + (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z+1).  On (s, infinity)
     a line term pairs with a circle term through the integral of e^{xi (w-z)},

@@ -309,10 +309,15 @@ def test_prob_packed_matches_the_double_hermite_oracle(t, a):
     oracle = _hermite_log_survival(t, a)
     # the oracle's quadrature has converged: half its 120 nodes agree
     assert abs(_hermite_log_survival(t, a, 60) - oracle) <= 1e-13 * abs(oracle)
-    assert abs(fredholm.prob_packed(t, a).log_survival - oracle) <= 1e-12 * abs(oracle)
+    packed = fredholm.prob_packed(t, a)
+    assert abs(packed.log_survival - oracle) <= 1e-12 * abs(oracle)
     if t <= 64:
         finite = fredholm.prob_finite_n(t, t, (2.0 + a) * t)
         assert abs(finite.log_survival - oracle) <= 1e-12 * abs(oracle)
+        # the packed law is particle t's: where its Gram is not cut (m = t:
+        # every a at t = 4, a <= 2 at t = 16) the two routes are one determinant
+        if kernels.packed_gram_order(a, t) == t:
+            assert repr(packed) == repr(finite)
 
 
 @pytest.mark.parametrize("t, a", [(16, 5.0), (64, 0.5), (64, 1.0), (256, 2.0)])
@@ -705,6 +710,14 @@ def test_prob_finite_n_names_overflowing_contour_weights():
     with pytest.raises(NumericFailure, match="contour weights overflow") as info:
         fredholm.prob_finite_n(1, 1, -3000.0)
     assert "edge" in info.value.hint
+    # in the bulk of many particles the weights stay finite, but the powers
+    # of the line (at n = 200) or their moments (n = 150) overflow, or the
+    # determinant does (n = 100); no RuntimeWarning escapes
+    for n, s, match in ((200, 0.0, "Gram overflows"), (150, 0.0, "Gram overflows"),
+                        (100, 10.0, r"det\(I - M\) = e\^.* overflows")):
+        with pytest.raises(NumericFailure, match=match) as info:
+            fredholm.prob_finite_n(n, 1, s)
+        assert info.value.hint
 
 
 def test_finite_n_deep_upper_tail_is_the_packed_determinant():

@@ -44,7 +44,7 @@ def test_packed_gram_order():
 def test_packed_gram_determinant_is_the_nystrom_one(t, a):
     # the Gram and the Nystrom matrix of one kernel on the same contours
     contours_ = contours.build_packed_contours(a, t)
-    gram, log_scale = kernels.packed_gram(a, t, contours_, t)
+    gram, log_scale = kernels.finite_gram(t, t, (2 + a) * t, contours_, t)
     det = np.linalg.det(np.eye(t) - np.exp(log_scale) * gram)
     grid = fredholm.build_grid(0.0, a, 96)
     kmat = kernels.khat_packed_grid(grid.nodes, grid.nodes, kernels.packed_factors(a, t, contours_))
@@ -300,20 +300,42 @@ def _saddle_scaled_factors(a, t):
     return (w, aw, z, bz) + kernels.packed_factors(a, t, (line, circle))[4:]
 
 
-def _cauchy_double_sums(a, t, s, rho, factors, left):
-    """The packed Gram, the bordered Gram and the rho row through 1/(w - z) whole.
+def _finite_weights(a, t):
+    """finite_gram's own contour weights at n = t and s = (2 + a) t.
 
-    The packed Gram uses the weights of ``factors`` as packed_gram's own
-    saddle-scaled ones; the other two follow stat_components and
-    stat_rho_pieces with the series replaced by the n_w x n_z Cauchy matrix.
+    They carry e^{f(w) - f(w-)} and e^{f(w+) - f(z)}, with the saddles of
+    finite_anchors.  The e^{t (H(w) - H(w-))} of _saddle_scaled_factors, or
+    the w- of saddle_points, round differently, and from t = 256 the Gram
+    would then differ from its reference by more than 1e-13.
+    """
+    line, circle = contours.build_packed_contours(a, t)
+    n, s = t, (2 + a) * t
+    w_minus, w_plus = contours.finite_anchors(n, t, s)
+    f_lo = rates._f_vals(w_minus, n, t, s).real
+    f_hi = rates._f_vals(w_plus, n, t, s).real
+    w, z = line.nodes, circle.nodes
+    aw = line.weights * np.exp(rates._f_vals(w, n, t, s) - f_lo)
+    bz = circle.weights * np.exp(f_hi - rates._f_vals(z, n, t, s))
+    return w, aw, z, bz
+
+
+def _cauchy_gram(w, aw, z, bz, m):
+    """The moment Gram of order m through 1/(w - z) whole."""
+    w_mom = aw[:, None] * np.vander(1.0 / w, m + 1, increasing=True)[:, 1:]
+    z_mom = bz[:, None] * np.vander(z, m, increasing=True)
+    return -kernels._DOUBLE_PREF * (z_mom.T @ ((1.0 / np.subtract.outer(w, z)).T @ w_mom))
+
+
+def _cauchy_double_sums(a, t, s, rho, factors, left):
+    """The bordered Gram and the rho row through 1/(w - z) whole.
+
+    They follow stat_components and stat_rho_pieces with the series
+    replaced by the n_w x n_z Cauchy matrix.
     """
     w, aw, z, bz = factors[:4]
     m = factors[4].shape[1]
     two_pi_i = 2j * np.pi
     cauchy = 1.0 / np.subtract.outer(w, z)
-    w_mom = aw[:, None] * np.vander(1.0 / w, m + 1, increasing=True)[:, 1:]
-    z_mom = bz[:, None] * np.vander(z, m, increasing=True)
-    gram = -kernels._DOUBLE_PREF * (z_mom.T @ (cauchy.T @ w_mom))
     aw_s, bz_s = aw * np.exp(s * (w + 1.0)), bz * np.exp(-s * (z + 1.0))
     right = bz_s[:, None] * np.column_stack((np.vander(z, m, increasing=True),
                                              1.0 / (two_pi_i * (z + 1.0))))
@@ -325,7 +347,7 @@ def _cauchy_double_sums(a, t, s, rho, factors, left):
     bordered[m] -= (1.0 / (w + 1.0)) @ full_left
     res_s = np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * s)
     row = -(res_s / (w + rho) + cauchy @ (bz_s / (z + rho)) / two_pi_i) @ left
-    return gram, bordered, row
+    return bordered, row
 
 
 @pytest.mark.parametrize("t", [1, 2, 4, 16, 64, 256, 1024])
@@ -338,11 +360,13 @@ def test_moment_grams_match_the_cauchy_double_sum(t, a):
     m = kernels.packed_gram_order(a, t)
     assert factors[4].shape[1] == factors[5].shape[1] == m and m <= t
     assert np.abs(factors[2]).max() < 0.9 * rho   # stat_rho_pieces keeps the circle
-    gram = kernels.packed_gram(a, t, contours.build_packed_contours(a, t), m)[0]
+    # the packed Gram is particle t's at level (2 + a) t, where rho = 1
+    gram = kernels.finite_gram(t, t, (2 + a) * t, contours.build_packed_contours(a, t), m)[0]
+    ref_gram = _cauchy_gram(*_finite_weights(a, t), m)
     for s in (-0.25, 0.0, 0.5):
         bordered, _, left = kernels.stat_components(a, t, s, factors)
         row = kernels.stat_rho_pieces(a, t, s, rho, factors, left)[0]
-        ref_gram, ref_bordered, ref_row = _cauchy_double_sums(a, t, s, rho, factors, left)
+        ref_bordered, ref_row = _cauchy_double_sums(a, t, s, rho, factors, left)
         for new, ref in ((gram, ref_gram), (bordered, ref_bordered), (row, ref_row)):
             assert np.abs(ref).max() > 0.0
             assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
