@@ -166,7 +166,10 @@ def build_finite_contours(n, t, s, points_per_unit=POINTS_PER_UNIT):
     |f''| = |t - n / w^2|, at both anchors, so the trapezoidal rule stays
     spectrally accurate as t grows.  Below the edge the line's
     12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes per unit, resolves the
-    pole of w^-n at distance |c| from it.
+    pole of w^-n at distance |c| from it.  The layout depends on s only
+    through the anchors, which are the same at every s <= 2 sqrt(n t), so
+    prob_finite_n lays out the bulk contours, and forms their tables, once
+    per (n, t, density) and shares them by all levels.
     """
     t = _check_time(t)
     _check_density(points_per_unit)

@@ -4,6 +4,9 @@ The finite-index, packed and stationary determinants need no quadrature
 grid.  The particle-n one is det(I_n - G) for the moment Gram G of
 :func:`kernels.finite_gram`, exact at order n because that kernel has rank
 n, whose survival keeps its relative precision however deep the tail.
+At or below the edge 2 sqrt(n t) its contours do not depend on the level,
+so their nodes, phases and power tables are formed once per (n, t, contour
+density) and shared by all levels (:func:`_finite_tables`).
 The packed start's tagged particle is n = t at level (2 + a) t, so its
 determinant is the same Gram cut at order m <= t (see :func:`prob_packed`),
 and the stationary ones are a packed Gram of order m and its border to
@@ -31,8 +34,10 @@ and checks the imaginary residue and the [0, 1] range; a survival it
 cannot resolve (p above 1, or a log_survival that is not finite), or a
 ladder that ends before p settles, raises NumericFailure.
 The stationary law needs an s-derivative, taken by central differences
-with one Richardson step; the two step sizes must agree.  Each contour
-density forms its weights and Cauchy power tables once for all levels.
+with one Richardson step; the two step sizes must agree, and a survival
+1 - D' below ten times the rounding bound of those differences raises.
+Each contour density forms its weights and Cauchy power tables once for
+all levels.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -57,6 +62,7 @@ from .contours import (
     _check_time,
     build_finite_contours,
     build_packed_contours,
+    finite_anchors,
     flat_contour_for,
     scale_circle,
 )
@@ -64,6 +70,7 @@ from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
     finite_gram,
+    finite_tables,
     khat_flat_grid,
     khat_flat_trace,
     packed_factors,
@@ -85,6 +92,9 @@ _SERIES_TERMS = 64
 # below this log e^{-t r} the packed and flat survivals are e^{-t r} times a
 # trace to double precision
 _DEEP_LOG_SCALE = -600.0
+# a stationary survival below this many times the rounding bound of its
+# finite-difference derivative is not resolved
+_FD_FLOOR = 10.0
 # refinement stops once p moves by less than this between grid sizes
 _TARGET = 1e-9
 # below this a probability that fails the imaginary-residue gate is not
@@ -291,7 +301,7 @@ def prob_packed(t, a):
 
     def evaluate(size, scale):
         contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        return _gram_det(*finite_gram(t, t, (2 + a) * t, contours, size))
+        return _gram_det(*finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, size)))
 
     # contour densities x1 to x8, as on the flat route's grids 48 to 384
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
@@ -333,13 +343,16 @@ def prob_flat(t, a):
 
 
 def _fd_derivative(D, a, t, what):
-    """D'(0) by central differences at h and h/2 plus one Richardson step.
+    """(D'(0), its rounding bound) by central differences at h and h/2 plus one Richardson step.
 
     h = 1e-3 (1 + a t); the two estimates must agree to 1e-5 (1 + |D'|).
+    Rounding each D value to eps |D| moves the estimate by at most
+    3 eps max|D| / h, the bound returned.
     """
     h = 1e-3 * (1.0 + a * t)
-    d1 = (D(h) - D(-h)) / (2.0 * h)
-    d2 = (D(h / 2.0) - D(-h / 2.0)) / h
+    values = [D(h), D(-h), D(h / 2.0), D(-h / 2.0)]
+    d1 = (values[0] - values[1]) / (2.0 * h)
+    d2 = (values[2] - values[3]) / h
     deriv = (4.0 * d2 - d1) / 3.0
     spread = abs(d2 - d1)
     if spread > 1e-5 * (1.0 + abs(deriv)):
@@ -349,7 +362,7 @@ def _fd_derivative(D, a, t, what):
             residual=spread,
             hint=f"D(s) is not smooth on the scale of the step h = {h:.3g}",
         )
-    return deriv
+    return deriv, 3.0 * np.finfo(float).eps * max(map(abs, values)) / h
 
 
 def prob_stat(t, a):
@@ -362,6 +375,9 @@ def prob_stat(t, a):
     the rank-one pair (:func:`kernels.stat_components`).  The contour weights
     and the Cauchy power tables (:func:`kernels.packed_factors`) are formed
     once per contour density and shared by its finite-difference levels.
+    A survival 1 - D' > 0 below _FD_FLOOR times the rounding bound of the
+    differences, 3 eps max|D| / h, cannot be told from rounding and raises
+    NumericFailure.
     """
     a = check_a(a)
     t = float(t)
@@ -377,7 +393,15 @@ def prob_stat(t, a):
             ims.extend((im1, im2))
             return f_hat_t * det1 + det2
 
-        deriv = _fd_derivative(D, a, t, "stationary")
+        deriv, rounding = _fd_derivative(D, a, t, "stationary")
+        if 0.0 < 1.0 - deriv < _FD_FLOOR * rounding:
+            raise NumericFailure(
+                f"prob_stat: survival {1.0 - deriv:.3e} below {_FD_FLOOR:g}x the rounding "
+                f"bound {rounding:.3e} of the finite-difference derivative",
+                last=deriv,
+                residual=rounding,
+                hint="the survival is below what central differences of D resolve",
+            )
         logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
         return deriv, logs, max(ims)
 
@@ -419,7 +443,7 @@ def prob_stat_rho(t, a, rho):
             ims.extend((im, abs(s_resolvent.imag)))
             return det1 * (1.0 - delta_rho * (pair + s_resolvent.real))
 
-        deriv = _fd_derivative(D, a, t, "density-rho")
+        deriv, _ = _fd_derivative(D, a, t, "density-rho")
         p = D(0.0) + deriv / delta_rho
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
@@ -429,6 +453,30 @@ def prob_stat_rho(t, a, rho):
 
 # ---------------------------------------------------------------------------
 # raw finite-index route (generic level s, small integer n)
+
+
+@dataclass(frozen=True)
+class _FiniteLayout:
+    """What fixes prob_finite_n's contours: levels with equal anchors share them."""
+    n: int
+    t: float
+    anchors: tuple                  # contours.finite_anchors(n, t, s)
+    points_per_unit: int
+    s: float = field(compare=False)  # one level with these anchors
+
+
+@functools.lru_cache(maxsize=4)
+def _finite_tables(layout):
+    """Read-only :func:`kernels.finite_tables` of order n on layout's contours.
+
+    The bulk levels of a sweep share one entry per contour density, and four
+    entries hold one ladder; above the edge the anchors move with s.
+    """
+    n, t = layout.n, layout.t
+    tables = finite_tables(n, t, build_finite_contours(n, t, layout.s, layout.points_per_unit), n)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def prob_finite_n(n, t, s):
@@ -446,10 +494,11 @@ def prob_finite_n(n, t, s):
     n = int(n)
     t = _check_time(t)
     s = _check_finite(s, "level s")
+    anchors = finite_anchors(n, t, s)
 
     def evaluate(size, scale):
-        contours = build_finite_contours(n, t, s, scale * POINTS_PER_UNIT)
-        return _gram_det(*finite_gram(n, t, s, contours, n))
+        tables = _finite_tables(_FiniteLayout(n, t, anchors, scale * POINTS_PER_UNIT, s))
+        return _gram_det(*finite_gram(n, t, s, tables))
 
     return _solve("prob_finite_n", evaluate, [n] * 4)
 

@@ -59,6 +59,7 @@ from .contours import (
 from .errors import NumericFailure
 from .lambertw import phi
 from .rates import (
+    _f_free,
     _f_vals,
     _g_vals,
     _h_vals,
@@ -136,8 +137,24 @@ def packed_gram_order(a, t):
     return min(int(t), int(np.ceil(np.log(1e-18) / (2.0 * np.log(abs(w_plus))))))
 
 
-def finite_gram(n, t, s, contours, order):
-    """Moment Gram of the particle-n kernel on (s, infinity), cut at order.
+def finite_tables(n, t, contours, order):
+    """Level-free part of :func:`finite_gram`: (w, dw, fw, z, dz, fz, z_pows, w_pows).
+
+    The line nodes w and circle nodes z with their trapezoid dz factors dw
+    and dz, the s-free phase t x^2/2 + n log(-x) at each node (fw, fz), and
+    the :func:`_cauchy_series` tables of w / rho and z / rho at the Gram
+    order, rho = sqrt(n / t).
+    """
+    line, circle = contours
+    w, z = line.nodes, circle.nodes
+    rho = np.sqrt(n / t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pows = _cauchy_series(w / rho, z / rho, order)
+    return (w, line.weights, _f_free(w, n, t), z, circle.weights, _f_free(z, n, t)) + pows
+
+
+def finite_gram(n, t, s, tables):
+    """Moment Gram of the particle-n kernel on (s, infinity), on :func:`finite_tables`.
 
     :func:`raw_kernel_grid`'s kernel with the level folded into its phase
     f(w) = t w^2/2 + n log(-w) + s w.  Returns (gram, log_scale), with
@@ -156,19 +173,19 @@ def finite_gram(n, t, s, contours, order):
     The powers are those of w / rho and z / rho, rho = sqrt(n / t) =
     sqrt(w- w+): this conjugates the gram by diag(rho^j) and scales it by
     rho^-2, which keeps det and trace, and above the edge keeps every power
-    at most one, so n > t does not overflow them.  A weight or a moment
-    that overflows raises NumericFailure.
+    at most one, so n > t does not overflow them.  Only s w and the anchors
+    depend on the level, so at or below the edge the tables are formed once
+    per (n, t, contour density) and shared by all levels.  A weight or a
+    moment that overflows raises NumericFailure.
     """
-    line, circle = contours
+    w, dw, fw, z, dz, fz, z_pows, w_pows = tables
     c, w_hi = finite_anchors(n, t, s)
     f_lo, f_hi = float(_f_vals(c, n, t, s).real), float(_f_vals(w_hi, n, t, s).real)
-    w, z = line.nodes, circle.nodes
     rho = np.sqrt(n / t)
     where = f"n = {n}, t = {t}, s = {s}"
     with np.errstate(over="ignore", invalid="ignore"):
-        aw = line.weights * np.exp(_f_vals(w, n, t, s) - f_lo)
-        bz = circle.weights * np.exp(f_hi - _f_vals(z, n, t, s))
-        z_pows, w_pows = _cauchy_series(w / rho, z / rho, order)
+        aw = dw * np.exp(fw + s * w - f_lo)
+        bz = dz * np.exp(f_hi - (fz + s * z))
         gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
     if not (np.isfinite(aw).all() and np.isfinite(bz).all()):
         raise NumericFailure(f"the finite-n contour weights overflow at {where}",

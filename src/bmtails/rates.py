@@ -79,10 +79,16 @@ def _g_vals(z, phi, a):
     return (z * z - phi * phi) / 2.0 + (1.0 + a) * (z - phi)
 
 
+def _f_free(w, n, t):
+    """The level-free part t w^2/2 + n log(-w) of the particle-n phase :func:`_f_vals`."""
+    w = np.asarray(w, dtype=complex)
+    return t * w * w / 2.0 + n * np.log(-w)
+
+
 def _f_vals(w, n, t, s):
     """Particle-n phase f(w) = t w^2/2 + n log(-w) + s w (t H at n = t, s = (2+a) t)."""
     w = np.asarray(w, dtype=complex)
-    return t * w * w / 2.0 + n * np.log(-w) + s * w
+    return _f_free(w, n, t) + s * w
 
 
 def phase_packed(w, a):

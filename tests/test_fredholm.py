@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from bmtails import fredholm, kernels
+from bmtails import contours, fredholm, kernels
 from bmtails.errors import NumericFailure
 
 
@@ -389,9 +389,11 @@ def test_fd_derivative_rejects_step_dependence():
     with pytest.raises(NumericFailure, match="unstable in the step size") as info:
         fredholm._fd_derivative(lambda s: np.sign(s) * s * s, 1.0, 4.0, "test")
     assert info.value.residual == pytest.approx(2.5e-3)
-    # a smooth D passes, and the Richardson step removes the h^2 term
-    assert fredholm._fd_derivative(np.sin, 1.0, 4.0, "test") == \
-        pytest.approx(1.0, abs=1e-10)
+    # a smooth D passes, and the Richardson step removes the h^2 term; the
+    # rounding bound is 3 eps max|D| / h, max|D| = sin(h) at h = 5e-3
+    deriv, rounding = fredholm._fd_derivative(np.sin, 1.0, 4.0, "test")
+    assert deriv == pytest.approx(1.0, abs=1e-10)
+    assert rounding == pytest.approx(3.0 * np.finfo(float).eps * np.sin(5e-3) / 5e-3)
 
 
 # (p, log_survival, final grid size or Gram order) of each entry point, far tighter than
@@ -432,7 +434,9 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     # 1/(w - z) acts through its series, so no line x circle matrix is formed;
     # the power tables do not depend on the level, so each contour density
     # forms them once and all of its finite-difference levels share them;
-    # the finite-n Gram is of order n, and no Nystrom grid is built
+    # the finite-n Gram is of order n, and no Nystrom grid is built; its
+    # contours and tables are cached, so the cache starts cold here
+    fredholm._finite_tables.cache_clear()
     outers, densities, tables, levels = [], [], [], []
 
     def outer(w, z):
@@ -478,6 +482,13 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     assert len(set(densities)) == len(densities) >= 2
     if fn is fredholm.prob_finite_n:
         assert tables == [args[0]] * len(densities) and res.grid_size == args[0]
+        # a second bulk level reuses them; an above-edge one, whose anchors
+        # move with s, builds its own
+        densities.clear(), tables.clear()
+        fn(5, 1, 3.0)
+        assert densities == [] and tables == []
+        fn(5, 1, 5.5)
+        assert len(densities) >= 2 and tables == [5] * len(densities)
     else:
         assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
     if fn not in (fredholm.prob_packed, fredholm.prob_finite_n):
@@ -577,6 +588,66 @@ def test_probability_just_above_one_raises(caplog):
             _unit_pairing_det(-1e-12)
     assert info.value.last > 1.0 and "grid size 96" in str(info.value)
     assert not caplog.records
+
+
+# verify's level sweeps: n = 1 at t = 1 and 4 over s / sqrt(t) in [-3, 3], and
+# n = 5 at t = 1 over s in [-0.5, 6.5]
+LEVEL_SWEEPS = [(1, 1.0, np.linspace(-3.0, 3.0, 25)), (1, 4.0, 2.0 * np.linspace(-3.0, 3.0, 25)),
+                (5, 1.0, np.linspace(-0.5, 6.5, 141))]
+
+
+@pytest.mark.parametrize("n, t, levels", LEVEL_SWEEPS)
+def test_bulk_contours_do_not_depend_on_the_level(n, t, levels):
+    # what lets prob_finite_n share one set of tables among its bulk levels
+    edge = 2.0 * np.sqrt(n * t)
+    ref = contours.build_finite_contours(n, t, edge)
+    for s in [s for s in levels if s <= edge]:
+        for path, ref_path in zip(contours.build_finite_contours(n, t, float(s)), ref):
+            assert np.array_equal(path.nodes, ref_path.nodes)
+            assert np.array_equal(path.weights, ref_path.weights)
+
+
+def test_cached_finite_n_tables_are_shared_and_read_only():
+    # the key is the anchors, not the level: s = 3.0 finds the entry of s = 2.5
+    fredholm._finite_tables.cache_clear()
+    fredholm.prob_finite_n(5, 1, 2.5)
+    misses = fredholm._finite_tables.cache_info().misses
+    layout = fredholm._FiniteLayout(5, 1.0, contours.finite_anchors(5, 1.0, 3.0),
+                                    fredholm.POINTS_PER_UNIT, 3.0)
+    tables = fredholm._finite_tables(layout)
+    assert fredholm._finite_tables.cache_info().misses == misses
+    assert not any(table.flags.writeable for table in tables)
+    with pytest.raises(ValueError):
+        tables[0][0] = 0.0
+
+
+@pytest.mark.parametrize("n, t, levels", LEVEL_SWEEPS)
+def test_warm_finite_n_tables_give_the_cold_result(n, t, levels):
+    levels = [float(s) for s in levels[::5]]
+    cold = []
+    for s in levels:
+        fredholm._finite_tables.cache_clear()
+        cold.append(repr(fredholm.prob_finite_n(n, t, s)))
+    fredholm._finite_tables.cache_clear()
+    assert [repr(fredholm.prob_finite_n(n, t, s)) for s in levels] == cold
+
+
+@pytest.mark.parametrize("t, a", [(16, 4.0), (32, 2.0)])
+def test_stationary_survival_on_the_rounding_floor_raises(t, a):
+    # 1 - D' is 3.5e-14 at both, 0.053 of the central differences' rounding
+    # bound, and both used to return the same log_survival -30.98
+    with pytest.raises(NumericFailure, match="rounding bound") as info:
+        fredholm.prob_stat(t, a)
+    assert info.value.hint
+
+
+@pytest.mark.parametrize("t, a", [(4, 1.0), (16, 2.0)])
+def test_stationary_floor_guard_keeps_resolved_values(monkeypatch, t, a):
+    # (16, 2) is 599 times its rounding bound, the smallest ratio of the
+    # benchmark's timed stationary points
+    guarded = fredholm.prob_stat(t, a)
+    monkeypatch.setattr(fredholm, "_FD_FLOOR", 0.0)
+    assert repr(fredholm.prob_stat(t, a)) == repr(guarded)
 
 
 @pytest.mark.parametrize("fn", [fredholm.prob_stat])

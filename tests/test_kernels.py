@@ -44,7 +44,8 @@ def test_packed_gram_order():
 def test_packed_gram_determinant_is_the_nystrom_one(t, a):
     # the Gram and the Nystrom matrix of one kernel on the same contours
     contours_ = contours.build_packed_contours(a, t)
-    gram, log_scale = kernels.finite_gram(t, t, (2 + a) * t, contours_, t)
+    gram, log_scale = kernels.finite_gram(t, t, (2 + a) * t,
+                                          kernels.finite_tables(t, t, contours_, t))
     det = np.linalg.det(np.eye(t) - np.exp(log_scale) * gram)
     grid = fredholm.build_grid(0.0, a, 96)
     kmat = kernels.khat_packed_grid(grid.nodes, grid.nodes, kernels.packed_factors(a, t, contours_))
@@ -361,7 +362,8 @@ def test_moment_grams_match_the_cauchy_double_sum(t, a):
     assert factors[4].shape[1] == factors[5].shape[1] == m and m <= t
     assert np.abs(factors[2]).max() < 0.9 * rho   # stat_rho_pieces keeps the circle
     # the packed Gram is particle t's at level (2 + a) t, where rho = 1
-    gram = kernels.finite_gram(t, t, (2 + a) * t, contours.build_packed_contours(a, t), m)[0]
+    tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t), m)
+    gram = kernels.finite_gram(t, t, (2 + a) * t, tables)[0]
     ref_gram = _cauchy_gram(*_finite_weights(a, t), m)
     for s in (-0.25, 0.0, 0.5):
         bordered, _, left = kernels.stat_components(a, t, s, factors)
