@@ -142,7 +142,7 @@ def build_packed_contours(a, t, points_per_unit=POINTS_PER_UNIT):
     t = _check_time(t)
     if t != int(t):
         raise ValueError(f"the packed phase needs a whole-number time, got {t}")
-    return build_finite_contours(int(t), t, (2.0 + a) * t, points_per_unit)
+    return build_finite_contours(int(t), t, finite_anchors(t, t, (2.0 + a) * t), points_per_unit)
 
 
 def finite_anchors(n, t, s):
@@ -159,21 +159,21 @@ def finite_anchors(n, t, s):
     return c, 0.85 * c
 
 
-def build_finite_contours(n, t, s, points_per_unit=POINTS_PER_UNIT):
-    """(line, circle) through :func:`finite_anchors`, the only saddle line/circle layout.
+def build_finite_contours(n, t, anchors, points_per_unit=POINTS_PER_UNIT):
+    """(line, circle) through anchors (c, w_hi), the only saddle line/circle layout.
 
-    Node densities resolve the Gaussian widths 1 / sqrt|f''| of the phase,
-    |f''| = |t - n / w^2|, at both anchors, so the trapezoidal rule stays
-    spectrally accurate as t grows.  Below the edge the line's
-    12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes per unit, resolves the
-    pole of w^-n at distance |c| from it.  The layout depends on s only
-    through the anchors, which are the same at every s <= 2 sqrt(n t), so
-    prob_finite_n lays out the bulk contours, and forms their tables, once
-    per (n, t, density) and shares them by all levels.
+    anchors are :func:`finite_anchors` of a level; node densities resolve the
+    Gaussian widths 1 / sqrt|f''| of the phase, |f''| = |t - n / w^2|, at both
+    anchors, so the trapezoidal rule stays spectrally accurate as t grows.
+    Below the edge the line's 12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes
+    per unit, resolves the pole of w^-n at distance |c| from it.  The layout
+    depends on the level only through the anchors, the same at every
+    s <= 2 sqrt(n t), so prob_finite_n lays out the bulk contours, and forms
+    their tables, once per (n, t, density) and shares them by all levels.
     """
     t = _check_time(t)
     _check_density(points_per_unit)
-    c, w_hi = finite_anchors(n, t, s)
+    c, w_hi = anchors
     y_max = _line_halfwidth(c, n / t, t, _TRUNCATION_TOL)
     per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(abs(t - n / (c * c))))))
     line = _line(c, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)

@@ -10,7 +10,8 @@ density) and shared by all levels (:func:`_finite_tables`).
 The packed start's tagged particle is n = t at level (2 + a) t, so its
 determinant is the same Gram cut at order m <= t (see :func:`prob_packed`),
 and the stationary ones are a packed Gram of order m and its border to
-order m + 1 by the rank-one pair (:func:`kernels.stat_components`).
+order m + 1 by the rank-one pair (:func:`kernels.stat_components`), on the
+same tables (:func:`_stationary`).
 
 The flat determinant det(1 - P_0 K P_0) is evaluated by the Nystrom
 method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes u in
@@ -33,11 +34,10 @@ reports the last change as the refinement delta and the final grid size,
 and checks the imaginary residue and the [0, 1] range; a survival it
 cannot resolve (p above 1, or a log_survival that is not finite), or a
 ladder that ends before p settles, raises NumericFailure.
-The stationary law needs an s-derivative, taken by central differences
+Both stationary laws need an s-derivative, taken by central differences
 with one Richardson step; the two step sizes must agree, and a survival
-1 - D' below ten times the rounding bound of those differences raises.
-Each contour density forms its weights and Cauchy power tables once for
-all levels.
+below ten times the rounding bound of those differences raises.  Each
+contour density forms its tables once for all levels.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -73,7 +73,6 @@ from .kernels import (
     finite_tables,
     khat_flat_grid,
     khat_flat_trace,
-    packed_factors,
     packed_gram_order,
     stat_components,
     stat_rho_pieces,
@@ -365,6 +364,42 @@ def _fd_derivative(D, a, t, what):
     return deriv, 3.0 * np.finfo(float).eps * max(map(abs, values)) / h
 
 
+def _stationary(what, t, a, rho, D_at):
+    """:func:`_solve` on D(s) = D_at(tables, size, ims, s) at each contour density.
+
+    tables are :func:`kernels.finite_tables` of particle t on the packed
+    contours, the circle shrunk to radius 0.9 rho at a density rho < 1,
+    shared by all finite-difference levels; D_at appends its imaginary
+    residues to ims.  p is D'(0) at unit density (rho None), else
+    D(0) + D'(0) / (1 - rho), its rounding bound divided likewise; a
+    survival 0 < 1 - p below _FD_FLOOR times the bound raises NumericFailure.
+    """
+    a = check_a(a)
+    t = float(t)
+
+    def evaluate(size, scale):
+        line, circle = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
+        radius = float(np.abs(circle.nodes).max())
+        if rho is not None and radius >= 0.9 * rho:
+            circle = scale_circle(circle, 0.9 * rho / radius)
+        ims = []
+        D = functools.partial(D_at, finite_tables(t, t, (line, circle), size), size, ims)
+        p, rounding = _fd_derivative(D, a, t, what)
+        if rho is not None:
+            p, rounding = D(0.0) + p / (1.0 - rho), rounding / (1.0 - rho)
+        if 0.0 < 1.0 - p < _FD_FLOOR * rounding:
+            raise NumericFailure(
+                f"{what}: survival {1.0 - p:.3e} below {_FD_FLOOR:g}x the rounding "
+                f"bound {rounding:.3e} of the finite-difference derivative",
+                last=p, residual=rounding,
+                hint="the survival is below what central differences of D resolve")
+        logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
+        return p, logs, max(ims)
+
+    # contour densities x1, x2 and x4
+    return _solve(what, evaluate, [packed_gram_order(a, t)] * 3)
+
+
 def prob_stat(t, a):
     """P(x_t(t) <= 2t + at) under the unit-density stationary start.
 
@@ -372,41 +407,18 @@ def prob_stat(t, a):
     around s = 0 and returns its derivative.  The determinants are
     det(I_m - G) and det(I - B) for the Gram G of order m
     (:func:`kernels.packed_gram_order`) and its border B of order m + 1 by
-    the rank-one pair (:func:`kernels.stat_components`).  The contour weights
-    and the Cauchy power tables (:func:`kernels.packed_factors`) are formed
-    once per contour density and shared by its finite-difference levels.
-    A survival 1 - D' > 0 below _FD_FLOOR times the rounding bound of the
-    differences, 3 eps max|D| / h, cannot be told from rounding and raises
-    NumericFailure.
+    the rank-one pair (:func:`kernels.stat_components`), on the tables
+    :func:`prob_packed` builds for the same (t, a) (:func:`_stationary`).
     """
-    a = check_a(a)
-    t = float(t)
 
-    def evaluate(size, scale):
-        factors = packed_factors(a, t, build_packed_contours(a, t, scale * POINTS_PER_UNIT))
-        ims = []
+    def D_at(tables, size, ims, s):
+        bordered, f_hat_t, _ = stat_components(a, t, s, tables)
+        det1, _, im1 = _det_core(bordered[:size, :size], np.ones(size))
+        det2, _, im2 = _det_core(bordered, np.ones(size + 1))
+        ims.extend((im1, im2))
+        return f_hat_t * det1 + det2
 
-        def D(s):
-            bordered, f_hat_t, _ = stat_components(a, t, s, factors)
-            det1, _, im1 = _det_core(bordered[:size, :size], np.ones(size))
-            det2, _, im2 = _det_core(bordered, np.ones(size + 1))
-            ims.extend((im1, im2))
-            return f_hat_t * det1 + det2
-
-        deriv, rounding = _fd_derivative(D, a, t, "stationary")
-        if 0.0 < 1.0 - deriv < _FD_FLOOR * rounding:
-            raise NumericFailure(
-                f"prob_stat: survival {1.0 - deriv:.3e} below {_FD_FLOOR:g}x the rounding "
-                f"bound {rounding:.3e} of the finite-difference derivative",
-                last=deriv,
-                residual=rounding,
-                hint="the survival is below what central differences of D resolve",
-            )
-        logs = float(np.log1p(-deriv)) if deriv < 1.0 else -np.inf
-        return deriv, logs, max(ims)
-
-    # contour densities x1, x2 and x4
-    return _solve("prob_stat", evaluate, [packed_gram_order(a, t)] * 3)
+    return _stationary("prob_stat", t, a, None, D_at)
 
 
 def prob_stat_rho(t, a, rho):
@@ -419,61 +431,34 @@ def prob_stat_rho(t, a, rho):
     S = <g_rho, 1> + <g_rho, f*> + <g_rho, L> (I_m - G)^{-1} <R, f*>, every
     pairing exact on the contours (:func:`kernels.stat_rho_pieces`).
     """
-    a = check_a(a)
-    t = float(t)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
-    delta_rho = 1.0 - rho
 
-    def evaluate(size, scale):
-        line, circle = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        radius = float(np.abs(circle.nodes).max())
-        if radius >= 0.9 * rho:
-            circle = scale_circle(circle, 0.9 * rho / radius)
-        factors = packed_factors(a, t, (line, circle))
-        ims = []
+    def D_at(tables, size, ims, s):
+        bordered, _, left = stat_components(a, t, s, tables)
+        row, pair = stat_rho_pieces(a, t, s, rho, tables, left)
+        gram = bordered[:size, :size]
+        det1, _, im = _det_core(gram, np.ones(size))
+        y = np.linalg.solve(np.eye(size) - gram, bordered[:size, size])
+        s_resolvent = complex(row[size] + row[:size] @ y)
+        ims.extend((im, abs(s_resolvent.imag)))
+        return det1 * (1.0 - (1.0 - rho) * (pair + s_resolvent.real))
 
-        def D(s):
-            bordered, _, left = stat_components(a, t, s, factors)
-            row, pair = stat_rho_pieces(a, t, s, rho, factors, left)
-            gram = bordered[:size, :size]
-            det1, _, im = _det_core(gram, np.ones(size))
-            y = np.linalg.solve(np.eye(size) - gram, bordered[:size, size])
-            s_resolvent = complex(row[size] + row[:size] @ y)
-            ims.extend((im, abs(s_resolvent.imag)))
-            return det1 * (1.0 - delta_rho * (pair + s_resolvent.real))
-
-        deriv, _ = _fd_derivative(D, a, t, "density-rho")
-        p = D(0.0) + deriv / delta_rho
-        logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
-        return p, logs, max(ims)
-
-    return _solve("prob_stat_rho", evaluate, [packed_gram_order(a, t)] * 3)
+    return _stationary("prob_stat_rho", t, a, rho, D_at)
 
 
 # ---------------------------------------------------------------------------
 # raw finite-index route (generic level s, small integer n)
 
 
-@dataclass(frozen=True)
-class _FiniteLayout:
-    """What fixes prob_finite_n's contours: levels with equal anchors share them."""
-    n: int
-    t: float
-    anchors: tuple                  # contours.finite_anchors(n, t, s)
-    points_per_unit: int
-    s: float = field(compare=False)  # one level with these anchors
-
-
 @functools.lru_cache(maxsize=4)
-def _finite_tables(layout):
-    """Read-only :func:`kernels.finite_tables` of order n on layout's contours.
+def _finite_tables(n, t, anchors, points_per_unit):
+    """Read-only :func:`kernels.finite_tables` of order n on the contours through anchors.
 
     The bulk levels of a sweep share one entry per contour density, and four
     entries hold one ladder; above the edge the anchors move with s.
     """
-    n, t = layout.n, layout.t
-    tables = finite_tables(n, t, build_finite_contours(n, t, layout.s, layout.points_per_unit), n)
+    tables = finite_tables(n, t, build_finite_contours(n, t, anchors, points_per_unit), n)
     for table in tables:
         table.setflags(write=False)
     return tables
@@ -497,7 +482,7 @@ def prob_finite_n(n, t, s):
     anchors = finite_anchors(n, t, s)
 
     def evaluate(size, scale):
-        tables = _finite_tables(_FiniteLayout(n, t, anchors, scale * POINTS_PER_UNIT, s))
+        tables = _finite_tables(n, t, anchors, scale * POINTS_PER_UNIT)
         return _gram_det(*finite_gram(n, t, s, tables))
 
     return _solve("prob_finite_n", evaluate, [n] * 4)

@@ -29,17 +29,18 @@ e^{-xi2(z+1)} grow, and a value that overflows raises NumericFailure
 naming the offsets.
 
 The stationary one-point formula needs a boundary-value remainder and a
-rank-one pair on the packed contours.  :func:`packed_factors` folds the
-phases into the contour weights and forms the power tables once per
-contour density; from them :func:`stat_components` returns, at each
-finite-difference level, the packed Gram bordered by the rank-one pair,
-and :func:`stat_rho_pieces` the pairings of the density-rho factor g_rho.
+rank-one pair on the packed contours, from the packed Gram's own
+:func:`finite_tables`.  One routine, :func:`saddle_weights`, exponentiates
+the phase for every saddle route: at the anchors for :func:`finite_gram`,
+at the true scale of e^{t H}, which the boundary remainder needs, for
+:func:`stat_components` (the packed Gram bordered by the rank-one pair)
+and :func:`stat_rho_pieces` (the pairings of the density-rho factor g_rho).
 Every function involved is a sum of exponentials in xi over the contour
 nodes, or a constant, so each integral over (s, infinity) is exact.
 :func:`khat_packed_grid` tabulates the packed kernel itself on a grid,
-through the whole Cauchy matrix, for the pointwise kernel and the checks,
-and :func:`raw_kernel_grid` the finite-index kernel, on contours the
-caller places.
+through the whole Cauchy matrix and :func:`packed_factors`, for the
+pointwise kernel and the checks, and :func:`raw_kernel_grid` the
+finite-index kernel, on contours the caller places.
 """
 
 from __future__ import annotations
@@ -83,18 +84,13 @@ class KernelEval:
     refinement_delta: float
 
 
-def _demand_finite(value, what, level):
-    """value, after rejecting any non-finite entry of it computed at level."""
-    if not np.isfinite(value).all():
+def _demand_real(value, what, level):
+    """|Im value|, after rejecting a non-finite or non-real value computed at level."""
+    if not np.isfinite(value):
         raise NumericFailure(f"{what} is not finite at {level}", last=value,
                              hint=f"the contour exponentials overflow at {level}; "
                                   "they are bounded only for offsets >= 0")
-    return value
-
-
-def _demand_real(value, what, level):
-    """|Im value|, after rejecting a non-finite or non-real value computed at level."""
-    im = abs(_demand_finite(value, what, level).imag)
+    im = abs(value.imag)
     if im > _IM_TOL * (1.0 + abs(value)):
         raise NumericFailure(f"{what} has imaginary residue {im:.3e}", last=value,
                              residual=im, hint="double the contour node density")
@@ -106,17 +102,17 @@ def _demand_real(value, what, level):
 
 
 def packed_factors(a, t, contours):
-    """Level-independent factors of the packed kernel on the saddle contours.
+    """(w, aw, z, bz): the packed kernel's nodes and weights for :func:`khat_packed_grid`.
 
-    Returns (w, aw, z, bz, z_pows, w_pows): line nodes w with weights
-    carrying e^{t H(w)}, circle nodes z with weights carrying e^{-t H(z)},
-    and the :func:`_cauchy_series` tables at order :func:`packed_gram_order`.
+    Line nodes w with weights carrying e^{t H(w)} and circle nodes z with
+    weights carrying e^{-t H(z)}, for the pointwise kernel and the checks;
+    the determinants take theirs from :func:`saddle_weights`.
     """
     line, circle = contours
     w, z = line.nodes, circle.nodes
     aw = line.weights * np.exp(t * _h_vals(w, a))
     bz = circle.weights * np.exp(-t * _h_vals(z, a))
-    return (w, aw, z, bz) + _cauchy_series(w, z, packed_gram_order(a, t))
+    return w, aw, z, bz
 
 
 def _cauchy_series(w, z, order):
@@ -153,6 +149,24 @@ def finite_tables(n, t, contours, order):
     return (w, line.weights, _f_free(w, n, t), z, circle.weights, _f_free(z, n, t)) + pows
 
 
+def saddle_weights(tables, sigma, lo, hi, where):
+    """Line and circle weights dw e^{(fw + sigma w) - lo} and dz e^{hi - (fz + sigma z)}.
+
+    fw + sigma w is the phase f of :func:`finite_tables` at level sigma.
+    :func:`finite_gram` takes lo and hi at its anchors, the stationary
+    pieces at the true scale of e^{t H}.  An overflow raises NumericFailure.
+    """
+    w, dw, fw, z, dz, fz = tables[:6]
+    with np.errstate(over="ignore", invalid="ignore"):
+        aw = dw * np.exp(fw + sigma * w - lo)
+        bz = dz * np.exp(hi - (fz + sigma * z))
+    if not (np.isfinite(aw).all() and np.isfinite(bz).all()):
+        raise NumericFailure(f"the contour weights overflow at {where}",
+                             hint="at or below the edge 2 sqrt(n t) the line's grow like "
+                                  "(n / (0.09 e))^(n/2), and the circle's like e^(-0.51 s / sqrt(t))")
+    return aw, bz
+
+
 def finite_gram(n, t, s, tables):
     """Moment Gram of the particle-n kernel on (s, infinity), on :func:`finite_tables`.
 
@@ -165,10 +179,11 @@ def finite_gram(n, t, s, tables):
 
         gram = -(2 pi i)^-2 (sum_z bz z^(j+l)) (sum_w aw w^-(l+1) w^-(k+1)),
 
-    aw carrying e^{f(w) - f(c)} and bz e^{f(w_hi) - f(z)}.  The z-integrand's
-    only pole is of order n at 0, so order n is exact.  Above the edge c and
-    w_hi are the saddles w- and w+, both weights have modulus at most one,
-    and the gram stays bounded however deep the tail.  The packed Gram is
+    aw and bz (:func:`saddle_weights`) carrying e^{f(w) - f(c)} and
+    e^{f(w_hi) - f(z)}.  The z-integrand's only pole is of order n at 0, so
+    order n is exact.  Above the edge c and w_hi are the saddles w- and w+,
+    both weights have modulus at most one, and the gram stays bounded
+    however deep the tail.  The packed Gram is
     particle n = t at s = (2 + a) t, cut at :func:`packed_gram_order`.
     The powers are those of w / rho and z / rho, rho = sqrt(n / t) =
     sqrt(w- w+): this conjugates the gram by diag(rho^j) and scales it by
@@ -178,19 +193,14 @@ def finite_gram(n, t, s, tables):
     per (n, t, contour density) and shared by all levels.  A weight or a
     moment that overflows raises NumericFailure.
     """
-    w, dw, fw, z, dz, fz, z_pows, w_pows = tables
+    z_pows, w_pows = tables[6:]
     c, w_hi = finite_anchors(n, t, s)
     f_lo, f_hi = float(_f_vals(c, n, t, s).real), float(_f_vals(w_hi, n, t, s).real)
     rho = np.sqrt(n / t)
     where = f"n = {n}, t = {t}, s = {s}"
+    aw, bz = saddle_weights(tables, s, f_lo, f_hi, where)
     with np.errstate(over="ignore", invalid="ignore"):
-        aw = dw * np.exp(fw + s * w - f_lo)
-        bz = dz * np.exp(f_hi - (fz + s * z))
         gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
-    if not (np.isfinite(aw).all() and np.isfinite(bz).all()):
-        raise NumericFailure(f"the finite-n contour weights overflow at {where}",
-                             hint="at or below the edge 2 sqrt(n t) the line's grow like "
-                                  "(n / (0.09 e))^(n/2), and the circle's like e^(-0.51 s / sqrt(t))")
     if not np.isfinite(gram).all():
         raise NumericFailure(f"the finite-n Gram overflows at {where}",
                              hint="at or below the edge 2 sqrt(n t) the line sits at "
@@ -261,25 +271,27 @@ def khat_flat_trace(a, t, path, rate):
 
 
 # ---------------------------------------------------------------------------
-# stationary Gram pairings (shared packed factors)
+# stationary Gram pairings (on the packed tables)
 
 
-def _level_weights(factors, s):
-    """aw e^{s (w+1)} and bz e^{-s (z+1)}; at s < 0 they grow, and overflow raises."""
-    w, aw, z, bz = factors[:4]
-    with np.errstate(over="ignore", invalid="ignore"):
-        aw_s, bz_s = aw * np.exp(s * (w + 1.0)), bz * np.exp(-s * (z + 1.0))
-    return (_demand_finite(aw_s, "a stationary line weight", f"s = {s}"),
-            _demand_finite(bz_s, "a stationary circle weight", f"s = {s}"))
+def _stat_weights(a, t, s, tables):
+    """Weights carrying e^{t H(w) + s (w+1)} and e^{-t H(z) - s (z+1)}, at their true scale.
+
+    t H(w) + s (w+1) is the particle-t phase at sigma = (2 + a) t + s less t/2 - sigma.
+    """
+    sigma = (2.0 + a) * t + s
+    return saddle_weights(tables, sigma, t / 2.0 - sigma, t / 2.0 - sigma, f"s = {s}")
 
 
-def stat_components(a, t, s_offset, factors):
+def stat_components(a, t, s_offset, tables):
     """Gram pairings of the unit-density stationary determinants at offset s.
 
-    From the :func:`packed_factors` of the contours, the packed kernel is
-    K = L R^T with L_k = (2 pi i)^-2 sum_w aw w^-(k+1) e^{xi (w+1)} and
-    R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < m (see :func:`finite_gram`),
-    and the rank-one pair is f*(xi) = sum_w c_w e^{xi (w+1)} (decaying) and
+    On the :func:`finite_tables` of particle t on the packed contours, the
+    packed kernel is K = L R^T with L_k = (2 pi i)^-2 sum_w aw w^-(k+1) e^{xi (w+1)}
+    and R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < m (see :func:`finite_gram`),
+    aw and bz carrying e^{t H(w)} and e^{-t H(z)} at their true scale, which
+    the boundary remainder needs.  The rank-one pair is
+    f*(xi) = sum_w c_w e^{xi (w+1)} (decaying) and
     g1(xi) = 1 + (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z+1).  On (s, infinity)
     a line term pairs with a circle term through the integral of e^{xi (w-z)},
     e^{s (w-z)} / (z - w), and with the constant 1 of g1 through that of
@@ -296,9 +308,9 @@ def stat_components(a, t, s_offset, factors):
     a = check_a(a)
     t = _check_time(t)
     s = float(s_offset)
-    w, _, z, _, z_pows, w_pows = factors
+    w, z, z_pows, w_pows = tables[0], tables[3], tables[6], tables[7]
     wp1, zp1 = w + 1.0, z + 1.0
-    aw_s, bz_s = _level_weights(factors, s)
+    aw_s, bz_s = _stat_weights(a, t, s, tables)
 
     r_hat_c = -np.sum(bz_s / zp1 ** 2) / _TWO_PI_I
     _demand_real(r_hat_c, "stationary boundary remainder", f"s = {s}")
@@ -313,31 +325,32 @@ def stat_components(a, t, s_offset, factors):
     return bordered, s + a * t + float(r_hat_c.real) - 1.0, left
 
 
-def stat_rho_pieces(a, t, s_offset, rho, factors, left):
+def stat_rho_pieces(a, t, s_offset, rho, tables, left):
     """Pairings of g_rho with the columns of ``left`` and with the constant 1.
 
     ``left`` is the third value :func:`stat_components` returns for the same
-    factors and offset.  g_rho splits into a residue term
+    tables and offset.  g_rho splits into a residue term
     e^{-t H(-rho)} e^{-(1 - rho) xi} and a contour term
     (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z + rho) on the z-circle (the circle
     radius stays below rho, so the pole at -rho is picked up explicitly).
     On (s, infinity) the residue term pairs with e^{xi (w+1)} through
     -e^{s (w + rho)} / (w + rho), and the contour term as in
-    :func:`stat_components`.  Returns (row, pair): row = <g_rho, left> over
-    its columns (complex), pair = <g_rho, 1>, integrated contour-first, which
-    converges because Re(z + 1) > 0 along the whole circle.
+    :func:`stat_components`, on the same true-scale weights.  Returns
+    (row, pair): row = <g_rho, left> over its columns (complex),
+    pair = <g_rho, 1>, integrated contour-first, which converges because
+    Re(z + 1) > 0 along the whole circle.
     """
     a = check_a(a)
     t = _check_time(t)
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
     s = float(s_offset)
-    w, _, z, _, z_pows, w_pows = factors
+    w, z, z_pows, w_pows = tables[0], tables[3], tables[6], tables[7]
     if np.abs(z).max() >= rho:
         raise NumericFailure("z-circle radius must stay below rho",
                              residual=float(np.abs(z).max()),
                              hint="rebuild gamma_plus with a smaller radius")
-    _, bz_s = _level_weights(factors, s)
+    _, bz_s = _stat_weights(a, t, s, tables)
     res_s = np.exp(-t * phase_packed(-rho, a) - (1.0 - rho) * s)
     row = -(res_s / (w + rho) + w_pows @ (z_pows.T @ (bz_s / (z + rho))) / _TWO_PI_I) @ left
     pair_circ_c = np.sum(bz_s / ((z + 1.0) * (z + rho))) / _TWO_PI_I

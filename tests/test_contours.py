@@ -168,7 +168,7 @@ def test_line_nodes_are_exact_multiples_of_the_step(route):
     if route == "packed":
         line, _ = contours.build_packed_contours(1.0, 4)
     else:
-        line, _ = contours.build_finite_contours(5, 1.0, 0.5)
+        line, _ = contours.build_finite_contours(5, 1.0, contours.finite_anchors(5, 1.0, 0.5))
     y = line.params
     m = (y.size - 1) // 2
     step = y[m + 1]

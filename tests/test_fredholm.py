@@ -435,9 +435,11 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     # the power tables do not depend on the level, so each contour density
     # forms them once and all of its finite-difference levels share them;
     # the finite-n Gram is of order n, and no Nystrom grid is built; its
-    # contours and tables are cached, so the cache starts cold here
+    # contours and tables are cached, so the cache starts cold here; packed
+    # and stationary build particle t's finite_tables once per rung, and
+    # never the pointwise kernel's packed_factors
     fredholm._finite_tables.cache_clear()
-    outers, densities, tables, levels = [], [], [], []
+    outers, densities, tables, levels, built = [], [], [], [], []
 
     def outer(w, z):
         outers.append(1)
@@ -453,6 +455,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     builders = {name: getattr(fredholm, name)
                 for name in ("build_packed_contours", "build_finite_contours")}
     cauchy_series = kernels._cauchy_series
+    finite_tables = fredholm.finite_tables
     stat_components = fredholm.stat_components
 
     def contour_spy(name):
@@ -468,18 +471,28 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
         tables.append(order)
         return cauchy_series(w, z, order)
 
-    def spy(a, t, s, factors):
+    def finite_tables_spy(n, t, contours_, order):
+        built.append((n, t))
+        return finite_tables(n, t, contours_, order)
+
+    def no_packed_factors(*_):
+        raise AssertionError("packed_factors called on a Gram route")
+
+    def spy(a, t, s, finite):
         levels.append(s)
-        return stat_components(a, t, s, factors)
+        return stat_components(a, t, s, finite)
 
     for name in builders:
         monkeypatch.setattr(fredholm, name, contour_spy(name))
     monkeypatch.setattr(kernels, "_cauchy_series", table_spy)
+    monkeypatch.setattr(fredholm, "finite_tables", finite_tables_spy)
+    monkeypatch.setattr(kernels, "packed_factors", no_packed_factors)
     monkeypatch.setattr(fredholm, "stat_components", spy)
     monkeypatch.setattr(fredholm, "build_grid", no_grid)
     res = fn(*args)
     assert outers == []
     assert len(set(densities)) == len(densities) >= 2
+    assert len(built) == len(densities)
     if fn is fredholm.prob_finite_n:
         assert tables == [args[0]] * len(densities) and res.grid_size == args[0]
         # a second bulk level reuses them; an above-edge one, whose anchors
@@ -491,6 +504,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
         assert len(densities) >= 2 and tables == [5] * len(densities)
     else:
         assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
+        assert built == [(args[0], args[0])] * len(densities)
     if fn not in (fredholm.prob_packed, fredholm.prob_finite_n):
         assert len(levels) > len(set(levels)) and len(levels) % len(densities) == 0
 
@@ -600,9 +614,10 @@ LEVEL_SWEEPS = [(1, 1.0, np.linspace(-3.0, 3.0, 25)), (1, 4.0, 2.0 * np.linspace
 def test_bulk_contours_do_not_depend_on_the_level(n, t, levels):
     # what lets prob_finite_n share one set of tables among its bulk levels
     edge = 2.0 * np.sqrt(n * t)
-    ref = contours.build_finite_contours(n, t, edge)
+    ref = contours.build_finite_contours(n, t, contours.finite_anchors(n, t, edge))
     for s in [s for s in levels if s <= edge]:
-        for path, ref_path in zip(contours.build_finite_contours(n, t, float(s)), ref):
+        anchors = contours.finite_anchors(n, t, float(s))
+        for path, ref_path in zip(contours.build_finite_contours(n, t, anchors), ref):
             assert np.array_equal(path.nodes, ref_path.nodes)
             assert np.array_equal(path.weights, ref_path.weights)
 
@@ -612,9 +627,8 @@ def test_cached_finite_n_tables_are_shared_and_read_only():
     fredholm._finite_tables.cache_clear()
     fredholm.prob_finite_n(5, 1, 2.5)
     misses = fredholm._finite_tables.cache_info().misses
-    layout = fredholm._FiniteLayout(5, 1.0, contours.finite_anchors(5, 1.0, 3.0),
-                                    fredholm.POINTS_PER_UNIT, 3.0)
-    tables = fredholm._finite_tables(layout)
+    tables = fredholm._finite_tables(5, 1.0, contours.finite_anchors(5, 1.0, 3.0),
+                                     fredholm.POINTS_PER_UNIT)
     assert fredholm._finite_tables.cache_info().misses == misses
     assert not any(table.flags.writeable for table in tables)
     with pytest.raises(ValueError):
@@ -648,6 +662,23 @@ def test_stationary_floor_guard_keeps_resolved_values(monkeypatch, t, a):
     guarded = fredholm.prob_stat(t, a)
     monkeypatch.setattr(fredholm, "_FD_FLOOR", 0.0)
     assert repr(fredholm.prob_stat(t, a)) == repr(guarded)
+
+
+@pytest.mark.parametrize("t, a, rho", [(16, 4.0, 0.99), (16, 4.0, 0.9), (32, 2.0, 0.99)])
+def test_density_rho_survival_on_the_rounding_floor_raises(t, a, rho):
+    # 1 - p is 0.152, 0.027 and 0.040 of the rounding bound of D'(0) / (1 - rho),
+    # and these used to return log_survival -30.24, -33.52 and -31.58
+    with pytest.raises(NumericFailure, match="rounding bound") as info:
+        fredholm.prob_stat_rho(t, a, rho)
+    assert info.value.hint
+
+
+@pytest.mark.parametrize("t, a, rho", [(4, 1.0, 0.9), (16, 2.0, 0.99)])
+def test_density_rho_floor_guard_keeps_resolved_values(monkeypatch, t, a, rho):
+    # (16, 2, 0.99) is 699 times its rounding bound
+    guarded = fredholm.prob_stat_rho(t, a, rho)
+    monkeypatch.setattr(fredholm, "_FD_FLOOR", 0.0)
+    assert repr(fredholm.prob_stat_rho(t, a, rho)) == repr(guarded)
 
 
 @pytest.mark.parametrize("fn", [fredholm.prob_stat])

@@ -226,6 +226,17 @@ def test_deformation_check_compares_two_different_spirals(monkeypatch):
     assert float(line.split("drift ")[-1].split()[0]) <= 1e-8
 
 
+def _stat_factors(a, t, s, tables):
+    """(w, aw, z, bz) with the stationary weights at offset s, from the shared routine.
+
+    aw and bz carry e^{t H(w) + s (w+1)} and e^{-t H(z) - s (z+1)}: the
+    particle-t phase at level sigma = (2 + a) t + s, less t/2 - sigma.
+    """
+    sigma = (2.0 + a) * t + s
+    aw, bz = kernels.saddle_weights(tables, sigma, t / 2.0 - sigma, t / 2.0 - sigma, f"s = {s}")
+    return tables[0], aw, tables[3], bz
+
+
 def _circle_sum(factors, xi, pole):
     """(2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z + pole) at each xi.
 
@@ -236,18 +247,19 @@ def _circle_sum(factors, xi, pole):
     return e2 @ (bz / (z + pole)) / (2j * np.pi)
 
 
-def _nystrom_stat(a, t, s, rho, factors, size=384):
+def _nystrom_stat(a, t, s, rho, tables, size=384):
     """det(1 - K), det(1 - K - f* x g1) and <g_rho, (1 - K)^-1 f*> on a Nystrom grid.
 
     The kernel, the rank-one pair and g_rho are tabulated on the nodes of
     build_grid(s, a, size) from their contour integrals.
     """
-    w, aw, z, bz = factors[:4]
+    factors = _stat_factors(a, t, 0.0, tables)
+    w, aw, z, _ = factors
+    bz_s = _stat_factors(a, t, s, tables)[3]
     cauchy = 1.0 / np.subtract.outer(w, z)
     two_pi_i = 2j * np.pi
     grid = fredholm.build_grid(s, a, size)
     x = grid.nodes
-    bz_s = bz * np.exp(-s * (z + 1.0))
     e1 = np.exp(np.multiply.outer(x, w + 1.0))
     f_star = (e1 @ (aw / (w + 1.0) + aw * (cauchy @ (bz_s / (z + 1.0))) / two_pi_i)) / two_pi_i
     g_one = 1.0 + _circle_sum(factors, x, 1.0)
@@ -260,10 +272,12 @@ def _nystrom_stat(a, t, s, rho, factors, size=384):
     return det1, det2, np.sum(grid.weights * g_rho * y)
 
 
-def _rho_factors(a, t, rho):
+def _rho_tables(a, t, rho):
+    """prob_stat_rho's tables: the packed contours, the circle at radius 0.9 rho."""
     line, circle = contours.build_packed_contours(a, t)
     radius = np.abs(circle.nodes).max()
-    return kernels.packed_factors(a, t, (line, contours.scale_circle(circle, 0.9 * rho / radius)))
+    circle = contours.scale_circle(circle, 0.9 * rho / radius)
+    return kernels.finite_tables(t, t, (line, circle), kernels.packed_gram_order(a, t))
 
 
 @pytest.mark.parametrize("t, a", [(4, 1.0), (4, 0.5)])
@@ -271,53 +285,50 @@ def test_stat_gram_pairings_match_a_nystrom_grid(t, a):
     # the bordered Gram and the rho pairings against the kernel, the rank-one
     # pair and g_rho tabulated on 384 grid nodes, at the finite-difference levels
     rho = 0.9
-    factors = _rho_factors(a, t, rho)
+    tables = _rho_tables(a, t, rho)
     m = kernels.packed_gram_order(a, t)
     h = 1e-3 * (1.0 + a * t)
     for s in (-h, 0.0, h):
-        bordered, _, left = kernels.stat_components(a, t, s, factors)
+        bordered, _, left = kernels.stat_components(a, t, s, tables)
         assert bordered.shape == (m + 1, m + 1) and left.shape[1] == m + 1
-        row, _ = kernels.stat_rho_pieces(a, t, s, rho, factors, left)
+        row, _ = kernels.stat_rho_pieces(a, t, s, rho, tables, left)
         gram = bordered[:m, :m]
         s_gram = row[m] + row[:m] @ np.linalg.solve(np.eye(m) - gram, bordered[:m, m])
-        det1, det2, s_grid = _nystrom_stat(a, t, s, rho, factors)
+        det1, det2, s_grid = _nystrom_stat(a, t, s, rho, tables)
         assert abs(np.linalg.det(np.eye(m) - gram) - det1) <= 1e-12
         assert abs(np.linalg.det(np.eye(m + 1) - bordered) - det2) <= 1e-12
         assert abs(s_gram - s_grid) <= 1e-12
 
 
-def _saddle_scaled_factors(a, t):
-    """packed_factors with aw and bz scaled by e^{-t H(w-)} and e^{t H(w+)}.
+def _saddle_scaled_tables(a, t, m):
+    """finite_tables of particle t with fw and fz shifted by t H(w-) and t H(w+).
 
-    The pairings keep every entry of order one at any t and a, where the
-    unscaled weights underflow; the series and Cauchy routes must agree on
-    any weights.
+    The stationary weights then carry e^{t (H(w) - H(w-))} and
+    e^{t (H(w+) - H(z))}, and the pairings keep every entry of order one at
+    any t and a, where the true-scale weights underflow; the series and
+    Cauchy routes must agree on any weights.
     """
-    line, circle = contours.build_packed_contours(a, t)
+    tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t), m)
     w_minus, w_plus = rates.saddle_points(a)
-    w, z = line.nodes, circle.nodes
-    aw = line.weights * np.exp(t * (rates._h_vals(w, a) - rates.phase_packed(w_minus, a)))
-    bz = circle.weights * np.exp(t * (rates.phase_packed(w_plus, a) - rates._h_vals(z, a)))
-    return (w, aw, z, bz) + kernels.packed_factors(a, t, (line, circle))[4:]
+    w, dw, fw, z, dz, fz = tables[:6]
+    return (w, dw, fw - t * rates.phase_packed(w_minus, a),
+            z, dz, fz - t * rates.phase_packed(w_plus, a)) + tables[6:]
 
 
-def _finite_weights(a, t):
+def _finite_weights(a, t, tables):
     """finite_gram's own contour weights at n = t and s = (2 + a) t.
 
     They carry e^{f(w) - f(w-)} and e^{f(w+) - f(z)}, with the saddles of
-    finite_anchors.  The e^{t (H(w) - H(w-))} of _saddle_scaled_factors, or
+    finite_anchors.  The e^{t (H(w) - H(w-))} of _saddle_scaled_tables, or
     the w- of saddle_points, round differently, and from t = 256 the Gram
     would then differ from its reference by more than 1e-13.
     """
-    line, circle = contours.build_packed_contours(a, t)
     n, s = t, (2 + a) * t
     w_minus, w_plus = contours.finite_anchors(n, t, s)
     f_lo = rates._f_vals(w_minus, n, t, s).real
     f_hi = rates._f_vals(w_plus, n, t, s).real
-    w, z = line.nodes, circle.nodes
-    aw = line.weights * np.exp(rates._f_vals(w, n, t, s) - f_lo)
-    bz = circle.weights * np.exp(f_hi - rates._f_vals(z, n, t, s))
-    return w, aw, z, bz
+    aw, bz = kernels.saddle_weights(tables, s, f_lo, f_hi, f"s = {s}")
+    return tables[0], aw, tables[3], bz
 
 
 def _cauchy_gram(w, aw, z, bz, m):
@@ -327,17 +338,16 @@ def _cauchy_gram(w, aw, z, bz, m):
     return -kernels._DOUBLE_PREF * (z_mom.T @ ((1.0 / np.subtract.outer(w, z)).T @ w_mom))
 
 
-def _cauchy_double_sums(a, t, s, rho, factors, left):
+def _cauchy_double_sums(a, t, s, rho, tables, left):
     """The bordered Gram and the rho row through 1/(w - z) whole.
 
     They follow stat_components and stat_rho_pieces with the series
-    replaced by the n_w x n_z Cauchy matrix.
+    replaced by the n_w x n_z Cauchy matrix, on the same weights.
     """
-    w, aw, z, bz = factors[:4]
-    m = factors[4].shape[1]
+    w, aw_s, z, bz_s = _stat_factors(a, t, s, tables)
+    m = tables[6].shape[1]
     two_pi_i = 2j * np.pi
     cauchy = 1.0 / np.subtract.outer(w, z)
-    aw_s, bz_s = aw * np.exp(s * (w + 1.0)), bz * np.exp(-s * (z + 1.0))
     right = bz_s[:, None] * np.column_stack((np.vander(z, m, increasing=True),
                                              1.0 / (two_pi_i * (z + 1.0))))
     coupled = cauchy @ right
@@ -357,18 +367,18 @@ def test_moment_grams_match_the_cauchy_double_sum(t, a):
     # the Cauchy factor through its series, cut at m: exact at m = t (every
     # term with j + l >= t integrates to zero), |w+|^(2m) <= 1e-18 below it
     rho = 0.9
-    factors = _saddle_scaled_factors(a, t)
     m = kernels.packed_gram_order(a, t)
-    assert factors[4].shape[1] == factors[5].shape[1] == m and m <= t
-    assert np.abs(factors[2]).max() < 0.9 * rho   # stat_rho_pieces keeps the circle
+    scaled = _saddle_scaled_tables(a, t, m)
+    assert scaled[6].shape[1] == scaled[7].shape[1] == m and m <= t
+    assert np.abs(scaled[3]).max() < 0.9 * rho   # stat_rho_pieces keeps the circle
     # the packed Gram is particle t's at level (2 + a) t, where rho = 1
     tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t), m)
     gram = kernels.finite_gram(t, t, (2 + a) * t, tables)[0]
-    ref_gram = _cauchy_gram(*_finite_weights(a, t), m)
+    ref_gram = _cauchy_gram(*_finite_weights(a, t, tables), m)
     for s in (-0.25, 0.0, 0.5):
-        bordered, _, left = kernels.stat_components(a, t, s, factors)
-        row = kernels.stat_rho_pieces(a, t, s, rho, factors, left)[0]
-        ref_bordered, ref_row = _cauchy_double_sums(a, t, s, rho, factors, left)
+        bordered, _, left = kernels.stat_components(a, t, s, scaled)
+        row = kernels.stat_rho_pieces(a, t, s, rho, scaled, left)[0]
+        ref_bordered, ref_row = _cauchy_double_sums(a, t, s, rho, scaled, left)
         for new, ref in ((gram, ref_gram), (bordered, ref_bordered), (row, ref_row)):
             assert np.abs(ref).max() > 0.0
             assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
@@ -376,18 +386,19 @@ def test_moment_grams_match_the_cauchy_double_sum(t, a):
 
 def test_stat_components_boundary_remainder_and_rho_pairing():
     a, t, rho = 1.0, 4, 0.9
-    factors = _rho_factors(a, t, rho)
+    tables = _rho_tables(a, t, rho)
+    factors = _stat_factors(a, t, 0.0, tables)
     h = 1e-5
     for s in (0.0, 0.5, 2.0):
         # the boundary remainder from Fhat_t = s + a t + Rhat_t(s) - 1
-        r_hat = [kernels.stat_components(a, t, u, factors)[1] - u - a * t + 1.0
+        r_hat = [kernels.stat_components(a, t, u, tables)[1] - u - a * t + 1.0
                  for u in (s - h, s + h)]
         # derivative identity d/ds r_hat = g_one(s) - 1, by central differences
         np.testing.assert_allclose((r_hat[1] - r_hat[0]) / (2 * h),
                                    _circle_sum(factors, s, 1.0)[0].real, atol=1e-9)
         # <g_rho, 1> against the quadrature of g_rho over (s, infinity)
-        left = np.zeros((factors[0].size, 1))
-        pair = kernels.stat_rho_pieces(a, t, s, rho, factors, left)[1]
+        left = np.zeros((tables[0].size, 1))
+        pair = kernels.stat_rho_pieces(a, t, s, rho, tables, left)[1]
 
         def g_rho(x):
             residue = np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * x)
@@ -398,9 +409,10 @@ def test_stat_components_boundary_remainder_and_rho_pairing():
 
 def test_stat_rho_pieces_rejects_wide_circle():
     a, t = 1.0, 4
-    factors = kernels.packed_factors(a, t, contours.build_packed_contours(a, t))
+    tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t),
+                                   kernels.packed_gram_order(a, t))
     with pytest.raises(NumericFailure):
-        kernels.stat_rho_pieces(a, t, 0.0, 0.05, factors, np.zeros((1, 1)))
+        kernels.stat_rho_pieces(a, t, 0.0, 0.05, tables, np.zeros((1, 1)))
 
 
 @pytest.mark.parametrize("fn, xi1, xi2", [
