@@ -28,7 +28,6 @@ from .kernels import (
 )
 from .fredholm import (
     ProbResult,
-    QuadGrid,
     build_grid,
     prob_finite_n,
     prob_flat,
@@ -53,7 +52,6 @@ __all__ = [
     "KernelEval",
     "NumericFailure",
     "ProbResult",
-    "QuadGrid",
     "SaddleDiagnostics",
     "SampleBatch",
     "SimConfig",

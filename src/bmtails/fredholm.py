@@ -15,16 +15,18 @@ same tables (:func:`_stationary`).
 
 The flat determinant det(1 - P_0 K P_0) is evaluated by the Nystrom
 method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes u in
-(0,1) are mapped to xi = s - log(1-u)/d, which absorbs the proven
-exponential kernel decay (rate |z_a + 1|) so grids of a few dozen nodes
-converge.  With M = W^1/2 K W^1/2, log det(I - M) comes from LU while the
-survival |1 - det| is at least 1e-2, where LU's absolute error of about
-N eps is about 1e-12 relative.
+(0,1) are mapped to xi = s - log(1-u)/d by :func:`build_grid`, which
+absorbs the proven exponential kernel decay (rate |z_a + 1|) so grids of
+a few dozen nodes converge.  With M = W^1/2 K W^1/2, log det(I - M) comes
+from LU while the survival |1 - det| is at least 1e-2, where LU's
+absolute error of about N eps is about 1e-12 relative.
 Smaller survivals, which 1 - det would lose to cancellation, come from the
 trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
-it needs ||M||_F < 1/2, or NumericFailure is raised.  Below e^-600 the flat
-survival is e^{-t r} times the integral of the kernel's diagonal, exact on
-the spiral, and no grid is built (see :func:`prob_flat`).
+it needs ||M||_F < 1/2, or NumericFailure is raised.  A kernel e^{L} Kt
+with Kt bounded and L below -600 has survival e^{L} tr(Kt), one rule
+(:func:`_deep_trace`) for the Gram routes and the flat one.  On the flat
+route tr(Kt) is the integral of the kernel's diagonal, exact on the
+spiral, and no grid is built (see :func:`prob_flat`).
 
 Every entry point hands a closure evaluate(size, scale) and its fixed
 ladder of sizes to one driver, :func:`_solve`, which doubles the contour
@@ -77,7 +79,7 @@ from .kernels import (
     stat_components,
     stat_rho_pieces,
 )
-from .rates import check_a, rate_flat, rate_packed, solve_za
+from .rates import check_a, rate_flat, rate_packed
 
 log = logging.getLogger("bmtails.fredholm")
 
@@ -104,23 +106,6 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
-class QuadGrid:
-    nodes: np.ndarray
-    weights: np.ndarray
-    size: int
-
-    def __post_init__(self):
-        if self.size < 8:
-            raise ValueError("grid size must be at least 8")
-        if not (np.isfinite(self.nodes).all() and np.isfinite(self.weights).all()):
-            raise ValueError("grid nodes and weights must be finite")
-        if np.any(self.weights <= 0):
-            raise ValueError("grid weights must be positive")
-        if np.any(np.diff(self.nodes) <= 0):
-            raise ValueError("grid nodes must be strictly increasing")
-
-
-@dataclass(frozen=True)
 class ProbResult:
     p: float
     log_survival: float
@@ -143,14 +128,20 @@ def _gauss_legendre(size):
 
 
 def build_grid(s, decay_rate, size):
-    """Exponentially mapped Gauss-Legendre grid on (s, infinity)."""
-    if decay_rate <= 0:
-        raise ValueError("decay_rate must be positive")
+    """(nodes, weights) of Gauss-Legendre on (0, 1) mapped by u -> s - log(1 - u) / decay_rate.
+
+    The nodes increase strictly on (s, infinity) and the weights are positive.
+    """
+    if size < 8:
+        raise ValueError(f"grid size must be at least 8, got {size}")
+    if not 0.0 < decay_rate < np.inf:
+        raise ValueError(f"decay_rate must be finite and positive, got {decay_rate}")
     x, w = _gauss_legendre(int(size))
     u = 0.5 * (x + 1.0)
     nodes = s - np.log1p(-u) / decay_rate
-    weights = 0.5 * w / (decay_rate * (1.0 - u))
-    return QuadGrid(nodes=nodes, weights=weights, size=int(size))
+    if not np.isfinite(nodes).all():
+        raise ValueError("grid nodes must be finite")
+    return nodes, 0.5 * w / (decay_rate * (1.0 - u))
 
 
 def _det_core(kmat, weights):
@@ -268,16 +259,23 @@ def _solve(what, evaluate, sizes):
                       refinement_delta=delta, grid_size=size)
 
 
+def _deep_trace(log_scale, trace):
+    """(p, log_survival, im_residue) of det(1 - e^{log_scale} K), K bounded with trace ``trace``.
+
+    At log_scale <= _DEEP_LOG_SCALE, 1 - det is e^{log_scale} trace to a relative
+    e^{log_scale} |K| < 1e-260; the trace's phase is the imaginary residue.
+    """
+    return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+
+
 def _gram_det(gram, log_scale):
     """(p, log_survival, im_residue) of det(I - e^{log_scale} gram), gram bounded.
 
-    Below _DEEP_LOG_SCALE, 1 - det is e^{log_scale} tr(gram) to a relative
-    e^{log_scale} |gram| < 1e-260; the trace's phase is the imaginary residue.
+    Below _DEEP_LOG_SCALE the survival is :func:`_deep_trace`'s.
     """
     if log_scale > _DEEP_LOG_SCALE:
         return _det_core(np.exp(log_scale) * gram, np.ones(len(gram)))
-    trace = complex(np.trace(gram))
-    return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+    return _deep_trace(log_scale, complex(np.trace(gram)))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +291,7 @@ def prob_packed(t, a):
     :func:`kernels.packed_gram_order`, with no Nystrom grid: grid_size
     reports m, and only the contour density is doubled.  G = e^{-t r} Gt
     with Gt bounded, so once t r exceeds 600 log_survival is
-    -t r + log tr(Gt) (:func:`_gram_det`).
+    -t r + log tr(Gt) (:func:`_deep_trace`).
     """
     a = check_a(a)
     t = _check_time(t)
@@ -311,27 +309,23 @@ def prob_flat(t, a):
 
     det(1 - P_0 Khat P_0) on a Nystrom grid of 48 to 384 nodes, with the
     spiral of :func:`contours.flat_contour_for` doubled in density at each
-    rung.  Khat = e^{-t r} Kt with Kt bounded.  Once t r exceeds 600,
-    1 - det is e^{-t r} times the integral of Kt's diagonal, up to a relative
-    e^{-t r} |Kt| below 1e-260, and that integral is exact on the spiral
-    (:func:`kernels.khat_flat_trace`): log_survival is -t r plus its log,
-    the phase of the integral is the imaginary residue, and grid_size is 0,
-    since no grid is built.
+    rung.  One :func:`rates.rate_flat` call gives the saddle z_a and the
+    rate r.  Khat = e^{-t r} Kt with Kt bounded.  Once t r exceeds 600 the
+    survival is :func:`_deep_trace`'s, the trace being the integral of
+    Kt's diagonal, exact on the spiral (:func:`kernels.khat_flat_trace`),
+    and grid_size is 0, since no grid is built.
     """
     a = check_a(a)
     t = float(t)
-    z_a = solve_za(a)
-    decay = abs(z_a + 1.0)
-    rate = rate_flat(a).rate
+    saddle = rate_flat(a)
+    z_a, rate = saddle.saddle_lo, saddle.rate
 
     def evaluate(size, scale):
         path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, z_a=z_a)
         if not size:
-            trace = khat_flat_trace(a, t, path, rate)
-            return 1.0, -t * rate + float(np.log(trace.real)), abs(trace.imag / trace.real)
-        grid = build_grid(0.0, decay, size)
-        kmat = khat_flat_grid(a, t, grid.nodes, grid.nodes, path)
-        return _det_core(kmat, grid.weights)
+            return _deep_trace(-t * rate, khat_flat_trace(a, t, path, rate))
+        nodes, weights = build_grid(0.0, abs(z_a + 1.0), size)
+        return _det_core(khat_flat_grid(a, t, nodes, nodes, path), weights)
 
     deep = -t * rate <= _DEEP_LOG_SCALE
     return _solve("prob_flat", evaluate, [0] * 4 if deep else [48, 96, 192, 384])

@@ -79,7 +79,7 @@ class SimConfig:
     def __post_init__(self):
         if self.ic not in _ICS:
             raise ValueError(f"ic must be one of {_ICS}, got {self.ic!r}")
-        if self.t != int(self.t) or self.t < 1:
+        if self.t % 1 or self.t < 1:      # t % 1 is nan for inf and nan
             raise ValueError("t must be a positive integer (the tagged index)")
         object.__setattr__(self, "t", int(self.t))
         if self.dt is None:
@@ -91,6 +91,10 @@ class SimConfig:
         least = 1 if self.ic == "flat" else 0
         if self.cutoff < least:
             raise ValueError(f"cutoff must be >= {least} for the {self.ic} start")
+        for name, value in (("cutoff", self.cutoff), ("reps", self.reps), ("seed", self.seed)):
+            if value % 1:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
         if not 0 <= self.seed < 2 ** 64:

@@ -47,9 +47,9 @@ def test_packed_gram_determinant_is_the_nystrom_one(t, a):
     gram, log_scale = kernels.finite_gram(t, t, (2 + a) * t,
                                           kernels.finite_tables(t, t, contours_, t))
     det = np.linalg.det(np.eye(t) - np.exp(log_scale) * gram)
-    grid = fredholm.build_grid(0.0, a, 96)
-    kmat = kernels.khat_packed_grid(grid.nodes, grid.nodes, kernels.packed_factors(a, t, contours_))
-    assert abs(det - fredholm._det_core(kmat, grid.weights)[0]) <= 1e-13
+    nodes, weights = fredholm.build_grid(0.0, a, 96)
+    kmat = kernels.khat_packed_grid(nodes, nodes, kernels.packed_factors(a, t, contours_))
+    assert abs(det - fredholm._det_core(kmat, weights)[0]) <= 1e-13
 
 
 def test_khat_matches_raw_kernel_at_shifted_level():
@@ -119,9 +119,9 @@ def test_prob_finite_n_matches_dense_determinant(n, t, s):
     assert res.grid_size == n
     c, w_hi = contours.finite_anchors(n, t, s)
     decay = max(0.4 / np.sqrt(t), 0.8 * (s - 2.0 * np.sqrt(n * t)) / t)
-    grid = fredholm.build_grid(s, decay, 128)
-    kmat = kernels.raw_kernel_grid(n, t, grid.nodes, grid.nodes, line_re=c, circle_rad=-w_hi)
-    assert abs(res.p - fredholm._det_core(kmat, grid.weights)[0]) <= 1e-13
+    nodes, weights = fredholm.build_grid(s, decay, 128)
+    kmat = kernels.raw_kernel_grid(n, t, nodes, nodes, line_re=c, circle_rad=-w_hi)
+    assert abs(res.p - fredholm._det_core(kmat, weights)[0]) <= 1e-13
 
 
 def test_raw_kernel_validates_nesting():
@@ -258,18 +258,17 @@ def _nystrom_stat(a, t, s, rho, tables, size=384):
     bz_s = _stat_factors(a, t, s, tables)[3]
     cauchy = 1.0 / np.subtract.outer(w, z)
     two_pi_i = 2j * np.pi
-    grid = fredholm.build_grid(s, a, size)
-    x = grid.nodes
+    x, weights = fredholm.build_grid(s, a, size)
     e1 = np.exp(np.multiply.outer(x, w + 1.0))
     f_star = (e1 @ (aw / (w + 1.0) + aw * (cauchy @ (bz_s / (z + 1.0))) / two_pi_i)) / two_pi_i
     g_one = 1.0 + _circle_sum(factors, x, 1.0)
     g_rho = (np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * x)
              + _circle_sum(factors, x, rho))
     kmat = kernels.khat_packed_grid(x, x, factors)
-    det1 = fredholm._det_core(kmat, grid.weights)[0]
-    det2 = fredholm._det_core(kmat + np.outer(f_star, g_one), grid.weights)[0]
-    y = np.linalg.solve(np.eye(size) - kmat * grid.weights, f_star)
-    return det1, det2, np.sum(grid.weights * g_rho * y)
+    det1 = fredholm._det_core(kmat, weights)[0]
+    det2 = fredholm._det_core(kmat + np.outer(f_star, g_one), weights)[0]
+    y = np.linalg.solve(np.eye(size) - kmat * weights, f_star)
+    return det1, det2, np.sum(weights * g_rho * y)
 
 
 def _rho_tables(a, t, rho):

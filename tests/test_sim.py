@@ -26,6 +26,10 @@ def test_config_defaults():
     # the default step is capped at the largest accepted one
     assert sim.SimConfig(ic="packed", t=64).dt == 0.25
     assert sim.SimConfig(ic="packed", t=1, dt=0.25).dt == 0.25
+    # integral floats are stored as the ints the simulator indexes with
+    counts = sim.SimConfig(ic="flat", t=2.0, cutoff=3.0, reps=4.0, seed=5.0)
+    assert [(type(v), v) for v in (counts.t, counts.cutoff, counts.reps, counts.seed)] == \
+        [(int, 2), (int, 3), (int, 4), (int, 5)]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -42,6 +46,10 @@ def test_config_defaults():
     dict(ic="packed", t=1, cutoff=-1),
     dict(ic="flat", t=1, cutoff=-1),
     dict(ic="stationary", t=1, cutoff=-1),
+    dict(ic="packed", t=float("inf")),
+    dict(ic="packed", t=2, reps=2.5),
+    dict(ic="packed", t=2, seed=1.5),
+    dict(ic="flat", t=2, cutoff=2.5),
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
