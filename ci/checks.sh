@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# The checks that both CI jobs run, one per call, from the repository root:
+# The checks that the CI job runs, one per call, from the repository root:
 #
-#   bash ci/checks.sh deep-packed|deep-stationary|deep-flat|benchmark-tests|verify-full
+#   bash ci/checks.sh deep-packed|deep-stationary|deep-flat|benchmark-tests|benchmark-checks|verify-fast|verify-full
 #
 # Each exits non-zero when its check fails.  -e and pipefail are the options
 # of a workflow step with an explicit bash shell, so a failing command is not
@@ -66,6 +66,29 @@ case "${1:-}" in
   benchmark-tests)
     python -m pytest -q perfbench
     ;;
+  # one run of all three workloads (about 30 s): det-points holds its 37
+  # queries to perfbench/reference.json, det-levels holds verify's level
+  # sweeps of prob_finite_n to it and to check 7's Gaussian bound, and
+  # sim-mc pools the simulator runs against the eigenvalue and stationary
+  # oracles; the last line ANDs the three verdicts and sums their failures
+  benchmark-checks)
+    python perfbench/run.py --workload all --seconds 1 --trace 0 | tee benchmark.txt
+    tail -n 1 benchmark.txt | python -c '
+import json, sys
+rec = json.load(sys.stdin)
+print("correct:", rec["correct"], "failed:", rec["failed"])
+sys.exit(0 if rec["correct"] is True and rec["failed"] == 0 else 1)
+'
+    ;;
+  # checks 1 to 6, the fast subset whose output check 13 hashes
+  verify-fast)
+    PYTHONPATH=src python -m bmtails verify --fast | tee verify_fast.txt
+    last=$(tail -n 1 verify_fast.txt | tr -d '\r')
+    if [ "$last" != "6 of 6 checks passed" ]; then
+      echo "unexpected last line: $last"
+      exit 1
+    fi
+    ;;
   # all 13 checks, the simulator checks 8, 11 and 12 included (about 10 s)
   verify-full)
     PYTHONPATH=src python -m bmtails verify | tee verify_full.txt
@@ -76,7 +99,7 @@ case "${1:-}" in
     fi
     ;;
   *)
-    echo "usage: bash ci/checks.sh deep-packed|deep-stationary|deep-flat|benchmark-tests|verify-full" >&2
+    echo "usage: bash ci/checks.sh deep-packed|deep-stationary|deep-flat|benchmark-tests|benchmark-checks|verify-fast|verify-full" >&2
     exit 2
     ;;
 esac

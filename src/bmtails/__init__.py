@@ -24,7 +24,6 @@ from .kernels import (
     KernelEval,
     khat_packed,
     klimit,
-    stat_components,
 )
 from .fredholm import (
     ProbResult,
@@ -79,7 +78,6 @@ __all__ = [
     "saddle_packed",
     "simulate_samples",
     "solve_za",
-    "stat_components",
     "stationary_gap_check",
     "steep_descent_report",
     "tail_estimate",

@@ -18,7 +18,7 @@ phase H is that phase at n = t and level (2 + a) t, so
 :func:`build_finite_contours`, the one layout of a saddle line and circle;
 the raw finite-n kernel matrix uses a line and a circle placed by the
 caller.  The node-count rules of each route sit beside the function that
-lays it out, and one helper rescales a circle.
+lays it out, under one bound _MAX_NODES, and one helper rescales a circle.
 The saddle and spiral builders take their density as an int,
 points_per_unit (default 64, at least 8), which the determinant solver
 doubles at each refinement step.
@@ -47,6 +47,10 @@ _TRUNCATION_TOL = 1e-12
 POINTS_PER_UNIT = 64
 # the flat spiral's tau window never reaches past this many turns
 _TAU_CAP = 4.0
+# the most nodes a saddle contour, or the spiral per unit of tau, may take; at
+# t = 2^20, a in [0.25, 5], the most are 76,382 (circle, a = 5) and 1,156,644
+# (spiral, a = 0.25, at 8x density)
+_MAX_NODES = 2 ** 21
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,14 @@ def _check_density(points_per_unit):
     if points_per_unit < 8:
         raise ValueError(f"points_per_unit must be at least 8, got {points_per_unit}")
     return points_per_unit
+
+
+def _node_count(count, what, t):
+    """A float node count or density as an int; NumericFailure past _MAX_NODES, before any array."""
+    if not count <= _MAX_NODES:
+        raise NumericFailure(f"the {what} would be {count:.3g}, above {_MAX_NODES} at t = {t:g}",
+                             hint="node counts grow like sqrt(t); t = 2^20 needs at most 1.2e6")
+    return int(count)
 
 
 def _check_finite(x, name):
@@ -149,14 +161,16 @@ def finite_anchors(n, t, s):
     """(c, w_hi): where the particle-n line and circle cross the negative real axis.
 
     Above the edge s > 2 sqrt(n t) these are the saddles w- and w+ = n / (t w-)
-    of f(w) = t w^2/2 + n log(-w) + s w.  At or below it, with no real
-    saddle, c = -0.3 / sqrt(t) and the circle's radius is 0.85 |c|.
+    of f(w) = t w^2/2 + n log(-w) + s w.  At or below it c = -sqrt(n / t), the
+    modulus of the complex saddles, and the circle's radius is 0.9 |c|: there
+    the line's weights stay below one, the circle's below e^{(0.9 sqrt(n) -
+    s / (2 sqrt(t)))^2}, and the powers (c / w)^l and (z / c)^l below one.
     """
     if s > 2.0 * np.sqrt(n * t):
         c = -(s + np.sqrt(s * s - 4.0 * n * t)) / (2.0 * t)
         return c, n / (t * c)
-    c = -0.3 / np.sqrt(t)
-    return c, 0.85 * c
+    c = -np.sqrt(n / t)
+    return c, 0.9 * c
 
 
 def build_finite_contours(n, t, anchors, points_per_unit=POINTS_PER_UNIT):
@@ -164,10 +178,11 @@ def build_finite_contours(n, t, anchors, points_per_unit=POINTS_PER_UNIT):
 
     anchors are :func:`finite_anchors` of a level; node densities resolve the
     Gaussian widths 1 / sqrt|f''| of the phase, |f''| = |t - n / w^2|, at both
-    anchors, so the trapezoidal rule stays spectrally accurate as t grows.
-    Below the edge the line's 12 sqrt|f''(c)|, about 12 sqrt(n) / |c| nodes
-    per unit, resolves the pole of w^-n at distance |c| from it.  The layout
-    depends on the level only through the anchors, the same at every
+    anchors, and the line's cubic width |f'''(c)|^(-1/3), f''' = 2 n / w^3,
+    which sets it where f'' vanishes, at the bulk anchor c = -sqrt(n / t), and
+    near the edge: in w / |c| the phase depends on t only through s |c|, so
+    12 (2 n)^(1/3) / |c| nodes per unit serve every t.  The layout depends
+    on the level only through the anchors, the same at every
     s <= 2 sqrt(n t), so prob_finite_n lays out the bulk contours, and forms
     their tables, once per (n, t, density) and shares them by all levels.
     """
@@ -175,14 +190,14 @@ def build_finite_contours(n, t, anchors, points_per_unit=POINTS_PER_UNIT):
     _check_density(points_per_unit)
     c, w_hi = anchors
     y_max = _line_halfwidth(c, n / t, t, _TRUNCATION_TOL)
-    per_unit = max(points_per_unit, int(np.ceil(12.0 * np.sqrt(abs(t - n / (c * c))))))
-    line = _line(c, y_max, 2 * int(np.ceil(y_max * per_unit)) + 1)
-    m = max(
-        int(np.ceil(2.0 * np.pi * points_per_unit)),
-        int(np.ceil(24.0 * np.pi * np.sqrt(abs(n / (w_hi * w_hi) - t)) * abs(w_hi))),
-    )
+    per_unit = max(points_per_unit, np.ceil(12.0 * np.sqrt(abs(t - n / (c * c)))),
+                   np.ceil(12.0 * np.cbrt(2.0 * n) / abs(c)))
+    count = _node_count(2.0 * np.ceil(y_max * per_unit) + 1.0, "line's node count", t)
+    m = _node_count(max(np.ceil(2.0 * np.pi * points_per_unit),
+                        np.ceil(24.0 * np.pi * np.sqrt(abs(n / (w_hi * w_hi) - t)) * abs(w_hi))),
+                    "circle's node count", t)
     m += m % 2  # keep theta = 0 on the grid
-    return line, _circle(w_hi, m)
+    return _line(c, y_max, count), _circle(w_hi, m)
 
 
 def build_raw_contours(n, t, xi1, xi2, c, r):
@@ -271,7 +286,9 @@ def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):
     if z_a is None:
         z_a = solve_za(a)
     eta = flat_curvature(z_a, a)
-    ppu = int(np.ceil(points_per_unit * max(1.0, np.sqrt(t * abs(eta)) / 8.0)))
+    # the spiral's node count, about 3.7 points_per_unit, does not grow with t
+    ppu = _node_count(np.ceil(points_per_unit * max(1.0, np.sqrt(t * abs(eta)) / 8.0)),
+                      "spiral's nodes per unit of tau", t)
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
     tau_max = min(_TAU_CAP, span)
     return build_flat_contour(a, ppu, tau_max, z_a=z_a)

@@ -158,12 +158,15 @@ def _det_core(kmat, weights):
     slow subnormal arithmetic.
     The log of a real determinant has imaginary part a multiple of pi, odd
     when it is negative; the residue from that multiple is returned.
-    An LU log det above that of the largest double raises NumericFailure;
+    An M or an LU log det past the largest double raises NumericFailure;
     the series' is bounded by its norm.
     """
     sq = np.sqrt(weights)
-    m = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
-    norm = float(np.linalg.norm(m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
+        norm = float(np.linalg.norm(m))
+    if not norm < np.inf:
+        raise NumericFailure(f"M overflows: ||M||_F = {norm}", hint="M passes the largest double")
     series = norm < _SERIES_NORM and \
         abs(np.trace(m)) + norm * norm / (1.0 - norm) < _LU_SKIP
     if not series:
@@ -274,7 +277,9 @@ def _gram_det(gram, log_scale):
     Below _DEEP_LOG_SCALE the survival is :func:`_deep_trace`'s.
     """
     if log_scale > _DEEP_LOG_SCALE:
-        return _det_core(np.exp(log_scale) * gram, np.ones(len(gram)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            kmat = np.exp(log_scale) * gram    # past the largest double, _det_core raises
+        return _det_core(kmat, np.ones(len(gram)))
     return _deep_trace(log_scale, complex(np.trace(gram)))
 
 
@@ -359,12 +364,12 @@ def _fd_derivative(D, a, t, what):
 
 
 def _stationary(what, t, a, rho, D_at):
-    """:func:`_solve` on D(s) = D_at(tables, size, ims, s) at each contour density.
+    """:func:`_solve` on D(s) = D_at(a, t, tables, size, ims, s) at each contour density.
 
-    tables are :func:`kernels.finite_tables` of particle t on the packed
-    contours, the circle shrunk to radius 0.9 rho at a density rho < 1,
-    shared by all finite-difference levels; D_at appends its imaginary
-    residues to ims.  p is D'(0) at unit density (rho None), else
+    a and t are checked here; tables are :func:`kernels.finite_tables` of
+    particle t on the packed contours, the circle shrunk to radius 0.9 rho at
+    a density rho < 1, shared by all finite-difference levels; D_at appends
+    its imaginary residues to ims.  p is D'(0) at unit density (rho None), else
     D(0) + D'(0) / (1 - rho), its rounding bound divided likewise; a
     survival 0 < 1 - p below _FD_FLOOR times the bound raises NumericFailure.
     """
@@ -377,7 +382,7 @@ def _stationary(what, t, a, rho, D_at):
         if rho is not None and radius >= 0.9 * rho:
             circle = scale_circle(circle, 0.9 * rho / radius)
         ims = []
-        D = functools.partial(D_at, finite_tables(t, t, (line, circle), size), size, ims)
+        D = functools.partial(D_at, a, t, finite_tables(t, t, (line, circle), size), size, ims)
         p, rounding = _fd_derivative(D, a, t, what)
         if rho is not None:
             p, rounding = D(0.0) + p / (1.0 - rho), rounding / (1.0 - rho)
@@ -405,8 +410,8 @@ def prob_stat(t, a):
     :func:`prob_packed` builds for the same (t, a) (:func:`_stationary`).
     """
 
-    def D_at(tables, size, ims, s):
-        bordered, f_hat_t, _ = stat_components(a, t, s, tables)
+    def D_at(a, t, tables, size, ims, s):
+        bordered, f_hat_t = stat_components(a, t, s, tables)[:2]
         det1, _, im1 = _det_core(bordered[:size, :size], np.ones(size))
         det2, _, im2 = _det_core(bordered, np.ones(size + 1))
         ims.extend((im1, im2))
@@ -428,9 +433,9 @@ def prob_stat_rho(t, a, rho):
     if not 0.0 < rho < 1.0:
         raise ValueError(f"density rho must lie in (0, 1), got {rho}")
 
-    def D_at(tables, size, ims, s):
-        bordered, _, left = stat_components(a, t, s, tables)
-        row, pair = stat_rho_pieces(a, t, s, rho, tables, left)
+    def D_at(a, t, tables, size, ims, s):
+        bordered, _, left, bz = stat_components(a, t, s, tables)
+        row, pair = stat_rho_pieces(a, t, s, rho, tables, left, bz)
         gram = bordered[:size, :size]
         det1, _, im = _det_core(gram, np.ones(size))
         y = np.linalg.solve(np.eye(size) - gram, bordered[:size, size])

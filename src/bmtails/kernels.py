@@ -32,9 +32,9 @@ The stationary one-point formula needs a boundary-value remainder and a
 rank-one pair on the packed contours, from the packed Gram's own
 :func:`finite_tables`.  One routine, :func:`saddle_weights`, exponentiates
 the phase for every saddle route: at the anchors for :func:`finite_gram`,
-at the true scale of e^{t H}, which the boundary remainder needs, for
-:func:`stat_components` (the packed Gram bordered by the rank-one pair)
-and :func:`stat_rho_pieces` (the pairings of the density-rho factor g_rho).
+at the true scale of e^{t H}, which the boundary remainder needs, once per
+level in :func:`stat_components` (the packed Gram bordered by the rank-one
+pair), which hands its circle weights on to :func:`stat_rho_pieces`.
 Every function involved is a sum of exponentials in xi over the contour
 nodes, or a constant, so each integral over (s, infinity) is exact.
 :func:`khat_packed_grid` tabulates the packed kernel itself on a grid,
@@ -162,8 +162,8 @@ def saddle_weights(tables, sigma, lo, hi, where):
         bz = dz * np.exp(hi - (fz + sigma * z))
     if not (np.isfinite(aw).all() and np.isfinite(bz).all()):
         raise NumericFailure(f"the contour weights overflow at {where}",
-                             hint="at or below the edge 2 sqrt(n t) the line's grow like "
-                                  "(n / (0.09 e))^(n/2), and the circle's like e^(-0.51 s / sqrt(t))")
+                             hint="at or below the edge 2 sqrt(n t) the line's stay below one, "
+                                  "and the circle's reach e^((0.9 sqrt(n) - s / (2 sqrt(t)))^2)")
     return aw, bz
 
 
@@ -183,29 +183,23 @@ def finite_gram(n, t, s, tables):
     e^{f(w_hi) - f(z)}.  The z-integrand's only pole is of order n at 0, so
     order n is exact.  Above the edge c and w_hi are the saddles w- and w+,
     both weights have modulus at most one, and the gram stays bounded
-    however deep the tail.  The packed Gram is
-    particle n = t at s = (2 + a) t, cut at :func:`packed_gram_order`.
-    The powers are those of w / rho and z / rho, rho = sqrt(n / t) =
-    sqrt(w- w+): this conjugates the gram by diag(rho^j) and scales it by
-    rho^-2, which keeps det and trace, and above the edge keeps every power
-    at most one, so n > t does not overflow them.  Only s w and the anchors
-    depend on the level, so at or below the edge the tables are formed once
-    per (n, t, contour density) and shared by all levels.  A weight or a
-    moment that overflows raises NumericFailure.
+    however deep the tail.  The packed Gram is particle n = t at
+    s = (2 + a) t, cut at :func:`packed_gram_order`.  The powers are those
+    of w / rho and z / rho, rho = sqrt(n / t) = sqrt(w- w+): this conjugates
+    the gram by diag(rho^j) and scales it by rho^-2, which keeps det and
+    trace, and keeps every power at most one (below the edge |c| = rho), so
+    n > t does not overflow them.  Only s w and the anchors depend on the
+    level, so at or below the edge the tables are formed once per (n, t,
+    contour density) and shared by all levels.  A weight that overflows
+    raises NumericFailure, and so does a moment, in :func:`fredholm._det_core`.
     """
     z_pows, w_pows = tables[6:]
     c, w_hi = finite_anchors(n, t, s)
     f_lo, f_hi = float(_f_vals(c, n, t, s).real), float(_f_vals(w_hi, n, t, s).real)
     rho = np.sqrt(n / t)
-    where = f"n = {n}, t = {t}, s = {s}"
-    aw, bz = saddle_weights(tables, s, f_lo, f_hi, where)
+    aw, bz = saddle_weights(tables, s, f_lo, f_hi, f"n = {n}, t = {t}, s = {s}")
     with np.errstate(over="ignore", invalid="ignore"):
         gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
-    if not np.isfinite(gram).all():
-        raise NumericFailure(f"the finite-n Gram overflows at {where}",
-                             hint="at or below the edge 2 sqrt(n t) the line sits at "
-                                  "|w| = 0.3 / sqrt(t), and its powers (rho / w)^l, "
-                                  "rho = sqrt(n / t), and their moments pass the largest double")
     return -_DOUBLE_PREF * gram / (rho * rho), f_lo - f_hi
 
 
@@ -274,23 +268,15 @@ def khat_flat_trace(a, t, path, rate):
 # stationary Gram pairings (on the packed tables)
 
 
-def _stat_weights(a, t, s, tables):
-    """Weights carrying e^{t H(w) + s (w+1)} and e^{-t H(z) - s (z+1)}, at their true scale.
-
-    t H(w) + s (w+1) is the particle-t phase at sigma = (2 + a) t + s less t/2 - sigma.
-    """
-    sigma = (2.0 + a) * t + s
-    return saddle_weights(tables, sigma, t / 2.0 - sigma, t / 2.0 - sigma, f"s = {s}")
-
-
-def stat_components(a, t, s_offset, tables):
+def stat_components(a, t, s, tables):
     """Gram pairings of the unit-density stationary determinants at offset s.
 
     On the :func:`finite_tables` of particle t on the packed contours, the
     packed kernel is K = L R^T with L_k = (2 pi i)^-2 sum_w aw w^-(k+1) e^{xi (w+1)}
     and R_j = sum_z bz z^j e^{-xi (z+1)}, k, j < m (see :func:`finite_gram`),
-    aw and bz carrying e^{t H(w)} and e^{-t H(z)} at their true scale, which
-    the boundary remainder needs.  The rank-one pair is
+    aw and bz carrying e^{t H(w) + s (w+1)} and e^{-t H(z) - s (z+1)} at their
+    true scale, which the boundary remainder needs: the particle-t phase at
+    sigma = (2 + a) t + s less t/2 - sigma.  The rank-one pair is
     f*(xi) = sum_w c_w e^{xi (w+1)} (decaying) and
     g1(xi) = 1 + (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z+1).  On (s, infinity)
     a line term pairs with a circle term through the integral of e^{xi (w-z)},
@@ -298,19 +284,18 @@ def stat_components(a, t, s_offset, tables):
     e^{xi (w+1)}, -e^{s (w+1)} / (w+1), since Re(w + 1) < 0 on the line.
     1/(w - z) acts through the power tables, exact at m = t for g1 too.
 
-    Returns (bordered, f_hat_t, left).  bordered is the Gram of order m + 1,
-    [[G, <R, f*>], [<g1, L>, <g1, f*>]]: det(I - G) is det(1 - P_s K P_s)
-    and det(I - bordered) is det(1 - P_s (K + f* x g1) P_s).
+    Returns (bordered, f_hat_t, left, bz).  bordered is the Gram of order
+    m + 1, [[G, <R, f*>], [<g1, L>, <g1, f*>]]: det(I - G) is
+    det(1 - P_s K P_s) and det(I - bordered) is det(1 - P_s (K + f* x g1) P_s).
     f_hat_t = s + a t + Rhat_t(s) - 1 with the boundary remainder Rhat_t(s).
     left holds the line coefficients of L_0 .. L_{m-1} and f*, each times
-    e^{s (w+1)}, for :func:`stat_rho_pieces`.
+    e^{s (w+1)}, and bz the circle weights, for :func:`stat_rho_pieces`: each
+    level calls :func:`saddle_weights` once, and a and t are not re-checked.
     """
-    a = check_a(a)
-    t = _check_time(t)
-    s = float(s_offset)
     w, z, z_pows, w_pows = tables[0], tables[3], tables[6], tables[7]
     wp1, zp1 = w + 1.0, z + 1.0
-    aw_s, bz_s = _stat_weights(a, t, s, tables)
+    sigma = (2.0 + a) * t + s
+    aw_s, bz_s = saddle_weights(tables, sigma, t / 2.0 - sigma, t / 2.0 - sigma, f"s = {s}")
 
     r_hat_c = -np.sum(bz_s / zp1 ** 2) / _TWO_PI_I
     _demand_real(r_hat_c, "stationary boundary remainder", f"s = {s}")
@@ -322,38 +307,31 @@ def stat_components(a, t, s_offset, tables):
     left = np.column_stack(((_DOUBLE_PREF * aw_s)[:, None] * w_pows, f_star))
     bordered = -(coupled.T @ left)
     bordered[-1] -= (1.0 / wp1) @ left
-    return bordered, s + a * t + float(r_hat_c.real) - 1.0, left
+    return bordered, s + a * t + float(r_hat_c.real) - 1.0, left, bz_s
 
 
-def stat_rho_pieces(a, t, s_offset, rho, tables, left):
+def stat_rho_pieces(a, t, s, rho, tables, left, bz):
     """Pairings of g_rho with the columns of ``left`` and with the constant 1.
 
-    ``left`` is the third value :func:`stat_components` returns for the same
-    tables and offset.  g_rho splits into a residue term
+    ``left`` and ``bz`` are the last two values :func:`stat_components`
+    returns for the same tables and offset.  g_rho splits into a residue term
     e^{-t H(-rho)} e^{-(1 - rho) xi} and a contour term
     (2 pi i)^-1 sum_z bz e^{-xi (z+1)} / (z + rho) on the z-circle (the circle
     radius stays below rho, so the pole at -rho is picked up explicitly).
     On (s, infinity) the residue term pairs with e^{xi (w+1)} through
     -e^{s (w + rho)} / (w + rho), and the contour term as in
-    :func:`stat_components`, on the same true-scale weights.  Returns
-    (row, pair): row = <g_rho, left> over its columns (complex),
-    pair = <g_rho, 1>, integrated contour-first, which converges because
-    Re(z + 1) > 0 along the whole circle.
+    :func:`stat_components`.  Returns (row, pair): row = <g_rho, left> over
+    its columns (complex), pair = <g_rho, 1>, integrated contour-first, which
+    converges because Re(z + 1) > 0 along the whole circle.
     """
-    a = check_a(a)
-    t = _check_time(t)
-    if not 0.0 < rho < 1.0:
-        raise ValueError(f"density rho must lie in (0, 1), got {rho}")
-    s = float(s_offset)
     w, z, z_pows, w_pows = tables[0], tables[3], tables[6], tables[7]
     if np.abs(z).max() >= rho:
         raise NumericFailure("z-circle radius must stay below rho",
                              residual=float(np.abs(z).max()),
                              hint="rebuild gamma_plus with a smaller radius")
-    _, bz_s = _stat_weights(a, t, s, tables)
     res_s = np.exp(-t * phase_packed(-rho, a) - (1.0 - rho) * s)
-    row = -(res_s / (w + rho) + w_pows @ (z_pows.T @ (bz_s / (z + rho))) / _TWO_PI_I) @ left
-    pair_circ_c = np.sum(bz_s / ((z + 1.0) * (z + rho))) / _TWO_PI_I
+    row = -(res_s / (w + rho) + w_pows @ (z_pows.T @ (bz / (z + rho))) / _TWO_PI_I) @ left
+    pair_circ_c = np.sum(bz / ((z + 1.0) * (z + rho))) / _TWO_PI_I
     _demand_real(pair_circ_c, "rho pairing contour term", f"s = {s}")
     return row, float(res_s / (1.0 - rho) + pair_circ_c.real)
 

@@ -304,8 +304,13 @@ def test_deep_tail_exits_three_without_output(capsys):
      "the saddle w- is not finite at a = 1e+155"),
     (("prob", "--ic", "stationary", "--t", "4", "--a", "1e155"),
      "the saddle w- is not finite at a = 1e+155"),
+] + [
+    # a contour past contours._MAX_NODES nodes is refused before any array is built
+    (("prob", "--ic", ic, "--t", str(10 ** e), "--a", "1"), "above 2097152 at t = 1e+")
+    for ic in ("packed", "stationary", "flat") for e in (20, 40, 300)
 ], ids=["stat-overflow", "stat-rho-overflow", "flat-spiral-underflow", "rates-huge-a",
-        "packed-huge-a", "stat-huge-a"])
+        "packed-huge-a", "stat-huge-a"] + [f"{ic}-t1e{e}" for ic in ("packed", "stationary", "flat")
+                                           for e in (20, 40, 300)])
 def test_numeric_limits_exit_three_without_output(capsys, argv, message):
     # past what double precision holds, each command names the limit and
     # exits 3; a numpy warning on the way fails the test

@@ -524,6 +524,21 @@ def test_stationary_determinants_have_order_at_most_m_plus_one(monkeypatch, fn, 
     assert orders and set(orders) <= {m, m + 1}
 
 
+@pytest.mark.parametrize("fn, args, levels", [(fredholm.prob_stat, (4, 1.0), 8),
+                                              (fredholm.prob_stat_rho, (4, 1.0, 0.9), 10)])
+def test_each_stationary_level_forms_its_weights_once(monkeypatch, fn, args, levels):
+    # stat_components exponentiates the contour phase, and stat_rho_pieces
+    # reads the circle weights it formed: one saddle_weights call per level
+    calls = {"saddle_weights": 0, "stat_components": 0}
+    for module, name in ((kernels, "saddle_weights"), (fredholm, "stat_components")):
+        def spy(*spy_args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*spy_args)
+        monkeypatch.setattr(module, name, spy)
+    fn(*args)
+    assert calls == {"saddle_weights": levels, "stat_components": levels}
+
+
 def test_solve_logs_each_grid_size(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
         res = fredholm.prob_flat(4, 1.0)
@@ -819,16 +834,62 @@ def test_finite_n_far_upper_tail_matches_the_hermite_oracle():
     assert abs(res.log_survival - oracle) <= 1e-12 * abs(oracle)
 
 
+# P(x_64(1) <= s) at 0.5, 0.75 and 0.95 of the edge s = 16, from _hermite_gram
+# at 60 + 2n = 188 digits, which 228 digits reproduce to 17 digits
+HERMITE_BULK_64 = {0.5: 1.2035983416167983e-135, 0.75: 1.4578095709669253e-18,
+                   0.95: 0.5936434779985414}
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.75, 0.95])
+@pytest.mark.parametrize("n", [8, 16, 32, 64])
+def test_bulk_finite_n_matches_the_hermite_oracle(n, frac):
+    # at or below the edge the line sits at the saddle modulus sqrt(n / t):
+    # every level returns within 1e-13 of the Hermite Gram at 60 + 2n digits,
+    # or raises, and only where p < 1e-12 (at (32, 0.5) and (64, 0.5))
+    s = frac * 2.0 * np.sqrt(n)
+    p = HERMITE_BULK_64[frac] if n == 64 else _hermite_gram(n, 1.0, s, 60 + 2 * n)[0]
+    try:
+        res = fredholm.prob_finite_n(n, 1, s)
+    except NumericFailure:
+        assert p < 1e-12
+    else:
+        assert abs(res.p - p) <= 1e-13
+
+
+@pytest.mark.parametrize("t", [1e4, 1e6])
+def test_finite_n_line_resolves_the_edge_at_large_t(t):
+    # x_n(t) has the law of sqrt(t) x_n(1); in the bulk and just above the
+    # edge f''(c) is near 0, and the line's density follows the cubic width
+    # |f'''(c)|^(-1/3), so large t loses no digits
+    for n, fracs in ((1, (-0.75, 0.75, 1.0, 1.0 + 1e-7, 1.01)), (5, (0.75, 1.0, 1.0 + 1e-7))):
+        for frac in fracs:
+            u = frac * 2.0 * np.sqrt(n)
+            p = norm.cdf(u) if n == 1 else _hermite_gram_cdf(n, 1.0, u)
+            assert abs(fredholm.prob_finite_n(n, t, u * np.sqrt(t)).p - p) <= 1e-13
+
+
+def test_contour_node_limit_keeps_t_2_20():
+    # contours._MAX_NODES refuses the layouts of huge t (tests/test_cli.py);
+    # t = 2^20 stays inside it
+    res = fredholm.prob_packed(2 ** 20, 1.0)
+    assert res.p == 1.0 and np.isfinite(res.log_survival)
+    line, circle = contours.build_packed_contours(0.25, 2 ** 20, 8 * contours.POINTS_PER_UNIT)
+    assert max(line.nodes.size, circle.nodes.size) <= contours._MAX_NODES
+
+
 def test_prob_finite_n_names_overflowing_contour_weights():
-    # far in the lower tail the circle's weights carry e^{-s z}, |z| = 0.255
+    # far in the lower tail the circle's weights carry e^{-s z}, |z| = 0.9
     with pytest.raises(NumericFailure, match="contour weights overflow") as info:
         fredholm.prob_finite_n(1, 1, -3000.0)
     assert "edge" in info.value.hint
-    # in the bulk of many particles the weights stay finite, but the powers
-    # of the line (at n = 200) or their moments (n = 150) overflow, or the
-    # determinant does (n = 100); no RuntimeWarning escapes
-    for n, s, match in ((200, 0.0, "Gram overflows"), (150, 0.0, "Gram overflows"),
-                        (100, 10.0, r"det\(I - M\) = e\^.* overflows")):
+    # in the bulk of many particles the weights stay finite, but the
+    # determinant overflows (n = 100 to 200), or ||M||_F does (n = 400), or
+    # M = e^{log_scale} G itself (n = 800); no RuntimeWarning escapes
+    det_overflow = r"det\(I - M\) = e\^.* overflows"
+    norm_overflow = r"M overflows: \|\|M\|\|_F = (inf|nan)"
+    for n, s, match in ((200, 0.0, det_overflow), (150, 0.0, det_overflow),
+                        (100, 0.0, det_overflow), (400, 0.0, norm_overflow),
+                        (800, 0.0, norm_overflow)):
         with pytest.raises(NumericFailure, match=match) as info:
             fredholm.prob_finite_n(n, 1, s)
         assert info.value.hint

@@ -114,11 +114,12 @@ def test_raw_kernel_rank_n_matches_dense(n, t, line):
 def test_prob_finite_n_matches_dense_determinant(n, t, s):
     # the n x n Gram against the Nystrom determinant of the dense kernel on
     # 128 nodes of (s, infinity), mapped at a rate that follows the decay of
-    # the kernel, conjugated by e^{-c xi} on the Gram's own line and circle
+    # the kernel, conjugated by e^{-c xi} on the Gram's own line and circle;
+    # in the bulk the rate follows c
     res = fredholm.prob_finite_n(n, t, s)
     assert res.grid_size == n
     c, w_hi = contours.finite_anchors(n, t, s)
-    decay = max(0.4 / np.sqrt(t), 0.8 * (s - 2.0 * np.sqrt(n * t)) / t)
+    decay = max(0.3 * abs(c), 0.8 * (s - 2.0 * np.sqrt(n * t)) / t)
     nodes, weights = fredholm.build_grid(s, decay, 128)
     kmat = kernels.raw_kernel_grid(n, t, nodes, nodes, line_re=c, circle_rad=-w_hi)
     assert abs(res.p - fredholm._det_core(kmat, weights)[0]) <= 1e-13
@@ -288,9 +289,9 @@ def test_stat_gram_pairings_match_a_nystrom_grid(t, a):
     m = kernels.packed_gram_order(a, t)
     h = 1e-3 * (1.0 + a * t)
     for s in (-h, 0.0, h):
-        bordered, _, left = kernels.stat_components(a, t, s, tables)
+        bordered, _, left, bz = kernels.stat_components(a, t, s, tables)
         assert bordered.shape == (m + 1, m + 1) and left.shape[1] == m + 1
-        row, _ = kernels.stat_rho_pieces(a, t, s, rho, tables, left)
+        row, _ = kernels.stat_rho_pieces(a, t, s, rho, tables, left, bz)
         gram = bordered[:m, :m]
         s_gram = row[m] + row[:m] @ np.linalg.solve(np.eye(m) - gram, bordered[:m, m])
         det1, det2, s_grid = _nystrom_stat(a, t, s, rho, tables)
@@ -375,8 +376,8 @@ def test_moment_grams_match_the_cauchy_double_sum(t, a):
     gram = kernels.finite_gram(t, t, (2 + a) * t, tables)[0]
     ref_gram = _cauchy_gram(*_finite_weights(a, t, tables), m)
     for s in (-0.25, 0.0, 0.5):
-        bordered, _, left = kernels.stat_components(a, t, s, scaled)
-        row = kernels.stat_rho_pieces(a, t, s, rho, scaled, left)[0]
+        bordered, _, left, bz = kernels.stat_components(a, t, s, scaled)
+        row = kernels.stat_rho_pieces(a, t, s, rho, scaled, left, bz)[0]
         ref_bordered, ref_row = _cauchy_double_sums(a, t, s, rho, scaled, left)
         for new, ref in ((gram, ref_gram), (bordered, ref_bordered), (row, ref_row)):
             assert np.abs(ref).max() > 0.0
@@ -397,7 +398,8 @@ def test_stat_components_boundary_remainder_and_rho_pairing():
                                    _circle_sum(factors, s, 1.0)[0].real, atol=1e-9)
         # <g_rho, 1> against the quadrature of g_rho over (s, infinity)
         left = np.zeros((tables[0].size, 1))
-        pair = kernels.stat_rho_pieces(a, t, s, rho, tables, left)[1]
+        bz = kernels.stat_components(a, t, s, tables)[3]
+        pair = kernels.stat_rho_pieces(a, t, s, rho, tables, left, bz)[1]
 
         def g_rho(x):
             residue = np.exp(-t * rates.phase_packed(-rho, a) - (1.0 - rho) * x)
@@ -411,7 +413,7 @@ def test_stat_rho_pieces_rejects_wide_circle():
     tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t),
                                    kernels.packed_gram_order(a, t))
     with pytest.raises(NumericFailure):
-        kernels.stat_rho_pieces(a, t, 0.0, 0.05, tables, np.zeros((1, 1)))
+        kernels.stat_rho_pieces(a, t, 0.0, 0.05, tables, np.zeros((1, 1)), np.zeros(1))
 
 
 @pytest.mark.parametrize("fn, xi1, xi2", [
