@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # The checks that the CI job runs, one per call, from the repository root:
 #
-#   bash ci/checks.sh deep-packed|deep-stationary|deep-flat|benchmark-tests|benchmark-checks|verify-fast|verify-full
+#   bash ci/checks.sh deep-packed|deep-stationary|deep-flat|cold-start|benchmark-tests|benchmark-checks|verify-fast|verify-full
 #
 # Each exits non-zero when its check fails.  -e and pipefail are the options
 # of a workflow step with an explicit bash shell, so a failing command is not
@@ -60,6 +60,21 @@ case "${1:-}" in
       exit 1
     fi
     ;;
+  # scipy.special loads on the first Lambert W call, which only the flat
+  # route, the flat rates and verify make: a packed prob and a stationary
+  # simulate must import no scipy module (-X importtime lists every import
+  # on stderr)
+  cold-start)
+    for args in "prob --ic packed --t 16 --a 1" \
+                "simulate --ic stationary --t 2 --reps 512 --seed 1 --a 0.25"; do
+      PYTHONPATH=src python -X importtime -m bmtails $args 2> importtime.txt
+      if grep -q "| *scipy" importtime.txt; then
+        echo "bmtails $args imported scipy:"
+        grep "| *scipy" importtime.txt
+        exit 1
+      fi
+    done
+    ;;
   # the benchmark's own tests fail when a function its tracer wraps by name
   # is renamed or removed (tracer.missing must stay empty); they do not
   # check that every wrapped function is still called
@@ -99,7 +114,7 @@ sys.exit(0 if rec["correct"] is True and rec["failed"] == 0 else 1)
     fi
     ;;
   *)
-    echo "usage: bash ci/checks.sh deep-packed|deep-stationary|deep-flat|benchmark-tests|benchmark-checks|verify-fast|verify-full" >&2
+    echo "usage: bash ci/checks.sh deep-packed|deep-stationary|deep-flat|cold-start|benchmark-tests|benchmark-checks|verify-fast|verify-full" >&2
     exit 2
     ;;
 esac

@@ -192,10 +192,13 @@ def build_finite_contours(n, t, anchors, points_per_unit=POINTS_PER_UNIT):
     y_max = _line_halfwidth(c, n / t, t, _TRUNCATION_TOL)
     per_unit = max(points_per_unit, np.ceil(12.0 * np.sqrt(abs(t - n / (c * c)))),
                    np.ceil(12.0 * np.cbrt(2.0 * n) / abs(c)))
-    count = _node_count(2.0 * np.ceil(y_max * per_unit) + 1.0, "line's node count", t)
-    m = _node_count(max(np.ceil(2.0 * np.pi * points_per_unit),
-                        np.ceil(24.0 * np.pi * np.sqrt(abs(n / (w_hi * w_hi) - t)) * abs(w_hi))),
-                    "circle's node count", t)
+    # near the largest double t a count overflows to inf, which _node_count refuses
+    with np.errstate(over="ignore"):
+        line_count = 2.0 * np.ceil(y_max * per_unit) + 1.0
+        circle_count = max(np.ceil(2.0 * np.pi * points_per_unit),
+                           np.ceil(24.0 * np.pi * np.sqrt(abs(n / (w_hi * w_hi) - t)) * abs(w_hi)))
+    count = _node_count(line_count, "line's node count", t)
+    m = _node_count(circle_count, "circle's node count", t)
     m += m % 2  # keep theta = 0 on the grid
     return _line(c, y_max, count), _circle(w_hi, m)
 
@@ -244,7 +247,7 @@ def build_flat_contour(a, points_per_unit=POINTS_PER_UNIT, tau_max=_TAU_CAP, z_a
     gam = np.concatenate([[z_a], lambert_w(branch, base * np.exp(2j * np.pi * turn))])
 
     tau = np.concatenate([-h * np.arange(n_steps, 0, -1), h * np.arange(n_steps + 1)])
-    nodes = np.concatenate([np.conj(gam[n_steps:0:-1]), gam])
+    nodes = spiral_mirror(gam)
     weights = (2j * np.pi * nodes / (1.0 + nodes)) * h
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -266,8 +269,25 @@ def build_flat_contour(a, points_per_unit=POINTS_PER_UNIT, tau_max=_TAU_CAP, z_a
         nodes=nodes,
         weights=weights,
         params=tau,
-        phi_nodes=lambert_w(0, base * np.exp(2j * np.pi * tau)),
+        phi_nodes=spiral_mirror(lambert_w(0, base * np.exp(2j * np.pi * tau[n_steps:]))),
     )
+
+
+def spiral_mirror(half):
+    """[conj(half[..., :0:-1]), half]: a spiral array from its tau >= 0 half.
+
+    tau is exactly antisymmetric and the pre-image z_a e^{z_a + 2 pi i tau}
+    conjugate-symmetric, so the nodes, phi and e^{xi (node + 1)} at -tau are
+    the conjugates of those at tau, bit for bit.  Negating the imaginary part
+    of a reversed copy in place is cheaper than np.conjugate on a reversed view.
+    """
+    n = half.shape[-1] - 1
+    full = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=complex)
+    full[..., n:] = half
+    left = full[..., :n]
+    left[...] = half[..., :0:-1]
+    np.negative(left.imag, out=left.imag)
+    return full
 
 
 def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):

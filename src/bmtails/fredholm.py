@@ -239,6 +239,8 @@ def _solve(what, evaluate, sizes):
         raise NumericFailure(
             f"{what}: probability {p!r} far outside [0, 1]",
             last=p,
+            hint="the determinant is a cancellation of entries far larger than p, "
+                 "and p is below what it resolves",
         )
     if p > 1.0 or not np.isfinite(log_survival):
         raise NumericFailure(

@@ -56,6 +56,7 @@ from .contours import (
     build_packed_contours,
     build_raw_contours,
     finite_anchors,
+    spiral_mirror,
 )
 from .errors import NumericFailure
 from .lambertw import phi
@@ -240,13 +241,19 @@ def khat_packed(a, t, xi1, xi2):
 
 
 def khat_flat_grid(a, t, xi1, xi2, path):
-    """Conjugated flat kernel on the product grid xi1 x xi2 (complex)."""
+    """Conjugated flat kernel on the product grid xi1 x xi2 (complex).
+
+    The spiral is conjugate-symmetric about its saddle, node and phi alike,
+    so the exponentials are taken on its tau >= 0 half and mirrored
+    (:func:`contours.spiral_mirror`), bit for bit the full-spiral values.
+    """
     gam = path.nodes
     phi = path.phi_nodes
+    half = len(gam) // 2
     # weights already carry dtau * gamma' = dtau * 2 pi i gamma/(1+gamma)
     core = path.weights * np.exp(t * _g_vals(gam, phi, a)) / _TWO_PI_I
-    e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), gam + 1.0))
-    e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), phi + 1.0))
+    e1 = spiral_mirror(np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), gam[half:] + 1.0)))
+    e2 = spiral_mirror(np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), phi[half:] + 1.0)))
     return (e1 * core) @ e2.T
 
 

@@ -3,7 +3,12 @@
 The Lambert W function solves w*exp(w) = z.  lambert_w is
 scipy.special.lambertw with the branch cuts of Corless et al., Adv.
 Comput. Math. 5 (1996), broadcast over an array of branches, plus the
-argument checks and an exact -1 at the branch point z = -1/e.
+argument checks and an exact -1 at the branch point z = -1/e.  The cuts
+lie on the real axis, so W_k(conj z) = conj(W_{-k}(z)) off them, and on
+branch 0 the flat spiral takes phi on its tau >= 0 half only.
+scipy.special is imported on the first call of lambert_w, or of phi
+beyond its series window, so that importing the package, and every route
+but the flat one, loads no scipy.
 solve_wexpw is a Halley iteration on f(w) = w*exp(w) - z from an explicit
 seed, run until |w e^w - z| <= 1e-13 (1 + |z|): it follows whichever
 sheet the seed lies on, which makes it a reference for analytic
@@ -22,7 +27,6 @@ phi'(z) * z * (1 + phi) = (1 + z) * phi is exposed as well.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import lambertw
 
 from .errors import NumericFailure, SingularityError
 
@@ -72,6 +76,8 @@ def lambert_w(k, z):
     at_zero = (k_arr != 0) & (z_arr == 0)
     if at_zero.any():
         raise ValueError(f"W_{int(k_arr[at_zero][0])}(0) is not finite")
+
+    from scipy.special import lambertw
 
     w = lambertw(z_arr, k_arr)
     x = z_arr.real
@@ -139,6 +145,8 @@ def phi(z):
         target = x * np.exp(x)
         # target is in (-1/e, 0) and at least 2e-3 from the branch point, where
         # lambert_w's checks and snap never act, so scipy's W_0 is called directly
+        from scipy.special import lambertw
+
         w = lambertw(target).real
         ew = np.exp(w)
         # one Newton polish on w e^w = z e^z; within eps <= 1, near its double

@@ -406,3 +406,22 @@ def test_cli_import_leaves_verify_and_its_scipy_modules_unloaded():
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env=env)
         assert out.stdout.strip() == "[]", module
+
+
+def test_only_the_flat_route_loads_scipy():
+    # scipy.special loads on the first Lambert W call; no other route makes one
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = ("import sys, bmtails as b\n"
+            "b.prob_packed(4, 1.0); b.prob_stat(4, 1.0); b.prob_stat_rho(4, 1.0, 0.5)\n"
+            "b.prob_finite_n(3, 2.0, 5.0); b.rate_packed(1.0); b.rate_stat(1.0)\n"
+            "b.simulate_samples(b.SimConfig('packed', 4, reps=64, seed=1))\n"
+            "b.tail_estimate(b.SimConfig('stationary', 2, reps=64, seed=1), 0.25)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"
+    code = "import sys, bmtails; print(bmtails.prob_flat(4, 1).p, 'scipy.special' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    p, loaded = out.stdout.split()
+    assert 0.0 < float(p) < 1.0 and loaded == "True"

@@ -567,6 +567,22 @@ def test_finite_n_deep_lower_tail_names_the_resolution(n, t, s):
     assert "contour density" not in info.value.hint
 
 
+def test_finite_n_far_outside_names_the_resolution():
+    # the bulk circle weights reach about e^42 at n = 100, t = 1, s = 5,
+    # where the lower tail is far below what their cancellation resolves
+    with pytest.raises(NumericFailure, match="far outside") as info:
+        fredholm.prob_finite_n(100, 1, 5.0)
+    assert info.value.last > 1.0
+    assert "below what it resolves" in info.value.hint
+
+
+def test_finite_n_node_count_past_the_largest_double_raises():
+    # n / w_hi^2 overflows there; the inf count is refused without a warning
+    with pytest.raises(NumericFailure, match="circle's node count would be inf") as info:
+        fredholm.prob_finite_n(2, 1.7e308, 1.0)
+    assert info.value.hint
+
+
 def test_tail_rate_table_columns_and_trend():
     rows = fredholm.tail_rate_table("packed", 1.0, (4, 8, 16))
     assert [row["t"] for row in rows] == [4, 8, 16]

@@ -4,6 +4,7 @@ from scipy import integrate
 
 from bmtails import contours, fredholm, kernels, rates, verify
 from bmtails.errors import NumericFailure
+from bmtails.lambertw import lambert_w
 
 
 def test_khat_packed_reference_value():
@@ -194,6 +195,32 @@ def test_khat_flat_reference_and_invariance():
     values = [kernels.khat_flat_grid(a, t, [0.0], [0.0], path)[0, 0].real
               for path in (doubled, wide)]
     assert 0.0 < abs(values[0] - values[1]) <= 1e-8
+
+
+def _full_spiral_kernel(a, t, xi1, xi2, path):
+    # khat_flat_grid's formula exponentiated on every spiral node
+    gam, phi = path.nodes, path.phi_nodes
+    core = path.weights * np.exp(t * rates._g_vals(gam, phi, a)) / (2j * np.pi)
+    e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), gam + 1.0))
+    e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), phi + 1.0))
+    return (e1 * core) @ e2.T
+
+
+@pytest.mark.parametrize("t, a", [(4, 1.0), (16, 0.5), (64, 2.0)])
+@pytest.mark.parametrize("scale", [1, 2])
+def test_flat_kernel_on_half_the_spiral_is_bit_identical(t, a, scale):
+    # the spiral is conjugate-symmetric about its saddle, so the tau >= 0
+    # half gives the whole kernel and phi to the last bit
+    path = contours.flat_contour_for(a, t, scale * contours.POINTS_PER_UNIT)
+    z_a = rates.solve_za(a)
+    full_phi = lambert_w(0, z_a * np.exp(z_a) * np.exp(2j * np.pi * path.params))
+    assert np.array_equal(path.phi_nodes, full_phi)
+    for size in (48, 96):
+        nodes, _ = fredholm.build_grid(0.0, abs(z_a + 1.0), size)
+        assert np.array_equal(kernels.khat_flat_grid(a, t, nodes, nodes, path),
+                              _full_spiral_kernel(a, t, nodes, nodes, path))
+    assert np.array_equal(kernels.khat_flat_grid(a, t, [0.0], [0.0], path),
+                          _full_spiral_kernel(a, t, [0.0], [0.0], path))
 
 
 @pytest.mark.parametrize("t, a", [(16, 5.0), (64, 2.0)])
