@@ -61,12 +61,14 @@ case "${1:-}" in
     fi
     ;;
   # scipy.special loads on the first Lambert W call, which only the flat
-  # route, the flat rates and verify make: a packed prob and a stationary
-  # simulate must import no scipy module (-X importtime lists every import
-  # on stderr)
+  # route, the flat rates and verify make: a packed prob, a stationary
+  # simulate and the packed and stationary rate tables must import no scipy
+  # module (-X importtime lists every import on stderr)
   cold-start)
     for args in "prob --ic packed --t 16 --a 1" \
-                "simulate --ic stationary --t 2 --reps 512 --seed 1 --a 0.25"; do
+                "simulate --ic stationary --t 2 --reps 512 --seed 1 --a 0.25" \
+                "rates --ic packed --points 5" \
+                "rates --ic stationary --points 5"; do
       PYTHONPATH=src python -X importtime -m bmtails $args 2> importtime.txt
       if grep -q "| *scipy" importtime.txt; then
         echo "bmtails $args imported scipy:"

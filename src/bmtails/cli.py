@@ -163,29 +163,37 @@ def _check_grid(ns):
         raise ValueError("points must be at least 2")
 
 
-def _cmd_rates(ns):
+# each rates and figure1 column as a function of a; a row computes only the
+# columns it prints, so the packed and stationary tables never call rate_flat
+_COLUMNS = {
+    "a": lambda a: a,
+    "r_packed": rates.rate_packed,
+    "r_flat": lambda a: rates.rate_flat(a).rate,
+    "r_stat": rates.rate_stat,
+    "z_a": rates.solve_za,
+    "w_minus": lambda a: rates.saddle_points(a)[0],
+    "w_plus": lambda a: rates.saddle_points(a)[1],
+    "asym_small": lambda a: rates.rate_asymptote("flat", a, "small"),
+    "asym_large": lambda a: rates.rate_asymptote("flat", a, "large"),
+}
+
+
+def _grid_table(ns, columns, grid):
+    """Emit the columns at each a of grid(a_min, a_max, points)."""
     _check_grid(ns)
-    rows = []
-    for a in np.geomspace(ns.a_min, ns.a_max, ns.points):
-        packed = rates.saddle_packed(a)
-        flat = rates.rate_flat(a)
-        rows.append({
-            "a": a,
-            "r_packed": rates.rate_packed(a),
-            "r_flat": flat.rate,
-            "r_stat": rates.rate_stat(a),
-            "z_a": flat.saddle_lo,
-            "w_minus": packed.saddle_lo,
-            "w_plus": packed.saddle_hi,
-        })
+    rows = [{c: _COLUMNS[c](a) for c in columns} for a in grid(ns.a_min, ns.a_max, ns.points)]
+    _emit(_table_text(ns.format, columns, rows), ns.out)
+    return 0
+
+
+def _cmd_rates(ns):
     columns = {
         "all": ["a", "r_packed", "r_flat", "r_stat", "z_a", "w_minus", "w_plus"],
         "packed": ["a", "r_packed", "w_minus", "w_plus"],
         "flat": ["a", "r_flat", "z_a"],
         "stationary": ["a", "r_stat", "w_minus", "w_plus"],
     }[ns.ic]
-    _emit(_table_text(ns.format, columns, rows), ns.out)
-    return 0
+    return _grid_table(ns, columns, np.geomspace)
 
 
 def _cmd_prob(ns):
@@ -259,18 +267,7 @@ def _cmd_simulate(ns):
 
 
 def _cmd_figure1(ns):
-    _check_grid(ns)
-    rows = []
-    for a in np.linspace(ns.a_min, ns.a_max, ns.points):
-        rows.append({
-            "a": a,
-            "r_flat": rates.rate_flat(a).rate,
-            "asym_small": rates.rate_asymptote("flat", a, "small"),
-            "asym_large": rates.rate_asymptote("flat", a, "large"),
-        })
-    columns = ["a", "r_flat", "asym_small", "asym_large"]
-    _emit(_table_text(ns.format, columns, rows), ns.out)
-    return 0
+    return _grid_table(ns, ["a", "r_flat", "asym_small", "asym_large"], np.linspace)
 
 
 def _cmd_verify(ns):

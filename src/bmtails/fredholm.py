@@ -376,7 +376,7 @@ def _stationary(what, t, a, rho, D_at):
     survival 0 < 1 - p below _FD_FLOOR times the bound raises NumericFailure.
     """
     a = check_a(a)
-    t = float(t)
+    t = _check_time(t)
 
     def evaluate(size, scale):
         line, circle = build_packed_contours(a, t, scale * POINTS_PER_UNIT)

@@ -213,7 +213,7 @@ def _cauchy_grid(xi1, xi2, w, aw, z, bz, shift):
 
 def khat_packed_grid(xi1, xi2, factors):
     """Conjugated packed kernel on the product grid xi1 x xi2 (complex), 1/(w - z) whole."""
-    return _cauchy_grid(xi1, xi2, *factors[:4], 1.0)
+    return _cauchy_grid(xi1, xi2, *factors, 1.0)
 
 
 def khat_packed(a, t, xi1, xi2):

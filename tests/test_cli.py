@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -114,6 +115,27 @@ def test_tail_rejects_non_integer_packed_time(capsys):
     assert code == 2
     assert out == ""
     assert "whole-number time" in err
+
+
+@pytest.mark.parametrize("ic", ["packed", "stationary"])
+def test_rates_below_the_flat_floor_compute_only_their_columns(capsys, ic):
+    # rate_flat raises below a = 1e-6; the packed and stationary tables never call it
+    code, out, _ = run_cli(capsys, "rates", "--ic", ic, "--a-min", "1e-7", "--a-max", "1",
+                           "--points", "4")
+    header, rows = parse_csv(out)
+    assert code == 0 and len(rows) == 4
+    rate = rates.rate_packed if ic == "packed" else rates.rate_stat
+    for row in rows:
+        a = float(row[0])
+        assert [float(v) for v in row[1:]] == [rate(a), *rates.saddle_points(a)]
+
+
+@pytest.mark.parametrize("ic", ["flat", "all"])
+def test_rates_with_flat_columns_below_the_flat_floor_exit_three(capsys, ic):
+    code, out, err = run_cli(capsys, "rates", "--ic", ic, "--a-min", "1e-7", "--a-max", "1",
+                             "--points", "4")
+    assert code == 3 and out == ""
+    assert "rate_flat cancels to noise below a = 1e-6" in err
 
 
 def test_figure1_columns(capsys):
@@ -299,7 +321,7 @@ def test_deep_tail_exits_three_without_output(capsys):
      "prob_stat_rho: no finite log_survival at p = 1.0,"),
     (("prob", "--ic", "flat", "--t", "4", "--a", "1000"),
      "the spiral's base z_a e^(z_a) underflows at a = 1000.0"),
-    (("rates", "--a-min", "1e154", "--a-max", "1e155"), "the saddle w- is not finite"),
+    (("rates", "--a-min", "1e154", "--a-max", "1e155"), "rate_packed is not finite"),
     (("prob", "--ic", "packed", "--t", "4", "--a", "1e155"),
      "the saddle w- is not finite at a = 1e+155"),
     (("prob", "--ic", "stationary", "--t", "4", "--a", "1e155"),
@@ -420,6 +442,13 @@ def test_only_the_flat_route_loads_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
     assert out.stdout.strip() == "[]"
+    # -X importtime lists every module a fresh interpreter imports on stderr
+    for ic in ("packed", "stationary"):
+        out = subprocess.run([sys.executable, "-X", "importtime", "-m", "bmtails", "rates",
+                              "--ic", ic, "--points", "5"], capture_output=True, text=True,
+                             check=True, env=env)
+        assert re.search(r"\| *bmtails\.rates$", out.stderr, re.M), ic
+        assert not re.search(r"\| *scipy", out.stderr), ic
     code = "import sys, bmtails; print(bmtails.prob_flat(4, 1).p, 'scipy.special' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)

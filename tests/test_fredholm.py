@@ -376,6 +376,15 @@ def test_prob_stat_rho_validates_rho():
             fredholm.prob_stat_rho(4, 1.0, bad)
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -1.0, 0.0])
+@pytest.mark.parametrize("fn, args", [(fredholm.prob_stat, ()), (fredholm.prob_stat_rho, (0.9,))],
+                         ids=["stat", "stat-rho"])
+def test_stationary_validates_time(fn, args, t):
+    # t = inf used to overflow and t = nan to fail converting to an int
+    with pytest.raises(ValueError, match="time parameter"):
+        fn(t, 1.0, *args)
+
+
 def test_fd_derivative_rejects_step_dependence():
     # sign(s) s^2 has quotients h at step h and h/2 at step h/2, which
     # disagree far beyond the 1e-5 tolerance
