@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .lambertw import lambert_w
-from .rates import check_a, flat_curvature, solve_za
+from .rates import check_a, rate_flat, solve_za
 
 # e^{t * phase} below this, relative to its value at c, is cut off each
 # line, and relative to the saddle off the flat spiral
@@ -247,7 +247,10 @@ def build_flat_contour(a, points_per_unit=POINTS_PER_UNIT, tau_max=_TAU_CAP, z_a
     gam = np.concatenate([[z_a], lambert_w(branch, base * np.exp(2j * np.pi * turn))])
 
     tau = np.concatenate([-h * np.arange(n_steps, 0, -1), h * np.arange(n_steps + 1)])
-    nodes = spiral_mirror(gam)
+    # tau is exactly antisymmetric, so nodes and phi at -tau are the
+    # conjugates of those at tau, bit for bit
+    mirror = lambda half: np.concatenate([half[:0:-1].conj(), half])
+    nodes = mirror(gam)
     weights = (2j * np.pi * nodes / (1.0 + nodes)) * h
     weights[0] *= 0.5
     weights[-1] *= 0.5
@@ -269,28 +272,11 @@ def build_flat_contour(a, points_per_unit=POINTS_PER_UNIT, tau_max=_TAU_CAP, z_a
         nodes=nodes,
         weights=weights,
         params=tau,
-        phi_nodes=spiral_mirror(lambert_w(0, base * np.exp(2j * np.pi * tau[n_steps:]))),
+        phi_nodes=mirror(lambert_w(0, base * np.exp(2j * np.pi * tau[n_steps:]))),
     )
 
 
-def spiral_mirror(half):
-    """[conj(half[..., :0:-1]), half]: a spiral array from its tau >= 0 half.
-
-    tau is exactly antisymmetric and the pre-image z_a e^{z_a + 2 pi i tau}
-    conjugate-symmetric, so the nodes, phi and e^{xi (node + 1)} at -tau are
-    the conjugates of those at tau, bit for bit.  Negating the imaginary part
-    of a reversed copy in place is cheaper than np.conjugate on a reversed view.
-    """
-    n = half.shape[-1] - 1
-    full = np.empty(half.shape[:-1] + (2 * n + 1,), dtype=complex)
-    full[..., n:] = half
-    left = full[..., :n]
-    left[...] = half[..., :0:-1]
-    np.negative(left.imag, out=left.imag)
-    return full
-
-
-def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):
+def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, saddle=None):
     """Lambert spiral dense enough for the time-t phase e^{tG}.
 
     The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
@@ -298,14 +284,15 @@ def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, z_a=None):
     at the default, and the spiral is trimmed where e^{tG} falls below 1e-12
     of its saddle value, or at |tau| = 4 if that is sooner.  Doubling
     points_per_unit doubles the density on the same window: 239 nodes at
-    the default once the Gaussian width sets both, then 477.
+    the default once the Gaussian width sets both, then 477.  z_a and eta
+    come from ``saddle``, the :func:`rates.rate_flat` record of a.
     """
     a = check_a(a)
     t = _check_time(t)
     _check_density(points_per_unit)
-    if z_a is None:
-        z_a = solve_za(a)
-    eta = flat_curvature(z_a, a)
+    if saddle is None:
+        saddle = rate_flat(a)
+    z_a, eta = saddle.saddle_lo, saddle.second_deriv[0]
     # the spiral's node count, about 3.7 points_per_unit, does not grow with t
     ppu = _node_count(np.ceil(points_per_unit * max(1.0, np.sqrt(t * abs(eta)) / 8.0)),
                       "spiral's nodes per unit of tau", t)

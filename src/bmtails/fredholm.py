@@ -13,9 +13,9 @@ and the stationary ones are a packed Gram of order m and its border to
 order m + 1 by the rank-one pair (:func:`kernels.stat_components`), on the
 same tables (:func:`_stationary`).
 
-The flat determinant det(1 - P_0 K P_0) is evaluated by the Nystrom
-method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes u in
-(0,1) are mapped to xi = s - log(1-u)/d by :func:`build_grid`, which
+The flat determinant det(1 - P_0 K P_0), K real, is evaluated by the
+Nystrom method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes
+u in (0,1) are mapped to xi = s - log(1-u)/d by :func:`build_grid`, which
 absorbs the proven exponential kernel decay (rate |z_a + 1|) so grids of
 a few dozen nodes converge.  With M = W^1/2 K W^1/2, log det(I - M) comes
 from LU while the survival |1 - det| is at least 1e-2, where LU's
@@ -109,7 +109,7 @@ _LOG_MAX = float(np.log(np.finfo(float).max))
 class ProbResult:
     p: float
     log_survival: float
-    im_residue: float
+    im_residue: float             # 0 on the flat route, whose kernel is real
     refinement_delta: float
     grid_size: int                # flat Nystrom nodes of the returned
                                   # evaluation, the Gram order m of the packed
@@ -163,7 +163,7 @@ def _det_core(kmat, weights):
     """
     sq = np.sqrt(weights)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = sq[:, None] * np.asarray(kmat, dtype=complex) * sq[None, :]
+        m = sq[:, None] * np.asarray(kmat) * sq[None, :]
         norm = float(np.linalg.norm(m))
     if not norm < np.inf:
         raise NumericFailure(f"M overflows: ||M||_F = {norm}", hint="M passes the largest double")
@@ -316,11 +316,12 @@ def prob_flat(t, a):
 
     det(1 - P_0 Khat P_0) on a Nystrom grid of 48 to 384 nodes, with the
     spiral of :func:`contours.flat_contour_for` doubled in density at each
-    rung.  One :func:`rates.rate_flat` call gives the saddle z_a and the
-    rate r.  Khat = e^{-t r} Kt with Kt bounded.  Once t r exceeds 600 the
-    survival is :func:`_deep_trace`'s, the trace being the integral of
-    Kt's diagonal, exact on the spiral (:func:`kernels.khat_flat_trace`),
-    and grid_size is 0, since no grid is built.
+    rung.  One :func:`rates.rate_flat` call gives the saddle z_a, the
+    spiral's curvature and the rate r.  Khat = e^{-t r} Kt with Kt bounded
+    and real.  Once t r exceeds 600 the survival is :func:`_deep_trace`'s,
+    the trace being the integral of Kt's diagonal, exact on the spiral
+    (:func:`kernels.khat_flat_trace`), and grid_size is 0, since no grid is
+    built.
     """
     a = check_a(a)
     t = float(t)
@@ -328,7 +329,7 @@ def prob_flat(t, a):
     z_a, rate = saddle.saddle_lo, saddle.rate
 
     def evaluate(size, scale):
-        path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, z_a=z_a)
+        path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, saddle=saddle)
         if not size:
             return _deep_trace(-t * rate, khat_flat_trace(a, t, path, rate))
         nodes, weights = build_grid(0.0, abs(z_a + 1.0), size)

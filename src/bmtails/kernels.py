@@ -11,7 +11,10 @@ through the right saddle.  The flat kernel is a single integral along the
 Lambert spiral with the image branch phi carried along,
 
     Khat(x1, x2) = int dtau e^{t G(gamma)} (gamma / (1 + gamma))
-                   e^{x1(gamma+1) - x2(phi(gamma)+1)}.
+                   e^{x1(gamma+1) - x2(phi(gamma)+1)},
+
+real since the spiral is conjugate-symmetric, and assembled in real
+arithmetic on its tau >= 0 half.
 
 The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The one-point determinants
@@ -56,21 +59,18 @@ from .contours import (
     build_packed_contours,
     build_raw_contours,
     finite_anchors,
-    spiral_mirror,
 )
 from .errors import NumericFailure
-from .lambertw import phi
 from .rates import (
     _f_free,
     _f_vals,
     _g_vals,
     _h_vals,
     check_a,
-    flat_curvature,
     phase_packed,
     phase_packed_d2,
+    rate_flat,
     saddle_points,
-    solve_za,
 )
 
 _IM_TOL = 1e-8
@@ -240,35 +240,43 @@ def khat_packed(a, t, xi1, xi2):
 # flat kernel
 
 
-def khat_flat_grid(a, t, xi1, xi2, path):
-    """Conjugated flat kernel on the product grid xi1 x xi2 (complex).
+def _half_spiral(a, t, path, shift):
+    """(gamma, phi, c) on the spiral's tau >= 0 half, c = dtau gamma' e^{t (G + shift)} / (2 pi i).
 
-    The spiral is conjugate-symmetric about its saddle, node and phi alike,
-    so the exponentials are taken on its tau >= 0 half and mirrored
-    (:func:`contours.spiral_mirror`), bit for bit the full-spiral values.
+    At -tau gamma, phi and c are the conjugates of those at tau, so a spiral
+    sum of c f(gamma, phi), f real on the real axis, is Re sum c f over this
+    half with the tau > 0 weights doubled (weights carry dtau gamma').
     """
-    gam = path.nodes
-    phi = path.phi_nodes
-    half = len(gam) // 2
-    # weights already carry dtau * gamma' = dtau * 2 pi i gamma/(1+gamma)
-    core = path.weights * np.exp(t * _g_vals(gam, phi, a)) / _TWO_PI_I
-    e1 = spiral_mirror(np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), gam[half:] + 1.0)))
-    e2 = spiral_mirror(np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), phi[half:] + 1.0)))
-    return (e1 * core) @ e2.T
+    half = len(path.nodes) // 2
+    gam, phi = path.nodes[half:], path.phi_nodes[half:]
+    c = path.weights[half:] * np.exp(t * (_g_vals(gam, phi, a) + shift)) / _TWO_PI_I
+    c[1:] *= 2.0
+    return gam, phi, c
+
+
+def khat_flat_grid(a, t, xi1, xi2, path):
+    """Conjugated flat kernel on the product grid xi1 x xi2 (real).
+
+    Re(E1 E2^T) for E1 = c e^{xi1 (gamma + 1)}, E2 = e^{-xi2 (phi + 1)} on
+    :func:`_half_spiral`: one real product of the (re, im) views of E1, conj(E2).
+    """
+    gam, phi, c = _half_spiral(a, t, path, 0.0)
+    e1 = np.exp(np.multiply.outer(np.asarray(xi1, dtype=float), gam + 1.0)) * c
+    e2 = np.exp(-np.multiply.outer(np.asarray(xi2, dtype=float), phi.conj() + 1.0))
+    return e1.view(float) @ e2.view(float).T
 
 
 def khat_flat_trace(a, t, path, rate):
-    """e^{t rate} times the integral of the flat kernel's diagonal over (0, infinity).
+    """e^{t rate} times the integral of the flat kernel's diagonal over (0, infinity) (real).
 
     K(x, x) = sum_gamma c_gamma e^{-x (phi - gamma)} with Re(phi - gamma) > 0
     on the spiral, so the integral is sum_gamma c_gamma / (phi - gamma)
-    exactly.  e^{t rate} is folded into the exponent of c_gamma as
-    e^{t (G + rate)}, with rate = -G(z_a): its modulus peaks at one at the
-    saddle, so the sum stays representable however deep the tail.
+    exactly, summed on :func:`_half_spiral`.  e^{t rate} is folded into the
+    exponent of c_gamma as e^{t (G + rate)}, with rate = -G(z_a): its
+    modulus peaks at one at the saddle, so the sum stays representable.
     """
-    gam, phi = path.nodes, path.phi_nodes
-    core = path.weights * np.exp(t * (_g_vals(gam, phi, a) + rate)) / _TWO_PI_I
-    return complex(np.sum(core / (phi - gam)))
+    gam, phi, c = _half_spiral(a, t, path, rate)
+    return float(np.sum(c / (phi - gam)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +375,8 @@ def klimit(ic, a):
         pref = 1.0 / (2.0 * np.pi * curv * (w_plus - w_minus))
         c1, c2 = w_minus + 1.0, w_plus + 1.0
     elif ic == "flat":
-        z_a = solve_za(a)
-        eta = flat_curvature(z_a, a)
-        phi_a = phi(z_a)
+        saddle = rate_flat(a)
+        z_a, phi_a, eta = saddle.saddle_lo, saddle.saddle_hi, saddle.second_deriv[0]
         pref = np.sqrt(2.0 * np.pi / abs(eta)) * (z_a / (1.0 + z_a))
         c1, c2 = z_a + 1.0, phi_a + 1.0
     else:

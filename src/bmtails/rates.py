@@ -53,7 +53,7 @@ class SaddleDiagnostics:
 
     For packed/stationary, (saddle_lo, saddle_hi) = (w-, w+), the phases are
     H(w-), H(w+) and second_deriv holds the pair (H''(w-), H''(w+)).  For
-    flat, (saddle_lo, saddle_hi) = (z_a, phi(z_a)), phase_lo = G(z_a),
+    flat, (saddle_lo, saddle_hi) = (z_a, phi(z_a)), phase_lo = G(z_a) = -rate,
     phase_hi = 0 and second_deriv is the curvature eta of G along the
     steep-descent contour (strictly negative).
     """
@@ -241,12 +241,14 @@ def solve_za(a):
 
 
 def flat_curvature(z_a, a):
-    """eta = 4 pi^2 (phi - z)(phi/(phi+1)^2 + z/(z+1)^2) at z = z_a (< 0)."""
+    """eta = 4 pi^2 (phi - z)(phi/(phi+1)^2 + z/(z+1)^2) at z = z_a (< 0).
+
+    z/(z+1)^2 is divided out one factor at a time, so no square overflows.
+    """
     a = check_a(a)
     p = phi(z_a)
     zp1 = z_a + 1.0
-    _finite_rate("flat curvature", a, zp1 * zp1)
-    return 4.0 * np.pi ** 2 * (p - z_a) * (p / (p + 1.0) ** 2 + z_a / zp1 ** 2)
+    return 4.0 * np.pi ** 2 * (p - z_a) * (p / (p + 1.0) ** 2 + z_a / zp1 / zp1)
 
 
 def rate_flat(a):
@@ -256,7 +258,8 @@ def rate_flat(a):
     The second factor, about 2a/3, is summed from phi(z_a) + 1 and z_a + 1,
     so no terms of order 1 cancel in it; the relative errors of those two
     sums still grow as a falls (3e-12 in the rate at a = 1e-5), so a < 1e-6
-    raises NumericFailure.
+    raises NumericFailure, as does a rate past the largest double (a above
+    about 1.9e154).
     """
     a = check_a(a)
     if a < 1e-6:
@@ -270,7 +273,7 @@ def rate_flat(a):
         a=a,
         saddle_lo=z_a,
         saddle_hi=p,
-        phase_lo=phase_flat(z_a, a),
+        phase_lo=-_finite_rate("rate_flat", a, rate),
         phase_hi=0.0,
         second_deriv=(flat_curvature(z_a, a),),
         rate=rate,
@@ -284,7 +287,8 @@ def rate_asymptote(ic, a, regime):
     if key == ("flat", "small"):
         return 4.0 / 3.0 * a ** 1.5
     if key == ("flat", "large"):
-        return (a + 1.0) ** 2 / 2.0
+        # halved before it is squared, it stays finite as far as rate_flat
+        return _finite_rate("the large-a flat asymptote", a, (a + 1.0) * ((a + 1.0) / 2.0))
     if key == ("stationary", "small"):
         return 2.0 / 3.0 * a ** 1.5
     if key == ("stationary", "large"):

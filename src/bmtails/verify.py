@@ -146,8 +146,8 @@ def _check_deformation():
         )[0, 0]
         worst_packed = max(worst_packed, abs(val.real - base))
     # the time-t spiral, trimmed where e^{tG} is below 1e-12 of its peak,
-    # against the same nodes continued to tau = 6; at twice the default
-    # density, since on the default spiral the drift rounds to exactly 0
+    # against the same nodes continued to tau = 6, at twice the default
+    # density; the 4.3e-25 tail rounds away here as on the default spiral
     trimmed = contours.flat_contour_for(a, t, 2 * contours.POINTS_PER_UNIT)
     tau = trimmed.params[-1]
     ppu = int(round(1.0 / (trimmed.params[1] - trimmed.params[0])))

@@ -322,6 +322,10 @@ def test_deep_tail_exits_three_without_output(capsys):
     (("prob", "--ic", "flat", "--t", "4", "--a", "1000"),
      "the spiral's base z_a e^(z_a) underflows at a = 1000.0"),
     (("rates", "--a-min", "1e154", "--a-max", "1e155"), "rate_packed is not finite"),
+    # the flat curvature stays finite as far as the rate, which is named
+    (("rates", "--ic", "flat", "--a-min", "1e154", "--a-max", "1e155"),
+     "rate_flat is not finite at a = 1.93"),
+    (("figure1", "--a-max", "1e155"), "rate_flat is not finite at a = 1.9"),
     (("prob", "--ic", "packed", "--t", "4", "--a", "1e155"),
      "the saddle w- is not finite at a = 1e+155"),
     (("prob", "--ic", "stationary", "--t", "4", "--a", "1e155"),
@@ -331,8 +335,8 @@ def test_deep_tail_exits_three_without_output(capsys):
     (("prob", "--ic", ic, "--t", str(10 ** e), "--a", "1"), "above 2097152 at t = 1e+")
     for ic in ("packed", "stationary", "flat") for e in (20, 40, 300)
 ], ids=["stat-overflow", "stat-rho-overflow", "flat-spiral-underflow", "rates-huge-a",
-        "packed-huge-a", "stat-huge-a"] + [f"{ic}-t1e{e}" for ic in ("packed", "stationary", "flat")
-                                           for e in (20, 40, 300)])
+        "rates-flat-huge-a", "figure1-huge-a", "packed-huge-a", "stat-huge-a"]
+    + [f"{ic}-t1e{e}" for ic in ("packed", "stationary", "flat") for e in (20, 40, 300)])
 def test_numeric_limits_exit_three_without_output(capsys, argv, message):
     # past what double precision holds, each command names the limit and
     # exits 3; a numpy warning on the way fails the test

@@ -750,23 +750,39 @@ def test_flat_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch, 
     assert abs(denser.log_survival - res.log_survival) <= np.spacing(abs(log_survival))
 
 
-@pytest.mark.parametrize("t, a, grid_size", [(4, 1.0, 96), (64, 5.0, 0)])
-def test_prob_flat_solves_its_saddle_once(monkeypatch, t, a, grid_size):
-    # every bmtails binding of solve_za is spied on, as the benchmark's
-    # tracer wraps it by name: the Nystrom ladder and the deep trace each
-    # take z_a and the rate from one rate_flat call
-    solve_za = rates.solve_za
+def _spy_on_every_binding(monkeypatch, name):
+    """Record the arguments of each call to rates.<name>, under every bmtails binding of it.
+
+    The benchmark's tracer wraps functions by name in the same way.
+    """
+    fn = getattr(rates, name)
     calls = []
 
-    def spy(a):
-        calls.append(a)
-        return solve_za(a)
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "bmtails" and getattr(module, "solve_za", None) is solve_za:
-            monkeypatch.setattr(module, "solve_za", spy)
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "bmtails" and getattr(module, name, None) is fn:
+            monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("t, a, grid_size", [(4, 1.0, 96), (64, 5.0, 0)])
+def test_prob_flat_solves_its_saddle_once(monkeypatch, t, a, grid_size):
+    # the Nystrom ladder and the deep trace each take z_a and the rate
+    # from one rate_flat call
+    calls = _spy_on_every_binding(monkeypatch, "solve_za")
     assert fredholm.prob_flat(t, a).grid_size == grid_size
-    assert calls == [a]
+    assert calls == [(a,)]
+
+
+@pytest.mark.parametrize("t, a, grid_size", [(4, 1.0, 96), (64, 5.0, 0)])
+def test_prob_flat_takes_the_spiral_curvature_once(monkeypatch, t, a, grid_size):
+    # every rung's spiral reads eta from rate_flat's record
+    calls = _spy_on_every_binding(monkeypatch, "flat_curvature")
+    assert fredholm.prob_flat(t, a).grid_size == grid_size
+    assert len(calls) == 1
 
 
 def test_unconverged_ladder_raises():
