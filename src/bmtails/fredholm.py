@@ -22,11 +22,13 @@ from LU while the survival |1 - det| is at least 1e-2, where LU's
 absolute error of about N eps is about 1e-12 relative.
 Smaller survivals, which 1 - det would lose to cancellation, come from the
 trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
-it needs ||M||_F < 1/2, or NumericFailure is raised.  A kernel e^{L} Kt
-with Kt bounded and L below -600 has survival e^{L} tr(Kt), one rule
-(:func:`_deep_trace`) for the Gram routes and the flat one.  On the flat
-route tr(Kt) is the integral of the kernel's diagonal, exact on the
-spiral, and no grid is built (see :func:`prob_flat`).
+it needs ||M||_F < 1/2, or NumericFailure is raised.  A Gram e^{L} Gt
+with Gt bounded and L below -600 has survival e^{L} tr(Gt)
+(:func:`_deep_trace`).  The flat kernel e^{-t r} Kt takes that trace route
+wherever a computed bound proves it exact to 1e-17 relative: tr(Kt) is
+the integral of the kernel's diagonal and ||Kt||_HS is bounded by a sum
+over the spiral's terms, both exact on the spiral in one pass over its
+nodes, and no grid is built (see :func:`prob_flat` and :func:`_trace_error`).
 
 Every entry point hands a closure evaluate(size, scale) and its fixed
 ladder of sizes to one driver, :func:`_solve`, which doubles the contour
@@ -73,6 +75,7 @@ from .kernels import (
     _IM_TOL,
     finite_gram,
     finite_tables,
+    flat_hs_bound,
     khat_flat_grid,
     khat_flat_trace,
     packed_gram_order,
@@ -90,9 +93,11 @@ _LU_SURVIVAL = 1e-2
 _LU_SKIP = 0.0099
 _SERIES_NORM = 0.5
 _SERIES_TERMS = 64
-# below this log e^{-t r} the packed and flat survivals are e^{-t r} times a
-# trace to double precision
+# below this log scale a Gram route's survival is e^{log scale} times a trace
+# to double precision
 _DEEP_LOG_SCALE = -600.0
+# the flat survival is its trace once _trace_error proves this relative error
+_TRACE_EXACT = 1e-17
 # a stationary survival below this many times the rounding bound of its
 # finite-difference derivative is not resolved
 _FD_FLOOR = 10.0
@@ -114,8 +119,9 @@ class ProbResult:
     grid_size: int                # flat Nystrom nodes of the returned
                                   # evaluation, the Gram order m of the packed
                                   # and stationary routes, n on the finite-
-                                  # index one, or 0 on the deep flat trace,
-                                  # which builds no grid
+                                  # index one, or 0 on the flat trace route,
+                                  # taken where a Hilbert-Schmidt bound proves
+                                  # the trace exact, which builds no grid
 
 
 @functools.lru_cache(maxsize=None)
@@ -267,10 +273,38 @@ def _solve(what, evaluate, sizes):
 def _deep_trace(log_scale, trace):
     """(p, log_survival, im_residue) of det(1 - e^{log_scale} K), K bounded with trace ``trace``.
 
-    At log_scale <= _DEEP_LOG_SCALE, 1 - det is e^{log_scale} trace to a relative
-    e^{log_scale} |K| < 1e-260; the trace's phase is the imaginary residue.
+    For a caller that has shown 1 - det to be e^{log_scale} trace to double
+    precision: below _DEEP_LOG_SCALE (a relative e^{log_scale} |K| < 1e-260)
+    or by :func:`_trace_error`.  The trace's phase is the imaginary residue.
     """
     return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+
+
+def _trace_error(log_scale, trace, hs_bound):
+    """Bound on the relative error of T = e^{log_scale} trace as the survival 1 - det(I - K).
+
+    K = e^{log_scale} Kt with tr Kt = trace > 0 and ||Kt||_HS <= hs_bound.
+    With nu = e^{log_scale} hs_bound < 1, |tr K^k| <= nu^k for k >= 2, so
+    log det(I - K) = -u with u = T + R, |R| <= rho = nu^2 / (2 (1 - nu)).
+    Then |u| <= U = T + rho, |1 - e^{-u} - u| <= u^2 e^{|u|} / 2, and
+
+        |1 - det - T| / T <= rho / T + U^2 e^U / (2 T),
+
+    about nu^2 / (2 T) + T / 2.  Its terms are formed from their logs, so an
+    e^{log_scale} that underflows still gives a bound; inf when nu >= 1 or
+    the trace is not positive.
+    """
+    if not trace > 0.0:
+        return np.inf
+    log_nu = log_scale + np.log(hs_bound)
+    if not log_nu < 0.0:
+        return np.inf
+    log_t = log_scale + np.log(trace)
+    log_rho = 2.0 * log_nu - np.log(2.0) - np.log1p(-np.exp(log_nu))
+    log_u = np.logaddexp(log_t, log_rho)
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.logaddexp(log_rho - log_t,
+                                         2.0 * log_u + np.exp(log_u) - np.log(2.0) - log_t)))
 
 
 def _gram_det(gram, log_scale):
@@ -314,29 +348,37 @@ def prob_packed(t, a):
 def prob_flat(t, a):
     """P(x_t(t) <= 2t + at) under the flat start.
 
-    det(1 - P_0 Khat P_0) on a Nystrom grid of 48 to 384 nodes, with the
-    spiral of :func:`contours.flat_contour_for` doubled in density at each
-    rung.  One :func:`rates.rate_flat` call gives the saddle z_a, the
-    spiral's curvature and the rate r.  Khat = e^{-t r} Kt with Kt bounded
-    and real.  Once t r exceeds 600 the survival is :func:`_deep_trace`'s,
-    the trace being the integral of Kt's diagonal, exact on the spiral
-    (:func:`kernels.khat_flat_trace`), and grid_size is 0, since no grid is
-    built.
+    One :func:`rates.rate_flat` call gives the saddle z_a, the spiral's
+    curvature and the rate r.  Khat = e^{-t r} Kt with Kt bounded and real.
+    On the spiral of :func:`contours.flat_contour_for` at the default
+    density, tr(Kt), the integral of Kt's diagonal, and a bound on
+    ||Kt||_HS are exact sums over its nodes (:func:`kernels.khat_flat_trace`,
+    :func:`kernels.flat_hs_bound`).  Where :func:`_trace_error` proves
+    e^{-t r} tr(Kt) to be the survival to _TRACE_EXACT relative, the survival
+    is :func:`_deep_trace`'s, grid_size is 0 since no grid is built, and the
+    ladder only doubles the spiral's density.  Elsewhere det(1 - P_0 Khat P_0)
+    is taken on a Nystrom grid of 48 to 384 nodes, the spiral doubled in
+    density at each rung.  The first rung of either ladder reuses the
+    spiral that decided the route.
     """
     a = check_a(a)
     t = float(t)
     saddle = rate_flat(a)
     z_a, rate = saddle.saddle_lo, saddle.rate
+    log_scale = -t * rate
+    first = flat_contour_for(a, t, POINTS_PER_UNIT, saddle=saddle)
+    trace = khat_flat_trace(a, t, first, rate)
+    exact = _trace_error(log_scale, trace, flat_hs_bound(a, t, first, rate)) <= _TRACE_EXACT
 
     def evaluate(size, scale):
-        path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, saddle=saddle)
-        if not size:
-            return _deep_trace(-t * rate, khat_flat_trace(a, t, path, rate))
-        nodes, weights = build_grid(0.0, abs(z_a + 1.0), size)
-        return _det_core(khat_flat_grid(a, t, nodes, nodes, path), weights)
+        path = first if scale == 1 else flat_contour_for(a, t, scale * POINTS_PER_UNIT,
+                                                         saddle=saddle)
+        if size:
+            nodes, weights = build_grid(0.0, abs(z_a + 1.0), size)
+            return _det_core(khat_flat_grid(a, t, nodes, nodes, path), weights)
+        return _deep_trace(log_scale, trace if path is first else khat_flat_trace(a, t, path, rate))
 
-    deep = -t * rate <= _DEEP_LOG_SCALE
-    return _solve("prob_flat", evaluate, [0] * 4 if deep else [48, 96, 192, 384])
+    return _solve("prob_flat", evaluate, [0] * 4 if exact else [48, 96, 192, 384])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ Lambert spiral with the image branch phi carried along,
                    e^{x1(gamma+1) - x2(phi(gamma)+1)},
 
 real since the spiral is conjugate-symmetric, and assembled in real
-arithmetic on its tau >= 0 half.
+arithmetic on its tau >= 0 half.  On that half :func:`khat_flat_trace`
+integrates its diagonal and :func:`flat_hs_bound` bounds its
+Hilbert-Schmidt norm, each in one pass over the nodes.
 
 The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The one-point determinants
@@ -277,6 +279,22 @@ def khat_flat_trace(a, t, path, rate):
     """
     gam, phi, c = _half_spiral(a, t, path, rate)
     return float(np.sum(c / (phi - gam)).real)
+
+
+def flat_hs_bound(a, t, path, rate):
+    """e^{t rate} times an upper bound on the flat kernel's Hilbert-Schmidt norm on (0, infinity)^2.
+
+    Each spiral term c e^{x1 (gamma + 1)} e^{-x2 (phi + 1)} has norm
+    |c| / (2 sqrt(-Re(gamma + 1) Re(phi + 1))), and their sum bounds the
+    kernel's; conjugate terms have equal norms, so the sum runs over
+    :func:`_half_spiral` with e^{t rate} folded in as in :func:`khat_flat_trace`.
+    inf when a node has Re(gamma + 1) >= 0 or Re(phi + 1) <= 0, where a
+    term does not decay.
+    """
+    gam, phi, c = _half_spiral(a, t, path, rate)
+    if not (np.all(gam.real < -1.0) and np.all(phi.real > -1.0)):
+        return np.inf
+    return float(np.sum(np.abs(c) / (2.0 * np.sqrt(-(gam.real + 1.0) * (phi.real + 1.0)))))
 
 
 # ---------------------------------------------------------------------------

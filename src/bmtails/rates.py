@@ -155,10 +155,9 @@ def saddle_packed(a):
     )
 
 
-def _finite_rate(what, a, rate):
+def _finite_rate(what, a, rate, hint="a * a overflows above a of about 1.3e154"):
     if not np.isfinite(rate):
-        raise NumericFailure(f"{what} is not finite at a = {a!r}", last=rate,
-                             hint="a * a overflows above a of about 1.3e154")
+        raise NumericFailure(f"{what} is not finite at a = {a!r}", last=rate, hint=hint)
     return rate
 
 
@@ -284,13 +283,15 @@ def rate_asymptote(ic, a, regime):
     """Small-a / large-a closed asymptotes of the flat and stationary rates."""
     a = check_a(a)
     key = (str(ic), str(regime))
-    if key == ("flat", "small"):
-        return 4.0 / 3.0 * a ** 1.5
+    if key in (("flat", "small"), ("stationary", "small")):
+        with np.errstate(over="ignore"):
+            power = np.float64(a) ** 1.5
+        return float(_finite_rate(f"the small-a {key[0]} asymptote", a,
+                                  (4.0 if key[0] == "flat" else 2.0) / 3.0 * power,
+                                  hint="a^1.5 overflows above a of about 3e205"))
     if key == ("flat", "large"):
         # halved before it is squared, it stays finite as far as rate_flat
         return _finite_rate("the large-a flat asymptote", a, (a + 1.0) * ((a + 1.0) / 2.0))
-    if key == ("stationary", "small"):
-        return 2.0 / 3.0 * a ** 1.5
     if key == ("stationary", "large"):
         return a + 0.5 - np.log(a)
     raise ValueError(f"no asymptote for ic={ic!r}, regime={regime!r}")

@@ -736,18 +736,81 @@ def test_packed_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch
 
 @pytest.mark.parametrize("t, a, log_survival", [
     (64, 5.0, -1151.2144669183028), (256, 2.0, -1040.4856171995239),
-    (256, 5.0, -4591.064029407776),
+    (256, 5.0, -4591.064029407776), (16, 2.0, -68.298145905558),
+    (4, 5.0, -75.09632326755369),
 ])
 def test_flat_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch, t, a,
                                                                    log_survival):
-    # e^{-t r} underflows here; 1 - det is e^{-t r} times the integral of
-    # the kernel's diagonal, exact on the spiral, so no grid is built
+    # the Hilbert-Schmidt bound proves 1 - det to be e^{-t r} times the
+    # integral of the kernel's diagonal, exact on the spiral, so no grid is
+    # built, both where e^{-t r} underflows (the first three) and at e^-65
+    # and e^-72 (the last two)
     res = fredholm.prob_flat(t, a)
     assert res.p == 1.0 and res.grid_size == 0
     assert abs(res.log_survival - log_survival) <= 1e-10 * abs(log_survival)
     monkeypatch.setattr(fredholm, "POINTS_PER_UNIT", 2 * fredholm.POINTS_PER_UNIT)
     denser = fredholm.prob_flat(t, a)
     assert abs(denser.log_survival - res.log_survival) <= np.spacing(abs(log_survival))
+
+
+def _flat_trace_route(t, a):
+    """(saddle, x1 spiral, log of the trace survival, its _trace_error bound), as prob_flat."""
+    saddle = rates.rate_flat(a)
+    path = contours.flat_contour_for(a, t, saddle=saddle)
+    trace = kernels.khat_flat_trace(a, t, path, saddle.rate)
+    bound = fredholm._trace_error(-t * saddle.rate, trace,
+                                  kernels.flat_hs_bound(a, t, path, saddle.rate))
+    return saddle, path, -t * saddle.rate + np.log(trace), bound
+
+
+@pytest.mark.parametrize("t, a, error", [(64, 0.5, 1.5e-15), (16, 1.0, 1.1e-11)])
+def test_flat_keeps_the_nystrom_grid_where_the_bound_fails(t, a, error):
+    # the trace's proven relative error is above 1e-17 here
+    assert _flat_trace_route(t, a)[3] == pytest.approx(error, rel=0.05)
+    assert fredholm.prob_flat(t, a).grid_size == 96
+
+
+@pytest.mark.parametrize("t, a", [(4, 2.0), (16, 1.0)])
+def test_trace_error_bounds_the_converged_nystrom_survival(t, a):
+    # at 768 nodes the Nystrom log survival has converged to about 1e-11;
+    # the trace lies within the proven bound of it (6e-9 and 1.1e-11)
+    saddle, path, log_trace, bound = _flat_trace_route(t, a)
+    nodes, weights = fredholm.build_grid(0.0, abs(saddle.saddle_lo + 1.0), 768)
+    log_s = fredholm._det_core(kernels.khat_flat_grid(a, t, nodes, nodes, path), weights)[1]
+    assert abs(log_s - log_trace) <= bound
+
+
+@pytest.mark.parametrize("log_scale, trace, hs_bound", [
+    (0.0, 0.5, 1.0), (-1.0, 0.0, 0.1), (-1.0, -0.1, 0.1), (-1.0, np.nan, 0.1),
+    (-1.0, 0.1, np.inf),
+])
+def test_trace_error_is_infinite_without_a_proof(log_scale, trace, hs_bound):
+    # ||K||_HS >= 1 proves no convergent series, and a trace that is not
+    # positive has no log
+    assert fredholm._trace_error(log_scale, trace, hs_bound) == np.inf
+
+
+def test_trace_error_holds_where_the_scale_underflows():
+    # e^-1200 underflows, so T and rho would be 0 and rho / T 0 / 0; formed
+    # from logs, the bound is about e^-1200 (nu^2 / (2 T) + T / 2) in the
+    # unscaled terms, and underflows with them
+    error = fredholm._trace_error(-1200.0, 0.5, 0.6)
+    assert 0.0 <= error < 1e-300
+
+
+@pytest.mark.parametrize("t, a, grid_size", [(16, 2.0, 0), (4, 1.0, 96)])
+def test_prob_flat_reuses_the_spiral_that_decides_its_route(monkeypatch, t, a, grid_size):
+    # the decision and rung 1 share the x1 spiral: two rungs, two layouts
+    densities = []
+    layout = fredholm.flat_contour_for
+
+    def spy(a, t, points_per_unit, saddle):
+        densities.append(points_per_unit)
+        return layout(a, t, points_per_unit, saddle=saddle)
+
+    monkeypatch.setattr(fredholm, "flat_contour_for", spy)
+    assert fredholm.prob_flat(t, a).grid_size == grid_size
+    assert densities == [fredholm.POINTS_PER_UNIT, 2 * fredholm.POINTS_PER_UNIT]
 
 
 def _spy_on_every_binding(monkeypatch, name):

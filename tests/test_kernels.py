@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -228,18 +230,55 @@ def test_flat_kernel_on_half_the_spiral_is_bit_identical(t, a, scale):
         assert np.abs(full.imag).max() <= 1e-15 * scale_k
 
 
-@pytest.mark.parametrize("t, a", [(16, 5.0), (64, 2.0)])
+@pytest.mark.parametrize("t, a", [(16, 2.0), (16, 5.0), (64, 2.0)])
 def test_khat_flat_trace_is_the_deep_survival(t, a):
-    # below e^-250, 1 - det(1 - K) is the integral of K's diagonal to double
+    # where the Hilbert-Schmidt bound proves it (survivals e^-68 to e^-291
+    # here), 1 - det(1 - K) is the integral of K's diagonal to double
     # precision; on the spiral that integral needs no grid, holds under
-    # density doubling, and the Nystrom survival agrees with it to 1e-8
-    rate = rates.rate_flat(a).rate
-    logs = [-t * rate + np.log(kernels.khat_flat_trace(
-        a, t, contours.flat_contour_for(a, t, ppu), rate).real)
-        for ppu in (64, 128, 256)]
+    # density doubling, is what prob_flat returns, and the 96-node Nystrom
+    # survival agrees with it to 1e-8
+    saddle = rates.rate_flat(a)
+    rate = saddle.rate
+    paths = [contours.flat_contour_for(a, t, ppu, saddle=saddle) for ppu in (64, 128, 256)]
+    logs = [-t * rate + np.log(kernels.khat_flat_trace(a, t, path, rate)) for path in paths]
     np.testing.assert_allclose(logs, logs[0], rtol=1e-15)
-    nystrom = fredholm.prob_flat(t, a).log_survival
-    np.testing.assert_allclose(nystrom, logs[0], rtol=1e-8)
+    assert fredholm.prob_flat(t, a).log_survival == logs[0]
+    nodes, weights = fredholm.build_grid(0.0, abs(saddle.saddle_lo + 1.0), 96)
+    kmat = kernels.khat_flat_grid(a, t, nodes, nodes, paths[1])
+    np.testing.assert_allclose(fredholm._det_core(kmat, weights)[1], logs[0], rtol=1e-8)
+
+
+def _moved(path, field, value):
+    """path with the last node of ``field`` (on the tau >= 0 half) set to value."""
+    moved = getattr(path, field).copy()
+    moved[-1] = value
+    return dataclasses.replace(path, **{field: moved})
+
+
+@pytest.mark.parametrize("field, value", [("nodes", -1.0 + 0.5j), ("nodes", -0.5 + 0.5j),
+                                          ("phi_nodes", -1.0 + 0.5j), ("phi_nodes", -2.0)])
+def test_flat_hs_bound_is_infinite_on_a_term_that_does_not_decay(field, value):
+    # a node with Re(gamma + 1) >= 0 or Re(phi + 1) <= 0 gives a term with
+    # no finite Hilbert-Schmidt norm on (0, infinity)^2
+    a, t = 2.0, 16
+    saddle = rates.rate_flat(a)
+    path = contours.flat_contour_for(a, t, saddle=saddle)
+    assert np.isfinite(kernels.flat_hs_bound(a, t, path, saddle.rate))
+    assert kernels.flat_hs_bound(a, t, _moved(path, field, value), saddle.rate) == np.inf
+
+
+@pytest.mark.parametrize("t, a", [(4, 1.0), (4, 2.0), (16, 1.0), (64, 0.5)])
+def test_flat_hs_bound_bounds_the_nystrom_norm(t, a):
+    # ||M||_F on a 384-node grid is the kernel's Hilbert-Schmidt norm to
+    # about 1e-5; the bound lies above it, by 0.8% to 3.3% at these points
+    saddle = rates.rate_flat(a)
+    path = contours.flat_contour_for(a, t, saddle=saddle)
+    nodes, weights = fredholm.build_grid(0.0, abs(saddle.saddle_lo + 1.0), 384)
+    sq = np.sqrt(weights)
+    m = sq[:, None] * kernels.khat_flat_grid(a, t, nodes, nodes, path) * sq[None, :]
+    norm = np.linalg.norm(m) * np.exp(t * saddle.rate)
+    bound = kernels.flat_hs_bound(a, t, path, saddle.rate)
+    assert norm < bound < 1.05 * norm
 
 
 def test_deformation_check_compares_two_different_spirals(monkeypatch):

@@ -193,3 +193,11 @@ def test_second_derivative_signs():
         assert d.second_deriv[0] > 0
         assert d.second_deriv[1] < 0
         assert rates.rate_flat(a).second_deriv[0] < 0
+
+
+@pytest.mark.parametrize("ic", ["flat", "stationary"])
+def test_small_a_asymptote_refuses_overflow(ic):
+    # a^1.5 overflows above a of about 3e205; at 1e200 the asymptotes are finite
+    assert np.isfinite(rates.rate_asymptote(ic, 1e200, "small"))
+    with pytest.raises(NumericFailure, match=r"not finite at a = 1e\+300"):
+        rates.rate_asymptote(ic, 1e300, "small")
