@@ -11,15 +11,20 @@ set -eo pipefail
 
 case "${1:-}" in
   # packed is particle n = t of the shared finite-n Gram, cut at order
-  # m = 11 at a = 5; it resolves survivals down to e^-80416 at t = 4096:
-  # the table must exit 0 with every value finite (JSON prints a non-finite
-  # one as null)
+  # m = 11 at a = 5; it resolves survivals down to e^-80416 at t = 4096,
+  # where a Hilbert-Schmidt bound proves the survival to be e^{-t r} times
+  # the Gram's trace; at a = 0.5 the table crosses from LU and the trace
+  # series (t <= 64, where the bound is 1.8e-17, just short of proving the
+  # trace) to the trace (t = 256): every value must be finite (JSON prints
+  # a non-finite one as null)
   deep-packed)
-    PYTHONPATH=src python -m bmtails tail --ic packed --a 5 --t-list 16,64,256,4096 --format json | tee tail_packed.json
-    if grep -q null tail_packed.json; then
-      echo "non-finite value in the packed tail table"
-      exit 1
-    fi
+    for args in "--a 5 --t-list 16,64,256,4096" "--a 0.5 --t-list 4,16,64,256"; do
+      PYTHONPATH=src python -m bmtails tail --ic packed $args --format json | tee tail_packed.json
+      if grep -q null tail_packed.json; then
+        echo "non-finite value in the packed tail table ($args)"
+        exit 1
+      fi
+    done
     ;;
   # the unit-density stationary law is a central-difference derivative
   # D'(0): a survival below 10x its rounding bound 3 eps max|D| / h

@@ -22,13 +22,13 @@ from LU while the survival |1 - det| is at least 1e-2, where LU's
 absolute error of about N eps is about 1e-12 relative.
 Smaller survivals, which 1 - det would lose to cancellation, come from the
 trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
-it needs ||M||_F < 1/2, or NumericFailure is raised.  A Gram e^{L} Gt
-with Gt bounded and L below -600 has survival e^{L} tr(Gt)
-(:func:`_deep_trace`).  The flat kernel e^{-t r} Kt takes that trace route
-wherever a computed bound proves it exact to 1e-17 relative: tr(Kt) is
-the integral of the kernel's diagonal and ||Kt||_HS is bounded by a sum
-over the spiral's terms, both exact on the spiral in one pass over its
-nodes, and no grid is built (see :func:`prob_flat` and :func:`_trace_error`).
+it needs ||M||_F < 1/2, or NumericFailure is raised.  Deep in the tail M
+is e^{L} Mt with Mt bounded, and the survival is e^{L} tr(Mt) wherever
+:func:`_trace_error` proves that exact to 1e-17 relative from a bound nu on
+||Mt||_HS (:func:`_trace_survival`): ||Mt||_F on the Gram routes, which hand
+Mt and L to :func:`_det_core` apart, and on the flat route a sum over the
+spiral, on which tr(Kt), the integral of the diagonal, is exact too, so
+that no grid is built (see :func:`prob_flat`).
 
 Every entry point hands a closure evaluate(size, scale) and its fixed
 ladder of sizes to one driver, :func:`_solve`, which doubles the contour
@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,10 +94,7 @@ _LU_SURVIVAL = 1e-2
 _LU_SKIP = 0.0099
 _SERIES_NORM = 0.5
 _SERIES_TERMS = 64
-# below this log scale a Gram route's survival is e^{log scale} times a trace
-# to double precision
-_DEEP_LOG_SCALE = -600.0
-# the flat survival is its trace once _trace_error proves this relative error
+# a survival is its trace once _trace_error proves this relative error
 _TRACE_EXACT = 1e-17
 # a stationary survival below this many times the rounding bound of its
 # finite-difference derivative is not resolved
@@ -150,18 +148,18 @@ def build_grid(s, decay_rate, size):
     return nodes, 0.5 * w / (decay_rate * (1.0 - u))
 
 
-def _det_core(kmat, weights):
-    """(det, log_survival, im_residue) of I - M with M = sqrt(w) K sqrt(w).
+def _det_core(kmat, weights, log_scale=0.0):
+    """(det, log_survival, im_residue) of I - e^{log_scale} M with M = sqrt(w) K sqrt(w).
 
+    The survival is e^{log_scale} tr M where :func:`_trace_error` proves it
+    from nu = ||M||_F (:func:`_trace_survival`).  Otherwise, with M scaled,
     log det(I - M) is LU's, or the trace series' when |1 - det| from LU is
     below _LU_SURVIVAL; a series that cannot converge raises NumericFailure.
     With nu = ||M||_F < 1, |tr M^k| <= nu^k for k >= 2, so |log det(I - M)|
     is at most |tr M| + nu^2 / (1 - nu); below _LU_SKIP that proves the
     series route, and LU is not run.  The series stops once its tail after
     k terms, at most nu^(k+1) / ((k + 1)(1 - nu)), is below 1e-17 |log det|,
-    before forming the next power.  Deep in the tail M's entries are near
-    the underflow threshold, where LU and the matrix products would run in
-    slow subnormal arithmetic.
+    before forming the next power.
     The log of a real determinant has imaginary part a multiple of pi, odd
     when it is negative; the residue from that multiple is returned.
     An M or an LU log det past the largest double raises NumericFailure;
@@ -170,7 +168,16 @@ def _det_core(kmat, weights):
     sq = np.sqrt(weights)
     with np.errstate(over="ignore", invalid="ignore"):
         m = sq[:, None] * np.asarray(kmat) * sq[None, :]
-        norm = float(np.linalg.norm(m))
+        trace, norm = complex(m.trace()), float(np.linalg.norm(m))
+    # each of the N^2 squares that underflows loses less than the smallest
+    # subnormal, 4.9e-324, so ||M||_F <= hypot(norm, N 1e-161) however small M is
+    error = _trace_error(log_scale, trace.real, math.log(math.hypot(norm, len(m) * 1e-161)))
+    if error <= _TRACE_EXACT:
+        return _trace_survival(len(m), log_scale, trace, error)
+    if log_scale:
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = np.exp(log_scale) * m
+            norm = float(np.linalg.norm(m))
     if not norm < np.inf:
         raise NumericFailure(f"M overflows: ||M||_F = {norm}", hint="M passes the largest double")
     series = norm < _SERIES_NORM and \
@@ -270,53 +277,42 @@ def _solve(what, evaluate, sizes):
                       refinement_delta=delta, grid_size=size)
 
 
-def _deep_trace(log_scale, trace):
-    """(p, log_survival, im_residue) of det(1 - e^{log_scale} K), K bounded with trace ``trace``.
-
-    For a caller that has shown 1 - det to be e^{log_scale} trace to double
-    precision: below _DEEP_LOG_SCALE (a relative e^{log_scale} |K| < 1e-260)
-    or by :func:`_trace_error`.  The trace's phase is the imaginary residue.
-    """
-    return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
-
-
-def _trace_error(log_scale, trace, hs_bound):
+def _trace_error(log_scale, trace, log_nu):
     """Bound on the relative error of T = e^{log_scale} trace as the survival 1 - det(I - K).
 
-    K = e^{log_scale} Kt with tr Kt = trace > 0 and ||Kt||_HS <= hs_bound.
-    With nu = e^{log_scale} hs_bound < 1, |tr K^k| <= nu^k for k >= 2, so
+    K = e^{log_scale} Kt with tr Kt = trace > 0 and ||Kt||_HS <= e^{log_nu}.
+    With nu = e^{log_scale + log_nu} < 1, |tr K^k| <= nu^k for k >= 2, so
     log det(I - K) = -u with u = T + R, |R| <= rho = nu^2 / (2 (1 - nu)).
     Then |u| <= U = T + rho, |1 - e^{-u} - u| <= u^2 e^{|u|} / 2, and
 
         |1 - det - T| / T <= rho / T + U^2 e^U / (2 T),
 
-    about nu^2 / (2 T) + T / 2.  Its terms are formed from their logs, so an
-    e^{log_scale} that underflows still gives a bound; inf when nu >= 1 or
-    the trace is not positive.
+    about nu^2 / (2 T) + T / 2.  With r = rho / T the second term is
+    (1 + r) U e^U / 2, so only T and r are formed from logs, and an
+    e^{log_scale} that underflows still gives a bound; inf when nu >= 1, the
+    trace is not positive, or r or T passes 1, where the bound proves nothing.
     """
-    if not trace > 0.0:
-        return np.inf
-    log_nu = log_scale + np.log(hs_bound)
-    if not log_nu < 0.0:
-        return np.inf
-    log_t = log_scale + np.log(trace)
-    log_rho = 2.0 * log_nu - np.log(2.0) - np.log1p(-np.exp(log_nu))
-    log_u = np.logaddexp(log_t, log_rho)
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.logaddexp(log_rho - log_t,
-                                         2.0 * log_u + np.exp(log_u) - np.log(2.0) - log_t)))
+    log_nu += log_scale
+    if not (trace > 0.0 and log_nu < 0.0):
+        return math.inf
+    log_t = log_scale + math.log(trace)
+    log_r = 2.0 * log_nu - math.log(-2.0 * math.expm1(log_nu)) - log_t
+    if log_r > 0.0 or log_t > 0.0:
+        return math.inf
+    r = math.exp(log_r)
+    u = math.exp(log_t) * (1.0 + r)
+    return r + (1.0 + r) * u * math.exp(u) / 2.0
 
 
-def _gram_det(gram, log_scale):
-    """(p, log_survival, im_residue) of det(I - e^{log_scale} gram), gram bounded.
+def _trace_survival(order, log_scale, trace, error):
+    """(1, log_survival, im_residue) of I - e^{log_scale} K as e^{log_scale} tr K.
 
-    Below _DEEP_LOG_SCALE the survival is :func:`_deep_trace`'s.
+    For a caller whose :func:`_trace_error` bound, ``error``, is at most
+    _TRACE_EXACT; the trace's phase is the imaginary residue.
     """
-    if log_scale > _DEEP_LOG_SCALE:
-        with np.errstate(over="ignore", invalid="ignore"):
-            kmat = np.exp(log_scale) * gram    # past the largest double, _det_core raises
-        return _det_core(kmat, np.ones(len(gram)))
-    return _deep_trace(log_scale, complex(np.trace(gram)))
+    log.debug("determinant of order %d: route trace, relative error at most %.3e",
+              order, error)
+    return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
 
 
 # ---------------------------------------------------------------------------
@@ -331,15 +327,16 @@ def prob_packed(t, a):
     (:func:`kernels.finite_gram`), cut at the order m of
     :func:`kernels.packed_gram_order`, with no Nystrom grid: grid_size
     reports m, and only the contour density is doubled.  G = e^{-t r} Gt
-    with Gt bounded, so once t r exceeds 600 log_survival is
-    -t r + log tr(Gt) (:func:`_deep_trace`).
+    with Gt bounded, and :func:`_det_core` takes Gt and -t r apart: where
+    its bound proves it, log_survival is -t r + log tr(Gt).
     """
     a = check_a(a)
     t = _check_time(t)
 
     def evaluate(size, scale):
         contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        return _gram_det(*finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, size)))
+        gram, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, size))
+        return _det_core(gram, np.ones(len(gram)), log_scale)
 
     # contour densities x1 to x8, as on the flat route's grids 48 to 384
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
@@ -353,13 +350,12 @@ def prob_flat(t, a):
     On the spiral of :func:`contours.flat_contour_for` at the default
     density, tr(Kt), the integral of Kt's diagonal, and a bound on
     ||Kt||_HS are exact sums over its nodes (:func:`kernels.khat_flat_trace`,
-    :func:`kernels.flat_hs_bound`).  Where :func:`_trace_error` proves
-    e^{-t r} tr(Kt) to be the survival to _TRACE_EXACT relative, the survival
-    is :func:`_deep_trace`'s, grid_size is 0 since no grid is built, and the
-    ladder only doubles the spiral's density.  Elsewhere det(1 - P_0 Khat P_0)
-    is taken on a Nystrom grid of 48 to 384 nodes, the spiral doubled in
-    density at each rung.  The first rung of either ladder reuses the
-    spiral that decided the route.
+    :func:`kernels.flat_hs_bound`).  Where that bound proves e^{-t r} tr(Kt)
+    to be the survival (:func:`_trace_survival`), grid_size is 0 since no
+    grid is built, and the ladder only doubles the spiral's density.
+    Elsewhere det(1 - P_0 Khat P_0) is taken on a Nystrom grid of 48 to 384
+    nodes, the spiral doubled in density at each rung.  The first rung of
+    either ladder reuses the spiral that decided the route.
     """
     a = check_a(a)
     t = float(t)
@@ -368,7 +364,7 @@ def prob_flat(t, a):
     log_scale = -t * rate
     first = flat_contour_for(a, t, POINTS_PER_UNIT, saddle=saddle)
     trace = khat_flat_trace(a, t, first, rate)
-    exact = _trace_error(log_scale, trace, flat_hs_bound(a, t, first, rate)) <= _TRACE_EXACT
+    error = _trace_error(log_scale, trace, math.log(flat_hs_bound(a, t, first, rate)))
 
     def evaluate(size, scale):
         path = first if scale == 1 else flat_contour_for(a, t, scale * POINTS_PER_UNIT,
@@ -376,9 +372,10 @@ def prob_flat(t, a):
         if size:
             nodes, weights = build_grid(0.0, abs(z_a + 1.0), size)
             return _det_core(khat_flat_grid(a, t, nodes, nodes, path), weights)
-        return _deep_trace(log_scale, trace if path is first else khat_flat_trace(a, t, path, rate))
+        return _trace_survival(0, log_scale, trace if path is first else
+                               khat_flat_trace(a, t, path, rate), error)
 
-    return _solve("prob_flat", evaluate, [0] * 4 if exact else [48, 96, 192, 384])
+    return _solve("prob_flat", evaluate, [0] * 4 if error <= _TRACE_EXACT else [48, 96, 192, 384])
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +524,8 @@ def prob_finite_n(n, t, s):
 
     def evaluate(size, scale):
         tables = _finite_tables(n, t, anchors, scale * POINTS_PER_UNIT)
-        return _gram_det(*finite_gram(n, t, s, tables))
+        gram, log_scale = finite_gram(n, t, s, tables)
+        return _det_core(gram, np.ones(n), log_scale)
 
     return _solve("prob_finite_n", evaluate, [n] * 4)
 

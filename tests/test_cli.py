@@ -390,7 +390,8 @@ def test_packed_tail_reaches_deep_times(capsys):
 
 
 def test_flat_tail_reaches_deep_times(capsys):
-    # t = 64 and 256 take the grid-free trace below e^-600
+    # every t takes the grid-free trace, where a Hilbert-Schmidt bound
+    # proves it exact
     code, out, _ = run_cli(capsys, "tail", "--ic", "flat", "--a", "5",
                            "--t-list", "16,64,256", "--format", "json")
     table = json.loads(out)

@@ -115,12 +115,21 @@ def test_det_core_logs_each_route(caplog):
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
         fredholm.prob_flat(4, 1.0)
         fredholm.prob_flat(1, 0.25)
-    lines = [r.getMessage() for r in caplog.records if r.funcName == "_det_core"]
+        fredholm.prob_packed(64, 1.0)
+        fredholm.prob_flat(16, 2.0)
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("determinant")]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
     # the series stops once its proven tail is below 1e-17 |log det|
     assert lines[0].startswith("determinant of order 48: route series, 5 series terms, ||M||_F ")
-    assert lines[-1].startswith("determinant of order 192: route lu, 0 series terms, ||M||_F ")
-    assert len(lines) == 5
+    assert lines[4].startswith("determinant of order 192: route lu, 0 series terms, ||M||_F ")
+    # the trace route gives its proven relative error: the packed Gram at
+    # each of two rungs, and the flat trace, with no matrix, on the spiral
+    # that decides its route and on the x2 one
+    assert len(lines) == 9
+    assert all(line.startswith("determinant of order 22: route trace, relative error at most ")
+               for line in lines[5:7])
+    assert all(line.startswith("determinant of order 0: route trace, relative error at most ")
+               for line in lines[7:])
 
 
 @pytest.mark.parametrize("fn, extra", [
@@ -759,7 +768,7 @@ def _flat_trace_route(t, a):
     path = contours.flat_contour_for(a, t, saddle=saddle)
     trace = kernels.khat_flat_trace(a, t, path, saddle.rate)
     bound = fredholm._trace_error(-t * saddle.rate, trace,
-                                  kernels.flat_hs_bound(a, t, path, saddle.rate))
+                                  np.log(kernels.flat_hs_bound(a, t, path, saddle.rate)))
     return saddle, path, -t * saddle.rate + np.log(trace), bound
 
 
@@ -787,14 +796,14 @@ def test_trace_error_bounds_the_converged_nystrom_survival(t, a):
 def test_trace_error_is_infinite_without_a_proof(log_scale, trace, hs_bound):
     # ||K||_HS >= 1 proves no convergent series, and a trace that is not
     # positive has no log
-    assert fredholm._trace_error(log_scale, trace, hs_bound) == np.inf
+    assert fredholm._trace_error(log_scale, trace, np.log(hs_bound)) == np.inf
 
 
 def test_trace_error_holds_where_the_scale_underflows():
     # e^-1200 underflows, so T and rho would be 0 and rho / T 0 / 0; formed
     # from logs, the bound is about e^-1200 (nu^2 / (2 T) + T / 2) in the
     # unscaled terms, and underflows with them
-    error = fredholm._trace_error(-1200.0, 0.5, 0.6)
+    error = fredholm._trace_error(-1200.0, 0.5, np.log(0.6))
     assert 0.0 <= error < 1e-300
 
 
@@ -833,7 +842,7 @@ def _spy_on_every_binding(monkeypatch, name):
 
 @pytest.mark.parametrize("t, a, grid_size", [(4, 1.0, 96), (64, 5.0, 0)])
 def test_prob_flat_solves_its_saddle_once(monkeypatch, t, a, grid_size):
-    # the Nystrom ladder and the deep trace each take z_a and the rate
+    # the Nystrom ladder and the trace route each take z_a and the rate
     # from one rate_flat call
     calls = _spy_on_every_binding(monkeypatch, "solve_za")
     assert fredholm.prob_flat(t, a).grid_size == grid_size
@@ -895,6 +904,63 @@ def test_det_core_early_exits_change_no_bit(monkeypatch, nu, lu_calls):
     assert len(calls) == lu_calls
 
 
+def _random_gram(size, seed=3):
+    """A bounded complex Gram with positive real trace."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, 1.0, (size, size)) + 0.2j * rng.standard_normal((size, size))
+    return 0.5 * x / np.linalg.norm(x)
+
+
+def test_det_core_takes_the_trace_of_a_deep_gram_without_lu(monkeypatch, caplog):
+    # at e^-1200 the bound proves the survival e^L tr G: det rounds to 1 and
+    # neither LU nor the series runs on the underflowed e^L G
+    gram = _random_gram(12)
+    calls = []
+    slogdet = np.linalg.slogdet
+    monkeypatch.setattr(np.linalg, "slogdet", lambda mat: calls.append(1) or slogdet(mat))
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        det, log_survival, im = fredholm._det_core(gram, np.ones(12), -1200.0)
+    trace = complex(np.trace(gram))
+    assert det == 1.0 and calls == []
+    assert repr(log_survival) == repr(float(-1200.0 + np.log(trace.real)))
+    assert im == abs(trace.imag / trace.real)
+    assert "route trace, relative error at most 0.000e+00" in caplog.records[-1].getMessage()
+
+
+def test_det_core_takes_the_trace_where_the_frobenius_norm_underflows():
+    # entries near 1e-170 square to below the smallest subnormal, so ||M||_F
+    # computes to 0 while tr M does not; nu allows for the lost squares, and
+    # the filter turns any RuntimeWarning, such as np.log(0)'s, into an error
+    m = 1e-170 * (1.0 + np.arange(64.0).reshape(8, 8) / 64.0)
+    assert np.linalg.norm(m) == 0.0
+    det, log_survival, im = fredholm._det_core(m, np.ones(8))
+    assert det == 1.0 and im == 0.0
+    assert log_survival == float(np.log(np.trace(m)))
+
+
+@pytest.mark.parametrize("log_scale, route", [(-2.0, "lu"), (-20.0, "series")])
+def test_det_core_scales_the_gram_where_the_bound_fails(caplog, log_scale, route):
+    # the bound does not prove the trace, and LU or the series runs on
+    # e^L G: the same bits as handing _det_core the scaled Gram
+    gram = 40.0 * _random_gram(12)
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        result = fredholm._det_core(gram, np.ones(12), log_scale)
+    assert f"route {route}," in caplog.records[-1].getMessage()
+    assert repr(result) == repr(fredholm._det_core(np.exp(log_scale) * gram, np.ones(12)))
+
+
+@pytest.mark.parametrize("t, a, log_survival", [
+    (64, 1.0, "-99.9089029990691"), (16, 2.0, "-77.08652448321286"),
+])
+def test_packed_points_newly_traced_keep_their_bits(caplog, t, a, log_survival):
+    # the bound proves the trace at these timed points, where the series of
+    # one term ran before; log_survival keeps the series' bits
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        res = fredholm.prob_packed(t, a)
+    assert repr(res.log_survival) == log_survival
+    assert "route trace" in caplog.records[-2].getMessage()
+
+
 def test_build_grid_shares_a_read_only_rule():
     nodes1 = fredholm.build_grid(0.0, 1.0, 32)[0]
     nodes2, weights2 = fredholm.build_grid(2.0, 0.5, 32)
@@ -925,7 +991,7 @@ def test_prob_finite_n_validates_index():
 @pytest.mark.parametrize("t", [1, 4, 16])
 def test_free_particle_deep_tail_is_gaussian(u, t):
     # the survival of one Brownian motion, e^-53 to e^-20006: the Gram of
-    # order 1 through the saddles, by the trace below e^-600
+    # order 1 through the saddles, by the trace where its bound proves it
     res = fredholm.prob_finite_n(1, t, u * np.sqrt(t))
     np.testing.assert_allclose(res.log_survival, norm.logsf(u), rtol=1e-12)
 
