@@ -27,7 +27,9 @@ Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the
 contour tails uniformly across families.  Weights are the dz quadrature
 factors of a trapezoidal rule in the parameter: ``sum(f(nodes) * weights)``
-approximates the contour integral of f.
+approximates the contour integral of f.  Every second node from the middle
+one, where the parameter is 0, with the weights doubled is the rule at half
+the density (:func:`sub_path`), and where node counts nest, that layout.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import NumericFailure
 from .lambertw import lambert_w
-from .rates import check_a, rate_flat, solve_za
+from .rates import _g_vals, check_a, rate_flat, solve_za
 
 # e^{t * phase} below this, relative to its value at c, is cut off each
 # line, and relative to the saddle off the flat spiral
@@ -134,6 +136,19 @@ def _circle(radius, count):
     theta = -np.pi + 2.0 * np.pi * np.arange(count) / count
     z = radius * np.exp(1j * theta)
     return ContourPath(nodes=z, weights=1j * z * (2.0 * np.pi / count), params=theta)
+
+
+def sub_rule(nodes):
+    """Slice of the sub-rule: every second node from the middle one, the critical node."""
+    return slice(len(nodes) // 2 % 2, None, 2)
+
+
+def sub_path(path):
+    """The rule at half path's density: its :func:`sub_rule` nodes with the weights doubled."""
+    sub = sub_rule(path.nodes)
+    phi = None if path.phi_nodes is None else path.phi_nodes[sub]
+    return replace(path, nodes=path.nodes[sub], weights=2.0 * path.weights[sub],
+                   params=path.params[sub], phi_nodes=phi)
 
 
 def scale_circle(circle, factor):
@@ -281,11 +296,12 @@ def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, saddle=None):
 
     The parameter-space Gaussian width at the saddle is 1/sqrt(t |eta|), so
     the density is points_per_unit max(1, sqrt(t |eta|) / 8), 8 sqrt(t |eta|)
-    at the default, and the spiral is trimmed where e^{tG} falls below 1e-12
-    of its saddle value, or at |tau| = 4 if that is sooner.  Doubling
-    points_per_unit doubles the density on the same window: 239 nodes at
-    the default once the Gaussian width sets both, then 477.  z_a and eta
-    come from ``saddle``, the :func:`rates.rate_flat` record of a.
+    at the default.  The window is twice the tau where that Gaussian falls
+    to 1e-12, doubled while e^{tG} at its end is above 1e-12 of its saddle
+    value (small a and t, where G is far from quadratic), to at most |tau| = 4.
+    Doubling points_per_unit doubles the density on about the same window:
+    239 nodes at the default once the Gaussian width sets both, then 477.
+    z_a and eta come from ``saddle``, the :func:`rates.rate_flat` record of a.
     """
     a = check_a(a)
     t = _check_time(t)
@@ -298,7 +314,12 @@ def flat_contour_for(a, t, points_per_unit=POINTS_PER_UNIT, saddle=None):
                       "spiral's nodes per unit of tau", t)
     span = 2.0 * np.sqrt(2.0 * np.log(1.0 / _TRUNCATION_TOL) / (t * abs(eta)))
     tau_max = min(_TAU_CAP, span)
-    return build_flat_contour(a, ppu, tau_max, z_a=z_a)
+    while True:
+        path = build_flat_contour(a, ppu, tau_max, z_a=z_a)
+        edge = t * (_g_vals(path.nodes[-1], path.phi_nodes[-1], a).real + saddle.rate)
+        if tau_max == _TAU_CAP or edge <= np.log(_TRUNCATION_TOL):
+            return path
+        tau_max = min(_TAU_CAP, 2.0 * tau_max)
 
 
 def steep_descent_report(path, phase, delta):

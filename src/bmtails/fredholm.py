@@ -31,17 +31,18 @@ spiral, on which tr(Kt), the integral of the diagonal, is exact too, so
 that no grid is built (see :func:`prob_flat`).
 
 Every entry point hands a closure evaluate(size, scale) and its fixed
-ladder of sizes to one driver, :func:`_solve`, which doubles the contour
-density at each rung (and on the flat Nystrom route the grid size, 48 to
-384; the Gram orders m and n stay) until successive values agree; it
-reports the last change as the refinement delta and the final grid size,
-and checks the imaginary residue and the [0, 1] range; a survival it
-cannot resolve (p above 1, or a log_survival that is not finite), or a
-ladder that ends before p settles, raises NumericFailure.
+ladder of sizes to one driver, :func:`_solve`.  Rung k lays out contours
+at density 2^k once (a flat Nystrom grid of 48 2^k nodes; the Gram orders
+m and n stay) until the p of that trapezoid rule and of its sub-rule at
+half the density (:func:`contours.sub_path`) agree; it reports their
+difference as the refinement delta and the final grid size, and checks
+the imaginary residue and the [0, 1] range; a survival it cannot resolve
+(p above 1, or a log_survival that is not finite), or a ladder that ends
+before p settles, raises NumericFailure.
 Both stationary laws need an s-derivative, taken by central differences
 with one Richardson step; the two step sizes must agree, and a survival
 below ten times the rounding bound of those differences raises.  Each
-contour density forms its tables once for all levels.
+rung forms its tables once for all levels, and halves them for its sub-rule.
 
 For the density-rho stationary formula the rank-one perturbation
 (1-rho) f (x) g_rho has a non-decaying factor f = 1 + (decaying), so its
@@ -70,18 +71,19 @@ from .contours import (
     finite_anchors,
     flat_contour_for,
     scale_circle,
+    sub_path,
 )
 from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
     finite_gram,
     finite_tables,
-    flat_hs_bound,
+    flat_trace_terms,
     khat_flat_grid,
-    khat_flat_trace,
     packed_gram_order,
     stat_components,
     stat_rho_pieces,
+    sub_tables,
 )
 from .rates import check_a, rate_flat, rate_packed
 
@@ -113,7 +115,7 @@ class ProbResult:
     p: float
     log_survival: float
     im_residue: float             # 0 on the flat route, whose kernel is real
-    refinement_delta: float
+    refinement_delta: float       # |p| change from the last rung's sub-rule
     grid_size: int                # flat Nystrom nodes of the returned
                                   # evaluation, the Gram order m of the packed
                                   # and stationary routes, n on the finite-
@@ -151,10 +153,10 @@ def build_grid(s, decay_rate, size):
 def _det_core(kmat, weights, log_scale=0.0):
     """(det, log_survival, im_residue) of I - e^{log_scale} M with M = sqrt(w) K sqrt(w).
 
-    The survival is e^{log_scale} tr M where :func:`_trace_error` proves it
-    from nu = ||M||_F (:func:`_trace_survival`).  Otherwise, with M scaled,
-    log det(I - M) is LU's, or the trace series' when |1 - det| from LU is
-    below _LU_SURVIVAL; a series that cannot converge raises NumericFailure.
+    The survival is e^{log_scale} tr M where :func:`_trace_error`, at least
+    half that trace, proves it from nu = ||M||_F (:func:`_trace_survival`).
+    Otherwise, with M scaled, log det(I - M) is LU's, or the trace series'
+    when |1 - det| from LU is below _LU_SURVIVAL (NumericFailure if it diverges).
     With nu = ||M||_F < 1, |tr M^k| <= nu^k for k >= 2, so |log det(I - M)|
     is at most |tr M| + nu^2 / (1 - nu); below _LU_SKIP that proves the
     series route, and LU is not run.  The series stops once its tail after
@@ -168,16 +170,17 @@ def _det_core(kmat, weights, log_scale=0.0):
     sq = np.sqrt(weights)
     with np.errstate(over="ignore", invalid="ignore"):
         m = sq[:, None] * np.asarray(kmat) * sq[None, :]
-        trace, norm = complex(m.trace()), float(np.linalg.norm(m))
-    # each of the N^2 squares that underflows loses less than the smallest
-    # subnormal, 4.9e-324, so ||M||_F <= hypot(norm, N 1e-161) however small M is
-    error = _trace_error(log_scale, trace.real, math.log(math.hypot(norm, len(m) * 1e-161)))
-    if error <= _TRACE_EXACT:
-        return _trace_survival(len(m), log_scale, trace, error)
-    if log_scale:
-        with np.errstate(over="ignore", invalid="ignore"):
+        trace = complex(m.trace())
+        if trace.real > 0.0 and log_scale + math.log(trace.real) <= math.log(2.0 * _TRACE_EXACT):
+            # each of the N^2 squares that underflows loses less than the smallest subnormal,
+            # 4.9e-324, so ||M||_F <= hypot(norm, N 1e-161) however small M is
+            log_nu = math.log(math.hypot(float(np.linalg.norm(m)), len(m) * 1e-161))
+            error = _trace_error(log_scale, trace.real, log_nu)
+            if error <= _TRACE_EXACT:
+                return _trace_survival(len(m), log_scale, trace, error)
+        if log_scale:
             m = np.exp(log_scale) * m
-            norm = float(np.linalg.norm(m))
+        norm = float(np.linalg.norm(m))
     if not norm < np.inf:
         raise NumericFailure(f"M overflows: ||M||_F = {norm}", hint="M passes the largest double")
     series = norm < _SERIES_NORM and \
@@ -215,24 +218,25 @@ def _det_core(kmat, weights, log_scale=0.0):
 
 
 def _solve(what, evaluate, sizes):
-    """Evaluate at sizes[k] and contour density 2^k until p moves by less than _TARGET.
+    """Rung k = 1, 2, ... at sizes[k - 1] and contour density 2^k until its two p agree to _TARGET.
 
-    evaluate(size, scale) returns (p, log_survival, im_residue).  Each step
-    is logged at DEBUG level, which gives the refinement history.  A p above
-    1, a log_survival that is not finite, or a ladder whose last rung still
-    moves p by _TARGET or more raises NumericFailure; a p within _CLAMP
-    below 0 is set to 0.
+    evaluate(size, scale) lays out its contours once and returns the result
+    of that trapezoid rule and of its sub-rule, each (p, log_survival,
+    im_residue), whose change measures the rule's geometric convergence
+    (Trefethen and Weideman, SIAM Rev. 56 (2014)); each rung is logged at
+    DEBUG level.  A p above 1, a log_survival that is not finite, or a last
+    rung that still moves p by _TARGET or more raises NumericFailure; a p
+    within _CLAMP below 0 is set to 0.
     """
-    prev = None
     for step, size in enumerate(sizes):
-        scale = 2 ** step
-        result = evaluate(size, scale)
-        delta = np.inf if prev is None else abs(result[0] - prev[0])
-        log.debug("%s: grid size %d, p %.17g, log_survival %.17g, delta %.3e, "
-                  "im residue %.3e", what, size, result[0], result[1], delta, result[2])
+        scale = 2 ** (step + 1)
+        result, sub = evaluate(size, scale)
+        delta = abs(result[0] - sub[0])
+        log.debug("%s: grid size %d, contour density x%d, p %.17g, log_survival %.17g, sub-rule "
+                  "log_survival %.17g, |delta log S| %.3e, delta %.3e, im residue %.3e", what, size,
+                  scale, result[0], result[1], sub[1], abs(result[1] - sub[1]), delta, result[2])
         if delta < _TARGET:
             break
-        prev = result
     p, log_survival, im = result
     if im > _IM_TOL * (1.0 + abs(p)):
         # a determinant this close to 0 is a cancellation of O(1) terms,
@@ -335,11 +339,11 @@ def prob_packed(t, a):
 
     def evaluate(size, scale):
         contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        gram, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, size))
-        return _det_core(gram, np.ones(len(gram)), log_scale)
+        *grams, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, size))
+        return [_det_core(gram, np.ones(size), log_scale) for gram in grams]
 
-    # contour densities x1 to x8, as on the flat route's grids 48 to 384
-    return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 4)
+    # contour densities x2 to x8, as on the flat route's grids 96 to 384
+    return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 3)
 
 
 def prob_flat(t, a):
@@ -347,35 +351,37 @@ def prob_flat(t, a):
 
     One :func:`rates.rate_flat` call gives the saddle z_a, the spiral's
     curvature and the rate r.  Khat = e^{-t r} Kt with Kt bounded and real.
-    On the spiral of :func:`contours.flat_contour_for` at the default
-    density, tr(Kt), the integral of Kt's diagonal, and a bound on
-    ||Kt||_HS are exact sums over its nodes (:func:`kernels.khat_flat_trace`,
-    :func:`kernels.flat_hs_bound`).  Where that bound proves e^{-t r} tr(Kt)
-    to be the survival (:func:`_trace_survival`), grid_size is 0 since no
-    grid is built, and the ladder only doubles the spiral's density.
-    Elsewhere det(1 - P_0 Khat P_0) is taken on a Nystrom grid of 48 to 384
-    nodes, the spiral doubled in density at each rung.  The first rung of
-    either ladder reuses the spiral that decided the route.
+    On the spiral of :func:`contours.flat_contour_for` at twice the default
+    density, tr(Kt), the integral of Kt's diagonal, and a bound on ||Kt||_HS
+    are exact sums over its nodes (:func:`kernels.flat_trace_terms`).  Where
+    that bound proves e^{-t r} tr(Kt) to be the survival
+    (:func:`_trace_survival`), grid_size is 0 since no grid is built, and
+    the ladder only doubles the spiral's density.
+    Elsewhere det(1 - P_0 Khat P_0) is taken on Nystrom grids of 96 to 384
+    nodes, and half that on its :func:`contours.sub_path`, the spiral doubled
+    in density at each rung.  Rung 1 of either ladder reuses the x2 spiral
+    and its traces, which decided the route.
     """
     a = check_a(a)
     t = float(t)
     saddle = rate_flat(a)
     z_a, rate = saddle.saddle_lo, saddle.rate
     log_scale = -t * rate
-    first = flat_contour_for(a, t, POINTS_PER_UNIT, saddle=saddle)
-    trace = khat_flat_trace(a, t, first, rate)
-    error = _trace_error(log_scale, trace, math.log(flat_hs_bound(a, t, first, rate)))
+    first = flat_contour_for(a, t, 2 * POINTS_PER_UNIT, saddle=saddle)
+    *traces, hs_bound = flat_trace_terms(a, t, first, rate)
+    error = _trace_error(log_scale, traces[0], math.log(hs_bound))
 
     def evaluate(size, scale):
-        path = first if scale == 1 else flat_contour_for(a, t, scale * POINTS_PER_UNIT,
+        path = first if scale == 2 else flat_contour_for(a, t, scale * POINTS_PER_UNIT,
                                                          saddle=saddle)
-        if size:
-            nodes, weights = build_grid(0.0, abs(z_a + 1.0), size)
-            return _det_core(khat_flat_grid(a, t, nodes, nodes, path), weights)
-        return _trace_survival(0, log_scale, trace if path is first else
-                               khat_flat_trace(a, t, path, rate), error)
+        if not size:
+            rung = traces if path is first else flat_trace_terms(a, t, path, rate)[:2]
+            return [_trace_survival(0, log_scale, trace, error) for trace in rung]
+        return [_det_core(khat_flat_grid(a, t, x, x, rule), w) for rule, (x, w) in (
+            (path, build_grid(0.0, abs(z_a + 1.0), size)),
+            (sub_path(path), build_grid(0.0, abs(z_a + 1.0), size // 2)))]
 
-    return _solve("prob_flat", evaluate, [0] * 4 if error <= _TRACE_EXACT else [48, 96, 192, 384])
+    return _solve("prob_flat", evaluate, [0] * 3 if error <= _TRACE_EXACT else [96, 192, 384])
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +416,9 @@ def _stationary(what, t, a, rho, D_at):
 
     a and t are checked here; tables are :func:`kernels.finite_tables` of
     particle t on the packed contours, the circle shrunk to radius 0.9 rho at
-    a density rho < 1, shared by all finite-difference levels; D_at appends
-    its imaginary residues to ims.  p is D'(0) at unit density (rho None), else
+    a density rho < 1, or their :func:`kernels.sub_tables`, shared by all
+    finite-difference levels; D_at appends its imaginary residues to ims.
+    p is D'(0) at unit density (rho None), else
     D(0) + D'(0) / (1 - rho), its rounding bound divided likewise; a
     survival 0 < 1 - p below _FD_FLOOR times the bound raises NumericFailure.
     """
@@ -423,8 +430,12 @@ def _stationary(what, t, a, rho, D_at):
         radius = float(np.abs(circle.nodes).max())
         if rho is not None and radius >= 0.9 * rho:
             circle = scale_circle(circle, 0.9 * rho / radius)
+        fine = finite_tables(t, t, (line, circle), size)
+        return [value(tables, size) for tables in (fine, sub_tables(fine))]
+
+    def value(tables, size):
         ims = []
-        D = functools.partial(D_at, a, t, finite_tables(t, t, (line, circle), size), size, ims)
+        D = functools.partial(D_at, a, t, tables, size, ims)
         p, rounding = _fd_derivative(D, a, t, what)
         if rho is not None:
             p, rounding = D(0.0) + p / (1.0 - rho), rounding / (1.0 - rho)
@@ -437,8 +448,8 @@ def _stationary(what, t, a, rho, D_at):
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
 
-    # contour densities x1, x2 and x4
-    return _solve(what, evaluate, [packed_gram_order(a, t)] * 3)
+    # contour densities x2 and x4
+    return _solve(what, evaluate, [packed_gram_order(a, t)] * 2)
 
 
 def prob_stat(t, a):
@@ -496,8 +507,8 @@ def prob_stat_rho(t, a, rho):
 def _finite_tables(n, t, anchors, points_per_unit):
     """Read-only :func:`kernels.finite_tables` of order n on the contours through anchors.
 
-    The bulk levels of a sweep share one entry per contour density, and four
-    entries hold one ladder; above the edge the anchors move with s.
+    The bulk levels of a sweep share one entry per contour density, and the
+    three rungs x2 to x8 hold one ladder; above the edge the anchors move with s.
     """
     tables = finite_tables(n, t, build_finite_contours(n, t, anchors, points_per_unit), n)
     for table in tables:
@@ -524,10 +535,10 @@ def prob_finite_n(n, t, s):
 
     def evaluate(size, scale):
         tables = _finite_tables(n, t, anchors, scale * POINTS_PER_UNIT)
-        gram, log_scale = finite_gram(n, t, s, tables)
-        return _det_core(gram, np.ones(n), log_scale)
+        *grams, log_scale = finite_gram(n, t, s, tables)
+        return [_det_core(gram, np.ones(n), log_scale) for gram in grams]
 
-    return _solve("prob_finite_n", evaluate, [n] * 4)
+    return _solve("prob_finite_n", evaluate, [n] * 3)
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ Lambert spiral with the image branch phi carried along,
                    e^{x1(gamma+1) - x2(phi(gamma)+1)},
 
 real since the spiral is conjugate-symmetric, and assembled in real
-arithmetic on its tau >= 0 half.  On that half :func:`khat_flat_trace`
-integrates its diagonal and :func:`flat_hs_bound` bounds its
-Hilbert-Schmidt norm, each in one pass over the nodes.
+arithmetic on its tau >= 0 half.  On that half :func:`flat_trace_terms`
+integrates its diagonal and bounds its Hilbert-Schmidt norm, in one pass
+over the nodes.
 
 The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The one-point determinants
@@ -61,6 +61,7 @@ from .contours import (
     build_packed_contours,
     build_raw_contours,
     finite_anchors,
+    sub_rule,
 )
 from .errors import NumericFailure
 from .rates import (
@@ -152,6 +153,13 @@ def finite_tables(n, t, contours, order):
     return (w, line.weights, _f_free(w, n, t), z, circle.weights, _f_free(z, n, t)) + pows
 
 
+def sub_tables(tables):
+    """:func:`finite_tables` of the contours' :func:`contours.sub_path`, bit for bit."""
+    w, dw, fw, z, dz, fz, z_pows, w_pows = tables
+    ws, zs = sub_rule(w), sub_rule(z)
+    return w[ws], 2.0 * dw[ws], fw[ws], z[zs], 2.0 * dz[zs], fz[zs], z_pows[zs], w_pows[ws]
+
+
 def saddle_weights(tables, sigma, lo, hi, where):
     """Line and circle weights dw e^{(fw + sigma w) - lo} and dz e^{hi - (fz + sigma z)}.
 
@@ -171,12 +179,13 @@ def saddle_weights(tables, sigma, lo, hi, where):
 
 
 def finite_gram(n, t, s, tables):
-    """Moment Gram of the particle-n kernel on (s, infinity), on :func:`finite_tables`.
+    """Moment Grams of the particle-n kernel on (s, infinity), on :func:`finite_tables`.
 
     :func:`raw_kernel_grid`'s kernel with the level folded into its phase
-    f(w) = t w^2/2 + n log(-w) + s w.  Returns (gram, log_scale), with
-    det(1 - P_s K P_s) = det(I - e^{log_scale} gram) and log_scale =
-    f(c) - f(w_hi) at :func:`contours.finite_anchors`.  Through the series
+    f(w) = t w^2/2 + n log(-w) + s w.  Returns (gram, sub_gram, log_scale),
+    with det(1 - P_s K P_s) = det(I - e^{log_scale} gram), log_scale = f(c)
+    - f(w_hi) at :func:`contours.finite_anchors`, and sub_gram the sub-rules'
+    Gram, whose weights 2 aw and 2 bz double each moment.  Through the series
     1/(w - z) = sum_l z^l / w^(l+1), and the integral e^{s (w - z)} / (z - w)
     of e^{xi (w - z)} over (s, infinity), since Re(w - z) < 0,
 
@@ -202,8 +211,11 @@ def finite_gram(n, t, s, tables):
     rho = np.sqrt(n / t)
     aw, bz = saddle_weights(tables, s, f_lo, f_hi, f"n = {n}, t = {t}, s = {s}")
     with np.errstate(over="ignore", invalid="ignore"):
-        gram = (z_pows.T @ (bz[:, None] * z_pows)) @ (w_pows.T @ (aw[:, None] * w_pows))
-    return -_DOUBLE_PREF * gram / (rho * rho), f_lo - f_hi
+        zz, ww = bz[:, None] * z_pows, aw[:, None] * w_pows
+        zs, ws = sub_rule(bz), sub_rule(aw)
+        grams = ((z_pows.T @ zz) @ (w_pows.T @ ww),
+                 4.0 * ((z_pows[zs].T @ zz[zs]) @ (w_pows[ws].T @ ww[ws])))
+    return tuple(-_DOUBLE_PREF * gram / (rho * rho) for gram in grams) + (f_lo - f_hi,)
 
 
 def _cauchy_grid(xi1, xi2, w, aw, z, bz, shift):
@@ -268,33 +280,26 @@ def khat_flat_grid(a, t, xi1, xi2, path):
     return e1.view(float) @ e2.view(float).T
 
 
-def khat_flat_trace(a, t, path, rate):
-    """e^{t rate} times the integral of the flat kernel's diagonal over (0, infinity) (real).
+def flat_trace_terms(a, t, path, rate):
+    """(trace, sub-rule trace, HS bound) of the flat kernel on (0, infinity), times e^{t rate}.
 
     K(x, x) = sum_gamma c_gamma e^{-x (phi - gamma)} with Re(phi - gamma) > 0
-    on the spiral, so the integral is sum_gamma c_gamma / (phi - gamma)
-    exactly, summed on :func:`_half_spiral`.  e^{t rate} is folded into the
-    exponent of c_gamma as e^{t (G + rate)}, with rate = -G(z_a): its
-    modulus peaks at one at the saddle, so the sum stays representable.
+    on the spiral, so the integral of the diagonal is sum_gamma c_gamma /
+    (phi - gamma) exactly.  Each term c e^{x1 (gamma + 1)} e^{-x2 (phi + 1)}
+    has Hilbert-Schmidt norm |c| / (2 sqrt(-Re(gamma + 1) Re(phi + 1))), and
+    their sum bounds the kernel's; it is inf when a node has Re(gamma + 1) >=
+    0 or Re(phi + 1) <= 0, where a term does not decay.  All three are sums
+    over one :func:`_half_spiral` at shift rate = -G(z_a), where |c_gamma|
+    peaks at one, at the saddle: there the half starts, so twice its even
+    terms give the trace on the :func:`contours.sub_path`.  The traces are real.
     """
     gam, phi, c = _half_spiral(a, t, path, rate)
-    return float(np.sum(c / (phi - gam)).real)
-
-
-def flat_hs_bound(a, t, path, rate):
-    """e^{t rate} times an upper bound on the flat kernel's Hilbert-Schmidt norm on (0, infinity)^2.
-
-    Each spiral term c e^{x1 (gamma + 1)} e^{-x2 (phi + 1)} has norm
-    |c| / (2 sqrt(-Re(gamma + 1) Re(phi + 1))), and their sum bounds the
-    kernel's; conjugate terms have equal norms, so the sum runs over
-    :func:`_half_spiral` with e^{t rate} folded in as in :func:`khat_flat_trace`.
-    inf when a node has Re(gamma + 1) >= 0 or Re(phi + 1) <= 0, where a
-    term does not decay.
-    """
-    gam, phi, c = _half_spiral(a, t, path, rate)
+    terms = c / (phi - gam)
+    traces = float(np.sum(terms).real), float(2.0 * np.sum(terms[::2]).real)
     if not (np.all(gam.real < -1.0) and np.all(phi.real > -1.0)):
-        return np.inf
-    return float(np.sum(np.abs(c) / (2.0 * np.sqrt(-(gam.real + 1.0) * (phi.real + 1.0)))))
+        return traces + (np.inf,)
+    norms = np.abs(c) / (2.0 * np.sqrt(-(gam.real + 1.0) * (phi.real + 1.0)))
+    return traces + (float(np.sum(norms)),)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bmtails import contours, rates
+from bmtails import contours, kernels, rates
 from bmtails.errors import NumericFailure
 from bmtails.lambertw import solve_wexpw
 from bmtails.rates import _g_vals, _h_vals
@@ -84,6 +84,18 @@ def test_builders_validate_density_and_window():
     for bad in (0.0, -1.0, np.nan):
         with pytest.raises(ValueError, match="tau_max"):
             contours.build_flat_contour(1.0, tau_max=bad)
+
+
+@pytest.mark.parametrize("t, a, tau", [(2, 0.03, 0.697), (1, 0.01, 1.497), (4, 1.0, 0.608),
+                                       (256, 0.03, 0.031)])
+def test_flat_window_ends_where_the_phase_is_below_the_truncation_tolerance(t, a, tau):
+    # at small a and t, e^{tG} at the end of the Gaussian window is up to
+    # 5e-3 of its saddle value, and the window doubles (tau 0.348 and 0.374
+    # here, once and twice); at (4, 1) and (256, 0.03) the Gaussian one holds
+    saddle = rates.rate_flat(a)
+    path = contours.flat_contour_for(a, t, saddle=saddle)
+    assert t * (_g_vals(path.nodes[-1], path.phi_nodes[-1], a).real + saddle.rate) <= np.log(1e-12)
+    assert path.params[-1] == pytest.approx(tau, abs=2e-3)
 
 
 def test_steep_descent_flags_bad_contour():
@@ -181,3 +193,90 @@ def test_line_nodes_are_exact_multiples_of_the_step(route):
 def test_line_rejects_even_counts():
     with pytest.raises(ValueError, match="odd"):
         contours._line(-1.0, 2.0, 8)
+
+
+def _layout(path):
+    return path.nodes, path.weights, path.params, path.phi_nodes
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+        else:
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("fine, coarse", [
+    (lambda: contours._line(-1.3, 7.0, 81), lambda: contours._line(-1.3, 7.0, 41)),
+    (lambda: contours._circle(-0.7, 64), lambda: contours._circle(-0.7, 32)),
+    (lambda: contours.flat_contour_for(1.0, 4, 2 * contours.POINTS_PER_UNIT),
+     lambda: contours.flat_contour_for(1.0, 4)),
+], ids=["line", "circle", "flat spiral (4, 1)"])
+def test_sub_rule_is_the_half_density_layout_where_counts_nest(fine, coarse):
+    # 2 m + 1 = 81 line nodes hold those of 41, 64 circle nodes those of 32,
+    # and the x2 spiral of flat (4, 1) the 239 nodes of the x1 one, bit for bit
+    _assert_same_bits(_layout(contours.sub_path(fine())), _layout(coarse()))
+
+
+def test_sub_rule_of_the_finite_tables_is_the_half_density_tables():
+    # the line and circle of particle 5 at t = 1 below the edge, laid out at
+    # two densities whose counts nest: the tables on the sub-rule are the
+    # half-density tables, and halving the fine tables forms no new value
+    c, w_hi = contours.finite_anchors(5, 1.0, 2.5)
+    layouts = [(contours._line(c, 6.0, 2 * k + 1), contours._circle(w_hi, k)) for k in (80, 40)]
+    fine, coarse = (kernels.finite_tables(5, 1.0, layout, 5) for layout in layouts)
+    sub = kernels.finite_tables(5, 1.0, [contours.sub_path(path) for path in layouts[0]], 5)
+    _assert_same_bits(sub, coarse)
+    _assert_same_bits(kernels.sub_tables(fine), sub)
+    # finite_gram's sub-rule Gram is the half-density Gram up to the order of
+    # its sums
+    gram, sub_gram, log_scale = kernels.finite_gram(5, 1.0, 2.5, fine)
+    half_gram, _, half_scale = kernels.finite_gram(5, 1.0, 2.5, coarse)
+    assert log_scale == half_scale
+    np.testing.assert_allclose(sub_gram, half_gram, rtol=0, atol=1e-14 * np.abs(half_gram).max())
+
+
+@pytest.mark.parametrize("count", [81, 83])
+def test_sub_rule_integrates_on_the_line_to_trapezoid_accuracy(count):
+    # on w = c + i y, e^{(w - c)^2 / 2} dw integrates to i sqrt(2 pi); the
+    # trapezoid rule with step 0.45 or 0.439 on (-9, 9), where the Gaussian
+    # falls below 3e-18, is exact to rounding (its error is about e^{-2 pi^2 / h^2})
+    nodes, weights, params, _ = _layout(contours.sub_path(contours._line(-1.3, 9.0, count)))
+    value = np.sum(np.exp((nodes + 1.3) ** 2 / 2.0) * weights)
+    np.testing.assert_allclose(value, 1j * np.sqrt(2.0 * np.pi), rtol=1e-14)
+    # and the weights sum to i times the span they cover: with m = 41 odd
+    # the sub-rule keeps neither end node, and each of its m nodes weighs 2 step
+    span = params[-1] - params[0] + (params[1] - params[0]) * (count % 4 == 3)
+    np.testing.assert_allclose(np.sum(weights), 1j * span, rtol=1e-14)
+
+
+@pytest.mark.parametrize("count", [64, 76])
+def test_sub_rule_integrates_on_the_circle_to_trapezoid_accuracy(count):
+    # the oint of e^z / z^3 dz / (2 pi i) is 1 / 2, and of z^k dz zero for
+    # 0 <= k < count / 2 - 1; the periodic trapezoid rule is exact to rounding
+    nodes, weights, _, _ = _layout(contours.sub_path(contours._circle(-0.7, count)))
+    assert nodes.size == count // 2
+    np.testing.assert_allclose(np.sum(np.exp(nodes) / nodes ** 3 * weights) / (2j * np.pi), 0.5,
+                               rtol=1e-14)
+    for k in range(count // 2 - 1):
+        assert abs(np.sum(nodes ** k * weights)) <= 1e-14
+
+
+@pytest.mark.parametrize("path", [
+    contours._line(-1.3, 7.0, 23),
+    contours._circle(-0.7, 38),
+    contours.build_flat_contour(1.0, 8, tau_max=1.125),
+], ids=["line m = 11", "circle count / 2 = 19", "spiral 9 steps"])
+def test_sub_rule_with_an_odd_centre_keeps_the_critical_node_and_the_symmetry(path):
+    # the critical node sits at an odd index: the sub-rule takes the odd
+    # nodes, so it keeps params 0 and the node conjugate to each of its nodes
+    centre = int(np.argmin(np.abs(path.params)))
+    assert centre % 2 == 1 and contours.sub_rule(path.nodes) == slice(1, None, 2)
+    nodes, weights, params, _ = _layout(contours.sub_path(path))
+    assert params[nodes.size // 2] == 0.0 and nodes[nodes.size // 2] == path.nodes[centre]
+    np.testing.assert_allclose(nodes[::-1], nodes.conj(), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(weights[::-1], -weights.conj(), rtol=0, atol=1e-15)
+    if path.phi_nodes is not None:
+        # the spiral is conjugate-symmetric bit for bit
+        np.testing.assert_array_equal(nodes[::-1], nodes.conj())

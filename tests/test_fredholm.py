@@ -1,4 +1,5 @@
 import logging
+import re
 import sys
 import types
 
@@ -119,17 +120,19 @@ def test_det_core_logs_each_route(caplog):
         fredholm.prob_flat(16, 2.0)
     lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("determinant")]
     assert all(r.levelno == logging.DEBUG for r in caplog.records)
-    # the series stops once its proven tail is below 1e-17 |log det|
-    assert lines[0].startswith("determinant of order 48: route series, 5 series terms, ||M||_F ")
+    # the series stops once its proven tail is below 1e-17 |log det|; each
+    # rung solves its fine grid, then its sub-rule's grid of half the size
+    assert lines[0].startswith("determinant of order 96: route series, 5 series terms, ||M||_F ")
+    assert lines[1].startswith("determinant of order 48: route series, 5 series terms, ||M||_F ")
     assert lines[4].startswith("determinant of order 192: route lu, 0 series terms, ||M||_F ")
-    # the trace route gives its proven relative error: the packed Gram at
-    # each of two rungs, and the flat trace, with no matrix, on the spiral
-    # that decides its route and on the x2 one
-    assert len(lines) == 9
+    # the trace route gives its proven relative error: the packed Gram and
+    # its sub-rule's on one rung, and the flat trace, with no matrix, on the
+    # x2 spiral that decides its route and on that spiral's sub-rule
+    assert len(lines) == 10
     assert all(line.startswith("determinant of order 22: route trace, relative error at most ")
-               for line in lines[5:7])
+               for line in lines[6:8])
     assert all(line.startswith("determinant of order 0: route trace, relative error at most ")
-               for line in lines[7:])
+               for line in lines[8:])
 
 
 @pytest.mark.parametrize("fn, extra", [
@@ -447,8 +450,8 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     # forms them once and all of its finite-difference levels share them;
     # the finite-n Gram is of order n, and no Nystrom grid is built; its
     # contours and tables are cached, so the cache starts cold here; packed
-    # and stationary build particle t's finite_tables once per rung, and
-    # never the pointwise kernel's packed_factors
+    # and stationary build particle t's finite_tables once per rung, the
+    # sub-rule's included, and never the pointwise kernel's packed_factors
     fredholm._finite_tables.cache_clear()
     outers, densities, tables, levels, built = [], [], [], [], []
 
@@ -502,7 +505,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     monkeypatch.setattr(fredholm, "build_grid", no_grid)
     res = fn(*args)
     assert outers == []
-    assert len(set(densities)) == len(densities) >= 2
+    assert densities == [2 * fredholm.POINTS_PER_UNIT]
     assert len(built) == len(densities)
     if fn is fredholm.prob_finite_n:
         assert tables == [args[0]] * len(densities) and res.grid_size == args[0]
@@ -512,7 +515,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
         fn(5, 1, 3.0)
         assert densities == [] and tables == []
         fn(5, 1, 5.5)
-        assert len(densities) >= 2 and tables == [5] * len(densities)
+        assert densities == [2 * fredholm.POINTS_PER_UNIT] and tables == [5]
     else:
         assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
         assert built == [(args[0], args[0])] * len(densities)
@@ -546,7 +549,10 @@ def test_stationary_determinants_have_order_at_most_m_plus_one(monkeypatch, fn, 
                                               (fredholm.prob_stat_rho, (4, 1.0, 0.9), 10)])
 def test_each_stationary_level_forms_its_weights_once(monkeypatch, fn, args, levels):
     # stat_components exponentiates the contour phase, and stat_rho_pieces
-    # reads the circle weights it formed: one saddle_weights call per level
+    # reads the circle weights it formed: one saddle_weights call per level;
+    # the ladder stops at its first rung, x2, whose 4 finite-difference
+    # levels (and D(0) at density rho) run on the fine tables and again on
+    # their sub-rule's halved tables
     calls = {"saddle_weights": 0, "stat_components": 0}
     for module, name in ((kernels, "saddle_weights"), (fredholm, "stat_components")):
         def spy(*spy_args, _fn=getattr(module, name), _name=name):
@@ -558,18 +564,23 @@ def test_each_stationary_level_forms_its_weights_once(monkeypatch, fn, args, lev
 
 
 def test_solve_logs_each_grid_size(caplog):
+    # flat (1, 0.25) takes two rungs: x2 and x4, each on one spiral, its
+    # fine grid against its sub-rule's grid of half the size
     with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
-        res = fredholm.prob_flat(4, 1.0)
+        res = fredholm.prob_flat(1, 0.25)
     records = [r for r in caplog.records
                if r.name == "bmtails.fredholm" and r.funcName == "_solve"]
     assert all(r.levelno == logging.DEBUG for r in records)
     lines = [r.getMessage() for r in records]
-    assert len(lines) == 2 and res.grid_size == 96
-    assert lines[0].startswith("prob_flat: grid size 48, p ")
-    assert "delta inf" in lines[0]
-    assert lines[1].startswith(f"prob_flat: grid size 96, p {res.p:.17g},")
-    assert f"log_survival {res.log_survival:.17g}," in lines[1]
+    assert len(lines) == 2 and res.grid_size == 192
+    assert lines[0].startswith("prob_flat: grid size 96, contour density x2, p ")
+    assert lines[1].startswith(f"prob_flat: grid size 192, contour density x4, p {res.p:.17g},")
+    assert f"log_survival {res.log_survival:.17g}, sub-rule log_survival " in lines[1]
     assert f"delta {res.refinement_delta:.3e}, im residue {res.im_residue:.3e}" in lines[1]
+    for line in lines:
+        fine, sub, delta_log = re.search(r"p [^,]*, log_survival ([^,]*), sub-rule log_survival "
+                                         r"([^,]*), \|delta log S\| ([^,]*),", line).groups()
+        assert delta_log == f"{abs(float(fine) - float(sub)):.3e}"
 
 
 @pytest.mark.parametrize("n, t, s", [
@@ -616,13 +627,14 @@ def test_tail_rate_table_columns_and_trend():
 
 def _unit_pairing_det(scale):
     # projection onto one decaying mode: det(1 - K) = 1 - scale exactly; the
-    # stub hands that determinant to _solve as its probability
-    def evaluate(size, _scale):
+    # stub hands that determinant, on the grid and on one of half its size,
+    # to _solve as its probability
+    def det(size):
         nodes, weights = fredholm.build_grid(0.0, 1.0, size)
         kmat = scale * np.exp(-nodes)[None, :] * np.ones((size, 1))
         return fredholm._det_core(kmat, weights)
 
-    return fredholm._solve("unit pairing", evaluate, [48, 96])
+    return fredholm._solve("unit pairing", lambda size, _scale: (det(size), det(size // 2)), [96])
 
 
 def test_clamp_negative_roundoff(caplog):
@@ -670,7 +682,7 @@ def test_cached_finite_n_tables_are_shared_and_read_only():
     fredholm.prob_finite_n(5, 1, 2.5)
     misses = fredholm._finite_tables.cache_info().misses
     tables = fredholm._finite_tables(5, 1.0, contours.finite_anchors(5, 1.0, 3.0),
-                                     fredholm.POINTS_PER_UNIT)
+                                     2 * fredholm.POINTS_PER_UNIT)
     assert fredholm._finite_tables.cache_info().misses == misses
     assert not any(table.flags.writeable for table in tables)
     with pytest.raises(ValueError):
@@ -763,12 +775,11 @@ def test_flat_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch, 
 
 
 def _flat_trace_route(t, a):
-    """(saddle, x1 spiral, log of the trace survival, its _trace_error bound), as prob_flat."""
+    """(saddle, x2 spiral, log of the trace survival, its _trace_error bound), as prob_flat."""
     saddle = rates.rate_flat(a)
-    path = contours.flat_contour_for(a, t, saddle=saddle)
-    trace = kernels.khat_flat_trace(a, t, path, saddle.rate)
-    bound = fredholm._trace_error(-t * saddle.rate, trace,
-                                  np.log(kernels.flat_hs_bound(a, t, path, saddle.rate)))
+    path = contours.flat_contour_for(a, t, 2 * contours.POINTS_PER_UNIT, saddle=saddle)
+    trace, _, hs_bound = kernels.flat_trace_terms(a, t, path, saddle.rate)
+    bound = fredholm._trace_error(-t * saddle.rate, trace, np.log(hs_bound))
     return saddle, path, -t * saddle.rate + np.log(trace), bound
 
 
@@ -809,7 +820,8 @@ def test_trace_error_holds_where_the_scale_underflows():
 
 @pytest.mark.parametrize("t, a, grid_size", [(16, 2.0, 0), (4, 1.0, 96)])
 def test_prob_flat_reuses_the_spiral_that_decides_its_route(monkeypatch, t, a, grid_size):
-    # the decision and rung 1 share the x1 spiral: two rungs, two layouts
+    # the decision and rung 1, fine rule and sub-rule, share the x2 spiral:
+    # one rung, one layout
     densities = []
     layout = fredholm.flat_contour_for
 
@@ -819,7 +831,7 @@ def test_prob_flat_reuses_the_spiral_that_decides_its_route(monkeypatch, t, a, g
 
     monkeypatch.setattr(fredholm, "flat_contour_for", spy)
     assert fredholm.prob_flat(t, a).grid_size == grid_size
-    assert densities == [fredholm.POINTS_PER_UNIT, 2 * fredholm.POINTS_PER_UNIT]
+    assert densities == [2 * fredholm.POINTS_PER_UNIT]
 
 
 def _spy_on_every_binding(monkeypatch, name):
@@ -858,10 +870,15 @@ def test_prob_flat_takes_the_spiral_curvature_once(monkeypatch, t, a, grid_size)
 
 
 def test_unconverged_ladder_raises():
-    # p moves by 1e-6 / 2^k at every rung, never below the target
-    with pytest.raises(NumericFailure, match="still moves by 2.500e-07") as info:
-        fredholm._solve("test", lambda size, scale: (0.5 + 1e-6 / scale, -0.7, 0.0), [8] * 3)
-    assert "did not converge" in info.value.hint and info.value.last == 0.5 + 2.5e-7
+    # the fine p and its sub-rule's differ by 1e-6 / 2^k at rung k, never
+    # below the target; the last rung is at density x8
+    def evaluate(size, scale):
+        return (0.5 + 1e-6 / scale, -0.7, 0.0), (0.5 + 2e-6 / scale, -0.7, 0.0)
+
+    with pytest.raises(NumericFailure, match="still moves by 1.250e-07") as info:
+        fredholm._solve("test", evaluate, [8] * 3)
+    assert "did not converge" in info.value.hint and info.value.last == 0.5 + 1.25e-7
+    assert "contour density x8" in str(info.value)
 
 
 def test_flat_ladder_that_does_not_converge_raises():
@@ -1079,3 +1096,91 @@ def test_finite_n_deep_upper_tail_is_the_packed_determinant():
     scaled = fredholm.prob_finite_n(100, 0.01, 3.0)
     packed = fredholm.prob_packed(100, 1.0)
     assert scaled.log_survival == pytest.approx(packed.log_survival, rel=1e-14, abs=0.0)
+
+
+ROUTE_POINTS = [
+    (fredholm.prob_packed, (4, 1.0)),
+    (fredholm.prob_packed, (64, 1.0)),
+    (fredholm.prob_flat, (4, 1.0)),
+    (fredholm.prob_flat, (16, 2.0)),
+    (fredholm.prob_flat, (1, 0.25)),
+    (fredholm.prob_stat, (4, 1.0)),
+    (fredholm.prob_stat_rho, (4, 1.0, 0.9)),
+    (fredholm.prob_finite_n, (5, 1, 2.5)),
+    (fredholm.prob_finite_n, (5, 1, 5.5)),
+]
+ROUTE_IDS = ["packed", "packed trace", "flat", "flat trace", "flat two rungs", "stat",
+             "stat_rho", "finite_n", "finite_n above the edge"]
+
+
+@pytest.mark.parametrize("fn, args", ROUTE_POINTS, ids=ROUTE_IDS)
+def test_each_route_lays_out_its_contours_once_per_rung(monkeypatch, caplog, fn, args):
+    # rung k lays out density 2^k once and takes its coarse value from that
+    # layout's sub-rule; flat (1, 0.25) takes two rungs, the others one
+    fredholm._finite_tables.cache_clear()
+    densities = []
+    for name in ("build_packed_contours", "build_finite_contours", "flat_contour_for"):
+        # flat_contour_for(a, t, points_per_unit, saddle=...), the others
+        # (..., points_per_unit)
+        def spy(*spy_args, _fn=getattr(fredholm, name), _at=2 if name == "flat_contour_for" else -1,
+                **kwargs):
+            densities.append(spy_args[_at])
+            return _fn(*spy_args, **kwargs)
+        monkeypatch.setattr(fredholm, name, spy)
+    with caplog.at_level(logging.DEBUG, logger="bmtails.fredholm"):
+        fn(*args)
+    rungs = sum(r.funcName == "_solve" for r in caplog.records)
+    assert rungs == (2 if args == (1, 0.25) else 1)
+    assert densities == [2 ** k * fredholm.POINTS_PER_UNIT for k in range(1, rungs + 1)]
+
+
+# (p, log_survival, grid size) of one point per route as the ladder that laid
+# out each density afresh, x1 to x8, returned them: the ladder compares the
+# same density pairs, so no returned bit moves.  Flat (1, 0.25) is the value
+# of that ladder on the wider spiral window of contours.flat_contour_for,
+# which moved it from 0.8232538957540516 by 8.8e-12
+PARENT_REPR = {
+    "packed": ("0.999991593107674", "-11.686458673562248", 4),
+    "packed trace": ("1.0", "-99.9089029990691", 22),
+    "flat": ("0.9996857475080847", "-8.06531378080278", 96),
+    "flat trace": ("1.0", "-68.298145905558", 0),
+    "flat two rungs": ("0.8232538957452402", "-1.733041015439819", 192),
+    "stat": ("0.9818641748033782", "-4.009866004298115", 4),
+    "stat_rho": ("0.9827584903279957", "-4.060435449598752", 4),
+    "finite_n": ("0.2162634323388138", "-0.24368232573219392", 5),
+    "finite_n above the edge": ("0.999318796147489", "-7.291648953714567", 5),
+}
+
+
+@pytest.mark.parametrize("fn, args, name", [point + (name,) for point, name
+                                            in zip(ROUTE_POINTS, ROUTE_IDS)], ids=ROUTE_IDS)
+def test_one_point_per_route_keeps_its_bits(fn, args, name):
+    res = fn(*args)
+    assert (repr(res.p), repr(res.log_survival), res.grid_size) == PARENT_REPR[name]
+
+
+def test_flat_window_is_certified_where_the_sub_rule_cannot_see_it():
+    # at flat (2, 0.03) the phase is far from quadratic: e^{tG} at the end
+    # of the Gaussian window is 1e-4 of its saddle value, and a ladder whose
+    # sub-rule shares that window returned p 4.2e-7 off; the window doubles
+    # to tau 0.697, and p is that of twice that window to 1e-9
+    t, a = 2, 0.03
+    res = fredholm.prob_flat(t, a)
+    assert (repr(res.p), res.grid_size) == ("0.7715447492702315", 384)
+    saddle = rates.rate_flat(a)
+    path = contours.flat_contour_for(a, t, 8 * contours.POINTS_PER_UNIT, saddle=saddle)
+    assert path.params[-1] == pytest.approx(0.697, abs=1e-3)
+    ppu = round(len(path.params) // 2 / path.params[-1])
+    wide = contours.build_flat_contour(a, ppu, 2.0 * path.params[-1], z_a=saddle.saddle_lo)
+    nodes, weights = fredholm.build_grid(0.0, abs(saddle.saddle_lo + 1.0), 384)
+    log_s = fredholm._det_core(kernels.khat_flat_grid(a, t, nodes, nodes, wide), weights)[1]
+    assert abs(-np.expm1(log_s) - res.p) < fredholm._TARGET
+
+
+def test_stat_rho_point_whose_two_first_densities_are_one_layout_raises():
+    # at t = 256, a = 0.1 the phase's widths, not the density, set the line
+    # and circle at x1 and x2 (193 and 826 nodes), so a ladder comparing the
+    # two returned p against itself; the sub-rule of x2 and of x4 moves p by
+    # 3.5e-9, and x4 itself moves it by 5.1e-9, so p is not resolved to 1e-9
+    with pytest.raises(NumericFailure, match="p still moves by 3.491e-09"):
+        fredholm.prob_stat_rho(256, 0.1, 0.5)

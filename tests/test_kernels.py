@@ -47,8 +47,8 @@ def test_packed_gram_order():
 def test_packed_gram_determinant_is_the_nystrom_one(t, a):
     # the Gram and the Nystrom matrix of one kernel on the same contours
     contours_ = contours.build_packed_contours(a, t)
-    gram, log_scale = kernels.finite_gram(t, t, (2 + a) * t,
-                                          kernels.finite_tables(t, t, contours_, t))
+    gram, _, log_scale = kernels.finite_gram(t, t, (2 + a) * t,
+                                             kernels.finite_tables(t, t, contours_, t))
     det = np.linalg.det(np.eye(t) - np.exp(log_scale) * gram)
     nodes, weights = fredholm.build_grid(0.0, a, 96)
     kmat = kernels.khat_packed_grid(nodes, nodes, kernels.packed_factors(a, t, contours_))
@@ -240,7 +240,7 @@ def test_khat_flat_trace_is_the_deep_survival(t, a):
     saddle = rates.rate_flat(a)
     rate = saddle.rate
     paths = [contours.flat_contour_for(a, t, ppu, saddle=saddle) for ppu in (64, 128, 256)]
-    logs = [-t * rate + np.log(kernels.khat_flat_trace(a, t, path, rate)) for path in paths]
+    logs = [-t * rate + np.log(kernels.flat_trace_terms(a, t, path, rate)[0]) for path in paths]
     np.testing.assert_allclose(logs, logs[0], rtol=1e-15)
     assert fredholm.prob_flat(t, a).log_survival == logs[0]
     nodes, weights = fredholm.build_grid(0.0, abs(saddle.saddle_lo + 1.0), 96)
@@ -263,8 +263,8 @@ def test_flat_hs_bound_is_infinite_on_a_term_that_does_not_decay(field, value):
     a, t = 2.0, 16
     saddle = rates.rate_flat(a)
     path = contours.flat_contour_for(a, t, saddle=saddle)
-    assert np.isfinite(kernels.flat_hs_bound(a, t, path, saddle.rate))
-    assert kernels.flat_hs_bound(a, t, _moved(path, field, value), saddle.rate) == np.inf
+    assert np.isfinite(kernels.flat_trace_terms(a, t, path, saddle.rate)[2])
+    assert kernels.flat_trace_terms(a, t, _moved(path, field, value), saddle.rate)[2] == np.inf
 
 
 @pytest.mark.parametrize("t, a", [(4, 1.0), (4, 2.0), (16, 1.0), (64, 0.5)])
@@ -277,7 +277,7 @@ def test_flat_hs_bound_bounds_the_nystrom_norm(t, a):
     sq = np.sqrt(weights)
     m = sq[:, None] * kernels.khat_flat_grid(a, t, nodes, nodes, path) * sq[None, :]
     norm = np.linalg.norm(m) * np.exp(t * saddle.rate)
-    bound = kernels.flat_hs_bound(a, t, path, saddle.rate)
+    bound = kernels.flat_trace_terms(a, t, path, saddle.rate)[2]
     assert norm < bound < 1.05 * norm
 
 
