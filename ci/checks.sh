@@ -15,10 +15,12 @@ case "${1:-}" in
   # where a Hilbert-Schmidt bound proves the survival to be e^{-t r} times
   # the Gram's trace; at a = 0.5 the table crosses from LU and the trace
   # series (t <= 64, where the bound is 1.8e-17, just short of proving the
-  # trace) to the trace (t = 256): every value must be finite (JSON prints
-  # a non-finite one as null)
+  # trace) to the trace (t = 256); at a = 0.05 the Gram orders are 16, 64
+  # and 93, the longest moment vectors (2m - 1 = 185 per contour at t = 256):
+  # every value must be finite (JSON prints a non-finite one as null)
   deep-packed)
-    for args in "--a 5 --t-list 16,64,256,4096" "--a 0.5 --t-list 4,16,64,256"; do
+    for args in "--a 5 --t-list 16,64,256,4096" "--a 0.5 --t-list 4,16,64,256" \
+                "--a 0.05 --t-list 16,64,256"; do
       PYTHONPATH=src python -m bmtails tail --ic packed $args --format json | tee tail_packed.json
       if grep -q null tail_packed.json; then
         echo "non-finite value in the packed tail table ($args)"

@@ -339,7 +339,7 @@ def prob_packed(t, a):
 
     def evaluate(size, scale):
         contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
-        *grams, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, size))
+        *grams, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, 2 * size))
         return [_det_core(gram, np.ones(size), log_scale) for gram in grams]
 
     # contour densities x2 to x8, as on the flat route's grids 96 to 384
@@ -505,12 +505,12 @@ def prob_stat_rho(t, a, rho):
 
 @functools.lru_cache(maxsize=4)
 def _finite_tables(n, t, anchors, points_per_unit):
-    """Read-only :func:`kernels.finite_tables` of order n on the contours through anchors.
+    """Read-only :func:`kernels.finite_tables` of width 2n, for the order-n Gram, through anchors.
 
     The bulk levels of a sweep share one entry per contour density, and the
     three rungs x2 to x8 hold one ladder; above the edge the anchors move with s.
     """
-    tables = finite_tables(n, t, build_finite_contours(n, t, anchors, points_per_unit), n)
+    tables = finite_tables(n, t, build_finite_contours(n, t, anchors, points_per_unit), 2 * n)
     for table in tables:
         table.setflags(write=False)
     return tables

@@ -25,13 +25,14 @@ small moment Gram matrix on the contours alone; the packed start is
 particle n = t at level (2 + a) t, and its Gram is that one cut at order
 :func:`packed_gram_order`.  On the saddle contours |z/w| <= |w+|^2, so the
 Cauchy factor 1/(w - z) is the series sum_l z^l / w^(l+1), cut at the
-Gram order; the Grams are built from power-moment sums over each contour,
-and no line x circle matrix is formed.  All exponents are assembled before
-exponentiation, and on the saddle contours every exponential factor has
-modulus at most one for offsets xi1, xi2 >= 0, so there the evaluation
-never overflows regardless of t.  At negative offsets e^{xi1(w+1)} and
-e^{-xi2(z+1)} grow, and a value that overflows raises NumericFailure
-naming the offsets.
+Gram order m; the Gram of order m is the product of two Hankel matrices of
+2m - 1 power moments, one set per contour, each a single matrix-vector
+product over that contour's power table, and no line x circle matrix is
+formed.  All exponents are assembled before exponentiation, and on the
+saddle contours every exponential factor has modulus at most one for
+offsets xi1, xi2 >= 0, so there the evaluation never overflows regardless
+of t.  At negative offsets e^{xi1(w+1)} and e^{-xi2(z+1)} grow, and a
+value that overflows raises NumericFailure naming the offsets.
 
 The stationary one-point formula needs a boundary-value remainder and a
 rank-one pair on the packed contours, from the packed Gram's own
@@ -119,12 +120,6 @@ def packed_factors(a, t, contours):
     return w, aw, z, bz
 
 
-def _cauchy_series(w, z, order):
-    """Power tables (z^l, w^-(l+1)), l < order: 1/(w - z) acts as w_pows @ z_pows.T."""
-    return (np.vander(z, order, increasing=True),
-            np.vander(1.0 / w, order + 1, increasing=True)[:, 1:])
-
-
 def packed_gram_order(a, t):
     """The packed Gram order m = min(t, ceil(log(1e-18) / (2 log|w+|))).
 
@@ -137,20 +132,31 @@ def packed_gram_order(a, t):
     return min(int(t), int(np.ceil(np.log(1e-18) / (2.0 * np.log(abs(w_plus))))))
 
 
-def finite_tables(n, t, contours, order):
+def finite_tables(n, t, contours, width):
     """Level-free part of :func:`finite_gram`: (w, dw, fw, z, dz, fz, z_pows, w_pows).
 
-    The line nodes w and circle nodes z with their trapezoid dz factors dw
-    and dz, the s-free phase t x^2/2 + n log(-x) at each node (fw, fz), and
-    the :func:`_cauchy_series` tables of w / rho and z / rho at the Gram
-    order, rho = sqrt(n / t).
+    The line nodes w and circle nodes z with their trapezoid factors dw and
+    dz, the s-free phase t x^2/2 + n log(-x) at each node (fw, fz), and one
+    contiguous power table per contour, width columns wide: z_pows holds
+    (z / rho)^p and w_pows (rho / w)^(p+1), p < width, rho = sqrt(n / t).
+    The Gram of order m needs width 2 m; the stationary pieces take width m.
     """
     line, circle = contours
     w, z = line.nodes, circle.nodes
     rho = np.sqrt(n / t)
     with np.errstate(over="ignore", invalid="ignore"):
-        pows = _cauchy_series(w / rho, z / rho, order)
+        inv = 1.0 / (w / rho)
+        pows = _powers(1.0, z / rho, width), _powers(inv, inv, width)
     return (w, line.weights, _f_free(w, n, t), z, circle.weights, _f_free(z, n, t)) + pows
+
+
+def _powers(first, x, width):
+    """Contiguous table of width columns: first, then each column the last one times x."""
+    table = np.empty((len(x), width), dtype=complex)
+    table[:, 0] = first
+    for p in range(1, width):
+        np.multiply(table[:, p - 1], x, out=table[:, p])
+    return table
 
 
 def sub_tables(tables):
@@ -189,32 +195,37 @@ def finite_gram(n, t, s, tables):
     1/(w - z) = sum_l z^l / w^(l+1), and the integral e^{s (w - z)} / (z - w)
     of e^{xi (w - z)} over (s, infinity), since Re(w - z) < 0,
 
-        gram = -(2 pi i)^-2 (sum_z bz z^(j+l)) (sum_w aw w^-(l+1) w^-(k+1)),
+        gram_jk = -(2 pi i)^-2 sum_l (sum_z bz z^(j+l)) (sum_w aw w^-(l+k+2)),
 
-    aw and bz (:func:`saddle_weights`) carrying e^{f(w) - f(c)} and
-    e^{f(w_hi) - f(z)}.  The z-integrand's only pole is of order n at 0, so
-    order n is exact.  Above the edge c and w_hi are the saddles w- and w+,
-    both weights have modulus at most one, and the gram stays bounded
-    however deep the tail.  The packed Gram is particle n = t at
-    s = (2 + a) t, cut at :func:`packed_gram_order`.  The powers are those
-    of w / rho and z / rho, rho = sqrt(n / t) = sqrt(w- w+): this conjugates
-    the gram by diag(rho^j) and scales it by rho^-2, which keeps det and
-    trace, and keeps every power at most one (below the edge |c| = rho), so
-    n > t does not overflow them.  Only s w and the anchors depend on the
-    level, so at or below the edge the tables are formed once per (n, t,
-    contour density) and shared by all levels.  A weight that overflows
-    raises NumericFailure, and so does a moment, in :func:`fredholm._det_core`.
+    a product of two Hankel matrices, Z_jl = mu_(j+l) and W_lk = nu_(l+k),
+    from the 2m - 1 moments mu_p = sum_z bz z^p and nu_p = sum_w aw w^-(p+2)
+    of each contour, m the order (half the tables' width).  aw and bz
+    (:func:`saddle_weights`) carry e^{f(w) - f(c)} and e^{f(w_hi) - f(z)}.
+    The z-integrand's only pole is of order n at 0, so order n is exact.
+    Above the edge c and w_hi are the saddles w- and w+, both weights have
+    modulus at most one, and the gram stays bounded however deep the tail.
+    The packed Gram is particle n = t at s = (2 + a) t, cut at
+    :func:`packed_gram_order`.  The powers are those of z / rho and rho / w,
+    rho = sqrt(n / t) = sqrt(w- w+): this conjugates the gram by diag(rho^j)
+    and scales it by rho^-2, which keeps det and trace, and keeps every power
+    at most one (below the edge |c| = rho), so n > t does not overflow them.
+    Only s w and the anchors depend on the level, so at or below the edge
+    the tables are formed once per (n, t, contour density) and shared by all
+    levels.  A weight that overflows raises NumericFailure, and so does a
+    moment, in :func:`fredholm._det_core`.
     """
     z_pows, w_pows = tables[6:]
+    m = w_pows.shape[1] // 2
+    hankel = np.add.outer(np.arange(m), np.arange(m))
     c, w_hi = finite_anchors(n, t, s)
     f_lo, f_hi = float(_f_vals(c, n, t, s).real), float(_f_vals(w_hi, n, t, s).real)
     rho = np.sqrt(n / t)
     aw, bz = saddle_weights(tables, s, f_lo, f_hi, f"n = {n}, t = {t}, s = {s}")
+    zs, ws = sub_rule(bz), sub_rule(aw)
     with np.errstate(over="ignore", invalid="ignore"):
-        zz, ww = bz[:, None] * z_pows, aw[:, None] * w_pows
-        zs, ws = sub_rule(bz), sub_rule(aw)
-        grams = ((z_pows.T @ zz) @ (w_pows.T @ ww),
-                 4.0 * ((z_pows[zs].T @ zz[zs]) @ (w_pows[ws].T @ ww[ws])))
+        # aw @ w_pows holds the sums of aw w^-(p+1), so nu is its tail
+        grams = [scale * (mu[hankel] @ w_moments[1:][hankel]) for scale, mu, w_moments in (
+            (1.0, bz @ z_pows, aw @ w_pows), (4.0, bz[zs] @ z_pows[zs], aw[ws] @ w_pows[ws]))]
     return tuple(-_DOUBLE_PREF * gram / (rho * rho) for gram in grams) + (f_lo - f_hi,)
 
 

@@ -225,8 +225,8 @@ def test_sub_rule_of_the_finite_tables_is_the_half_density_tables():
     # half-density tables, and halving the fine tables forms no new value
     c, w_hi = contours.finite_anchors(5, 1.0, 2.5)
     layouts = [(contours._line(c, 6.0, 2 * k + 1), contours._circle(w_hi, k)) for k in (80, 40)]
-    fine, coarse = (kernels.finite_tables(5, 1.0, layout, 5) for layout in layouts)
-    sub = kernels.finite_tables(5, 1.0, [contours.sub_path(path) for path in layouts[0]], 5)
+    fine, coarse = (kernels.finite_tables(5, 1.0, layout, 10) for layout in layouts)
+    sub = kernels.finite_tables(5, 1.0, [contours.sub_path(path) for path in layouts[0]], 10)
     _assert_same_bits(sub, coarse)
     _assert_same_bits(kernels.sub_tables(fine), sub)
     # finite_gram's sub-rule Gram is the half-density Gram up to the order of

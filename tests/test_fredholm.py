@@ -468,7 +468,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     monkeypatch.setattr(kernels, "np", CountingNumpy())
     builders = {name: getattr(fredholm, name)
                 for name in ("build_packed_contours", "build_finite_contours")}
-    cauchy_series = kernels._cauchy_series
+    powers = kernels._powers
     finite_tables = fredholm.finite_tables
     stat_components = fredholm.stat_components
 
@@ -481,9 +481,9 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     def no_grid(*_):
         raise AssertionError("build_grid called on a Gram route")
 
-    def table_spy(w, z, order):
-        tables.append(order)
-        return cauchy_series(w, z, order)
+    def table_spy(first, x, width):
+        tables.append(width)
+        return powers(first, x, width)
 
     def finite_tables_spy(n, t, contours_, order):
         built.append((n, t))
@@ -498,7 +498,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
 
     for name in builders:
         monkeypatch.setattr(fredholm, name, contour_spy(name))
-    monkeypatch.setattr(kernels, "_cauchy_series", table_spy)
+    monkeypatch.setattr(kernels, "_powers", table_spy)
     monkeypatch.setattr(fredholm, "finite_tables", finite_tables_spy)
     monkeypatch.setattr(kernels, "packed_factors", no_packed_factors)
     monkeypatch.setattr(fredholm, "stat_components", spy)
@@ -508,16 +508,20 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     assert densities == [2 * fredholm.POINTS_PER_UNIT]
     assert len(built) == len(densities)
     if fn is fredholm.prob_finite_n:
-        assert tables == [args[0]] * len(densities) and res.grid_size == args[0]
+        # one table per contour, wide enough for the 2n - 1 moments of each
+        assert tables == [2 * args[0]] * 2 * len(densities) and res.grid_size == args[0]
         # a second bulk level reuses them; an above-edge one, whose anchors
         # move with s, builds its own
         densities.clear(), tables.clear()
         fn(5, 1, 3.0)
         assert densities == [] and tables == []
         fn(5, 1, 5.5)
-        assert densities == [2 * fredholm.POINTS_PER_UNIT] and tables == [5]
+        assert densities == [2 * fredholm.POINTS_PER_UNIT] and tables == [10, 10]
     else:
-        assert tables == [kernels.packed_gram_order(args[1], args[0])] * len(densities)
+        # the packed Gram's moments need twice the width the stationary pieces take
+        m = kernels.packed_gram_order(args[1], args[0])
+        width = 2 * m if fn is fredholm.prob_packed else m
+        assert tables == [width] * 2 * len(densities)
         assert built == [(args[0], args[0])] * len(densities)
     if fn not in (fredholm.prob_packed, fredholm.prob_finite_n):
         assert len(levels) > len(set(levels)) and len(levels) % len(densities) == 0
@@ -1138,17 +1142,22 @@ def test_each_route_lays_out_its_contours_once_per_rung(monkeypatch, caplog, fn,
 # out each density afresh, x1 to x8, returned them: the ladder compares the
 # same density pairs, so no returned bit moves.  Flat (1, 0.25) is the value
 # of that ladder on the wider spiral window of contours.flat_contour_for,
-# which moved it from 0.8232538957540516 by 8.8e-12
+# which moved it from 0.8232538957540516 by 8.8e-12.  Packed and the two
+# finite_n points are those of the Gram from its contour moments, whose sums
+# round otherwise than the two N-deep products before them: log_survival
+# moved from -11.686458673562248, -0.24368232573219392 and -7.291648953714567
+# (and finite_n's p from 0.2162634323388138), each within 1e-15 of the
+# 40-digit Hermite Gram
 PARENT_REPR = {
-    "packed": ("0.999991593107674", "-11.686458673562248", 4),
+    "packed": ("0.999991593107674", "-11.68645867356225", 4),
     "packed trace": ("1.0", "-99.9089029990691", 22),
     "flat": ("0.9996857475080847", "-8.06531378080278", 96),
     "flat trace": ("1.0", "-68.298145905558", 0),
     "flat two rungs": ("0.8232538957452402", "-1.733041015439819", 192),
     "stat": ("0.9818641748033782", "-4.009866004298115", 4),
     "stat_rho": ("0.9827584903279957", "-4.060435449598752", 4),
-    "finite_n": ("0.2162634323388138", "-0.24368232573219392", 5),
-    "finite_n above the edge": ("0.999318796147489", "-7.291648953714567", 5),
+    "finite_n": ("0.2162634323388134", "-0.24368232573219337", 5),
+    "finite_n above the edge": ("0.999318796147489", "-7.291648953714568", 5),
 }
 
 
@@ -1184,3 +1193,46 @@ def test_stat_rho_point_whose_two_first_densities_are_one_layout_raises():
     # 3.5e-9, and x4 itself moves it by 5.1e-9, so p is not resolved to 1e-9
     with pytest.raises(NumericFailure, match="p still moves by 3.491e-09"):
         fredholm.prob_stat_rho(256, 0.1, 0.5)
+
+
+BUILD_FINITE_CONTOURS = contours.build_finite_contours
+
+
+def _coarse_line_layout(monkeypatch, density):
+    """Lay every saddle line out at density(points_per_unit) nodes per unit, no curvature term.
+
+    The circle and the line's half-width stay those of build_finite_contours,
+    and the cache of finite-n tables starts cold.
+    """
+    def coarse(n, t, anchors, points_per_unit=contours.POINTS_PER_UNIT):
+        line, circle = BUILD_FINITE_CONTOURS(n, t, anchors, points_per_unit)
+        half = line.params[-1]
+        count = 2 * int(np.ceil(half * density(points_per_unit))) + 1
+        return contours._line(anchors[0], half, count), circle
+
+    for module in (contours, fredholm):
+        monkeypatch.setattr(module, "build_finite_contours", coarse)
+    fredholm._finite_tables.cache_clear()
+
+
+@pytest.mark.parametrize("fn, args", [(fredholm.prob_finite_n, (5, 1, 2.5)),
+                                      (fredholm.prob_packed, (4, 1.0))],
+                         ids=["finite_n", "packed"])
+def test_a_coarsened_line_is_never_certified_when_wrong(monkeypatch, fn, args):
+    # at an eighth of each rung's density and no curvature term the line
+    # still resolves its Gaussian (width t^-1/2) to rounding: the ladder
+    # returns the full layout's p, whatever delta it reports.  At 2 nodes
+    # per unit at every rung no rung is converged, the fine rule and its
+    # sub-rule keep differing, and the query raises: delta 0 never certifies
+    # a quadrature that the density does not resolve
+    exact = fn(*args).p
+    try:
+        _coarse_line_layout(monkeypatch, lambda points_per_unit: points_per_unit // 8)
+        res = fn(*args)
+        assert abs(res.p - exact) < fredholm._TARGET and res.refinement_delta < fredholm._TARGET
+        _coarse_line_layout(monkeypatch, lambda points_per_unit: 2)
+        with pytest.raises(NumericFailure, match="still moves"):
+            fn(*args)
+    finally:
+        # no coarse table outlives the test
+        fredholm._finite_tables.cache_clear()

@@ -48,7 +48,7 @@ def test_packed_gram_determinant_is_the_nystrom_one(t, a):
     # the Gram and the Nystrom matrix of one kernel on the same contours
     contours_ = contours.build_packed_contours(a, t)
     gram, _, log_scale = kernels.finite_gram(t, t, (2 + a) * t,
-                                             kernels.finite_tables(t, t, contours_, t))
+                                             kernels.finite_tables(t, t, contours_, 2 * t))
     det = np.linalg.det(np.eye(t) - np.exp(log_scale) * gram)
     nodes, weights = fredholm.build_grid(0.0, a, 96)
     kmat = kernels.khat_packed_grid(nodes, nodes, kernels.packed_factors(a, t, contours_))
@@ -105,10 +105,60 @@ def test_raw_kernel_rank_n_matches_dense(n, t, line):
     w, z = path.nodes, circle.nodes
     aw = path.weights * np.exp(rates._f_vals(w, n, t, 0.0))
     bz = circle.weights * np.exp(-rates._f_vals(z, n, t, 0.0))
-    z_pows, w_pows = kernels._cauchy_series(w, z, n)
+    z_pows, w_pows = _cauchy_series(w, z, n)
     left = np.exp(np.multiply.outer(xi, w - c)) @ ((kernels._DOUBLE_PREF * aw)[:, None] * w_pows)
     right = np.exp(-np.multiply.outer(xi, z - c)) @ (bz[:, None] * z_pows)
     assert np.abs(left @ right.T - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def _cauchy_series(w, z, order):
+    """Power tables (z^l, w^-(l+1)), l < order: 1/(w - z) acts as w_pows @ z_pows.T."""
+    return (np.vander(z, order, increasing=True),
+            np.vander(1.0 / w, order + 1, increasing=True)[:, 1:])
+
+
+def _two_table_grams(n, t, s, tables):
+    """finite_gram's (gram, sub_gram) as two N-deep products of order-m power tables.
+
+    The Cauchy series applied node by node, (z_pows^T bz z_pows) (w_pows^T aw
+    w_pows), on the same nodes, weights and rho scaling as finite_gram.
+    """
+    m = tables[6].shape[1] // 2
+    w, z = tables[0], tables[3]
+    rho = np.sqrt(n / t)
+    c, w_hi = contours.finite_anchors(n, t, s)
+    f_lo, f_hi = rates._f_vals(c, n, t, s).real, rates._f_vals(w_hi, n, t, s).real
+    aw, bz = kernels.saddle_weights(tables, s, f_lo, f_hi, f"s = {s}")
+    z_pows, w_pows = _cauchy_series(w / rho, z / rho, m)
+    zs, ws = contours.sub_rule(z), contours.sub_rule(w)
+    grams = []
+    for zr, wr, scale in ((slice(None), slice(None), 1.0), (zs, ws, 4.0)):
+        z_mom = z_pows[zr].T @ (bz[zr, None] * z_pows[zr])
+        w_mom = w_pows[wr].T @ (aw[wr, None] * w_pows[wr])
+        grams.append(-kernels._DOUBLE_PREF * scale * (z_mom @ w_mom) / (rho * rho))
+    return grams
+
+
+# each n in the bulk and above the edge 2 sqrt(n t); n = t = 256 at level
+# (2 + 0.05) t is packed (256, 0.05), whose Gram is cut at order 93
+HANKEL_CASES = [(n, 4.0, f * 4.0 * np.sqrt(n)) for n in (1, 2, 5, 16, 64) for f in (0.7, 1.3)]
+HANKEL_CASES.append((256, 256.0, 2.05 * 256.0))
+
+
+@pytest.mark.parametrize("n, t, s", HANKEL_CASES)
+def test_hankel_grams_match_the_two_table_product(n, t, s):
+    # the Gram from 2m - 1 moments per contour, indexed as two Hankel
+    # matrices, against the N-deep products of the order-m power tables
+    m = kernels.packed_gram_order(s / t - 2.0, t) if n == t else n
+    assert n != t or m == 93
+    anchors = contours.finite_anchors(n, t, s)
+    layout = contours.build_finite_contours(n, t, anchors, 2 * contours.POINTS_PER_UNIT)
+    tables = kernels.finite_tables(n, t, layout, 2 * m)
+    assert all(table.shape[1] == 2 * m and table.flags.c_contiguous for table in tables[6:])
+    new = kernels.finite_gram(n, t, s, tables)[:2]
+    for gram, ref in zip(new, _two_table_grams(n, t, s, tables)):
+        assert gram.shape == (m, m) and np.abs(ref).max() > 0.0
+        assert np.abs(gram - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("n,t,s", [
@@ -442,8 +492,9 @@ def test_moment_grams_match_the_cauchy_double_sum(t, a):
     scaled = _saddle_scaled_tables(a, t, m)
     assert scaled[6].shape[1] == scaled[7].shape[1] == m and m <= t
     assert np.abs(scaled[3]).max() < 0.9 * rho   # stat_rho_pieces keeps the circle
-    # the packed Gram is particle t's at level (2 + a) t, where rho = 1
-    tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t), m)
+    # the packed Gram is particle t's at level (2 + a) t, where rho = 1; its
+    # tables hold the 2m - 1 moments' powers
+    tables = kernels.finite_tables(t, t, contours.build_packed_contours(a, t), 2 * m)
     gram = kernels.finite_gram(t, t, (2 + a) * t, tables)[0]
     ref_gram = _cauchy_gram(*_finite_weights(a, t, tables), m)
     for s in (-0.25, 0.0, 0.5):
