@@ -58,12 +58,13 @@ case "${1:-}" in
       exit 1
     fi
     ;;
-  # the flat survival is det(I_m - e^{-t r} G) for the flat moment Gram G,
-  # and where ||G||_F proves it exact, e^{-t r} times its trace (a = 5, order
-  # 7, reaches e^-4591 at t = 256); at a = 2 the table crosses from the
-  # trace series (t = 4) to the trace (t = 16, 64); at a = 0.1 the order is
-  # 66, and LU (t = 1, 16) gives way to the series (t = 256): every value
-  # must be finite (JSON prints a non-finite one as null)
+  # where a Hilbert-Schmidt bound proves it exact, the flat survival is
+  # e^{-t r} times the integral of the kernel's diagonal on the spiral
+  # (a = 5 reaches e^-4591 at t = 256); at a = 2 the table crosses from the
+  # Nystrom grid (t = 4) to the trace (t = 16, 64); at a = 0.1 the grid
+  # takes LU (t = 1, all three rungs to 384 nodes, and t = 16) and the trace
+  # series (t = 256): every value must be finite (JSON prints a non-finite
+  # one as null)
   deep-flat)
     for args in "--a 5 --t-list 16,64,256" "--a 2 --t-list 4,16,64" \
                 "--a 0.1 --t-list 1,16,256"; do

@@ -27,6 +27,7 @@ from .kernels import (
 )
 from .fredholm import (
     ProbResult,
+    build_grid,
     prob_finite_n,
     prob_flat,
     prob_packed,
@@ -55,6 +56,7 @@ __all__ = [
     "SimConfig",
     "SingularityError",
     "build_flat_contour",
+    "build_grid",
     "build_packed_contours",
     "gue_top_sample",
     "khat_packed",

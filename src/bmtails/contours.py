@@ -49,9 +49,8 @@ _TRUNCATION_TOL = 1e-12
 POINTS_PER_UNIT = 64
 # the flat spiral's tau window never reaches past this many turns
 _TAU_CAP = 4.0
-# the most nodes a saddle contour, or the spiral per unit of tau, may take,
-# and the most entries of the flat Gram's two power tables; at t = 2^20,
-# a in [0.25, 5], the most are 76,382 (circle, a = 5) and 1,156,644
+# the most nodes a saddle contour, or the spiral per unit of tau, may take; at
+# t = 2^20, a in [0.25, 5], the most are 76,382 (circle, a = 5) and 1,156,644
 # (spiral, a = 0.25, at 8x density)
 _MAX_NODES = 2 ** 21
 

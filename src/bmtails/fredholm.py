@@ -13,27 +13,29 @@ and the stationary ones are a packed Gram of order m and its border to
 order m + 1 by the rank-one pair (:func:`kernels.stat_components`), on the
 same tables (:func:`_stationary`).
 
-The flat kernel is a sum of exponentials over the nodes of its spiral, so
-its determinant det(1 - P_0 K P_0) is likewise det(I_m - G) for the flat
-moment Gram G of :func:`kernels.flat_gram`, real, of the order m of
-:func:`kernels.flat_gram_order` (see :func:`prob_flat`).
-
-Every determinant is taken by :func:`_det_core` on a Gram G and its scale
-L, the determinant being det(I - e^L G).  log det(I - M), M = e^L G, comes
-from LU while the survival |1 - det| is at least 1e-2, where LU's absolute
-error of about m eps is about 1e-12 relative.  Smaller survivals, which
-1 - det would lose to cancellation, come from the trace series
--sum_j tr(M^j)/j, whose terms keep their relative precision; it needs
-||M||_F < 1/2, or NumericFailure is raised.  Deep in the tail the survival
-is e^L tr(G) wherever :func:`_trace_error` proves that exact to 1e-17
-relative from nu = ||G||_F, which bounds every |tr G^k|^(1/k), k >= 2.
+The flat determinant det(1 - P_0 K P_0), K real, is evaluated by the
+Nystrom method (Bornemann, Math. Comp. 79 (2010)): Gauss-Legendre nodes
+u in (0,1) are mapped to xi = s - log(1-u)/d by :func:`build_grid`, which
+absorbs the proven exponential kernel decay (rate |z_a + 1|) so grids of
+a few dozen nodes converge.  With M = W^1/2 K W^1/2, log det(I - M) comes
+from LU while the survival |1 - det| is at least 1e-2, where LU's
+absolute error of about N eps is about 1e-12 relative.
+Smaller survivals, which 1 - det would lose to cancellation, come from the
+trace series -sum_j tr(M^j)/j, whose terms keep their relative precision;
+it needs ||M||_F < 1/2, or NumericFailure is raised.  Deep in the tail M
+is e^{L} Mt with Mt bounded, and the survival is e^{L} tr(Mt) wherever
+:func:`_trace_error` proves that exact to 1e-17 relative from a bound nu on
+||Mt||_HS (:func:`_trace_survival`): ||Mt||_F on the Gram routes, which hand
+Mt and L to :func:`_det_core` apart, and on the flat route a sum over the
+spiral, on which tr(Kt), the integral of the diagonal, is exact too, so
+that no grid is built (see :func:`prob_flat`).
 
 Every entry point hands a closure evaluate(size, scale) and its fixed
-ladder of Gram orders to one driver, :func:`_solve`.  Rung k lays out
-contours at density 2^k once (the order stays) until the p of that
-trapezoid rule and of its sub-rule at half the density
-(:func:`contours.sub_path`) agree; it reports their difference as the
-refinement delta and the order as the grid size, and checks
+ladder of sizes to one driver, :func:`_solve`.  Rung k lays out contours
+at density 2^k once (a flat Nystrom grid of 48 2^k nodes; the Gram orders
+m and n stay) until the p of that trapezoid rule and of its sub-rule at
+half the density (:func:`contours.sub_path`) agree; it reports their
+difference as the refinement delta and the final grid size, and checks
 the imaginary residue and the [0, 1] range; a survival it cannot resolve
 (p above 1, or a log_survival that is not finite), or a ladder that ends
 before p settles, raises NumericFailure.
@@ -58,6 +60,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from .contours import (
     POINTS_PER_UNIT,
@@ -68,14 +71,15 @@ from .contours import (
     finite_anchors,
     flat_contour_for,
     scale_circle,
+    sub_path,
 )
 from .errors import NumericFailure
 from .kernels import (
     _IM_TOL,
     finite_gram,
     finite_tables,
-    flat_gram,
-    flat_gram_order,
+    flat_trace_terms,
+    khat_flat_grid,
     packed_gram_order,
     stat_components,
     stat_rho_pieces,
@@ -112,16 +116,45 @@ class ProbResult:
     log_survival: float
     im_residue: float             # 0 on the flat route, whose kernel is real
     refinement_delta: float       # |p| change from the last rung's sub-rule
-    grid_size: int                # the Gram order: m on the packed, flat and
-                                  # stationary routes, n on the finite-index one
+    grid_size: int                # flat Nystrom nodes of the returned
+                                  # evaluation, the Gram order m of the packed
+                                  # and stationary routes, n on the finite-
+                                  # index one, or 0 on the flat trace route,
+                                  # taken where a Hilbert-Schmidt bound proves
+                                  # the trace exact, which builds no grid
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(size):
+    """Read-only Gauss-Legendre nodes and weights on (-1, 1), one rule per size."""
+    x, w = leggauss(size)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def build_grid(s, decay_rate, size):
+    """(nodes, weights) of Gauss-Legendre on (0, 1) mapped by u -> s - log(1 - u) / decay_rate.
+
+    The nodes increase strictly on (s, infinity) and the weights are positive.
+    """
+    if size < 8:
+        raise ValueError(f"grid size must be at least 8, got {size}")
+    if not 0.0 < decay_rate < np.inf:
+        raise ValueError(f"decay_rate must be finite and positive, got {decay_rate}")
+    x, w = _gauss_legendre(int(size))
+    u = 0.5 * (x + 1.0)
+    nodes = s - np.log1p(-u) / decay_rate
+    if not np.isfinite(nodes).all():
+        raise ValueError("grid nodes must be finite")
+    return nodes, 0.5 * w / (decay_rate * (1.0 - u))
 
 
 def _det_core(kmat, weights, log_scale=0.0):
     """(det, log_survival, im_residue) of I - e^{log_scale} M with M = sqrt(w) K sqrt(w).
 
-    The survival is e^{log_scale} tr M, with the trace's phase as the
-    imaginary residue, where :func:`_trace_error`, at least half that
-    trace, proves it from nu = ||M||_F.
+    The survival is e^{log_scale} tr M where :func:`_trace_error`, at least
+    half that trace, proves it from nu = ||M||_F (:func:`_trace_survival`).
     Otherwise, with M scaled, log det(I - M) is LU's, or the trace series'
     when |1 - det| from LU is below _LU_SURVIVAL (NumericFailure if it diverges).
     With nu = ||M||_F < 1, |tr M^k| <= nu^k for k >= 2, so |log det(I - M)|
@@ -144,9 +177,7 @@ def _det_core(kmat, weights, log_scale=0.0):
             log_nu = math.log(math.hypot(float(np.linalg.norm(m)), len(m) * 1e-161))
             error = _trace_error(log_scale, trace.real, log_nu)
             if error <= _TRACE_EXACT:
-                log.debug("determinant of order %d: route trace, relative error at most %.3e",
-                          len(m), error)
-                return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+                return _trace_survival(len(m), log_scale, trace, error)
         if log_scale:
             m = np.exp(log_scale) * m
         norm = float(np.linalg.norm(m))
@@ -277,6 +308,17 @@ def _trace_error(log_scale, trace, log_nu):
     return r + (1.0 + r) * u * math.exp(u) / 2.0
 
 
+def _trace_survival(order, log_scale, trace, error):
+    """(1, log_survival, im_residue) of I - e^{log_scale} K as e^{log_scale} tr K.
+
+    For a caller whose :func:`_trace_error` bound, ``error``, is at most
+    _TRACE_EXACT; the trace's phase is the imaginary residue.
+    """
+    log.debug("determinant of order %d: route trace, relative error at most %.3e",
+              order, error)
+    return 1.0, float(log_scale + np.log(trace.real)), abs(trace.imag / trace.real)
+
+
 # ---------------------------------------------------------------------------
 # scaled one-point probabilities
 
@@ -287,7 +329,7 @@ def prob_packed(t, a):
     The tagged particle is n = t at level (2 + a) t, so det(1 - P_0 Khat P_0)
     is det(I_m - G) for that particle's moment Gram G
     (:func:`kernels.finite_gram`), cut at the order m of
-    :func:`kernels.packed_gram_order`, with no quadrature in xi: grid_size
+    :func:`kernels.packed_gram_order`, with no Nystrom grid: grid_size
     reports m, and only the contour density is doubled.  G = e^{-t r} Gt
     with Gt bounded, and :func:`_det_core` takes Gt and -t r apart: where
     its bound proves it, log_survival is -t r + log tr(Gt).
@@ -300,7 +342,7 @@ def prob_packed(t, a):
         *grams, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, 2 * size))
         return [_det_core(gram, np.ones(size), log_scale) for gram in grams]
 
-    # contour densities x2 to x8
+    # contour densities x2 to x8, as on the flat route's grids 96 to 384
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 3)
 
 
@@ -308,26 +350,38 @@ def prob_flat(t, a):
     """P(x_t(t) <= 2t + at) under the flat start.
 
     One :func:`rates.rate_flat` call gives the saddle z_a, the spiral's
-    curvature and the rate r.  Khat = e^{-t r} Kt with Kt bounded and real, a
-    sum of exponentials over the nodes of the spiral of
-    :func:`contours.flat_contour_for`, so det(1 - P_0 Khat P_0) is
-    det(I_m - e^{-t r} G) for the moment Gram G of :func:`kernels.flat_gram`,
-    cut at the order m of :func:`kernels.flat_gram_order`, with no quadrature
-    in xi: grid_size reports m, and only the spiral's density is doubled.
-    :func:`_det_core` takes G and -t r apart: where its bound proves it,
-    log_survival is -t r + log tr(G).
+    curvature and the rate r.  Khat = e^{-t r} Kt with Kt bounded and real.
+    On the spiral of :func:`contours.flat_contour_for` at twice the default
+    density, tr(Kt), the integral of Kt's diagonal, and a bound on ||Kt||_HS
+    are exact sums over its nodes (:func:`kernels.flat_trace_terms`).  Where
+    that bound proves e^{-t r} tr(Kt) to be the survival
+    (:func:`_trace_survival`), grid_size is 0 since no grid is built, and
+    the ladder only doubles the spiral's density.
+    Elsewhere det(1 - P_0 Khat P_0) is taken on Nystrom grids of 96 to 384
+    nodes, and half that on its :func:`contours.sub_path`, the spiral doubled
+    in density at each rung.  Rung 1 of either ladder reuses the x2 spiral
+    and its traces, which decided the route.
     """
     a = check_a(a)
     t = float(t)
     saddle = rate_flat(a)
+    z_a, rate = saddle.saddle_lo, saddle.rate
+    log_scale = -t * rate
+    first = flat_contour_for(a, t, 2 * POINTS_PER_UNIT, saddle=saddle)
+    *traces, hs_bound = flat_trace_terms(a, t, first, rate)
+    error = _trace_error(log_scale, traces[0], math.log(hs_bound))
 
     def evaluate(size, scale):
-        path = flat_contour_for(a, t, scale * POINTS_PER_UNIT, saddle=saddle)
-        grams = flat_gram(a, t, path, saddle.rate, size)
-        return [_det_core(gram, np.ones(size), -t * saddle.rate) for gram in grams]
+        path = first if scale == 2 else flat_contour_for(a, t, scale * POINTS_PER_UNIT,
+                                                         saddle=saddle)
+        if not size:
+            rung = traces if path is first else flat_trace_terms(a, t, path, rate)[:2]
+            return [_trace_survival(0, log_scale, trace, error) for trace in rung]
+        return [_det_core(khat_flat_grid(a, t, x, x, rule), w) for rule, (x, w) in (
+            (path, build_grid(0.0, abs(z_a + 1.0), size)),
+            (sub_path(path), build_grid(0.0, abs(z_a + 1.0), size // 2)))]
 
-    # spiral densities x2 to x8
-    return _solve("prob_flat", evaluate, [flat_gram_order(saddle)] * 3)
+    return _solve("prob_flat", evaluate, [0] * 3 if error <= _TRACE_EXACT else [96, 192, 384])
 
 
 # ---------------------------------------------------------------------------

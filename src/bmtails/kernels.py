@@ -14,11 +14,9 @@ Lambert spiral with the image branch phi carried along,
                    e^{x1(gamma+1) - x2(phi(gamma)+1)},
 
 real since the spiral is conjugate-symmetric, and assembled in real
-arithmetic on its tau >= 0 half by :func:`khat_flat_grid`, for the checks.
-The flat determinant needs no kernel matrix: :func:`flat_gram` gives it as
-a real moment Gram of order :func:`flat_gram_order`, from the series of the
-Cauchy factor 1/(phi - gamma) in phi / gamma, whose modulus is at most
-|phi(z_a) / z_a| < 1 on the spiral.
+arithmetic on its tau >= 0 half.  On that half :func:`flat_trace_terms`
+integrates its diagonal and bounds its Hilbert-Schmidt norm, in one pass
+over the nodes.
 
 The contours come from :mod:`contours`; this module folds the phases
 into their weights and assembles the kernels.  The one-point determinants
@@ -59,7 +57,6 @@ import numpy as np
 
 from .contours import (
     POINTS_PER_UNIT,
-    _MAX_NODES,
     _check_finite,
     _check_time,
     build_packed_contours,
@@ -294,48 +291,26 @@ def khat_flat_grid(a, t, xi1, xi2, path):
     return e1.view(float) @ e2.view(float).T
 
 
-def flat_gram_order(saddle):
-    """The flat Gram order m = ceil(log(1e-18) / log q), q = |phi(z_a) / z_a|.
+def flat_trace_terms(a, t, path, rate):
+    """(trace, sub-rule trace, HS bound) of the flat kernel on (0, infinity), times e^{t rate}.
 
-    On the spiral |phi| <= |phi(z_a)| < 1 < |z_a| <= |gamma|, so every
-    Cauchy factor 1/(phi - gamma) is the series -sum_l phi^l / gamma^(l+1),
-    and the terms l >= m that :func:`flat_gram` drops are at most q^m <= 1e-18
-    of it.  m is 7 at a = 5, 20 at a = 1, 29 at a = 0.5 and 208 at a = 0.01.
-    ``saddle`` is the :func:`rates.rate_flat` record; where phi(z_a)
-    underflows to 0 (a above about 744) order 1 is exact.
-    """
-    q = abs(saddle.saddle_hi / saddle.saddle_lo)
-    with np.errstate(divide="ignore"):
-        return max(1, int(np.ceil(np.log(1e-18) / np.log(q))))
-
-
-def flat_gram(a, t, path, rate, m):
-    """(gram, sub_gram) of order m with det(1 - P_0 Khat P_0) = det(I - e^{-t rate} gram).
-
-    Khat = sum_gamma c_gamma e^{x1 (gamma + 1)} e^{-x2 (phi + 1)} over the
-    spiral nodes, and the integral of e^{-x (phi - gamma')} over (0, infinity)
-    is 1/(phi - gamma'), Re(phi - gamma') > 0, so the determinant is that of
-    I_N - C, C the Cauchy matrix c_gamma' / (phi - gamma').  With the series
-    of :func:`flat_gram_order`, C = -P Q^T for P = phi^k and Q =
-    c gamma^-(l+1), l, k < m, and det(I_N + P Q^T) = det(I_m + Q^T P):
-
-        gram_lk = -sum_gamma c_gamma gamma^-(l+1) phi^k,
-
-    real, from the two power tables of :func:`_half_spiral` at shift rate =
-    -G(z_a), where |c_gamma| peaks at one; the sub-rule's Gram is twice the
-    sum over the half's even rows (:func:`contours.sub_path`).  Every power
-    has modulus at most one.  Tables that would pass _MAX_NODES entries
-    raise NumericFailure before either is formed.
+    K(x, x) = sum_gamma c_gamma e^{-x (phi - gamma)} with Re(phi - gamma) > 0
+    on the spiral, so the integral of the diagonal is sum_gamma c_gamma /
+    (phi - gamma) exactly.  Each term c e^{x1 (gamma + 1)} e^{-x2 (phi + 1)}
+    has Hilbert-Schmidt norm |c| / (2 sqrt(-Re(gamma + 1) Re(phi + 1))), and
+    their sum bounds the kernel's; it is inf when a node has Re(gamma + 1) >=
+    0 or Re(phi + 1) <= 0, where a term does not decay.  All three are sums
+    over one :func:`_half_spiral` at shift rate = -G(z_a), where |c_gamma|
+    peaks at one, at the saddle: there the half starts, so twice its even
+    terms give the trace on the :func:`contours.sub_path`.  The traces are real.
     """
     gam, phi, c = _half_spiral(a, t, path, rate)
-    if not 2 * len(gam) * m <= _MAX_NODES:
-        raise NumericFailure(f"the flat Gram's two tables of order {m} on {len(gam)} nodes "
-                             f"would pass {_MAX_NODES} entries",
-                             hint=f"the order grows like a^(-1/2) as a -> 0: a = {a:g} is "
-                                  "below what the flat Gram resolves")
-    inv = 1.0 / gam
-    right, left = _powers(c * inv, inv, m), _powers(1.0, phi, m)
-    return -(right.T @ left).real, -2.0 * (right[::2].T @ left[::2]).real
+    terms = c / (phi - gam)
+    traces = float(np.sum(terms).real), float(2.0 * np.sum(terms[::2]).real)
+    if not (np.all(gam.real < -1.0) and np.all(phi.real > -1.0)):
+        return traces + (np.inf,)
+    norms = np.abs(c) / (2.0 * np.sqrt(-(gam.real + 1.0) * (phi.real + 1.0)))
+    return traces + (float(np.sum(norms)),)
 
 
 # ---------------------------------------------------------------------------
