@@ -19,9 +19,9 @@ phase H is that phase at n = t and level (2 + a) t, so
 the raw finite-n kernel matrix uses a line and a circle placed by the
 caller.  The node-count rules of each route sit beside the function that
 lays it out, under one bound _MAX_NODES, and one helper rescales a circle.
-The saddle and spiral builders take their density as an int,
-points_per_unit (default 64, at least 8), which the determinant solver
-doubles at each refinement step.
+The builders take their density as an int, points_per_unit (default 64, at
+least 8); the determinant solver's rungs lay out 2, 4 and 8 times that on the
+spiral and times SADDLE_POINTS_PER_UNIT = 16 on the saddle line and circle.
 
 Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the
@@ -47,6 +47,8 @@ from .rates import _g_vals, check_a, rate_flat, solve_za
 _TRUNCATION_TOL = 1e-12
 # default contour density, in nodes per unit of length or of tau
 POINTS_PER_UNIT = 64
+# base density of the saddle line and circle on the Gram routes' ladders
+SADDLE_POINTS_PER_UNIT = 16
 # the flat spiral's tau window never reaches past this many turns
 _TAU_CAP = 4.0
 # the most nodes a saddle contour, or the spiral per unit of tau, may take; at
@@ -191,15 +193,17 @@ def finite_anchors(n, t, s):
 def build_finite_contours(n, t, anchors, points_per_unit=POINTS_PER_UNIT):
     """(line, circle) through anchors (c, w_hi), the only saddle line/circle layout.
 
-    anchors are :func:`finite_anchors` of a level; node densities resolve the
-    Gaussian widths 1 / sqrt|f''| of the phase, |f''| = |t - n / w^2|, at both
-    anchors, and the line's cubic width |f'''(c)|^(-1/3), f''' = 2 n / w^3,
+    anchors are :func:`finite_anchors` of a level.  The line takes at least
+    points_per_unit nodes per unit of length and the circle 2 pi points_per_unit
+    (the solver's rungs 2^k SADDLE_POINTS_PER_UNIT), more where they resolve
+    the Gaussian widths 1 / sqrt|f''| of the phase, |f''| = |t - n / w^2|, at
+    both anchors, and the line's cubic width |f'''(c)|^(-1/3), f''' = 2 n / w^3,
     which sets it where f'' vanishes, at the bulk anchor c = -sqrt(n / t), and
     near the edge: in w / |c| the phase depends on t only through s |c|, so
-    12 (2 n)^(1/3) / |c| nodes per unit serve every t.  The layout depends
-    on the level only through the anchors, the same at every
-    s <= 2 sqrt(n t), so prob_finite_n lays out the bulk contours, and forms
-    their tables, once per (n, t, density) and shares them by all levels.
+    12 (2 n)^(1/3) / |c| nodes per unit serve every t.  The layout depends on
+    the level only through the anchors, the same at every s <= 2 sqrt(n t), so
+    prob_finite_n lays out the bulk contours, and forms their tables, once per
+    (n, t, density) and shares them by all levels.
     """
     t = _check_time(t)
     _check_density(points_per_unit)

@@ -30,12 +30,12 @@ Mt and L to :func:`_det_core` apart, and on the flat route a sum over the
 spiral, on which tr(Kt), the integral of the diagonal, is exact too, so
 that no grid is built (see :func:`prob_flat`).
 
-Every entry point hands a closure evaluate(size, scale) and its fixed
-ladder of sizes to one driver, :func:`_solve`.  Rung k lays out contours
-at density 2^k once (a flat Nystrom grid of 48 2^k nodes; the Gram orders
-m and n stay) until the p of that trapezoid rule and of its sub-rule at
-half the density (:func:`contours.sub_path`) agree; it reports their
-difference as the refinement delta and the final grid size, and checks
+Every entry point hands a closure evaluate(size, scale) and its ladder of
+sizes to one driver, :func:`_solve`.  Rung k lays out contours once at 2^k
+times their base density (:mod:`contours`; a flat Nystrom grid of 48 2^k
+nodes; the Gram orders stay) until the p of that trapezoid rule and of its
+sub-rule at half the density (:func:`contours.sub_path`) agree; it reports
+their difference as the refinement delta and the final grid size, and checks
 the imaginary residue and the [0, 1] range; a survival it cannot resolve
 (p above 1, or a log_survival that is not finite), or a ladder that ends
 before p settles, raises NumericFailure.
@@ -64,6 +64,7 @@ from numpy.polynomial.legendre import leggauss
 
 from .contours import (
     POINTS_PER_UNIT,
+    SADDLE_POINTS_PER_UNIT,
     _check_finite,
     _check_time,
     build_finite_contours,
@@ -338,11 +339,11 @@ def prob_packed(t, a):
     t = _check_time(t)
 
     def evaluate(size, scale):
-        contours = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
+        contours = build_packed_contours(a, t, scale * SADDLE_POINTS_PER_UNIT)
         *grams, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, 2 * size))
         return [_det_core(gram, np.ones(size), log_scale) for gram in grams]
 
-    # contour densities x2 to x8, as on the flat route's grids 96 to 384
+    # saddle densities x2 to x8 of SADDLE_POINTS_PER_UNIT: 32, 64 and 128 per unit
     return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 3)
 
 
@@ -426,7 +427,7 @@ def _stationary(what, t, a, rho, D_at):
     t = _check_time(t)
 
     def evaluate(size, scale):
-        line, circle = build_packed_contours(a, t, scale * POINTS_PER_UNIT)
+        line, circle = build_packed_contours(a, t, scale * SADDLE_POINTS_PER_UNIT)
         radius = float(np.abs(circle.nodes).max())
         if rho is not None and radius >= 0.9 * rho:
             circle = scale_circle(circle, 0.9 * rho / radius)
@@ -448,8 +449,8 @@ def _stationary(what, t, a, rho, D_at):
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
 
-    # contour densities x2 and x4
-    return _solve(what, evaluate, [packed_gram_order(a, t)] * 2)
+    # x2 to x8 of SADDLE_POINTS_PER_UNIT; small a (0.01 at t <= 64) converges only at x8
+    return _solve(what, evaluate, [packed_gram_order(a, t)] * 3)
 
 
 def prob_stat(t, a):
@@ -534,7 +535,7 @@ def prob_finite_n(n, t, s):
     anchors = finite_anchors(n, t, s)
 
     def evaluate(size, scale):
-        tables = _finite_tables(n, t, anchors, scale * POINTS_PER_UNIT)
+        tables = _finite_tables(n, t, anchors, scale * SADDLE_POINTS_PER_UNIT)
         *grams, log_scale = finite_gram(n, t, s, tables)
         return [_det_core(gram, np.ones(n), log_scale) for gram in grams]
 

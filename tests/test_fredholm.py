@@ -505,7 +505,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
     monkeypatch.setattr(fredholm, "build_grid", no_grid)
     res = fn(*args)
     assert outers == []
-    assert densities == [2 * fredholm.POINTS_PER_UNIT]
+    assert densities == [2 * fredholm.SADDLE_POINTS_PER_UNIT]
     assert len(built) == len(densities)
     if fn is fredholm.prob_finite_n:
         # one table per contour, wide enough for the 2n - 1 moments of each
@@ -516,7 +516,7 @@ def test_gram_routes_form_no_cauchy_matrix(monkeypatch, fn, args):
         fn(5, 1, 3.0)
         assert densities == [] and tables == []
         fn(5, 1, 5.5)
-        assert densities == [2 * fredholm.POINTS_PER_UNIT] and tables == [10, 10]
+        assert densities == [2 * fredholm.SADDLE_POINTS_PER_UNIT] and tables == [10, 10]
     else:
         # the packed Gram's moments need twice the width the stationary pieces take
         m = kernels.packed_gram_order(args[1], args[0])
@@ -686,7 +686,7 @@ def test_cached_finite_n_tables_are_shared_and_read_only():
     fredholm.prob_finite_n(5, 1, 2.5)
     misses = fredholm._finite_tables.cache_info().misses
     tables = fredholm._finite_tables(5, 1.0, contours.finite_anchors(5, 1.0, 3.0),
-                                     2 * fredholm.POINTS_PER_UNIT)
+                                     2 * fredholm.SADDLE_POINTS_PER_UNIT)
     assert fredholm._finite_tables.cache_info().misses == misses
     assert not any(table.flags.writeable for table in tables)
     with pytest.raises(ValueError):
@@ -702,6 +702,25 @@ def test_warm_finite_n_tables_give_the_cold_result(n, t, levels):
         cold.append(repr(fredholm.prob_finite_n(n, t, s)))
     fredholm._finite_tables.cache_clear()
     assert [repr(fredholm.prob_finite_n(n, t, s)) for s in levels] == cold
+
+
+def test_saddle_density_agrees_with_four_times_itself(monkeypatch):
+    # the saddle line and circle start from SADDLE_POINTS_PER_UNIT; at four
+    # times it the rungs lay out 128, 256 and 512 nodes per unit, as they did
+    # from POINTS_PER_UNIT.  Every level of the sweeps and every packed point
+    # agrees with that layout to 4.3e-15 in p and in log S; where the survival
+    # is near 1, log S is about -p, and its change is p's rounding, so log S
+    # is compared relative to max(1, |log S|)
+    calls = [(fredholm.prob_finite_n, (n, t, float(s)))
+             for n, t, levels in LEVEL_SWEEPS for s in levels]
+    calls += [(fredholm.prob_packed, (t, a)) for t in (4, 16, 64, 256) for a in (0.5, 1.0, 2.0, 5.0)]
+    base = [fn(*args) for fn, args in calls]
+    monkeypatch.setattr(fredholm, "SADDLE_POINTS_PER_UNIT", 4 * fredholm.SADDLE_POINTS_PER_UNIT)
+    for (fn, args), res in zip(calls, base):
+        dense = fn(*args)
+        assert abs(dense.p - res.p) <= 1e-14, (fn.__name__, args)
+        assert (abs(dense.log_survival - res.log_survival)
+                <= 1e-14 * max(1.0, abs(dense.log_survival))), (fn.__name__, args)
 
 
 @pytest.mark.parametrize("t, a", [(16, 4.0), (32, 2.0)])
@@ -754,7 +773,7 @@ def test_packed_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch
     # e^{-t r} underflows here; the Gram route factors it out of the determinant
     res = fredholm.prob_packed(t, a)
     assert abs(res.log_survival - log_survival) <= 1e-10 * abs(log_survival)
-    monkeypatch.setattr(fredholm, "POINTS_PER_UNIT", 2 * fredholm.POINTS_PER_UNIT)
+    monkeypatch.setattr(fredholm, "SADDLE_POINTS_PER_UNIT", 2 * fredholm.SADDLE_POINTS_PER_UNIT)
     denser = fredholm.prob_packed(t, a)
     assert abs(denser.log_survival - res.log_survival) <= 1e-13 * abs(log_survival)
 
@@ -1119,8 +1138,10 @@ ROUTE_IDS = ["packed", "packed trace", "flat", "flat trace", "flat two rungs", "
 
 @pytest.mark.parametrize("fn, args", ROUTE_POINTS, ids=ROUTE_IDS)
 def test_each_route_lays_out_its_contours_once_per_rung(monkeypatch, caplog, fn, args):
-    # rung k lays out density 2^k once and takes its coarse value from that
-    # layout's sub-rule; flat (1, 0.25) takes two rungs, the others one
+    # rung k lays out 2^k times its route's base density once (the spiral's
+    # POINTS_PER_UNIT, the saddle line and circle's SADDLE_POINTS_PER_UNIT)
+    # and takes its coarse value from that layout's sub-rule; flat (1, 0.25)
+    # takes two rungs, the others one
     fredholm._finite_tables.cache_clear()
     densities = []
     for name in ("build_packed_contours", "build_finite_contours", "flat_contour_for"):
@@ -1135,7 +1156,9 @@ def test_each_route_lays_out_its_contours_once_per_rung(monkeypatch, caplog, fn,
         fn(*args)
     rungs = sum(r.funcName == "_solve" for r in caplog.records)
     assert rungs == (2 if args == (1, 0.25) else 1)
-    assert densities == [2 ** k * fredholm.POINTS_PER_UNIT for k in range(1, rungs + 1)]
+    base = (fredholm.POINTS_PER_UNIT if fn is fredholm.prob_flat
+            else fredholm.SADDLE_POINTS_PER_UNIT)
+    assert densities == [2 ** k * base for k in range(1, rungs + 1)]
 
 
 # (p, log_survival, grid size) of one point per route as the ladder that laid
@@ -1147,7 +1170,14 @@ def test_each_route_lays_out_its_contours_once_per_rung(monkeypatch, caplog, fn,
 # round otherwise than the two N-deep products before them: log_survival
 # moved from -11.686458673562248, -0.24368232573219392 and -7.291648953714567
 # (and finite_n's p from 0.2162634323388138), each within 1e-15 of the
-# 40-digit Hermite Gram
+# 40-digit Hermite Gram.  finite_n is that of the saddle contours at
+# SADDLE_POINTS_PER_UNIT (597 line and 202 circle nodes at rung 1, not 2,381
+# and 806): ("0.2162634323388134", "-0.24368232573219337"), 3.6e-16 and
+# 4.4e-16 from the Hermite Gram's 0.21626343233881376 and -0.2436823257321938,
+# moved to 2.8e-17 from each.  These are the bits of two or more BLAS
+# threads: with one, the line moments aw @ w_pows of kernels.finite_gram sum
+# in another order, and finite_n reads ("0.21626343233881398",
+# "-0.24368232573219406"), 2.2e-16 and 2.5e-16 from the Hermite Gram
 PARENT_REPR = {
     "packed": ("0.999991593107674", "-11.68645867356225", 4),
     "packed trace": ("1.0", "-99.9089029990691", 22),
@@ -1156,7 +1186,7 @@ PARENT_REPR = {
     "flat two rungs": ("0.8232538957452402", "-1.733041015439819", 192),
     "stat": ("0.9818641748033782", "-4.009866004298115", 4),
     "stat_rho": ("0.9827584903279957", "-4.060435449598752", 4),
-    "finite_n": ("0.2162634323388134", "-0.24368232573219337", 5),
+    "finite_n": ("0.21626343233881373", "-0.24368232573219378", 5),
     "finite_n above the edge": ("0.999318796147489", "-7.291648953714568", 5),
 }
 
@@ -1188,10 +1218,12 @@ def test_flat_window_is_certified_where_the_sub_rule_cannot_see_it():
 
 def test_stat_rho_point_whose_two_first_densities_are_one_layout_raises():
     # at t = 256, a = 0.1 the phase's widths, not the density, set the line
-    # and circle at x1 and x2 (193 and 826 nodes), so a ladder comparing the
-    # two returned p against itself; the sub-rule of x2 and of x4 moves p by
-    # 3.5e-9, and x4 itself moves it by 5.1e-9, so p is not resolved to 1e-9
-    with pytest.raises(NumericFailure, match="p still moves by 3.491e-09"):
+    # and circle at every density up to 128 per unit (193 and 826 nodes), so
+    # all three rungs, x2 to x8 of SADDLE_POINTS_PER_UNIT, lay out that one
+    # layout, and a ladder comparing densities would compare p with itself;
+    # its sub-rule moves p by 3.5e-9, and the layout at 256 per unit (373 and
+    # 1,610 nodes) moves it by 5.1e-9, so p is not resolved to 1e-9
+    with pytest.raises(NumericFailure, match="p still moves by 3.508e-09"):
         fredholm.prob_stat_rho(256, 0.1, 0.5)
 
 
