@@ -21,7 +21,7 @@ caller.  The node-count rules of each route sit beside the function that
 lays it out, under one bound _MAX_NODES, and one helper rescales a circle.
 The builders take their density as an int, points_per_unit (default 64, at
 least 8); the determinant solver's rungs lay out 2, 4 and 8 times that on the
-spiral and times SADDLE_POINTS_PER_UNIT = 16 on the saddle line and circle.
+spiral, and 2^k times SADDLE_POINTS_PER_UNIT = 16 on the saddle line and circle.
 
 Paths store their parameter values with the critical point at parameter 0,
 so steep-descent diagnostics can separate a saddle neighbourhood from the

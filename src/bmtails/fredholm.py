@@ -343,8 +343,8 @@ def prob_packed(t, a):
         *grams, log_scale = finite_gram(t, t, (2 + a) * t, finite_tables(t, t, contours, 2 * size))
         return [_det_core(gram, np.ones(size), log_scale) for gram in grams]
 
-    # saddle densities x2 to x8 of SADDLE_POINTS_PER_UNIT: 32, 64 and 128 per unit
-    return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 3)
+    # saddle densities x2 to x32 of SADDLE_POINTS_PER_UNIT: 32 to 512 per unit
+    return _solve("prob_packed", evaluate, [packed_gram_order(a, t)] * 5)
 
 
 def prob_flat(t, a):
@@ -449,8 +449,8 @@ def _stationary(what, t, a, rho, D_at):
         logs = float(np.log1p(-p)) if p < 1.0 else -np.inf
         return p, logs, max(ims)
 
-    # x2 to x8 of SADDLE_POINTS_PER_UNIT; small a (0.01 at t <= 64) converges only at x8
-    return _solve(what, evaluate, [packed_gram_order(a, t)] * 3)
+    # x2 to x16 of SADDLE_POINTS_PER_UNIT: 32 to 256 per unit
+    return _solve(what, evaluate, [packed_gram_order(a, t)] * 4)
 
 
 def prob_stat(t, a):
@@ -509,7 +509,7 @@ def _finite_tables(n, t, anchors, points_per_unit):
     """Read-only :func:`kernels.finite_tables` of width 2n, for the order-n Gram, through anchors.
 
     The bulk levels of a sweep share one entry per contour density, and the
-    three rungs x2 to x8 hold one ladder; above the edge the anchors move with s.
+    five rungs x2 to x32 hold one ladder; above the edge the anchors move with s.
     """
     tables = finite_tables(n, t, build_finite_contours(n, t, anchors, points_per_unit), 2 * n)
     for table in tables:
@@ -539,7 +539,7 @@ def prob_finite_n(n, t, s):
         *grams, log_scale = finite_gram(n, t, s, tables)
         return [_det_core(gram, np.ones(n), log_scale) for gram in grams]
 
-    return _solve("prob_finite_n", evaluate, [n] * 3)
+    return _solve("prob_finite_n", evaluate, [n] * 5)
 
 
 # ---------------------------------------------------------------------------

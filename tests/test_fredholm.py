@@ -704,23 +704,46 @@ def test_warm_finite_n_tables_give_the_cold_result(n, t, levels):
     assert [repr(fredholm.prob_finite_n(n, t, s)) for s in levels] == cold
 
 
+def _saddle_layouts(monkeypatch):
+    # (line, circle) node counts of every saddle layout the Gram routes lay out
+    layouts = []
+    for name in ("build_packed_contours", "build_finite_contours"):
+        def spy(*args, _build=getattr(fredholm, name)):
+            line, circle = _build(*args)
+            layouts.append((len(line.nodes), len(circle.nodes)))
+            return line, circle
+        monkeypatch.setattr(fredholm, name, spy)
+    return layouts
+
+
 def test_saddle_density_agrees_with_four_times_itself(monkeypatch):
     # the saddle line and circle start from SADDLE_POINTS_PER_UNIT; at four
-    # times it the rungs lay out 128, 256 and 512 nodes per unit, as they did
+    # times it the rungs lay out 128, 256, ... nodes per unit, as they did
     # from POINTS_PER_UNIT.  Every level of the sweeps and every packed point
     # agrees with that layout to 4.3e-15 in p and in log S; where the survival
     # is near 1, log S is about -p, and its change is p's rounding, so log S
-    # is compared relative to max(1, |log S|)
+    # is compared relative to max(1, |log S|).  At t = 256 the phase's widths
+    # set both packed contours at either density, so those points would be
+    # compared with themselves; each call here lays out two different layouts
     calls = [(fredholm.prob_finite_n, (n, t, float(s)))
              for n, t, levels in LEVEL_SWEEPS for s in levels]
-    calls += [(fredholm.prob_packed, (t, a)) for t in (4, 16, 64, 256) for a in (0.5, 1.0, 2.0, 5.0)]
-    base = [fn(*args) for fn, args in calls]
+    calls += [(fredholm.prob_packed, (t, a)) for t in (4, 16, 64) for a in (0.5, 1.0, 2.0, 5.0)]
+    layouts = _saddle_layouts(monkeypatch)
+
+    def run(fn, args):
+        fredholm._finite_tables.cache_clear()
+        layouts.clear()
+        return fn(*args), layouts[-1]
+
+    base = [run(fn, args) for fn, args in calls]
     monkeypatch.setattr(fredholm, "SADDLE_POINTS_PER_UNIT", 4 * fredholm.SADDLE_POINTS_PER_UNIT)
-    for (fn, args), res in zip(calls, base):
-        dense = fn(*args)
+    for (fn, args), (res, layout) in zip(calls, base):
+        dense, dense_layout = run(fn, args)
+        assert dense_layout != layout, (fn.__name__, args)
         assert abs(dense.p - res.p) <= 1e-14, (fn.__name__, args)
         assert (abs(dense.log_survival - res.log_survival)
                 <= 1e-14 * max(1.0, abs(dense.log_survival))), (fn.__name__, args)
+    fredholm._finite_tables.cache_clear()
 
 
 @pytest.mark.parametrize("t, a", [(16, 4.0), (32, 2.0)])
@@ -770,11 +793,17 @@ def test_deep_tail_raises_instead_of_minus_infinity(fn):
 ])
 def test_packed_deep_tail_is_finite_and_holds_under_density_doubling(monkeypatch, t, a,
                                                                      log_survival):
-    # e^{-t r} underflows here; the Gram route factors it out of the determinant
+    # e^{-t r} underflows here; the Gram route factors it out of the determinant.
+    # Below 256 nodes per unit the phase's widths set the line here, and the
+    # circle at t = 256, so the denser ladder starts there, and lays out
+    # other contours than the one it is held to
+    layouts = _saddle_layouts(monkeypatch)
     res = fredholm.prob_packed(t, a)
     assert abs(res.log_survival - log_survival) <= 1e-10 * abs(log_survival)
-    monkeypatch.setattr(fredholm, "SADDLE_POINTS_PER_UNIT", 2 * fredholm.SADDLE_POINTS_PER_UNIT)
+    layout = layouts[-1]
+    monkeypatch.setattr(fredholm, "SADDLE_POINTS_PER_UNIT", 8 * fredholm.SADDLE_POINTS_PER_UNIT)
     denser = fredholm.prob_packed(t, a)
+    assert layouts[-1] != layout
     assert abs(denser.log_survival - res.log_survival) <= 1e-13 * abs(log_survival)
 
 
@@ -1219,11 +1248,11 @@ def test_flat_window_is_certified_where_the_sub_rule_cannot_see_it():
 def test_stat_rho_point_whose_two_first_densities_are_one_layout_raises():
     # at t = 256, a = 0.1 the phase's widths, not the density, set the line
     # and circle at every density up to 128 per unit (193 and 826 nodes), so
-    # all three rungs, x2 to x8 of SADDLE_POINTS_PER_UNIT, lay out that one
-    # layout, and a ladder comparing densities would compare p with itself;
-    # its sub-rule moves p by 3.5e-9, and the layout at 256 per unit (373 and
-    # 1,610 nodes) moves it by 5.1e-9, so p is not resolved to 1e-9
-    with pytest.raises(NumericFailure, match="p still moves by 3.508e-09"):
+    # the first three rungs, x2 to x8 of SADDLE_POINTS_PER_UNIT, lay out that
+    # one layout, and a ladder comparing densities would compare p with
+    # itself; the last rung, 256 per unit (373 and 1,610 nodes), moves p by
+    # 5.1e-9 and its sub-rule by 3.5e-9, so p is not resolved to 1e-9
+    with pytest.raises(NumericFailure, match="p still moves by 3.491e-09"):
         fredholm.prob_stat_rho(256, 0.1, 0.5)
 
 
